@@ -2,8 +2,10 @@
 
 Subcommands: t1, t2-ramsey, t2-echo, cnot-chain, ccnot-survey, qft-perfect,
 qpe-sweep, enumerate, validate. Exit codes: 0 success, 1 configuration
-error, 2 runtime failure. The environment variable NISQ_LAB_SEED overrides
-the default seed when --seed is not given.
+error, 2 runtime failure or a request for cells that do not exist (a chain
+longer than its orientation, --max-length or --top-k below 1). The
+environment variable NISQ_LAB_SEED overrides the default seed when --seed is
+not given.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, builders, experiments, report, topology
-from .experiments import ExperimentConfig
+from .experiments import CellRangeError, ExperimentConfig
 from .noise import CalibrationError, SimulationError, default_calibration, load_calibration
 from .simulator import Circuit
 from .topology import TopologyError
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
+    except CellRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CalibrationError, TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

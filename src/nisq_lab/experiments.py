@@ -37,6 +37,11 @@ _TAGS = {"t1": 11, "ramsey": 12, "echo": 13, "chain": 21, "ccnot": 31, "qft": 41
 _GEOMETRY_IDS = {"linear3": 0, "star4": 1, "ring6-3chain": 2, "ring6-1chains": 3}
 
 
+class CellRangeError(ValueError):
+    """A request for cells that do not exist: no chain lengths or placements
+    at all, or chains longer than their orientation."""
+
+
 @dataclass
 class ExperimentConfig:
     """Common experiment knobs; unused fields are ignored per experiment."""
@@ -57,6 +62,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.max_length < 1:
+            raise CellRangeError(f"max_length must be >= 1, got {self.max_length}")
+        if self.top_k < 1:
+            raise CellRangeError(f"top_k must be >= 1, got {self.top_k}")
         for grid in (self.dt_grid_us, self.phi_grid):
             if grid is not None:
                 if len(grid) == 0:
@@ -243,9 +252,13 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
     orientations per (strategy, length).
     """
     g = cfg.graph or topology.shipped_poughkeepsie()
+    paths = {o: topology.chain_paths(g, o) for o in cfg.orientations}
+    for orientation, path in paths.items():
+        if cfg.max_length > len(path) - 1:
+            raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
+                                 f"links of orientation {orientation}")
     tables: dict[tuple[int, str], ResultTable] = {}
-    for orientation in cfg.orientations:
-        path = topology.chain_paths(g, orientation)
+    for orientation, path in paths.items():
         for s_idx, strategy in enumerate(cfg.strategies):
             rows = []
             for length in range(1, cfg.max_length + 1):

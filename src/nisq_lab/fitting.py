@@ -205,7 +205,7 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
     omega = _spectral_omega(t, y)
     span = float(t.max() - t.min())
 
-    def exponential_fallback() -> FitResult:
+    def exponential_fallback(reason: str) -> FitResult:
         base = fit_exponential(t, np.clip(2.0 * p - 1.0, 0.0, 1.0), shots)
         return FitResult(
             model="damped-cosine",
@@ -220,13 +220,13 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
             ok=base.ok,
             converged=base.converged,
             fallback=True,
-            message="no spectral peak; fell back to exponential fit",
+            message=f"{reason}; fell back to exponential fit",
             iterations=base.iterations,
         )
 
     # less than ~a quarter oscillation across the span: no usable peak
     if omega * span < math.pi / 2 or np.ptp(p) < 1e-9:
-        return exponential_fallback()
+        return exponential_fallback("no spectral peak")
 
     w = _binomial_weights(p, shots)
     rate = 1.0 / span  # mild initial damping
@@ -246,8 +246,8 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
         b1 = float(np.dot(w * j_rate, r))
         b2 = float(np.dot(w * j_omega, r))
         det = a11 * a22 - a12 * a12
-        if det == 0.0:
-            return FitResult.failed("damped-cosine", "singular normal equations")
+        if det == 0.0:  # the decay rate ran away and the envelope underflowed to 0
+            return exponential_fallback("singular normal equations")
         d_rate = (a22 * b1 - a12 * b2) / det
         d_omega = (a11 * b2 - a12 * b1) / det
         rate = max(rate + d_rate, 0.0)
@@ -259,7 +259,7 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
 
     # refinement collapsed the oscillation: the data was not periodic
     if abs(omega) * span < math.pi / 2:
-        return exponential_fallback()
+        return exponential_fallback("no spectral peak")
 
     env = np.exp(-rate * t)
     f = 0.5 * (1.0 + env * np.cos(omega * t))

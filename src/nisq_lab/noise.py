@@ -1,22 +1,30 @@
-"""Stochastic trajectory noise on scheduled circuits.
+"""Noise channels on scheduled circuits, and the engines that run them.
 
 A circuit is first layered with ASAP scheduling; every layer then charges
 each qubit (idle or not) with three channels for the layer duration:
 
-  1. amplitude damping, sampled as a jump/no-jump trajectory whose ensemble
-     average reproduces excited-state survival exp(-dt/t1),
+  1. amplitude damping, with excited-state survival exp(-dt/t1),
   2. a phase flip with probability (1 - exp(-dt/tphi)) / 2,
   3. a deterministic drift rotation Rphi(omega * dt).
 
-Gates themselves are instantaneous unitaries; each CNOT may additionally
-draw one two-qubit depolarizing error. Readout bit-flips apply at the final
+Gates themselves are instantaneous unitaries; each CNOT is followed by a
+two-qubit depolarizing channel (one of the 15 non-identity Pauli pairs with
+total probability two_qubit_error). Readout bit-flips apply at the final
 measurement. Outcomes are deterministic per (schedule, calibration, seed).
 
-``run_shots`` vectorizes trajectories across shots: circuits built purely
-from X/CNOT/Delay stay computational-basis states and run as bit vectors
-(any width); everything else runs as a dense batched statevector up to 14
-qubits. Both paths sample the same per-shot distribution as the scalar
-``simulate_noisy_shot`` reference.
+``run_shots`` sends each circuit to one of three engines:
+
+  * circuits built purely from X/CNOT/Delay stay computational-basis states
+    and run as vectorized bit-vector trajectories (any width);
+  * other circuits with 2**n <= shots run on the exact density-matrix
+    engine, which computes the full outcome distribution once and draws a
+    multinomial from it; its 4**n state is never larger than the
+    shots * 2**n batch it replaces;
+  * the rest run as a dense batch of statevector trajectories (the
+    quantum-jump unraveling of the same channels) up to 14 qubits.
+
+The trajectory engines sample the ensemble average that the exact engine
+computes. ``simulate_noisy_shot`` runs one trajectory.
 """
 from __future__ import annotations
 
@@ -40,6 +48,7 @@ from .simulator import (
     apply_cnot_array,
     apply_op_array,
     basis_label,
+    gate_matrix,
 )
 
 
@@ -439,6 +448,87 @@ def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots:
     return outcomes
 
 
+# ---------------------------------------------------------------------------
+# Exact density-matrix engine
+# ---------------------------------------------------------------------------
+# rho is kept flat as a 2n-qubit vector: row qubit q is qubit q and column
+# qubit q is qubit n + q, so a gate U is U on q and U* on n + q, reusing the
+# statevector primitives.
+
+def _idle_channels(cal: DeviceCalibration, n: int,
+                   dt: float) -> tuple[list[tuple[int, float]], np.ndarray]:
+    """The idle channels of every qubit over dt as (damped qubits with their
+    jump probability, elementwise factor of rho). Channels on different
+    qubits commute, so the factor is the kron of each qubit's 2x2
+    (row bit, column bit) factor: damping shrinks |1><1| by 1 - gamma and the
+    coherences by sqrt(1 - gamma), the phase flip shrinks the coherences by
+    1 - 2 pz, and drift rotates them by exp(-+i omega dt)."""
+    damped = []
+    factor = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
+        if gamma > 0.0:
+            damped.append((q, gamma))
+        coherence = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
+        drift = complex(math.cos(phase), math.sin(phase))
+        f = np.array([[1.0, coherence * drift.conjugate()], [coherence * drift, 1.0 - gamma]])
+        k = factor.shape[0]
+        factor = (factor[:, None, :, None] * f[None, :, None, :]).reshape(2 * k, 2 * k)
+    return damped, factor.ravel()
+
+
+def _depolarize_rho(rho: np.ndarray, c: int, t: int, n: int, p: float) -> None:
+    """Two-qubit depolarizing on (c, t) in place: the average over the 15
+    non-identity Pauli pairs at total probability p equals
+    (1 - 16p/15) rho + (16p/15) Tr_ct(rho) (x) I/4."""
+    lam = 16.0 * p / 15.0
+    lo, hi = min(c, t), max(c, t)  # the channel is symmetric in its operands
+    half = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+    v = rho.reshape(half + half)
+    diagonal = [(slice(None), i, slice(None), j, slice(None)) * 2 for i in (0, 1) for j in (0, 1)]
+    mixed = sum(v[d] for d in diagonal) * (lam / 4.0)
+    v *= 1.0 - lam
+    for d in diagonal:
+        v[d] += mixed
+
+
+def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
+    """Exact outcome distribution over the 2**n basis labels, readout error
+    included: the ensemble average that the trajectory engines sample."""
+    n = scheduled.n_qubits
+    dim = 1 << n
+    rho = np.zeros(dim * dim, dtype=complex)
+    rho[0] = 1.0
+    p2 = cal.two_qubit_error
+    idle: dict[float, tuple[list[tuple[int, float]], np.ndarray]] = {}
+    for layer in scheduled.layers:
+        if layer.duration not in idle:
+            idle[layer.duration] = _idle_channels(cal, n, layer.duration)
+        damped, factor = idle[layer.duration]
+        for q, gamma in damped:
+            v = rho.reshape(1 << q, 2, dim >> (q + 1), 1 << q, 2, dim >> (q + 1))
+            v[:, 0, :, :, 0, :] += gamma * v[:, 1, :, :, 1, :]
+        rho *= factor
+        for op in layer.ops:
+            if op.kind == "CNOT":
+                c, t = op.qubits
+                rho = apply_cnot_array(rho, c, t, 2 * n)
+                rho = apply_cnot_array(rho, n + c, n + t, 2 * n)
+                if p2 > 0.0:
+                    _depolarize_rho(rho, c, t, n, p2)
+            elif op.kind not in ("MEASURE", "DELAY"):
+                u = gate_matrix(op)
+                q = op.qubits[0]
+                rho = apply_single_qubit(rho, u, q, 2 * n)
+                rho = apply_single_qubit(rho, u.conj(), n + q, 2 * n)
+    probs = np.clip(rho[:: dim + 1].real, 0.0, None)
+    for q in range(n):
+        r = cal.params_for(q).readout_error
+        if r > 0.0:
+            probs = apply_single_qubit(probs, np.array([[1.0 - r, r], [r, 1.0 - r]]), q, n)
+    return probs / probs.sum()
+
+
 _DENSE_QUBIT_LIMIT = 14
 
 
@@ -470,17 +560,21 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     """Noisy shot counts; deterministic per (schedule, calibration, seed)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if seed is None:
+        raise ValueError("seed must be given: counts are deterministic per seed")
     _check_calibrated(scheduled, cal)
+    n = scheduled.n_qubits
     if _is_classical(scheduled):
-        rng = np.random.default_rng([seed, 1])
-        outcomes = _run_classical(scheduled, cal, shots, rng)
-    elif scheduled.n_qubits <= _DENSE_QUBIT_LIMIT:
-        rng = np.random.default_rng([seed, 2])
-        outcomes = _run_dense_batch(scheduled, cal, shots, rng)
-    else:
+        outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
+    elif n > _DENSE_QUBIT_LIMIT:
         raise SimulationError(
             f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits are not supported"
         )
+    elif (1 << n) <= shots:
+        probs = _exact_probabilities(scheduled, cal)
+        draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
+        return {basis_label(int(v), n): int(draws[v]) for v in np.flatnonzero(draws)}
+    else:
+        outcomes = _run_dense_batch(scheduled, cal, shots, np.random.default_rng([seed, 2]))
     values, counts = np.unique(outcomes, return_counts=True)
-    n = scheduled.n_qubits
     return {basis_label(int(v), n): int(c) for v, c in zip(values, counts)}

@@ -245,3 +245,27 @@ def test_qpe_sweep_cli(tmp_path, noiseless_cal_file):
     assert len(raw["rows"]) == 33
     assert "theoretical" in raw["rows"][1]["extras"]
     assert (out / "qpe_linear3.svg").exists()
+
+
+@pytest.mark.parametrize("length", ["0", "20", "40"])
+def test_cnot_chain_length_out_of_range_exit_2(tmp_path, noiseless_cal_file, capsys, length):
+    """The shipped orientations have 19 links; longer chains do not exist
+    and must not be written as relabelled copies of the 19-link chain."""
+    out = tmp_path / "chains"
+    code = main(["cnot-chain", "--calibration", str(noiseless_cal_file),
+                 "--shots", "20", "--seed", "2", "--out", str(out),
+                 "--orientations", "1", "--strategies", "none",
+                 "--max-length", length])
+    assert code == 2
+    assert "max_length" in capsys.readouterr().err
+    assert not (out / "chain_o1_none.csv").exists()
+
+
+def test_qft_top_k_below_one_exit_2(tmp_path, noiseless_cal_file, capsys):
+    out = tmp_path / "qft"
+    code = main(["qft-perfect", "--calibration", str(noiseless_cal_file),
+                 "--shots", "8", "--seed", "2", "--out", str(out),
+                 "--geometries", "linear3", "--top-k", "0"])
+    assert code == 2
+    assert "top_k" in capsys.readouterr().err
+    assert not (out / "qft_linear3.csv").exists()

@@ -139,6 +139,20 @@ def test_damped_cosine_no_oscillation_falls_back():
     assert fit.params["t_phi"] == pytest.approx(30.0, rel=0.05)
 
 
+def test_damped_cosine_singular_refinement_falls_back():
+    """Ramsey data of a fast-dephasing, slowly drifting qubit (T2 = 10 us,
+    5 kHz drift, 1000 shots) shows a spurious spectral peak; refining it
+    drives the envelope to zero, which leaves the normal equations singular.
+    The fit then falls back to the exponential form instead of failing."""
+    t = np.linspace(0, 20, 40)
+    p = damped_cosine_model(t, 10.0, 2 * math.pi * 0.005)
+    p = np.random.default_rng(0).binomial(1000, p) / 1000
+    fit = fit_damped_cosine(t, p, 1000)
+    assert fit.ok and fit.fallback
+    assert fit.message.startswith("singular normal equations")
+    assert fit.params["t_phi"] == pytest.approx(10.0, rel=0.2)
+
+
 def test_damped_cosine_needs_six_points():
     fit = fit_damped_cosine([0, 1, 2, 3, 4], [1, 0.5, 0.2, 0.5, 0.9], 100)
     assert not fit.ok

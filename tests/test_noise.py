@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_lab.noise import (
+    _exact_probabilities,
+    _run_dense_batch,
     CalibrationError,
     DeviceCalibration,
     DurationModel,
@@ -21,7 +23,17 @@ from nisq_lab.noise import (
     schedule,
     simulate_noisy_shot,
 )
-from nisq_lab.simulator import Circuit, GateOp, StateVector, apply_circuit, apply_gate, sample_shots
+from nisq_lab.simulator import (
+    Circuit,
+    GateOp,
+    StateVector,
+    apply_circuit,
+    apply_gate,
+    basis_label,
+    sample_shots,
+)
+
+from oracles import kraus_outcome_probabilities
 
 INF = math.inf
 
@@ -247,13 +259,16 @@ def test_single_shot_deterministic_and_labelled():
 
 
 def test_classical_and_dense_paths_agree_in_distribution():
-    """The bit-vector fast path and the dense batch sample the same law."""
+    """The bit-vector fast path and the exact engine sample the same law.
+
+    The phase gate makes the second circuit non-classical; at 40000 shots
+    its 2 qubits go to the exact density-matrix engine (2**n <= shots)."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     classical = Circuit(2).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
     sched = schedule(classical, cal.durations)
     shots = 40000
     counts_bits = run_shots(sched, cal, shots, 11)  # classical path
-    # force the dense path with an irrelevant phase gate (identity on |0>)
+    # force the exact engine with an irrelevant phase gate (identity on |0>)
     dense_circuit = Circuit(2).rphi(0.0, 0).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
     counts_dense = run_shots(schedule(dense_circuit, cal.durations), cal, shots, 11)
     for key in sorted(set(counts_bits) | set(counts_dense)):
@@ -261,6 +276,98 @@ def test_classical_and_dense_paths_agree_in_distribution():
         q = counts_dense.get(key, 0) / shots
         sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / shots + 1e-12)
         assert abs(p - q) <= 5 * sigma, f"{key}: {p} vs {q}"
+
+
+@st.composite
+def noisy_cells(draw, max_qubits):
+    """A random scheduled circuit over H/T/S/RPHI/X/CNOT/DELAY with a random
+    calibration: finite or infinite T1/T2, drift, readout and CNOT errors."""
+    n = draw(st.integers(1, max_qubits))
+    qubits = []
+    for _ in range(n):
+        t1 = draw(st.one_of(st.just(INF), st.floats(5e-6, 100e-6)))
+        if math.isfinite(t1):
+            t2 = draw(st.floats(0.05, 1.0)) * 2 * t1
+        else:
+            t2 = draw(st.one_of(st.just(INF), st.floats(5e-6, 100e-6)))
+        qubits.append(QubitNoiseParams(
+            t1=t1, t2=t2,
+            omega=draw(st.floats(-2 * math.pi * 1e6, 2 * math.pi * 1e6)),
+            readout_error=draw(st.floats(0.0, 0.3)),
+        ))
+    cal = DeviceCalibration(tuple(qubits), DurationModel(), draw(st.floats(0.0, 0.5)))
+    kinds = ["H", "T", "S", "RPHI", "X", "DELAY"] + (["CNOT"] if n > 1 else [])
+    c = Circuit(n)
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        q = draw(st.integers(0, n - 1))
+        if kind == "CNOT":
+            other = draw(st.integers(0, n - 2))
+            c.cnot(q, other if other < q else other + 1)
+        elif kind == "RPHI":
+            c.rphi(draw(st.floats(-math.pi, math.pi)), q)
+        elif kind == "DELAY":
+            c.delay(draw(st.floats(0.0, 20e-6)), q)
+        else:
+            c.add(GateOp(kind, (q,)))
+    c.measure_all()
+    return schedule(c, cal.durations), cal
+
+
+@given(noisy_cells(max_qubits=3))
+@settings(max_examples=60, deadline=None)
+def test_exact_engine_matches_kraus_oracle(cell):
+    sched, cal = cell
+    exact = _exact_probabilities(sched, cal)
+    oracle = kraus_outcome_probabilities(sched, cal)
+    assert np.max(np.abs(exact - oracle)) <= 1e-12
+
+
+def _within_5_sigma(count: int, shots: int, p: float) -> bool:
+    """A 5-sigma binomial bound in Bernstein's form, which stays valid for
+    rare outcomes where the normal approximation does not: it is
+    5 sqrt(shots p (1 - p)) for common outcomes, plus about 4 counts."""
+    slack = 25.0 / 6.0
+    return abs(count - shots * p) <= slack + math.sqrt(slack**2 + 25.0 * shots * p * (1 - p))
+
+
+@given(noisy_cells(max_qubits=4))
+@settings(max_examples=40, deadline=None)
+def test_trajectory_histograms_match_exact_distribution(cell):
+    sched, cal = cell
+    shots = 4000
+    probs = _exact_probabilities(sched, cal)
+    outcomes = _run_dense_batch(sched, cal, shots, np.random.default_rng(0))
+    counts = np.bincount(outcomes, minlength=len(probs))
+    for k, (count, p) in enumerate(zip(counts, probs)):
+        label = basis_label(k, sched.n_qubits)
+        assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
+
+
+def test_exact_engine_runs_when_basis_fits_in_shots():
+    """Non-classical cells draw a multinomial from the exact distribution
+    when 2**n <= shots, and run trajectories otherwise."""
+    cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
+    sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
+    probs = _exact_probabilities(sched, cal)
+    draws = np.random.default_rng([5, 3]).multinomial(4, probs)
+    exact = {basis_label(k, 2): int(c) for k, c in enumerate(draws) if c}
+    assert run_shots(sched, cal, 4, 5) == exact
+    outcomes = _run_dense_batch(sched, cal, 3, np.random.default_rng([5, 2]))
+    values, counts = np.unique(outcomes, return_counts=True)
+    trajectories = {basis_label(int(v), 2): int(c) for v, c in zip(values, counts)}
+    assert run_shots(sched, cal, 3, 5) == trajectories
+
+
+@pytest.mark.parametrize("prep, shots", [("x", 10), ("h", 10), ("h", 3)],
+                         ids=["classical", "exact", "trajectory"])
+def test_missing_seed_rejected(prep, shots):
+    cal = flat_cal(2)
+    c = Circuit(2)
+    getattr(c, prep)(0)
+    sched = schedule(c.cnot(0, 1).measure_all(), cal.durations)
+    with pytest.raises(ValueError, match="seed"):
+        run_shots(sched, cal, shots, None)
 
 
 def test_readout_error_flips_bits():
