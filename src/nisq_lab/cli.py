@@ -178,6 +178,7 @@ def _run_coherence(args) -> int:
 def _run_chain(args) -> int:
     graph, cal = _load_inputs(args)
     cfg = _config(args, graph, cal)
+    experiments.chain_sweep_paths(cfg)  # reject unknown cells before the manifest is written
     stems = [f"chain_o{o}_{s}" for o in cfg.orientations for s in cfg.strategies]
     stems += [f"chain_avg_{s}" for s in cfg.strategies]
     outputs = [f"{s}.{args.format}" for s in stems]

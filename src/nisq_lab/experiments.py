@@ -244,6 +244,18 @@ class ChainSweepResult:
     averages: dict[str, ResultTable]
 
 
+def chain_sweep_paths(cfg: ExperimentConfig) -> dict[int, tuple[int, ...]]:
+    """The stored path of each requested orientation; raises CellRangeError
+    when max_length exceeds the links of one of them."""
+    g = cfg.graph or topology.shipped_poughkeepsie()
+    paths = {o: topology.chain_paths(g, o) for o in cfg.orientations}
+    for orientation, path in paths.items():
+        if cfg.max_length > len(path) - 1:
+            raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
+                                 f"links of orientation {orientation}")
+    return paths
+
+
 def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
     """Chains of every length on each stored orientation, per strategy.
 
@@ -251,12 +263,7 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
     the ancillas to their strategy's desired state. Averages pool the
     orientations per (strategy, length).
     """
-    g = cfg.graph or topology.shipped_poughkeepsie()
-    paths = {o: topology.chain_paths(g, o) for o in cfg.orientations}
-    for orientation, path in paths.items():
-        if cfg.max_length > len(path) - 1:
-            raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
-                                 f"links of orientation {orientation}")
+    paths = chain_sweep_paths(cfg)
     tables: dict[tuple[int, str], ResultTable] = {}
     for orientation, path in paths.items():
         for s_idx, strategy in enumerate(cfg.strategies):

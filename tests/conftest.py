@@ -1,13 +1,7 @@
 import pytest
-from hypothesis import settings
 
 from nisq_lab import topology
 from nisq_lab.noise import default_calibration
-
-# Fixed examples: the statistical property tests compare sampled histograms
-# against bounds, so they must draw the same examples on every run.
-settings.register_profile("derandomized", derandomize=True)
-settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

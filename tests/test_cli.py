@@ -259,6 +259,7 @@ def test_cnot_chain_length_out_of_range_exit_2(tmp_path, noiseless_cal_file, cap
     assert code == 2
     assert "max_length" in capsys.readouterr().err
     assert not (out / "chain_o1_none.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_qft_top_k_below_one_exit_2(tmp_path, noiseless_cal_file, capsys):
@@ -269,3 +270,4 @@ def test_qft_top_k_below_one_exit_2(tmp_path, noiseless_cal_file, capsys):
     assert code == 2
     assert "top_k" in capsys.readouterr().err
     assert not (out / "qft_linear3.csv").exists()
+    assert not (out / "manifest.json").exists()
