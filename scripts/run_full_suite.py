@@ -2,13 +2,14 @@
 """Run every experiment family against the shipped lattice and calibration.
 
 Writes CSV tables, fit JSONs, and SVG plots under out/ (or a directory given
-as the first argument). Expect a few minutes at the default 8000 shots.
+as the first argument). Each subcommand runs in its own process, and its
+wall time (interpreter start-up included) and peak RSS, from the process's
+resource usage, are printed when it exits.
 """
+import os
 import sys
 import time
 from pathlib import Path
-
-from nisq_lab.cli import main
 
 EXPERIMENTS = [
     ["t1", "--qubit", "0", "--plot"],
@@ -25,10 +26,15 @@ def run(out_root: Path, seed: int = 7) -> int:
     for argv in EXPERIMENTS:
         out = out_root / argv[0]
         args = argv + ["--seed", str(seed), "--out", str(out)]
-        print(f"\n=== nisq-lab {' '.join(args)}")
-        start = time.time()
-        code = main(args)
-        print(f"=== done in {time.time() - start:.1f}s (exit {code})")
+        print(f"\n=== nisq-lab {' '.join(args)}", flush=True)
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "nisq_lab.cli", *args],
+                             os.environ)
+        _, status, usage = os.wait4(pid, 0)  # the rusage of this child alone
+        wall = time.perf_counter() - start
+        code = os.waitstatus_to_exitcode(status)
+        print(f"=== done in {wall:.2f}s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB (exit {code})",
+              flush=True)
         if code != 0:
             return code
     return 0

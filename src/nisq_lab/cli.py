@@ -162,10 +162,10 @@ def _run_coherence(args) -> int:
     runner = {"t1": experiments.run_t1, "t2-ramsey": experiments.run_t2_ramsey,
               "t2-echo": experiments.run_t2_echo}[name]
     stem = name.replace("-", "_")
-    outputs = [f"{stem}.{args.format}", f"{stem}_fit.json"]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     table = runner(cfg)
     _emit(table, args, stem, plot_style="fit")
+    outputs = [f"{stem}.{args.format}", f"{stem}_fit.json"]
+    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     fit = table.fit
     if fit is not None and fit.ok:
         params = " ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
@@ -178,16 +178,15 @@ def _run_coherence(args) -> int:
 def _run_chain(args) -> int:
     graph, cal = _load_inputs(args)
     cfg = _config(args, graph, cal)
-    experiments.chain_sweep_paths(cfg)  # reject unknown cells before the manifest is written
-    stems = [f"chain_o{o}_{s}" for o in cfg.orientations for s in cfg.strategies]
-    stems += [f"chain_avg_{s}" for s in cfg.strategies]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     result = experiments.run_cnot_chain_sweep(cfg)
     for (o, s), table in result.tables.items():
         _emit(table, args, f"chain_o{o}_{s}")
     for s, table in result.averages.items():
         _emit(table, args, f"chain_avg_{s}")
+    stems = [f"chain_o{o}_{s}" for o in cfg.orientations for s in cfg.strategies]
+    stems += [f"chain_avg_{s}" for s in cfg.strategies]
+    outputs = [f"{s}.{args.format}" for s in stems]
+    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     return 0
 
 
@@ -195,10 +194,10 @@ def _run_survey(args) -> int:
     graph, cal = _load_inputs(args)
     cfg = _config(args, graph, cal)
     families = tuple(args.families.split(","))
-    outputs = [f"ccnot_survey.{args.format}"]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     result = experiments.run_ccnot_survey(cfg, families=families)
     _emit(result.table(), args, "ccnot_survey")
+    outputs = [f"ccnot_survey.{args.format}"]
+    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     for fam in families:
         stats = result.family_stats(fam)
         if stats:
@@ -210,28 +209,28 @@ def _run_survey(args) -> int:
 def _run_qft(args) -> int:
     graph, cal = _load_inputs(args)
     cfg = _config(args, graph, cal)
-    stems = [f"qft_{g.replace('-', '_')}" for g in cfg.geometries]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     survey = experiments.run_ccnot_survey(cfg, families=tuple(dict.fromkeys(cfg.geometries)))
     result = experiments.run_qft_perfect_phases(cfg, survey=survey)
     for g, table in result.tables.items():
         _emit(table, args, f"qft_{g.replace('-', '_')}")
         print(f"{g}: cnot_count={result.cnot_counts[g]}")
+    stems = [f"qft_{g.replace('-', '_')}" for g in cfg.geometries]
+    outputs = [f"{s}.{args.format}" for s in stems]
+    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     return 0
 
 
 def _run_qpe(args) -> int:
     graph, cal = _load_inputs(args)
     cfg = _config(args, graph, cal)
-    stems = [f"qpe_{g}" for g in cfg.geometries if g in ("linear3", "star4")]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     survey = experiments.run_ccnot_survey(
         cfg, families=tuple(g for g in cfg.geometries if g in ("linear3", "star4")))
     result = experiments.run_qpe_phase_sweep(cfg, survey=survey)
     for g, table in result.tables.items():
         _emit(table, args, f"qpe_{g}", plot_style="qpe")
+    stems = [f"qpe_{g}" for g in cfg.geometries if g in ("linear3", "star4")]
+    outputs = [f"{s}.{args.format}" for s in stems]
+    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     return 0
 
 

@@ -66,6 +66,10 @@ class ExperimentConfig:
             raise CellRangeError(f"max_length must be >= 1, got {self.max_length}")
         if self.top_k < 1:
             raise CellRangeError(f"top_k must be >= 1, got {self.top_k}")
+        n = self.calibration.n_qubits
+        if not (0 <= self.qubit < n):
+            raise ValueError(f"qubit {self.qubit} is outside the calibration's {n} qubits "
+                             f"(0..{n - 1})")
         for grid in (self.dt_grid_us, self.phi_grid):
             if grid is not None:
                 if len(grid) == 0:
@@ -244,26 +248,20 @@ class ChainSweepResult:
     averages: dict[str, ResultTable]
 
 
-def chain_sweep_paths(cfg: ExperimentConfig) -> dict[int, tuple[int, ...]]:
-    """The stored path of each requested orientation; raises CellRangeError
-    when max_length exceeds the links of one of them."""
+def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
+    """Chains of every length on each stored orientation, per strategy.
+
+    f1 scores the control/target pair against |11>; f2 additionally holds
+    the ancillas to their strategy's desired state. Averages pool the
+    orientations per (strategy, length). Raises CellRangeError when
+    max_length exceeds the links of a requested orientation.
+    """
     g = cfg.graph or topology.shipped_poughkeepsie()
     paths = {o: topology.chain_paths(g, o) for o in cfg.orientations}
     for orientation, path in paths.items():
         if cfg.max_length > len(path) - 1:
             raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
                                  f"links of orientation {orientation}")
-    return paths
-
-
-def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
-    """Chains of every length on each stored orientation, per strategy.
-
-    f1 scores the control/target pair against |11>; f2 additionally holds
-    the ancillas to their strategy's desired state. Averages pool the
-    orientations per (strategy, length).
-    """
-    paths = chain_sweep_paths(cfg)
     tables: dict[tuple[int, str], ResultTable] = {}
     for orientation, path in paths.items():
         for s_idx, strategy in enumerate(cfg.strategies):

@@ -9,6 +9,7 @@ scale: 1 - SS_res / SS_tot. Convergence: relative parameter change below
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,13 @@ class FidelityReport:
         return math.sqrt(self.f2 * (1.0 - self.f2) / self.shots)
 
 
+def _picker(positions: list[int]):
+    """key -> the tuple of its characters at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda key: tuple(key[i] for i in positions)
+
+
 def fidelity(counts: dict[str, int], roles, desired_computational: str,
              desired_ancilla: str = "") -> FidelityReport:
     """Score shot counts against desired computational/ancilla outcomes.
@@ -56,6 +64,8 @@ def fidelity(counts: dict[str, int], roles, desired_computational: str,
         raise ValueError(
             f"desired ancilla string has {len(desired_ancilla)} bits, roles give {len(anc_idx)}"
         )
+    comp_of, anc_of = _picker(comp_idx), _picker(anc_idx)
+    want_comp, want_anc = tuple(desired_computational), tuple(desired_ancilla)
     total = 0
     n_f1 = 0
     n_f2 = 0
@@ -63,9 +73,9 @@ def fidelity(counts: dict[str, int], roles, desired_computational: str,
         if len(key) != len(roles):
             raise ValueError(f"counts key {key!r} does not match {len(roles)} roles")
         total += c
-        if all(key[i] == desired_computational[j] for j, i in enumerate(comp_idx)):
+        if comp_of(key) == want_comp:
             n_f1 += c
-            if all(key[i] == desired_ancilla[j] for j, i in enumerate(anc_idx)):
+            if anc_of(key) == want_anc:
                 n_f2 += c
     if total == 0:
         raise ValueError("empty counts")

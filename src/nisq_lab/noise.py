@@ -24,7 +24,10 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     quantum-jump unraveling of the same channels) up to 14 qubits.
 
 The trajectory engines sample the ensemble average that the exact engine
-computes. ``simulate_noisy_shot`` runs one trajectory.
+computes. They apply each qubit's idle charge once per idle window (from
+one gate on the qubit to its next gate, or to readout) for the window's
+summed duration, which is the same channel as charging it layer by layer
+(see ``_idle_windows``). ``simulate_noisy_shot`` runs one trajectory.
 """
 from __future__ import annotations
 
@@ -305,33 +308,62 @@ def _channel_rates(params: QubitNoiseParams, dt: float) -> tuple[float, float, f
     return gamma, pz, params.omega * dt
 
 
+def _idle_windows(
+        scheduled: ScheduledCircuit) -> list[tuple[list[tuple[int, float]], tuple[GateOp, ...]]]:
+    """The circuit as steps ``(windows, ops)``: close each ``(qubit, dt)``
+    idle window, then apply the ops. There is one step per layer plus a last
+    step with no ops, whose windows are those still open at readout.
+
+    A window closes when a gate (not MEASURE or DELAY) touches its qubit and
+    spans every layer since the qubit's previous gate, the gate's own layer
+    included, because a layer's idle charge comes before its ops. Time up to
+    and including a qubit's first gate layer is dropped: the qubit is still
+    in |0>, which all three channels fix. Merging is exact: a qubit's idle
+    channels commute with every op and channel not acting on it, damping
+    survivals and phase-flip contrasts multiply, and drift angles add.
+    """
+    steps = []
+    last_gate: dict[int, float] = {}  # qubit -> end time of its last gate layer
+    now = 0.0
+    for layer in scheduled.layers:
+        now += layer.duration
+        gated = sorted({q for op in layer.ops if op.kind not in ("MEASURE", "DELAY")
+                        for q in op.qubits})
+        steps.append(([(q, now - last_gate[q]) for q in gated
+                       if q in last_gate and now > last_gate[q]], layer.ops))
+        last_gate.update((q, now) for q in gated)
+    steps.append(([(q, now - t) for q, t in sorted(last_gate.items()) if now > t], ()))
+    return steps
+
+
 def _idle_batch(amps: np.ndarray, qubit: int, n: int, gamma: float, pz: float,
                 phase: float, rng: np.random.Generator) -> None:
-    """Apply the three idle channels to one qubit of a (shots, 2**n) batch."""
+    """Apply the three idle channels to one qubit of a (shots, 2**n) batch in
+    place: each shot's |0> and |1> halves are scaled by per-shot factors,
+    and only the rows that jump are copied."""
     shots = amps.shape[0]
     a = 1 << qubit
     b = 1 << (n - qubit - 1)
     v = amps.reshape(shots, a, 2, b)
+    f1 = np.full(shots, complex(math.cos(phase), math.sin(phase)))
     if gamma > 0.0:
         v1 = v[:, :, 1, :]
         p1 = np.einsum("sab,sab->s", v1.real, v1.real) + np.einsum(
             "sab,sab->s", v1.imag, v1.imag
         )
-        jump = rng.random(shots) < gamma * p1
-        if jump.any():
-            scale = 1.0 / np.sqrt(p1[jump])
-            v[jump, :, 0, :] = v[jump, :, 1, :] * scale[:, None, None]
-            v[jump, :, 1, :] = 0.0
-        nj = ~jump
-        if nj.any():
-            v[nj, :, 1, :] *= math.sqrt(1.0 - gamma)
-            amps[nj] /= np.sqrt(1.0 - gamma * p1[nj])[:, None]
+        jump = np.flatnonzero(rng.random(shots) < gamma * p1)
+        jumped = v[jump, :, 1, :] / np.sqrt(p1[jump])[:, None, None]
+        no_jump = 1.0 - gamma * p1
+        no_jump[jump] = 1.0  # these rows are overwritten below
+        f0 = 1.0 / np.sqrt(no_jump)
+        f1 *= f0 * math.sqrt(1.0 - gamma)
+        f1[jump] = 0.0
+        v[:, :, 0, :] *= f0[:, None, None]
     if pz > 0.0:
-        flip = rng.random(shots) < pz
-        if flip.any():
-            v[flip, :, 1, :] *= -1.0
-    if phase != 0.0:
-        v[:, :, 1, :] *= complex(math.cos(phase), math.sin(phase))
+        f1[rng.random(shots) < pz] *= -1.0
+    v[:, :, 1, :] *= f1[:, None, None]
+    if gamma > 0.0:
+        v[jump, :, 0, :] = jumped
 
 
 def apply_idle_noise(state: StateVector, qubit: int, dt: float,
@@ -368,15 +400,15 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     n = scheduled.n_qubits
     states = np.zeros(shots, dtype=np.int64)
     p2 = cal.two_qubit_error
-    for layer in scheduled.layers:
-        for q in range(n):
-            gamma, _, _ = _channel_rates(cal.params_for(q), layer.duration)
+    for windows, ops in _idle_windows(scheduled):
+        for q, dt in windows:
+            gamma, _, _ = _channel_rates(cal.params_for(q), dt)
             if gamma > 0.0:
                 bit = n - 1 - q
                 excited = (states >> bit) & 1
                 flips = rng.random(shots) < gamma
                 states ^= (excited & flips) << bit
-        for op in layer.ops:
+        for op in ops:
             if op.kind == "X":
                 states ^= 1 << (n - 1 - op.qubits[0])
             elif op.kind == "CNOT":
@@ -424,12 +456,12 @@ def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots:
     amps = np.zeros((shots, dim), dtype=complex)
     amps[:, 0] = 1.0
     p2 = cal.two_qubit_error
-    for layer in scheduled.layers:
-        for q in range(n):
-            gamma, pz, phase = _channel_rates(cal.params_for(q), layer.duration)
+    for windows, ops in _idle_windows(scheduled):
+        for q, dt in windows:
+            gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
             if gamma > 0.0 or pz > 0.0 or phase != 0.0:
                 _idle_batch(amps, q, n, gamma, pz, phase, rng)
-        for op in layer.ops:
+        for op in ops:
             if op.kind in ("MEASURE", "DELAY"):
                 continue
             amps = apply_op_array(amps, op, n)

@@ -129,7 +129,7 @@ class RunManifest:
 
 
 def write_manifest(out_dir, manifest: RunManifest) -> Path:
-    """Write manifest.json; call before writing any result file."""
+    """Write manifest.json; call after the result files it lists are written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"

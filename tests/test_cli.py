@@ -1,13 +1,16 @@
 """CLI subcommands, file outputs, and plot structure."""
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from nisq_lab import __version__, experiments, topology
 from nisq_lab.cli import main
 from nisq_lab.experiments import ResultRow, ResultTable
 from nisq_lab.fitting import FitResult
+from nisq_lab.noise import SimulationError, calibration_from_dict
 from nisq_lab.report import (
     CSV_HEADER,
     RunManifest,
@@ -271,3 +274,66 @@ def test_qft_top_k_below_one_exit_2(tmp_path, noiseless_cal_file, capsys):
     assert "top_k" in capsys.readouterr().err
     assert not (out / "qft_linear3.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_qubit_outside_calibration_exit_1(tmp_path, noiseless_cal_file, capsys):
+    out = tmp_path / "t1"
+    code = main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "10",
+                 "--seed", "1", "--qubit", "25", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "qubit 25" in err and "20 qubits" in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "t1.csv").exists()
+
+
+_SMALL_RUNS = {
+    "t1": ["--grid-us", "0,5"],
+    "cnot-chain": ["--orientations", "1", "--strategies", "none", "--max-length", "3"],
+    "ccnot-survey": ["--families", "linear3"],
+    "qft-perfect": ["--geometries", "linear3", "--top-k", "1"],
+    "qpe-sweep": ["--geometries", "linear3"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SMALL_RUNS))
+def test_run_failing_mid_way_leaves_no_manifest(tmp_path, noiseless_cal_file, monkeypatch,
+                                                subcommand):
+    calls = []
+    real_run_shots = experiments.run_shots
+
+    def failing_second_call(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise SimulationError("injected failure")
+        return real_run_shots(*args)
+
+    monkeypatch.setattr(experiments, "run_shots", failing_second_call)
+    out = tmp_path / "out"
+    code = main([subcommand, "--calibration", str(noiseless_cal_file), "--shots", "8",
+                 "--seed", "2", "--out", str(out)] + _SMALL_RUNS[subcommand])
+    assert code == 2
+    assert len(calls) == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_good_run_manifest_lists_written_outputs(tmp_path, noiseless_cal_file):
+    out = tmp_path / "t1"
+    assert main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "10",
+                 "--seed", "4", "--out", str(out), "--grid-us", "0,5"]) == 0
+    graph = topology.shipped_poughkeepsie()
+    expected = {
+        "subcommand": "t1",
+        "seed": 4,
+        "shots": 10,
+        "calibration_hash": calibration_from_dict(NOISELESS_CAL).content_hash(),
+        "topology_hash": hashlib.sha256(
+            json.dumps(graph.to_dict(), sort_keys=True).encode()).hexdigest(),
+        "config": {"format": "csv", "out_dir": str(out), "topology": "shipped",
+                   "calibration": str(noiseless_cal_file)},
+        "tool_version": __version__,
+        "outputs": ["t1.csv", "t1_fit.json"],
+    }
+    text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert (out / "manifest.json").read_bytes() == text.encode("utf-8")
+    assert all((out / name).exists() for name in expected["outputs"])

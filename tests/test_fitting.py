@@ -68,6 +68,42 @@ def test_f2_never_exceeds_f1(counts, desired, roles):
     assert rep.f2 <= rep.f1 + 1e-12
 
 
+def _fidelity_by_characters(counts, roles, desired_computational, desired_ancilla):
+    """The scoring definition, one character at a time."""
+    comp_idx = [i for i, r in enumerate(roles) if r != "ancilla"]
+    anc_idx = [i for i, r in enumerate(roles) if r == "ancilla"]
+    total = sum(counts.values())
+    n_f1 = n_f2 = 0
+    for key, c in counts.items():
+        if all(key[i] == desired_computational[j] for j, i in enumerate(comp_idx)):
+            n_f1 += c
+            if all(key[i] == desired_ancilla[j] for j, i in enumerate(anc_idx)):
+                n_f2 += c
+    return n_f1 / total, n_f2 / total
+
+
+@st.composite
+def scored_counts(draw):
+    roles = tuple(draw(st.lists(st.sampled_from(["control", "target", "computational",
+                                                 "ancilla"]), min_size=1, max_size=8)))
+    width = len(roles)
+    bits = st.text("01", min_size=width, max_size=width)
+    counts = draw(st.dictionaries(bits, st.integers(1, 500), min_size=1, max_size=12))
+    desired = draw(st.one_of(bits, st.sampled_from(sorted(counts))))  # often a hit
+    comp = "".join(b for b, r in zip(desired, roles) if r != "ancilla")
+    anc = "".join(b for b, r in zip(desired, roles) if r == "ancilla")
+    return counts, roles, comp, anc
+
+
+@given(scored_counts())
+@settings(max_examples=200, deadline=None)
+def test_fidelity_matches_per_character_definition(cell):
+    counts, roles, comp, anc = cell
+    rep = fidelity(counts, roles, comp, anc)
+    assert (rep.f1, rep.f2) == _fidelity_by_characters(counts, roles, comp, anc)
+    assert rep.shots == sum(counts.values())
+
+
 # ---------------------------------------------------------------------------
 # exponential fit
 # ---------------------------------------------------------------------------

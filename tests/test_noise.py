@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from nisq_lab.noise import (
     _exact_probabilities,
+    _idle_windows,
+    _run_classical,
     _run_dense_batch,
     CalibrationError,
     DeviceCalibration,
@@ -303,9 +305,10 @@ def test_classical_and_dense_paths_agree_in_distribution():
 
 
 @st.composite
-def noisy_cells(draw, max_qubits):
-    """A random scheduled circuit over H/T/S/RPHI/X/CNOT/DELAY with a random
-    calibration: finite or infinite T1/T2, drift, readout and CNOT errors."""
+def noisy_cells(draw, max_qubits, kinds=("H", "T", "S", "RPHI", "X", "DELAY"), max_ops=10):
+    """A random scheduled circuit over ``kinds`` (CNOT added when n > 1) with
+    a random calibration: finite or infinite T1/T2, drift, readout and CNOT
+    errors."""
     n = draw(st.integers(1, max_qubits))
     qubits = []
     for _ in range(n):
@@ -320,9 +323,9 @@ def noisy_cells(draw, max_qubits):
             readout_error=draw(st.floats(0.0, 0.3)),
         ))
     cal = DeviceCalibration(tuple(qubits), DurationModel(), draw(st.floats(0.0, 0.5)))
-    kinds = ["H", "T", "S", "RPHI", "X", "DELAY"] + (["CNOT"] if n > 1 else [])
+    kinds = list(kinds) + (["CNOT"] if n > 1 else [])
     c = Circuit(n)
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, max_ops))):
         kind = draw(st.sampled_from(kinds))
         q = draw(st.integers(0, n - 1))
         if kind == "CNOT":
@@ -368,6 +371,60 @@ def test_trajectory_histograms_match_exact_distribution(cell):
     for k, (count, p) in enumerate(zip(counts, probs)):
         label = basis_label(k, sched.n_qubits)
         assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
+
+
+# X/CNOT/DELAY circuits run on the bit-vector engine, whose idle windows
+# span many layers; up to 16 ops on n <= 4 qubits leave long idle gaps
+@given(noisy_cells(max_qubits=4, kinds=("X", "DELAY"), max_ops=16))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_classical_histograms_match_exact_distribution(cell):
+    sched, cal = cell
+    shots = 4000
+    probs = _exact_probabilities(sched, cal)
+    outcomes = _run_classical(sched, cal, shots, np.random.default_rng(0))
+    counts = np.bincount(outcomes, minlength=len(probs))
+    for k, (count, p) in enumerate(zip(counts, probs)):
+        label = basis_label(k, sched.n_qubits)
+        assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
+
+
+def test_idle_windows_close_before_gates_and_at_readout():
+    c = Circuit(3).x(0).delay(5e-6, 1).x(0).cnot(0, 1).measure_all()
+    sched = schedule(c, DurationModel())
+    steps = _idle_windows(sched)
+    assert [ops for _, ops in steps] == [layer.ops for layer in sched.layers] + [()]
+    expected = [[], [(0, 100e-9)], [(0, 300e-9)], [], [(0, 1e-6), (1, 1e-6)]]
+    assert len(steps) == len(expected)
+    for (windows, _), want in zip(steps, expected):
+        assert [q for q, _ in windows] == [q for q, _ in want]
+        assert [dt for _, dt in windows] == pytest.approx([dt for _, dt in want])
+
+
+@given(noisy_cells(max_qubits=4, kinds=("H", "X", "DELAY"), max_ops=16))
+@settings(max_examples=60, deadline=None)
+def test_idle_windows_charge_all_time_after_first_gate(cell):
+    """Each gated qubit is charged total_duration minus the time up to the
+    end of its first gate layer; a qubit no gate touches is charged nothing."""
+    sched, _ = cell
+    charged = {}
+    for windows, _ in _idle_windows(sched):
+        for q, dt in windows:
+            assert dt > 0
+            charged[q] = charged.get(q, 0.0) + dt
+    first_gate_end = {}
+    elapsed = 0.0
+    for layer in sched.layers:
+        elapsed += layer.duration
+        for op in layer.ops:
+            if op.kind not in ("MEASURE", "DELAY"):
+                for q in op.qubits:
+                    first_gate_end.setdefault(q, elapsed)
+    for q in range(sched.n_qubits):
+        if q in first_gate_end:
+            expected = sched.total_duration - first_gate_end[q]
+            assert charged.get(q, 0.0) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        else:
+            assert q not in charged
 
 
 def test_exact_engine_runs_when_basis_fits_in_shots():
