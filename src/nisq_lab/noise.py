@@ -27,7 +27,11 @@ The trajectory engines sample the ensemble average that the exact engine
 computes. They apply each qubit's idle charge once per idle window (from
 one gate on the qubit to its next gate, or to readout) for the window's
 summed duration, which is the same channel as charging it layer by layer
-(see ``_idle_windows``). ``simulate_noisy_shot`` runs one trajectory.
+(see ``_idle_windows``). The bit-vector engine draws, for each damping
+window, depolarizing channel and readout flip, only the shots the event hits
+(``_hits``: a uniform subset of Binomial(shots, p) rows, the same law as
+per-shot trials) and touches only those rows. ``simulate_noisy_shot`` runs
+one trajectory.
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ from .simulator import (
     apply_op_array,
     basis_label,
     gate_matrix,
+    is_json_number,
 )
 
 
@@ -185,39 +190,60 @@ _REQUIRED_QUBIT_KEYS = ("t1_us", "t2_us", "omega_mhz", "readout_error")
 _REQUIRED_DURATION_KEYS = ("single", "two_qubit", "measure")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float, or CalibrationError naming ``where``."""
+    if is_json_number(value):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise CalibrationError(f"{where} must be a finite number, got {json.dumps(value)[:40]}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CalibrationError(f"{where} must be a JSON object")
+    return value
+
+
 def calibration_from_dict(raw: dict) -> DeviceCalibration:
     """Parse the calibration file schema. Unit suffixes in key names bind:
     t1_us/t2_us are microseconds, omega_mhz is drift frequency in MHz
     (omega = 2*pi*f), durations_ns are nanoseconds. A null t1/t2 means
-    infinite (noise channel disabled)."""
+    infinite (noise channel disabled). A value of the wrong JSON type raises
+    CalibrationError naming its key."""
+    _object(raw, "calibration")
     for key in ("qubits", "durations_ns", "two_qubit_error"):
         if key not in raw:
             raise CalibrationError(f"calibration missing required key {key!r}")
+    if not isinstance(raw["qubits"], list):
+        raise CalibrationError("'qubits' must be a list of qubit entries")
     qubits = []
     for i, entry in enumerate(raw["qubits"]):
+        _object(entry, f"qubit {i}")
         for key in _REQUIRED_QUBIT_KEYS:
             if key not in entry:
                 raise CalibrationError(f"qubit {i} missing required key {key!r}")
-        t1 = math.inf if entry["t1_us"] is None else float(entry["t1_us"]) * 1e-6
-        t2 = math.inf if entry["t2_us"] is None else float(entry["t2_us"]) * 1e-6
+        t1, t2 = (math.inf if entry[k] is None else _number(entry[k], f"qubit {i} {k!r}") * 1e-6
+                  for k in ("t1_us", "t2_us"))
         qubits.append(
             QubitNoiseParams(
                 t1=t1,
                 t2=t2,
-                omega=TAU * float(entry["omega_mhz"]) * 1e6,
-                readout_error=float(entry["readout_error"]),
+                omega=TAU * _number(entry["omega_mhz"], f"qubit {i} 'omega_mhz'") * 1e6,
+                readout_error=_number(entry["readout_error"], f"qubit {i} 'readout_error'"),
             )
         )
-    dur = raw["durations_ns"]
+    dur = _object(raw["durations_ns"], "'durations_ns'")
     for key in _REQUIRED_DURATION_KEYS:
         if key not in dur:
             raise CalibrationError(f"durations_ns missing required key {key!r}")
-    durations = DurationModel(
-        single_qubit=float(dur["single"]) * 1e-9,
-        two_qubit=float(dur["two_qubit"]) * 1e-9,
-        measurement=float(dur["measure"]) * 1e-9,
-    )
-    return DeviceCalibration(tuple(qubits), durations, float(raw["two_qubit_error"]))
+    single, two_qubit, measure = (_number(dur[key], f"durations_ns {key!r}") * 1e-9
+                                  for key in _REQUIRED_DURATION_KEYS)
+    durations = DurationModel(single_qubit=single, two_qubit=two_qubit, measurement=measure)
+    return DeviceCalibration(tuple(qubits), durations,
+                             _number(raw["two_qubit_error"], "'two_qubit_error'"))
 
 
 def load_calibration(path) -> DeviceCalibration:
@@ -386,6 +412,24 @@ _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
 # two-qubit depolarizing: codes 1..15 map to Pauli pairs (code>>2, code&3)
 # with 0=I, 1=X, 2=Y, 3=Z; X and Y components flip the measured bit
 _PAULI_MATS = (None, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
+
+
+def _hits(rng: np.random.Generator, shots: int, p: float) -> np.ndarray:
+    """The distinct rows of ``range(shots)`` that an event of probability p
+    hits, each row independently.
+
+    A uniform subset of Binomial(shots, p) rows has the same law as per-row
+    Bernoulli(p) trials, and drawing it costs time per hit rather than per
+    shot. Measured on a 2-core x86 VM with numpy 2.4 (best of 9 repeats,
+    250-8000 shots, p = 0.005-0.4), the subset draw cost about
+    15 us + 31 ns per hit and the per-shot mask about 7.5 us + 6.5 ns per
+    shot. So the subset is cheaper when shots * (1 - 5 p) > 1200: up to
+    p ~ 0.17 at 8000 shots and p ~ 0.14 at 4000, never below 1200 shots.
+    """
+    if shots * (1.0 - 5.0 * p) > 1200:
+        return rng.choice(shots, rng.binomial(shots, p), replace=False, shuffle=False)
+    return np.flatnonzero(rng.random(shots) < p)
 
 
 def _is_classical(scheduled: ScheduledCircuit) -> bool:
@@ -396,7 +440,9 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
                    rng: np.random.Generator) -> np.ndarray:
     """Bit-vector trajectories for circuits that stay in the computational
     basis: phase channels are unobservable there, damping is a plain decay
-    flip, and depolarizing reduces to its X/Y bit-flip components."""
+    flip, and depolarizing reduces to its X/Y bit-flip components. Each
+    damping window, depolarizing channel and readout flip draws only the
+    rows it hits (``_hits``) and updates those rows alone."""
     n = scheduled.n_qubits
     states = np.zeros(shots, dtype=np.int64)
     p2 = cal.two_qubit_error
@@ -404,10 +450,8 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
         for q, dt in windows:
             gamma, _, _ = _channel_rates(cal.params_for(q), dt)
             if gamma > 0.0:
-                bit = n - 1 - q
-                excited = (states >> bit) & 1
-                flips = rng.random(shots) < gamma
-                states ^= (excited & flips) << bit
+                # a hit excited bit decays to 0; a hit ground bit stays 0
+                states[_hits(rng, shots, gamma)] &= ~(1 << (n - 1 - q))
         for op in ops:
             if op.kind == "X":
                 states ^= 1 << (n - 1 - op.qubits[0])
@@ -416,18 +460,13 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
                 bt = n - 1 - op.qubits[1]
                 states ^= ((states >> bc) & 1) << bt
                 if p2 > 0.0:
-                    err = rng.random(shots) < p2
-                    if err.any():
-                        code = rng.integers(1, 16, size=shots)
-                        flip_c = err & (((code >> 2) == 1) | ((code >> 2) == 2))
-                        flip_t = err & (((code & 3) == 1) | ((code & 3) == 2))
-                        states ^= flip_c.astype(np.int64) << bc
-                        states ^= flip_t.astype(np.int64) << bt
+                    rows = _hits(rng, shots, p2)
+                    code = rng.integers(1, 16, size=rows.size)
+                    states[rows] ^= (_PAULI_FLIPS[code >> 2] << bc) | (_PAULI_FLIPS[code & 3] << bt)
     for q in range(n):
         r = cal.params_for(q).readout_error
         if r > 0.0:
-            flips = rng.random(shots) < r
-            states ^= flips.astype(np.int64) << (n - 1 - q)
+            states[_hits(rng, shots, r)] ^= 1 << (n - 1 - q)
     return states
 
 
@@ -598,6 +637,7 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     n = scheduled.n_qubits
     if _is_classical(scheduled):
         outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
+        values, counts = np.unique(outcomes, return_counts=True)
     elif n > _DENSE_QUBIT_LIMIT:
         raise SimulationError(
             f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits are not supported"
@@ -605,8 +645,10 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     elif (1 << n) <= shots:
         probs = _exact_probabilities(scheduled, cal)
         draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
-        return {basis_label(int(v), n): int(draws[v]) for v in np.flatnonzero(draws)}
+        values = np.flatnonzero(draws)
+        counts = draws[values]
     else:
         outcomes = _run_dense_batch(scheduled, cal, shots, np.random.default_rng([seed, 2]))
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {basis_label(int(v), n): int(c) for v, c in zip(values, counts)}
+        values, counts = np.unique(outcomes, return_counts=True)
+    fmt = f"0{n}b"  # basis_label's format, without a call per outcome
+    return {format(v, fmt): c for v, c in zip(values.tolist(), counts.tolist())}

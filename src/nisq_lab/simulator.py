@@ -75,8 +75,8 @@ class GateOp:
         elif self.angle != 0.0:
             raise ValueError(f"{self.kind} takes no angle")
         if self.kind == "DELAY":
-            if self.duration is None or self.duration < 0:
-                raise ValueError("DELAY requires a non-negative duration in seconds")
+            if self.duration is None or not 0 <= self.duration < math.inf:
+                raise ValueError("DELAY requires a finite non-negative duration in seconds")
         elif self.duration is not None:
             raise ValueError(f"{self.kind} duration is resolved at schedule time")
 
@@ -209,17 +209,42 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
+        """Parse ``to_dict`` output; malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("circuit must be a JSON object")
         try:
-            n = int(d["n_qubits"])
-            raw_ops = d["ops"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed circuit dict: {exc}") from exc
-        c = cls(n, roles=tuple(d["roles"]) if "roles" in d else None)
-        for entry in raw_ops:
-            c.add(GateOp(entry["kind"], tuple(entry["qubits"]),
-                         angle=entry.get("angle", 0.0),
-                         duration=entry.get("duration")))
+            n, raw_ops = d["n_qubits"], d["ops"]
+        except KeyError as exc:
+            raise ValueError(f"malformed circuit dict: missing {exc}") from exc
+        roles = d.get("roles")
+        if not is_json_int(n):
+            raise ValueError("circuit 'n_qubits' must be an integer")
+        if not isinstance(raw_ops, list):
+            raise ValueError("circuit 'ops' must be a list")
+        if roles is not None and not (isinstance(roles, list)
+                                      and all(isinstance(r, str) for r in roles)):
+            raise ValueError("circuit 'roles' must be a list of strings")
+        c = cls(n, roles=None if roles is None else tuple(roles))
+        for i, entry in enumerate(raw_ops):
+            if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)
+                    and isinstance(entry.get("qubits"), list)
+                    and all(is_json_int(q) for q in entry["qubits"])):
+                raise ValueError(f"circuit op {i} needs a 'kind' string and integer 'qubits'")
+            angle, duration = entry.get("angle", 0.0), entry.get("duration")
+            if not is_json_number(angle) or not (duration is None or is_json_number(duration)):
+                raise ValueError(f"circuit op {i}: 'angle' and 'duration' must be numbers")
+            c.add(GateOp(entry["kind"], tuple(entry["qubits"]), angle=angle, duration=duration))
         return c
+
+
+def is_json_int(value) -> bool:
+    """True for a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    """True for a JSON number, integer or not (a bool is neither)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def basis_label(index: int, n_qubits: int) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 
-from .simulator import Circuit, GateOp
+from .simulator import Circuit, GateOp, is_json_int
 
 
 class TopologyError(ValueError):
@@ -68,7 +68,13 @@ def load_graph(path) -> CouplingGraph:
 def graph_from_dict(raw: dict) -> CouplingGraph:
     if not isinstance(raw, dict) or "n_qubits" not in raw or "edges" not in raw:
         raise TopologyError("topology dict needs 'n_qubits' and 'edges'")
-    return CouplingGraph.from_edge_list(int(raw["n_qubits"]), raw["edges"])
+    n, edges = raw["n_qubits"], raw["edges"]
+    if not is_json_int(n) or n < 1:
+        raise TopologyError(f"'n_qubits' must be a positive integer, got {json.dumps(n)[:40]}")
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and all(is_json_int(q) for q in e) for e in edges):
+        raise TopologyError("'edges' must be a list of [a, b] integer pairs")
+    return CouplingGraph.from_edge_list(n, edges)
 
 
 def _load_data(name: str) -> dict | list:
@@ -188,10 +194,16 @@ def chain_placement(path) -> GeometryPlacement:
     )
 
 
+def _edge_vertices(g: CouplingGraph) -> list[int]:
+    """The qubits with at least one edge, ascending; no placement uses any
+    other, so enumeration costs nothing per isolated qubit."""
+    return sorted({q for e in g.edges for q in e})
+
+
 def enumerate_linear_triples(g: CouplingGraph) -> list[GeometryPlacement]:
     """All center-adjacent triples a-b-c, once each (count = sum C(deg,2))."""
     out = []
-    for b in range(g.n_qubits):
+    for b in _edge_vertices(g):
         for a, c in combinations(g.neighbors(b), 2):
             out.append(GeometryPlacement("linear3-cct", (a, b, c), (), c))
     out.sort(key=lambda p: p.computational)
@@ -211,7 +223,7 @@ def linear3_variants(triple: GeometryPlacement) -> list[GeometryPlacement]:
 def enumerate_stars(g: CouplingGraph) -> list[GeometryPlacement]:
     """All (center, 3 neighbors) stars; one placement per unordered neighbor set."""
     out = []
-    for m in range(g.n_qubits):
+    for m in _edge_vertices(g):
         for outer in combinations(g.neighbors(m), 3):
             out.append(GeometryPlacement("star4", outer, (m,), outer[0]))
     out.sort(key=lambda p: (p.ancilla, p.computational))
@@ -229,7 +241,6 @@ def star_variants(star: GeometryPlacement) -> list[GeometryPlacement]:
 def enumerate_six_rings(g: CouplingGraph) -> list[tuple[int, ...]]:
     """All simple 6-cycles, each once up to rotation and reflection."""
     found: set[tuple[int, ...]] = set()
-    n = g.n_qubits
 
     def extend(path: list[int]) -> None:
         head = path[-1]
@@ -244,7 +255,7 @@ def enumerate_six_rings(g: CouplingGraph) -> list[tuple[int, ...]]:
                 extend(path)
                 path.pop()
 
-    for start in range(n):
+    for start in _edge_vertices(g):
         extend([start])
     return sorted(found)
 

@@ -1,10 +1,16 @@
 """CLI subcommands, file outputs, and plot structure."""
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisq_lab import __version__, experiments, topology
 from nisq_lab.cli import main
@@ -20,6 +26,7 @@ from nisq_lab.report import (
     write_manifest,
     write_results,
 )
+from nisq_lab.simulator import is_json_number
 
 NOISELESS_CAL = {
     "qubits": [
@@ -337,3 +344,136 @@ def test_good_run_manifest_lists_written_outputs(tmp_path, noiseless_cal_file):
     text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
     assert (out / "manifest.json").read_bytes() == text.encode("utf-8")
     assert all((out / name).exists() for name in expected["outputs"])
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files
+# ---------------------------------------------------------------------------
+
+VALID_INPUTS = {
+    "calibration": {
+        "qubits": [
+            {"t1_us": 50.0, "t2_us": 60.0, "omega_mhz": 0.1, "readout_error": 0.01},
+            {"t1_us": 80, "t2_us": 100, "omega_mhz": 0, "readout_error": 0.0},
+        ],
+        "durations_ns": {"single": 100, "two_qubit": 300, "measure": 1000},
+        "two_qubit_error": 0.02,
+    },
+    "topology": {"n_qubits": 3, "edges": [[0, 1], [1, 2]]},
+    "circuit": {
+        "n_qubits": 3,
+        "ops": [{"kind": "X", "qubits": [0]}, {"kind": "CNOT", "qubits": [0, 1]},
+                {"kind": "RPHI", "qubits": [2], "angle": 0.5},
+                {"kind": "DELAY", "qubits": [1], "duration": 1e-6}],
+        "roles": ["control", "target", "ancilla"],
+    },
+}
+# null is valid here; VALID_INPUTS holds no null, so any other type is invalid
+NULLABLE_KEYS = {"t1_us", "t2_us", "roles"}
+OPTIONAL_KEYS = {"roles", "angle"}  # leaving these out is valid
+
+
+def _read_input_file(kind: str, path: str, out: str) -> int:
+    """Run the subcommand that reads a ``kind`` file from ``path``."""
+    argv = {
+        "calibration": ["t1", "--calibration", path, "--shots", "8", "--grid-us", "0,5",
+                        "--out", out],
+        "topology": ["enumerate", "--topology", path],
+        "circuit": ["validate", "--circuit", path],
+    }[kind]
+    return main(argv)
+
+
+def _json_kind(value) -> str:
+    return "number" if is_json_number(value) else type(value).__name__
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(container, key):
+    """(container, key) for the value at container[key] and every value in it."""
+    yield container, key
+    value = container[key]
+    if isinstance(value, (dict, list)):
+        for k in (value if isinstance(value, dict) else range(len(value))):
+            yield from _slots(value, k)
+
+
+@st.composite
+def broken_documents(draw, doc):
+    """``doc`` with one mutation that makes it invalid: a value replaced by
+    one of another JSON type, a dict replaced by the list of its values, or
+    a required key deleted."""
+    holder = [copy.deepcopy(doc)]
+    parent, key = draw(st.sampled_from(list(_slots(holder, 0))))
+    old = parent[key]
+    action = draw(st.sampled_from(("retype", "listify", "delete")))
+    if action == "delete" and isinstance(parent, dict) and key not in OPTIONAL_KEYS:
+        del parent[key]
+    elif action == "listify" and isinstance(old, dict):
+        parent[key] = list(old.values())
+    else:
+        nullable = key in NULLABLE_KEYS
+        parent[key] = draw(JSON_VALUES.filter(
+            lambda v: _json_kind(v) != _json_kind(old) and not (v is None and nullable)))
+    return holder[0]
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+def test_valid_input_files_run(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(VALID_INPUTS[kind]))
+    assert _read_input_file(kind, str(path), str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_input_files_exit_with_a_message(kind, data):
+    """Wrong types, nulls, missing keys and lists for dicts in any of the
+    three JSON inputs exit 1 or 2 with a message, never a traceback."""
+    doc = data.draw(broken_documents(VALID_INPUTS[kind]) | JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = _read_input_file(kind, str(path), str(Path(tmp) / "out"))
+    assert code in (1, 2), doc
+    assert stderr.getvalue().startswith(("error: ", "runtime failure: ")), doc
+
+
+def _edited(kind, **changes):
+    return {**VALID_INPUTS[kind], **changes}
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("calibration", _edited("calibration", qubits=5), "'qubits'"),
+    ("calibration", _edited("calibration", two_qubit_error=None), "'two_qubit_error'"),
+    ("circuit", _edited("circuit", ops=5), "'ops'"),
+    ("circuit", _edited("circuit", ops=["X"]), "op 0"),
+    ("circuit", _edited("circuit", ops=[{"kind": "X", "qubits": 0}]), "op 0"),
+    ("circuit", _edited("circuit", roles=3), "'roles'"),
+    ("circuit", [VALID_INPUTS["circuit"]], "JSON object"),
+    ("circuit", _edited("circuit", ops=[{"kind": "DELAY", "qubits": [0], "duration": math.nan}]),
+     "DELAY"),
+    ("topology", _edited("topology", n_qubits=10**12), None),
+], ids=["cal-qubits-int", "cal-two-qubit-error-null", "circuit-ops-int", "circuit-op-string",
+        "circuit-qubits-int", "circuit-roles-int", "circuit-list", "circuit-nan-delay",
+        "topology-huge-isolated"])
+def test_malformed_input_regressions(kind, doc, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = _read_input_file(kind, str(path), str(tmp_path / "out"))
+    if message is None:  # a valid file that once hung: enumeration skips isolated qubits
+        assert code == 0
+        assert capsys.readouterr().out == "triples: 1, stars: 0, six_rings: 0\n"
+    else:
+        assert code == 1
+        assert message in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nisq_lab.noise import (
     _exact_probabilities,
+    _hits,
     _idle_windows,
     _run_classical,
     _run_dense_batch,
@@ -388,6 +389,28 @@ def test_classical_histograms_match_exact_distribution(cell):
         assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
 
 
+@pytest.mark.parametrize("shots", [1, 250, 4000])
+@pytest.mark.parametrize("p", [0.003, 0.05, 0.3, 0.9])
+def test_hits_are_distinct_rows_at_rate_p(shots, p):
+    """_hits draws a subset below its crossover and a per-shot mask above
+    it (at 4000 shots p = 0.003 and 0.05 take the subset); either way the
+    rows are distinct, in range, and each is hit with probability p."""
+    rng = np.random.default_rng([shots, int(p * 1000)])
+    draws = 400
+    total = first = last = 0
+    for _ in range(draws):
+        rows = _hits(rng, shots, p)
+        assert rows.size == np.unique(rows).size
+        assert rows.size == 0 or (rows.min() >= 0 and rows.max() < shots)
+        assert _within_5_sigma(rows.size, shots, p)
+        total += rows.size
+        first += int(np.any(rows == 0))
+        last += int(np.any(rows == shots - 1))
+    assert _within_5_sigma(total, draws * shots, p)
+    assert _within_5_sigma(first, draws, p)
+    assert _within_5_sigma(last, draws, p)
+
+
 def test_idle_windows_close_before_gates_and_at_readout():
     c = Circuit(3).x(0).delay(5e-6, 1).x(0).cnot(0, 1).measure_all()
     sched = schedule(c, DurationModel())
@@ -465,12 +488,10 @@ def test_depolarizing_error_rate_applied():
     cal = flat_cal(2, p2=0.3, durations=DurationModel(measurement=0.0))
     c = Circuit(2).x(0).cnot(0, 1).measure(0).measure(1)
     counts = run_shots(schedule(c, cal.durations), cal, 20000, 31)
-    # 8/15 of sampled二Paulis flip each operand bit; P(|11> stays) =
-    # 1 - p + p * P(neither bit flipped among the 15) = 1 - p + p * (7/15... )
-    # count directly instead: both-bit marginal flip probability = p*8/15 each
     frac11 = counts.get("11", 0) / 20000
-    # exact: of the 15 non-identity pairs, those with I or Z on BOTH operands
-    # (ZI, IZ, ZZ = 3) leave |11> unchanged
+    # with probability p one of the 15 non-identity Pauli pairs acts; only
+    # those with I or Z on both operands (ZI, IZ, ZZ: 3 of 15) leave |11>,
+    # so P(11) = 1 - p + p * 3/15
     expected = 0.7 + 0.3 * (3 / 15)
     assert abs(frac11 - expected) < 5 * math.sqrt(expected * (1 - expected) / 20000)
 
