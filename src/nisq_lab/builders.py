@@ -208,25 +208,9 @@ def ccnot_ideal(q1: int, q2: int, q3: int) -> list[GateOp]:
     """Doubly-controlled X on fully connected qubits: 6 CNOTs, 2 H, 7 T/T`."""
     if len({q1, q2, q3}) != 3:
         raise BuildError("CCNOT needs three distinct qubits")
-    ops: list[GateOp] = []
     c = Circuit(max(q1, q2, q3) + 1)
-    c.h(q3)
-    c.cnot(q2, q3)
-    c.tdg(q3)
-    c.cnot(q1, q3)
-    c.t(q3)
-    c.cnot(q2, q3)
-    c.tdg(q3)
-    c.cnot(q1, q3)
-    c.t(q2)
-    c.t(q3)
-    c.cnot(q1, q2)
-    c.h(q3)
-    c.t(q1)
-    c.tdg(q2)
-    c.cnot(q1, q2)
-    ops.extend(c.ops)
-    return ops
+    _toffoli_body(c, c.cnot, q1, q2, q3)
+    return c.ops
 
 
 def _toffoli_body(circuit: Circuit, emit_cx, q1: int, q2: int, q3: int) -> None:

@@ -1,17 +1,25 @@
 """Command-line entry point.
 
 Subcommands: t1, t2-ramsey, t2-echo, cnot-chain, ccnot-survey, qft-perfect,
-qpe-sweep, enumerate, validate. Exit codes: 0 success, 1 configuration
-error, 2 runtime failure or a request for cells that do not exist (a chain
-longer than its orientation, --max-length or --top-k below 1). The
+qpe-sweep, enumerate, validate. The seven experiment subcommands share one
+handler: load the topology and calibration, build the config, run, write
+each result table (plus its fit, and its SVG with --plot), then write
+manifest.json listing the result and fit files, and print a summary.
+
+Exit codes: 0 success, 1 configuration error, 2 runtime failure or a
+request for cells that do not exist (a chain longer than its orientation,
+--max-length or --top-k below 1, a geometry the topology has no placement
+for). Configuration errors include an unknown or repeated entry in
+--families, --geometries, --strategies or --orientations, and a --grid-us
+entry that is negative or not finite. A failed run writes no manifest. The
 environment variable NISQ_LAB_SEED overrides the default seed when --seed is
 not given.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,6 +29,12 @@ from .experiments import CellRangeError, ExperimentConfig
 from .noise import CalibrationError, SimulationError, default_calibration, load_calibration
 from .simulator import Circuit
 from .topology import TopologyError
+
+_FAMILIES = ("linear3", "star4", "ring6-3chain", "ring6-1chains")
+
+# ExperimentConfig fields that some subcommands set from flags of the same name
+_CONFIG_FIELDS = ("qubit", "dt_grid_us", "strategies", "orientations", "max_length",
+                  "geometries", "top_k")
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -32,52 +46,74 @@ class UsageError(Exception):
     pass
 
 
+def _name_list(*allowed):
+    """argparse type: a comma-separated list of distinct entries of ``allowed``."""
+    by_name = {str(a): a for a in allowed}
+
+    def names(text: str) -> tuple:
+        got = text.split(",")
+        if any(n not in by_name for n in got) or len(set(got)) < len(got):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must list distinct entries from {','.join(by_name)}")
+        return tuple(by_name[n] for n in got)
+
+    return names
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="nisq-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nisq-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(p, shots=True):
+    def add_experiment(name, tables, help_):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=_run_experiment, tables=tables)
         p.add_argument("--topology", type=Path, help="topology JSON (default: shipped map)")
         p.add_argument("--calibration", type=Path, help="calibration JSON (default: shipped)")
-        if shots:
-            p.add_argument("--shots", type=int, default=8000)
+        p.add_argument("--shots", type=int, default=8000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--plot", action="store_true", help="also emit SVG plots")
+        return p
+
+    def add_names(p, flag, allowed):
+        p.add_argument(flag, type=_name_list(*allowed), default=allowed,
+                       help=f"comma-separated, from {','.join(map(str, allowed))} (default: all)")
 
     for name in ("t1", "t2-ramsey", "t2-echo"):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        add_common(p)
+        p = add_experiment(name, _coherence_tables, f"run the {name} experiment")
         p.add_argument("--qubit", type=int, default=0)
-        p.add_argument("--grid-us", type=str, default=None,
+        p.add_argument("--grid-us", dest="dt_grid_us", type=_float_list, default=None,
                        help="comma-separated delay grid in microseconds")
 
-    p = sub.add_parser("cnot-chain", help="chain-length sweep per orientation and strategy")
-    add_common(p)
-    p.add_argument("--strategies", type=str, default="none,x-reset,cnot-reset")
-    p.add_argument("--orientations", type=str, default="1,2,3,4")
+    p = add_experiment("cnot-chain", _chain_tables,
+                       "chain-length sweep per orientation and strategy")
+    add_names(p, "--strategies", builders.RESET_STRATEGIES)
+    add_names(p, "--orientations", (1, 2, 3, 4))
     p.add_argument("--max-length", type=int, default=19)
 
-    p = sub.add_parser("ccnot-survey", help="CCNOT fidelity over every geometry placement")
-    add_common(p)
-    p.add_argument("--families", type=str,
-                   default="linear3,star4,ring6-3chain,ring6-1chains")
+    p = add_experiment("ccnot-survey", _survey_tables,
+                       "CCNOT fidelity over every geometry placement")
+    add_names(p, "--families", _FAMILIES)
 
-    p = sub.add_parser("qft-perfect", help="inverse-QFT perfect-phase fidelities")
-    add_common(p)
-    p.add_argument("--geometries", type=str, default="linear3,star4,ring6-3chain")
+    p = add_experiment("qft-perfect", _qft_tables, "inverse-QFT perfect-phase fidelities")
+    add_names(p, "--geometries", _FAMILIES[:3])
     p.add_argument("--top-k", type=int, default=3)
 
-    p = sub.add_parser("qpe-sweep", help="continuous phase-estimation sweep")
-    add_common(p)
-    p.add_argument("--geometries", type=str, default="linear3,star4")
+    p = add_experiment("qpe-sweep", _qpe_tables, "continuous phase-estimation sweep")
+    add_names(p, "--geometries", _FAMILIES[:2])
 
     p = sub.add_parser("enumerate", help="count geometry placements on a topology")
+    p.set_defaults(handler=_run_enumerate)
     p.add_argument("--topology", type=Path)
 
     p = sub.add_parser("validate", help="check a circuit file against a topology")
+    p.set_defaults(handler=_run_validate)
     p.add_argument("--topology", type=Path)
     p.add_argument("--circuit", type=Path, required=True)
 
@@ -96,35 +132,18 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_inputs(args):
-    graph = topology.load_graph(args.topology) if args.topology else topology.shipped_poughkeepsie()
-    cal_path = getattr(args, "calibration", None)
-    cal = load_calibration(cal_path) if cal_path else default_calibration()
-    return graph, cal
+def _load_graph(args):
+    return topology.load_graph(args.topology) if args.topology else topology.shipped_poughkeepsie()
 
 
 def _config(args, graph, cal) -> ExperimentConfig:
-    kwargs = dict(calibration=cal, graph=graph, shots=args.shots, seed=_resolve_seed(args))
-    if getattr(args, "qubit", None) is not None:
-        kwargs["qubit"] = args.qubit
-    if getattr(args, "grid_us", None):
-        kwargs["dt_grid_us"] = tuple(float(v) for v in args.grid_us.split(","))
-    if getattr(args, "max_length", None) is not None:
-        kwargs["max_length"] = args.max_length
-    if getattr(args, "strategies", None):
-        kwargs["strategies"] = tuple(args.strategies.split(","))
-    if getattr(args, "orientations", None):
-        kwargs["orientations"] = tuple(int(v) for v in args.orientations.split(","))
-    if getattr(args, "geometries", None):
-        kwargs["geometries"] = tuple(args.geometries.split(","))
-    if getattr(args, "top_k", None) is not None:
-        kwargs["top_k"] = args.top_k
-    return ExperimentConfig(**kwargs)
+    fields = {name: getattr(args, name) for name in _CONFIG_FIELDS
+              if getattr(args, name, None) is not None}
+    return ExperimentConfig(calibration=cal, graph=graph, shots=args.shots,
+                            seed=_resolve_seed(args), **fields)
 
 
 def _manifest(args, cfg, graph, outputs) -> report.RunManifest:
-    import hashlib
-
     topo_hash = hashlib.sha256(
         json.dumps(graph.to_dict(), sort_keys=True).encode()).hexdigest()
     return report.RunManifest(
@@ -143,99 +162,82 @@ def _manifest(args, cfg, graph, outputs) -> report.RunManifest:
     )
 
 
-def _emit(table, args, stem, plot_style="scatter"):
+def _emit(table, args, stem, plot_style) -> list[str]:
+    """Write one table, its fit and, with --plot, its SVG; returns the
+    names the manifest lists (the results file and the fit file)."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.metadata.setdefault("manifest", "manifest.json")
     path = report.write_results(table, args.format, out / f"{stem}.{args.format}")
     print(f"wrote {path}")
+    names = [path.name]
     if table.fit is not None:
-        report.write_fit(table.fit, out / f"{stem}_fit.json")
+        names.append(report.write_fit(table.fit, out / f"{stem}_fit.json").name)
     if args.plot:
         report.emit_plot(table, plot_style, out / f"{stem}.svg")
+    return names
 
 
-def _run_coherence(args) -> int:
-    graph, cal = _load_inputs(args)
+def _run_experiment(args) -> int:
+    graph = _load_graph(args)
+    cal = load_calibration(args.calibration) if args.calibration else default_calibration()
     cfg = _config(args, graph, cal)
-    name = args.subcommand
-    runner = {"t1": experiments.run_t1, "t2-ramsey": experiments.run_t2_ramsey,
-              "t2-echo": experiments.run_t2_echo}[name]
-    stem = name.replace("-", "_")
-    table = runner(cfg)
-    _emit(table, args, stem, plot_style="fit")
-    outputs = [f"{stem}.{args.format}", f"{stem}_fit.json"]
+    tables, summary = args.tables(args, cfg)
+    outputs = [name for stem, table, style in tables for name in _emit(table, args, stem, style)]
     report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
+    for line in summary:
+        print(line)
+    return 0
+
+
+# Each experiment subcommand runs its experiment and returns
+# ([(file stem, table, plot style)], summary lines).
+
+def _coherence_tables(args, cfg):
+    stem = args.subcommand.replace("-", "_")
+    table = getattr(experiments, f"run_{stem}")(cfg)
     fit = table.fit
     if fit is not None and fit.ok:
         params = " ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
-        print(f"{name}: fit {params} r_squared={fit.r_squared:.6f}")
+        line = f"{args.subcommand}: fit {params} r_squared={fit.r_squared:.6f}"
     else:
-        print(f"{name}: fit failed ({fit.message if fit else 'no fit'})")
-    return 0
+        line = f"{args.subcommand}: fit failed ({fit.message if fit else 'no fit'})"
+    return [(stem, table, "fit")], [line]
 
 
-def _run_chain(args) -> int:
-    graph, cal = _load_inputs(args)
-    cfg = _config(args, graph, cal)
+def _chain_tables(args, cfg):
     result = experiments.run_cnot_chain_sweep(cfg)
-    for (o, s), table in result.tables.items():
-        _emit(table, args, f"chain_o{o}_{s}")
-    for s, table in result.averages.items():
-        _emit(table, args, f"chain_avg_{s}")
-    stems = [f"chain_o{o}_{s}" for o in cfg.orientations for s in cfg.strategies]
-    stems += [f"chain_avg_{s}" for s in cfg.strategies]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
-    return 0
+    tables = [(f"chain_o{o}_{s}", t, "scatter") for (o, s), t in result.tables.items()]
+    tables += [(f"chain_avg_{s}", t, "scatter") for s, t in result.averages.items()]
+    return tables, []
 
 
-def _run_survey(args) -> int:
-    graph, cal = _load_inputs(args)
-    cfg = _config(args, graph, cal)
-    families = tuple(args.families.split(","))
-    result = experiments.run_ccnot_survey(cfg, families=families)
-    _emit(result.table(), args, "ccnot_survey")
-    outputs = [f"ccnot_survey.{args.format}"]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
-    for fam in families:
+def _survey_tables(args, cfg):
+    result = experiments.run_ccnot_survey(cfg, families=args.families)
+    summary = []
+    for fam in args.families:
         stats = result.family_stats(fam)
         if stats:
-            print(f"{fam}: mean_f1={stats['mean_f1']:.4f} max_f1={stats['max_f1']:.4f} "
-                  f"mean_f2={stats['mean_f2']:.4f}")
-    return 0
+            summary.append(f"{fam}: mean_f1={stats['mean_f1']:.4f} "
+                           f"max_f1={stats['max_f1']:.4f} mean_f2={stats['mean_f2']:.4f}")
+    return [("ccnot_survey", result.table(), "scatter")], summary
 
 
-def _run_qft(args) -> int:
-    graph, cal = _load_inputs(args)
-    cfg = _config(args, graph, cal)
-    survey = experiments.run_ccnot_survey(cfg, families=tuple(dict.fromkeys(cfg.geometries)))
+def _qft_tables(args, cfg):
+    survey = experiments.run_ccnot_survey(cfg, families=cfg.geometries)
     result = experiments.run_qft_perfect_phases(cfg, survey=survey)
-    for g, table in result.tables.items():
-        _emit(table, args, f"qft_{g.replace('-', '_')}")
-        print(f"{g}: cnot_count={result.cnot_counts[g]}")
-    stems = [f"qft_{g.replace('-', '_')}" for g in cfg.geometries]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
-    return 0
+    tables = [(f"qft_{g.replace('-', '_')}", t, "scatter") for g, t in result.tables.items()]
+    return tables, [f"{g}: cnot_count={n}" for g, n in result.cnot_counts.items()]
 
 
-def _run_qpe(args) -> int:
-    graph, cal = _load_inputs(args)
-    cfg = _config(args, graph, cal)
-    survey = experiments.run_ccnot_survey(
-        cfg, families=tuple(g for g in cfg.geometries if g in ("linear3", "star4")))
+def _qpe_tables(args, cfg):
+    survey = experiments.run_ccnot_survey(cfg, families=cfg.geometries)
     result = experiments.run_qpe_phase_sweep(cfg, survey=survey)
-    for g, table in result.tables.items():
-        _emit(table, args, f"qpe_{g}", plot_style="qpe")
-    stems = [f"qpe_{g}" for g in cfg.geometries if g in ("linear3", "star4")]
-    outputs = [f"{s}.{args.format}" for s in stems]
-    report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
-    return 0
+    return [(f"qpe_{g}", t, "qpe") for g, t in result.tables.items()], []
 
 
 def _run_enumerate(args) -> int:
-    graph = topology.load_graph(args.topology) if args.topology else topology.shipped_poughkeepsie()
+    graph = _load_graph(args)
     triples = len(topology.enumerate_linear_triples(graph))
     stars = len(topology.enumerate_stars(graph))
     rings = len(topology.enumerate_six_rings(graph))
@@ -244,7 +246,7 @@ def _run_enumerate(args) -> int:
 
 
 def _run_validate(args) -> int:
-    graph = topology.load_graph(args.topology) if args.topology else topology.shipped_poughkeepsie()
+    graph = _load_graph(args)
     try:
         raw = json.loads(Path(args.circuit).read_text(encoding="utf-8"))
         circuit = Circuit.from_dict(raw)
@@ -259,19 +261,6 @@ def _run_validate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "t1": _run_coherence,
-    "t2-ramsey": _run_coherence,
-    "t2-echo": _run_coherence,
-    "cnot-chain": _run_chain,
-    "ccnot-survey": _run_survey,
-    "qft-perfect": _run_qft,
-    "qpe-sweep": _run_qpe,
-    "enumerate": _run_enumerate,
-    "validate": _run_validate,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -279,7 +268,7 @@ def main(argv=None) -> int:
         if args.subcommand is None:
             parser.print_usage()
             return 1
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

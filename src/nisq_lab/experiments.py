@@ -1,14 +1,24 @@
 """End-to-end experiment drivers: build, schedule, run noisy shots, score.
 
-Every experiment derives one RNG seed per (placement, parameter) cell from
-the master seed and the cell's coordinates, so reruns with the same config
-are bit-identical and cells could be farmed out in any order. Tables carry
-time in microseconds and phases in radians.
+Every experiment is a sequence of cells. A ``Cell`` is one built circuit,
+its seed key, the computational basis string it should read out, and the
+locals to flip to |1> before it runs. ``run_cells`` runs each cell on its
+own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule
+on the calibration subset of the cell's layout, ``run_shots``, and score
+with ``fidelity``. The experiments below differ only in the cells they
+yield and in how they fold the reports into tables; ``_metadata`` builds
+every table's metadata. Cells come from generators, so each circuit is
+built right before it runs.
+
+Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
+so reruns with the same config are bit-identical and cells could be farmed
+out in any order. Tables carry time in microseconds and phases in radians.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -70,12 +80,19 @@ class ExperimentConfig:
         if not (0 <= self.qubit < n):
             raise ValueError(f"qubit {self.qubit} is outside the calibration's {n} qubits "
                              f"(0..{n - 1})")
-        for grid in (self.dt_grid_us, self.phi_grid):
-            if grid is not None:
-                if len(grid) == 0:
-                    raise ValueError("parameter grid must be non-empty")
-                if list(grid) != sorted(grid):
-                    raise ValueError("parameter grid must be sorted")
+        for name, grid in (("dt_grid_us", self.dt_grid_us), ("phi_grid", self.phi_grid)):
+            if grid is None:
+                continue
+            if len(grid) == 0:
+                raise ValueError("parameter grid must be non-empty")
+            for value in grid:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} entry {value} is not finite")
+            if list(grid) != sorted(grid):
+                raise ValueError("parameter grid must be sorted")
+        if self.dt_grid_us is not None and self.dt_grid_us[0] < 0:
+            raise ValueError(f"dt_grid_us entry {self.dt_grid_us[0]} is negative: "
+                             "a delay cannot be shorter than zero")
 
 
 @dataclass
@@ -107,35 +124,64 @@ class ResultTable:
         return np.array([r.extras[name] for r in self.rows])
 
 
-def _run_built(built: BuiltCircuit, cal: DeviceCalibration, shots: int, seed_key,
-               prep_ops: list | None = None) -> dict[str, int]:
-    """Simulate a built circuit compactly on its own qubits."""
-    circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)
-    if prep_ops:
-        circuit.extend(prep_ops)
-    circuit.extend(built.circuit.ops)
-    circuit.measure_all()
-    sub = cal.subset(built.layout)
-    return run_shots(schedule(circuit, sub.durations), sub, shots, seed_key)
+# ---------------------------------------------------------------------------
+# The cell executor
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Cell:
+    """One circuit run: ``desired`` is the computational basis string the
+    circuit should read out; ``prep_x`` lists the locals flipped to |1>
+    before the circuit."""
+
+    built: BuiltCircuit
+    seed_key: tuple[int, ...]
+    desired: str
+    prep_x: tuple[int, ...] = ()
 
 
-def _score(built: BuiltCircuit, counts: dict[str, int], desired_computational: str) -> FidelityReport:
-    return fidelity(counts, built.circuit.roles, desired_computational, built.desired_ancilla)
+def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
+    """Run and score each cell compactly on its own qubits, in order."""
+    reports = []
+    for cell in cells:
+        built = cell.built
+        circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)
+        for q in cell.prep_x:
+            circuit.x(q)
+        circuit.extend(built.circuit.ops)
+        circuit.measure_all()
+        sub = cal.subset(built.layout)
+        counts = run_shots(schedule(circuit, sub.durations), sub, shots, list(cell.seed_key))
+        reports.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
+    return reports
+
+
+def _row(x, rep: FidelityReport, **extras) -> ResultRow:
+    return ResultRow(x=x, f1=rep.f1, f2=rep.f2, shots=rep.shots, extras=extras)
+
+
+def _mean_row(x, parts, shots: int) -> ResultRow:
+    """Pool parts (rows or reports) of ``shots`` shots each by their mean."""
+    return ResultRow(x=x, f1=float(np.mean([p.f1 for p in parts])),
+                     f2=float(np.mean([p.f2 for p in parts])), shots=shots * len(parts))
+
+
+def _metadata(cfg: ExperimentConfig, experiment: str, x_label: str, y_label: str,
+              **extra) -> dict:
+    return {
+        "experiment": experiment,
+        **extra,
+        "seed": cfg.seed,
+        "x_label": x_label,
+        "y_label": y_label,
+        "calibration_hash": cfg.calibration.content_hash(),
+        "provenance": PROVENANCE,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Coherence experiments
 # ---------------------------------------------------------------------------
-
-def _coherence_counts(cfg: ExperimentConfig, ops_builder, dt_us: float, tag: int,
-                      cell: int) -> dict[str, int]:
-    circuit = Circuit(1, roles=("computational",))
-    ops_builder(circuit, dt_us * US)
-    circuit.measure(0)
-    sub = cfg.calibration.subset((cfg.qubit,))
-    return run_shots(schedule(circuit, sub.durations), sub, cfg.shots,
-                     [cfg.seed, tag, cell])
-
 
 def _default_dt_grid(cfg: ExperimentConfig, scale_us: float, points: int) -> tuple[float, ...]:
     if cfg.dt_grid_us is not None:
@@ -145,31 +191,33 @@ def _default_dt_grid(cfg: ExperimentConfig, scale_us: float, points: int) -> tup
     return tuple(np.linspace(0.0, 2.0 * scale_us, points))
 
 
+def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
+                    body) -> list[ResultRow]:
+    """One single-qubit cell per delay on cfg.qubit; ``body(circuit, dt_s)``
+    adds its gates and delays."""
+    def cells():
+        for i, dt in enumerate(grid):
+            circuit = Circuit(1, roles=("computational",))
+            body(circuit, dt * US)
+            yield Cell(BuiltCircuit(circuit, (cfg.qubit,), None, ""),
+                       (cfg.seed, _TAGS[tag], i), desired)
+
+    reports = run_cells(cells(), cfg.calibration, cfg.shots)
+    return [_row(float(dt), rep) for dt, rep in zip(grid, reports)]
+
+
 def run_t1(cfg: ExperimentConfig) -> ResultTable:
     """Excite, idle for dt, measure; fit the survival curve exponentially."""
-    params = cfg.calibration.params_for(cfg.qubit)
-    t1_us = params.t1 / US
+    def body(c: Circuit, dt_s: float) -> None:
+        c.x(0)
+        if dt_s > 0:
+            c.delay(dt_s, 0)
+
+    t1_us = cfg.calibration.params_for(cfg.qubit).t1 / US
     grid = _default_dt_grid(cfg, t1_us, 8)
-    rows = []
-    for i, dt in enumerate(grid):
-        def build(c: Circuit, dt_s: float) -> None:
-            c.x(0)
-            if dt_s > 0:
-                c.delay(dt_s, 0)
-        counts = _coherence_counts(cfg, build, dt, _TAGS["t1"], i)
-        survival = counts.get("1", 0) / cfg.shots
-        rows.append(ResultRow(x=float(dt), f1=survival, f2=survival, shots=cfg.shots))
+    rows = _coherence_rows(cfg, "t1", grid, "1", body)
     fit = fit_exponential([r.x for r in rows], [r.f1 for r in rows], cfg.shots)
-    meta = {
-        "experiment": "t1",
-        "qubit": cfg.qubit,
-        "configured_t1_us": t1_us,
-        "seed": cfg.seed,
-        "x_label": "dt_us",
-        "y_label": "P(|1>)",
-        "calibration_hash": cfg.calibration.content_hash(),
-        "provenance": PROVENANCE,
-    }
+    meta = _metadata(cfg, "t1", "dt_us", "P(|1>)", qubit=cfg.qubit, configured_t1_us=t1_us)
     if math.isfinite(t1_us) and max(grid) < 2.0 * t1_us * 0.999:
         meta["grid_warning"] = f"grid spans {max(grid):.3g} us, below 2*t1 = {2 * t1_us:.3g} us"
     return ResultTable(rows, fit, meta)
@@ -177,64 +225,38 @@ def run_t1(cfg: ExperimentConfig) -> ResultTable:
 
 def run_t2_ramsey(cfg: ExperimentConfig) -> ResultTable:
     """H, idle, H; fit P(|0>) with the damped cosine model."""
+    def body(c: Circuit, dt_s: float) -> None:
+        c.h(0)
+        if dt_s > 0:
+            c.delay(dt_s, 0)
+        c.h(0)
+
     params = cfg.calibration.params_for(cfg.qubit)
-    grid = _default_dt_grid(cfg, params.t2 / US, 40)
-    rows = []
-    for i, dt in enumerate(grid):
-        def build(c: Circuit, dt_s: float) -> None:
-            c.h(0)
-            if dt_s > 0:
-                c.delay(dt_s, 0)
-            c.h(0)
-        counts = _coherence_counts(cfg, build, dt, _TAGS["ramsey"], i)
-        p0 = counts.get("0", 0) / cfg.shots
-        rows.append(ResultRow(x=float(dt), f1=p0, f2=p0, shots=cfg.shots))
+    rows = _coherence_rows(cfg, "ramsey", _default_dt_grid(cfg, params.t2 / US, 40), "0", body)
     fit = fit_damped_cosine([r.x for r in rows], [r.f1 for r in rows], cfg.shots)
-    meta = {
-        "experiment": "t2-ramsey",
-        "qubit": cfg.qubit,
-        "configured_t2_us": params.t2 / US,
-        "configured_tphi_us": params.tphi / US,
-        "configured_omega_rad_per_us": params.omega * US,
-        "seed": cfg.seed,
-        "x_label": "dt_us",
-        "y_label": "P(|0>)",
-        "calibration_hash": cfg.calibration.content_hash(),
-        "provenance": PROVENANCE,
-    }
+    meta = _metadata(cfg, "t2-ramsey", "dt_us", "P(|0>)", qubit=cfg.qubit,
+                     configured_t2_us=params.t2 / US, configured_tphi_us=params.tphi / US,
+                     configured_omega_rad_per_us=params.omega * US)
     return ResultTable(rows, fit, meta)
 
 
 def run_t2_echo(cfg: ExperimentConfig) -> ResultTable:
     """H, idle dt/2, X, idle dt/2, H; exponential fit of 2 P(|0>) - 1."""
+    def body(c: Circuit, dt_s: float) -> None:
+        c.h(0)
+        if dt_s > 0:
+            c.delay(dt_s / 2.0, 0)
+        c.x(0)
+        if dt_s > 0:
+            c.delay(dt_s / 2.0, 0)
+        c.h(0)
+
     params = cfg.calibration.params_for(cfg.qubit)
-    grid = _default_dt_grid(cfg, params.t2 / US, 8)
-    rows = []
-    for i, dt in enumerate(grid):
-        def build(c: Circuit, dt_s: float) -> None:
-            c.h(0)
-            if dt_s > 0:
-                c.delay(dt_s / 2.0, 0)
-            c.x(0)
-            if dt_s > 0:
-                c.delay(dt_s / 2.0, 0)
-            c.h(0)
-        counts = _coherence_counts(cfg, build, dt, _TAGS["echo"], i)
-        p0 = counts.get("0", 0) / cfg.shots
-        rows.append(ResultRow(x=float(dt), f1=p0, f2=p0, shots=cfg.shots))
+    rows = _coherence_rows(cfg, "echo", _default_dt_grid(cfg, params.t2 / US, 8), "0", body)
     coherence = np.clip(2.0 * np.array([r.f1 for r in rows]) - 1.0, 0.0, 1.0)
     fit = fit_exponential([r.x for r in rows], coherence, cfg.shots)
-    meta = {
-        "experiment": "t2-echo",
-        "qubit": cfg.qubit,
-        "configured_t2_us": params.t2 / US,
-        "seed": cfg.seed,
-        "x_label": "dt_us",
-        "y_label": "P(|0>)",
-        "fit_input": "2*P(|0>) - 1",
-        "calibration_hash": cfg.calibration.content_hash(),
-        "provenance": PROVENANCE,
-    }
+    meta = _metadata(cfg, "t2-echo", "dt_us", "P(|0>)", qubit=cfg.qubit,
+                     configured_t2_us=params.t2 / US, fit_input="2*P(|0>) - 1")
     return ResultTable(rows, fit, meta)
 
 
@@ -262,49 +284,26 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
         if cfg.max_length > len(path) - 1:
             raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
                                  f"links of orientation {orientation}")
+    lengths = range(1, cfg.max_length + 1)
     tables: dict[tuple[int, str], ResultTable] = {}
     for orientation, path in paths.items():
         for s_idx, strategy in enumerate(cfg.strategies):
-            rows = []
-            for length in range(1, cfg.max_length + 1):
-                built = builders.cnot_chain(path[: length + 1], strategy)
-                counts = _run_built(built, cfg.calibration, cfg.shots,
-                                    [cfg.seed, _TAGS["chain"], orientation, s_idx, length])
-                rep = _score(built, counts, "11")
-                rows.append(ResultRow(x=length, f1=rep.f1, f2=rep.f2, shots=cfg.shots))
+            cells = (Cell(builders.cnot_chain(path[: n + 1], strategy),
+                          (cfg.seed, _TAGS["chain"], orientation, s_idx, n), "11")
+                     for n in lengths)
+            reports = run_cells(cells, cfg.calibration, cfg.shots)
             tables[(orientation, strategy)] = ResultTable(
-                rows,
-                metadata={
-                    "experiment": "cnot-chain",
-                    "orientation": orientation,
-                    "strategy": strategy,
-                    "seed": cfg.seed,
-                    "x_label": "chain_length",
-                    "y_label": "fidelity",
-                    "calibration_hash": cfg.calibration.content_hash(),
-                    "provenance": PROVENANCE,
-                },
+                [_row(n, rep) for n, rep in zip(lengths, reports)],
+                metadata=_metadata(cfg, "cnot-chain", "chain_length", "fidelity",
+                                   orientation=orientation, strategy=strategy),
             )
     averages: dict[str, ResultTable] = {}
     for strategy in cfg.strategies:
         per = [tables[(o, strategy)] for o in cfg.orientations]
-        rows = []
-        for i in range(cfg.max_length):
-            f1 = float(np.mean([t.rows[i].f1 for t in per]))
-            f2 = float(np.mean([t.rows[i].f2 for t in per]))
-            rows.append(ResultRow(x=i + 1, f1=f1, f2=f2, shots=cfg.shots * len(per)))
         averages[strategy] = ResultTable(
-            rows,
-            metadata={
-                "experiment": "cnot-chain-average",
-                "strategy": strategy,
-                "orientations": list(cfg.orientations),
-                "seed": cfg.seed,
-                "x_label": "chain_length",
-                "y_label": "fidelity",
-                "calibration_hash": cfg.calibration.content_hash(),
-                "provenance": PROVENANCE,
-            },
+            [_mean_row(n, [t.rows[n - 1] for t in per], cfg.shots) for n in lengths],
+            metadata=_metadata(cfg, "cnot-chain-average", "chain_length", "fidelity",
+                               strategy=strategy, orientations=list(cfg.orientations)),
         )
     return ChainSweepResult(tables, averages)
 
@@ -326,11 +325,11 @@ class SurveyCell:
 @dataclass
 class SurveyResult:
     cells: list[SurveyCell]
+    metadata: dict = field(default_factory=dict)
 
     def table(self) -> ResultTable:
         rows = [ResultRow(x=c.label, f1=c.f1, f2=c.f2, shots=c.shots) for c in self.cells]
-        return ResultTable(rows, metadata={"experiment": "ccnot-survey",
-                                           "x_label": "placement", "y_label": "fidelity"})
+        return ResultTable(rows, metadata=dict(self.metadata))
 
     def family(self, variant_prefix: str) -> list[SurveyCell]:
         return [c for c in self.cells if c.variant.startswith(variant_prefix)]
@@ -369,12 +368,9 @@ def _survey_placements(g: CouplingGraph, families) -> list[tuple[str, GeometryPl
             for var in topology.star_variants(star):
                 out.append(("star4-x-reset", var))
                 out.append(("star4-cnot-reset", var))
-    if "ring6-3chain" in families:
-        for p in topology.ring_placements(g, "ring6-3chain"):
-            out.append(("ring6-3chain", p))
-    if "ring6-1chains" in families:
-        for p in topology.ring_placements(g, "ring6-1chains"):
-            out.append(("ring6-1chains", p))
+    for kind in ("ring6-3chain", "ring6-1chains"):
+        if kind in families:
+            out += [(kind, p) for p in topology.ring_placements(g, kind)]
     return out
 
 
@@ -392,20 +388,21 @@ def run_ccnot_survey(cfg: ExperimentConfig,
     requires all ancillas back in |0>.
     """
     g = cfg.graph or topology.shipped_poughkeepsie()
-    cells = []
-    for idx, (variant, placement) in enumerate(_survey_placements(g, families)):
-        built = builders.ccnot_on_geometry(placement, variant)
-        target_local = built.layout.index(placement.target)
-        prep = Circuit(built.circuit.n_qubits)
-        for q in built.computational_locals:
-            if q != target_local:
-                prep.x(q)
-        counts = _run_built(built, cfg.calibration, cfg.shots,
-                            [cfg.seed, _TAGS["ccnot"], idx], prep_ops=list(prep.ops))
-        rep = _score(built, counts, "111")
-        cells.append(SurveyCell(_cell_label(variant, placement), variant, placement,
-                                rep.f1, rep.f2, cfg.shots))
-    return SurveyResult(cells)
+    placements = _survey_placements(g, families)
+
+    def cells():
+        for idx, (variant, placement) in enumerate(placements):
+            built = builders.ccnot_on_geometry(placement, variant)
+            target = built.layout.index(placement.target)
+            controls = tuple(q for q in built.computational_locals if q != target)
+            yield Cell(built, (cfg.seed, _TAGS["ccnot"], idx), "111", prep_x=controls)
+
+    reports = run_cells(cells(), cfg.calibration, cfg.shots)
+    return SurveyResult(
+        [SurveyCell(_cell_label(variant, placement), variant, placement, rep.f1, rep.f2,
+                    cfg.shots) for (variant, placement), rep in zip(placements, reports)],
+        _metadata(cfg, "ccnot-survey", "placement", "fidelity"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,77 +412,58 @@ def run_ccnot_survey(cfg: ExperimentConfig,
 def _qft_placements_for(geometry: str, g: CouplingGraph, survey: SurveyResult | None,
                         top_k: int) -> list[GeometryPlacement]:
     if survey is not None:
-        prefix = {"linear3": "linear3", "star4": "star4", "ring6-3chain": "ring6-3chain"}[geometry]
-        picks = survey.top_placements(prefix, top_k)
+        picks = survey.top_placements(geometry, top_k)
         if picks:
             return picks
     if geometry == "linear3":
-        return topology.enumerate_linear_triples(g)[:top_k]
-    if geometry == "star4":
-        return topology.enumerate_stars(g)[:top_k]
-    if geometry == "ring6-3chain":
-        return topology.ring_placements(g, "ring6-3chain")[:top_k]
-    raise ValueError(f"unsupported QFT geometry {geometry!r}")
+        picks = topology.enumerate_linear_triples(g)[:top_k]
+    elif geometry == "star4":
+        picks = topology.enumerate_stars(g)[:top_k]
+    elif geometry == "ring6-3chain":
+        picks = topology.ring_placements(g, "ring6-3chain")[:top_k]
+    else:
+        raise ValueError(f"unsupported QFT geometry {geometry!r}")
+    if not picks:
+        raise CellRangeError(f"the topology has no {geometry} placement")
+    return picks
 
 
 @dataclass
 class QftPerfectResult:
     tables: dict[str, ResultTable]
     cnot_counts: dict[str, int]
-    placements: dict[str, list[GeometryPlacement]]
 
 
-def run_qft_perfect_phases(cfg: ExperimentConfig, survey: SurveyResult | None = None,
-                           placements: dict[str, list[GeometryPlacement]] | None = None,
-                           ) -> QftPerfectResult:
+def run_qft_perfect_phases(cfg: ExperimentConfig,
+                           survey: SurveyResult | None = None) -> QftPerfectResult:
     """All eight perfect phases k*pi/4 per geometry, averaged over the
     selected placements (top-k of the CCNOT survey when one is supplied).
     Ancillas always reset by CNOT: the register holds superposition."""
     g = cfg.graph or topology.shipped_poughkeepsie()
     tables: dict[str, ResultTable] = {}
     cnot_counts: dict[str, int] = {}
-    used: dict[str, list[GeometryPlacement]] = {}
     for geometry in cfg.geometries:
-        if placements and geometry in placements:
-            chosen = placements[geometry]
-        else:
-            chosen = _qft_placements_for(geometry, g, survey, cfg.top_k)
-        used[geometry] = chosen
+        chosen = _qft_placements_for(geometry, g, survey, cfg.top_k)
         gid = _GEOMETRY_IDS[geometry]
         rows = []
         for k in range(8):
-            f1s, f2s = [], []
-            for p_idx, placement in enumerate(chosen):
-                built = builders.qpe_on_geometry(placement, k * math.pi / 4.0)
-                counts = _run_built(built, cfg.calibration, cfg.shots,
-                                    [cfg.seed, _TAGS["qft"], gid, p_idx, k])
-                rep = _score(built, counts, builders.qpe_expected_label(k))
-                f1s.append(rep.f1)
-                f2s.append(rep.f2)
-            rows.append(ResultRow(x=k, f1=float(np.mean(f1s)), f2=float(np.mean(f2s)),
-                                  shots=cfg.shots * len(chosen)))
+            cells = (Cell(builders.qpe_on_geometry(placement, k * math.pi / 4.0),
+                          (cfg.seed, _TAGS["qft"], gid, p_idx, k), builders.qpe_expected_label(k))
+                     for p_idx, placement in enumerate(chosen))
+            rows.append(_mean_row(k, run_cells(cells, cfg.calibration, cfg.shots), cfg.shots))
         cnot_counts[geometry] = builders.qft_dagger_3(chosen[0]).circuit.cnot_count()
         tables[geometry] = ResultTable(
             rows,
-            metadata={
-                "experiment": "qft-perfect",
-                "geometry": geometry,
-                "placements": [list(p.qubits) for p in chosen],
-                "cnot_count": cnot_counts[geometry],
-                "seed": cfg.seed,
-                "x_label": "phase_index",
-                "y_label": "fidelity",
-                "calibration_hash": cfg.calibration.content_hash(),
-                "provenance": PROVENANCE,
-            },
+            metadata=_metadata(cfg, "qft-perfect", "phase_index", "fidelity", geometry=geometry,
+                               placements=[list(p.qubits) for p in chosen],
+                               cnot_count=cnot_counts[geometry]),
         )
-    return QftPerfectResult(tables, cnot_counts, used)
+    return QftPerfectResult(tables, cnot_counts)
 
 
 @dataclass
 class QpeSweepResult:
     tables: dict[str, ResultTable]
-    placements: dict[str, GeometryPlacement]
 
 
 def default_phi_grid() -> tuple[float, ...]:
@@ -503,40 +481,25 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig, survey: SurveyResult | None = Non
     outcome and rows carry the matching noiseless probability and ratio."""
     g = cfg.graph or topology.shipped_poughkeepsie()
     grid = cfg.phi_grid or default_phi_grid()
-    geometries = tuple(g_ for g_ in cfg.geometries if g_ in ("linear3", "star4"))
+    ks = [nearest_perfect_phase(phi) for phi in grid]
     tables: dict[str, ResultTable] = {}
-    used: dict[str, GeometryPlacement] = {}
-    for geometry in geometries:
+    for geometry in (g_ for g_ in cfg.geometries if g_ in ("linear3", "star4")):
         if placements and geometry in placements:
             placement = placements[geometry]
         else:
             placement = _qft_placements_for(geometry, g, survey, 1)[0]
-        used[geometry] = placement
         gid = _GEOMETRY_IDS[geometry]
+        cells = (Cell(builders.qpe_on_geometry(placement, phi), (cfg.seed, _TAGS["qpe"], gid, i),
+                      builders.qpe_expected_label(k))
+                 for i, (phi, k) in enumerate(zip(grid, ks)))
         rows = []
-        for i, phi in enumerate(grid):
-            k = nearest_perfect_phase(phi)
-            built = builders.qpe_on_geometry(placement, phi)
-            counts = _run_built(built, cfg.calibration, cfg.shots,
-                                [cfg.seed, _TAGS["qpe"], gid, i])
-            rep = _score(built, counts, builders.qpe_expected_label(k))
+        for phi, k, rep in zip(grid, ks, run_cells(cells, cfg.calibration, cfg.shots)):
             theory = float(theoretical_qpe_distribution(phi)[k])
-            rows.append(ResultRow(
-                x=float(phi), f1=rep.f1, f2=rep.f2, shots=cfg.shots,
-                extras={"theoretical": theory,
-                        "ratio": rep.f1 / theory if theory > 0 else float("nan")},
-            ))
+            rows.append(_row(float(phi), rep, theoretical=theory,
+                             ratio=rep.f1 / theory if theory > 0 else float("nan")))
         tables[geometry] = ResultTable(
             rows,
-            metadata={
-                "experiment": "qpe-sweep",
-                "geometry": geometry,
-                "placement": list(placement.qubits),
-                "seed": cfg.seed,
-                "x_label": "phi_rad",
-                "y_label": "fidelity",
-                "calibration_hash": cfg.calibration.content_hash(),
-                "provenance": PROVENANCE,
-            },
+            metadata=_metadata(cfg, "qpe-sweep", "phi_rad", "fidelity", geometry=geometry,
+                               placement=list(placement.qubits)),
         )
-    return QpeSweepResult(tables, used)
+    return QpeSweepResult(tables)

@@ -4,7 +4,8 @@ The CSV schema is versioned and fixed: header exactly
 ``independent_var,f1,f1_stderr,f2,f2_stderr,shots``, fractions with six
 decimal places, UTF-8, LF line endings, dot decimal separator. Extra
 per-row columns (e.g. the theoretical phase-sweep curve) appear only in
-the JSON mirror. A run writes its manifest before any result file.
+the JSON mirror. A run writes its manifest after the result files it
+lists, so a run that fails leaves none.
 """
 from __future__ import annotations
 

@@ -24,8 +24,10 @@ from nisq_lab.builders import (
     swap_via_cnots,
 )
 from nisq_lab.experiments import (
+    Cell,
     ExperimentConfig,
     run_ccnot_survey,
+    run_cells,
     run_cnot_chain_sweep,
     run_qpe_phase_sweep,
     run_t1,
@@ -33,7 +35,13 @@ from nisq_lab.experiments import (
     run_t2_ramsey,
 )
 from nisq_lab.fitting import theoretical_qpe_distribution
-from nisq_lab.noise import DeviceCalibration, DurationModel, QubitNoiseParams
+from nisq_lab.noise import (
+    DeviceCalibration,
+    DurationModel,
+    QubitNoiseParams,
+    run_shots,
+    schedule,
+)
 from nisq_lab.simulator import (
     Circuit,
     StateVector,
@@ -287,8 +295,6 @@ def test_criterion_4_decay_recovery():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_noiseless_qpe(g):
-    from nisq_lab.experiments import _run_built, _score
-
     checks = []
     ncal = DeviceCalibration.noiseless(20)
     placements = {
@@ -297,15 +303,16 @@ def test_criterion_5_noiseless_qpe(g):
         "ring6-3chain": topology.ring_placements(g, "ring6-3chain")[0],
     }
     for geometry, placement in placements.items():
-        for k in range(8):
-            built = qpe_on_geometry(placement, k * math.pi / 4)
-            counts = _run_built(built, ncal, 2000, [SEED, 50, k])
-            rep = _score(built, counts, qpe_expected_label(k))
+        cells = [Cell(qpe_on_geometry(placement, k * math.pi / 4), (SEED, 50, k),
+                      qpe_expected_label(k)) for k in range(8)]
+        for k, rep in enumerate(run_cells(cells, ncal, 2000)):
             checks.append((f"{geometry} k={k} f1=1", rep.f1 == 1.0))
         # halfway phase: max-outcome probability ~0.41
         phi = math.pi / 8
         built = qpe_on_geometry(placement, phi)
-        counts = _run_built(built, ncal, 32000, [SEED, 51])
+        sub = ncal.subset(built.layout)
+        counts = run_shots(schedule(built.circuit.copy().measure_all(), sub.durations), sub,
+                           32000, [SEED, 51])
         top = max(counts.values()) / 32000
         theory = float(max(theoretical_qpe_distribution(phi)))
         checks.append((f"{geometry} halfway top {top:.4f} within 0.01 of 0.41",

@@ -294,6 +294,59 @@ def test_qubit_outside_calibration_exit_1(tmp_path, noiseless_cal_file, capsys):
     assert not (out / "t1.csv").exists()
 
 
+@pytest.mark.parametrize("argv, allowed", [
+    (["qft-perfect", "--geometries", "ring6-1chains"], "linear3,star4,ring6-3chain"),
+    (["qft-perfect", "--geometries", "bogus"], "linear3,star4,ring6-3chain"),
+    (["qpe-sweep", "--geometries", "ring6-3chain"], "linear3,star4"),
+    (["qpe-sweep", "--geometries", "linear3,linear3"], "linear3,star4"),
+    (["ccnot-survey", "--families", "bogus"], "linear3,star4,ring6-3chain,ring6-1chains"),
+    (["ccnot-survey", "--families", "star4,"], "linear3,star4,ring6-3chain,ring6-1chains"),
+    (["cnot-chain", "--orientations", "1,1"], "1,2,3,4"),
+    (["cnot-chain", "--orientations", "5"], "1,2,3,4"),
+    (["cnot-chain", "--strategies", "none,none"], "none,x-reset,cnot-reset"),
+    (["cnot-chain", "--strategies", "bogus"], "none,x-reset,cnot-reset"),
+])
+def test_unknown_or_repeated_list_entry_exit_1(tmp_path, noiseless_cal_file, capsys, argv,
+                                               allowed):
+    """Each entry of a comma-list flag must be a distinct allowed name; an
+    unknown one used to raise KeyError or run an empty table, a repeated one
+    to run or list a table twice."""
+    out = tmp_path / "out"
+    code = main(argv + ["--calibration", str(noiseless_cal_file), "--shots", "8",
+                        "--seed", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and allowed in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("grid, value", [("-5,0,5", "-5.0"), ("nan,1,2,3", "nan"),
+                                         ("0,1,inf", "inf")])
+def test_negative_or_non_finite_delay_grid_exit_1(tmp_path, noiseless_cal_file, capsys,
+                                                  grid, value):
+    out = tmp_path / "out"
+    code = main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "8",
+                 "--seed", "2", "--out", str(out), f"--grid-us={grid}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"dt_grid_us entry {value}" in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "t1.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["qft-perfect", "qpe-sweep"])
+def test_geometry_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys, subcommand):
+    """A path graph has no star; the run used to die with an IndexError."""
+    topo = tmp_path / "line.json"
+    topo.write_text(json.dumps({"n_qubits": 20, "edges": [[i, i + 1] for i in range(19)]}))
+    out = tmp_path / "out"
+    code = main([subcommand, "--topology", str(topo), "--calibration", str(noiseless_cal_file),
+                 "--shots", "8", "--seed", "2", "--out", str(out), "--geometries", "star4"])
+    assert code == 2
+    assert "no star4 placement" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 _SMALL_RUNS = {
     "t1": ["--grid-us", "0,5"],
     "cnot-chain": ["--orientations", "1", "--strategies", "none", "--max-length", "3"],

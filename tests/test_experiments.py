@@ -207,3 +207,15 @@ def test_experiment_config_validation(default_cal):
         ExperimentConfig(calibration=default_cal, dt_grid_us=())
     with pytest.raises(ValueError):
         ExperimentConfig(calibration=default_cal, dt_grid_us=(5.0, 1.0))
+
+
+@pytest.mark.parametrize("field, grid, message", [
+    ("dt_grid_us", (-5.0, 0.0, 5.0), "dt_grid_us entry -5.0 is negative"),
+    ("dt_grid_us", (0.0, math.nan), "dt_grid_us entry nan is not finite"),
+    ("phi_grid", (0.0, math.inf), "phi_grid entry inf is not finite"),
+    ("phi_grid", (math.nan, 1.0), "phi_grid entry nan is not finite"),
+])
+def test_experiment_config_rejects_bad_grid_entries(default_cal, field, grid, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(calibration=default_cal, **{field: grid})
+
