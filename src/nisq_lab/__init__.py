@@ -37,7 +37,6 @@ from .noise import (  # noqa: F401
     load_calibration,
     run_shots,
     schedule,
-    simulate_noisy_shot,
 )
 from .fitting import (  # noqa: F401
     FidelityReport,

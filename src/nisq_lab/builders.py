@@ -80,9 +80,6 @@ class BuiltCircuit:
     def ancilla_locals(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.circuit.roles) if r == "ancilla")
 
-    def device_circuit(self, n_device: int) -> Circuit:
-        return self.circuit.remapped(self.layout, n_device)
-
 
 def swap_via_cnots(a: int, b: int) -> list[GateOp]:
     """SWAP(a,b) as three alternating CNOTs."""

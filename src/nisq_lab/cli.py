@@ -6,8 +6,9 @@ handler: load the topology and calibration, build the config, run, write
 each result table (plus its fit, and its SVG with --plot), then write
 manifest.json listing the result and fit files, and print a summary.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure or a
-request for cells that do not exist (a chain longer than its orientation,
+Exit codes: 0 success, 1 configuration error, 2 runtime failure (such as
+a circuit whose simulation would exceed the memory budget) or a request for
+cells that do not exist (a chain longer than its orientation,
 --max-length or --top-k below 1, a geometry the topology has no placement
 for). Configuration errors include an unknown or repeated entry in
 --families, --geometries, --strategies or --orientations, and a --grid-us
@@ -29,8 +30,6 @@ from .experiments import CellRangeError, ExperimentConfig
 from .noise import CalibrationError, SimulationError, default_calibration, load_calibration
 from .simulator import Circuit
 from .topology import TopologyError
-
-_FAMILIES = ("linear3", "star4", "ring6-3chain", "ring6-1chains")
 
 # ExperimentConfig fields that some subcommands set from flags of the same name
 _CONFIG_FIELDS = ("qubit", "dt_grid_us", "strategies", "orientations", "max_length",
@@ -99,14 +98,14 @@ def _build_parser() -> _CliParser:
 
     p = add_experiment("ccnot-survey", _survey_tables,
                        "CCNOT fidelity over every geometry placement")
-    add_names(p, "--families", _FAMILIES)
+    add_names(p, "--families", experiments.SURVEY_FAMILIES)
 
     p = add_experiment("qft-perfect", _qft_tables, "inverse-QFT perfect-phase fidelities")
-    add_names(p, "--geometries", _FAMILIES[:3])
+    add_names(p, "--geometries", experiments.SURVEY_FAMILIES[:3])
     p.add_argument("--top-k", type=int, default=3)
 
     p = add_experiment("qpe-sweep", _qpe_tables, "continuous phase-estimation sweep")
-    add_names(p, "--geometries", _FAMILIES[:2])
+    add_names(p, "--geometries", experiments.SURVEY_FAMILIES[:2])
 
     p = sub.add_parser("enumerate", help="count geometry placements on a topology")
     p.set_defaults(handler=_run_enumerate)

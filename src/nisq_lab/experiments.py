@@ -33,7 +33,7 @@ from .fitting import (
     theoretical_qpe_distribution,
 )
 from .noise import DeviceCalibration, run_shots, schedule
-from .simulator import Circuit
+from .simulator import Circuit, GateOp
 from .topology import CouplingGraph, GeometryPlacement
 
 US = 1e-6
@@ -45,6 +45,15 @@ PROVENANCE = f"nisq-lab {__version__}"
 _TAGS = {"t1": 11, "ramsey": 12, "echo": 13, "chain": 21, "ccnot": 31, "qft": 41, "qpe": 42}
 
 _GEOMETRY_IDS = {"linear3": 0, "star4": 1, "ring6-3chain": 2, "ring6-1chains": 3}
+
+SURVEY_FAMILIES = ("linear3", "star4", "ring6-3chain", "ring6-1chains")
+
+
+def _check_names(name: str, got, allowed=None) -> None:
+    """ValueError unless ``got`` lists distinct entries (of ``allowed``, if given)."""
+    if len(set(got)) < len(got) or (allowed is not None and not set(got) <= set(allowed)):
+        within = f" from {', '.join(map(str, allowed))}" if allowed is not None else ""
+        raise ValueError(f"{name} must list distinct entries{within}, got {tuple(got)}")
 
 
 class CellRangeError(ValueError):
@@ -76,6 +85,9 @@ class ExperimentConfig:
             raise CellRangeError(f"max_length must be >= 1, got {self.max_length}")
         if self.top_k < 1:
             raise CellRangeError(f"top_k must be >= 1, got {self.top_k}")
+        _check_names("strategies", self.strategies, builders.RESET_STRATEGIES)
+        _check_names("orientations", self.orientations)
+        _check_names("geometries", self.geometries, SURVEY_FAMILIES)
         n = self.calibration.n_qubits
         if not (0 <= self.qubit < n):
             raise ValueError(f"qubit {self.qubit} is outside the calibration's {n} qubits "
@@ -118,11 +130,6 @@ class ResultTable:
     fit: FitResult | None = None
     metadata: dict = field(default_factory=dict)
 
-    def column(self, name: str) -> np.ndarray:
-        if name in ("x", "f1", "f2"):
-            return np.array([getattr(r, name) for r in self.rows])
-        return np.array([r.extras[name] for r in self.rows])
-
 
 # ---------------------------------------------------------------------------
 # The cell executor
@@ -145,11 +152,9 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
     reports = []
     for cell in cells:
         built = cell.built
-        circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)
-        for q in cell.prep_x:
-            circuit.x(q)
-        circuit.extend(built.circuit.ops)
-        circuit.measure_all()
+        n = built.circuit.n_qubits
+        circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
+                          + [GateOp("MEASURE", (q,)) for q in range(n)], built.circuit.roles)
         sub = cal.subset(built.layout)
         counts = run_shots(schedule(circuit, sub.durations), sub, shots, list(cell.seed_key))
         reports.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
@@ -380,13 +385,14 @@ def _cell_label(variant: str, placement: GeometryPlacement) -> str:
 
 
 def run_ccnot_survey(cfg: ExperimentConfig,
-                     families: tuple[str, ...] = ("linear3", "star4", "ring6-3chain", "ring6-1chains"),
-                     ) -> SurveyResult:
+                     families: tuple[str, ...] = SURVEY_FAMILIES) -> SurveyResult:
     """Every geometry placement runs the CCNOT with controls prepared |1>.
 
     f1 scores the three computational qubits against |111>; f2 additionally
-    requires all ancillas back in |0>.
+    requires all ancillas back in |0>. An unknown or repeated family raises
+    ValueError.
     """
+    _check_names("families", families, SURVEY_FAMILIES)
     g = cfg.graph or topology.shipped_poughkeepsie()
     placements = _survey_placements(g, families)
 

@@ -27,14 +27,6 @@ class FidelityReport:
     desired_computational: str
     desired_ancilla: str
 
-    @property
-    def f1_stderr(self) -> float:
-        return math.sqrt(self.f1 * (1.0 - self.f1) / self.shots)
-
-    @property
-    def f2_stderr(self) -> float:
-        return math.sqrt(self.f2 * (1.0 - self.f2) / self.shots)
-
 
 def _picker(positions: list[int]):
     """key -> the tuple of its characters at ``positions``."""

@@ -24,14 +24,13 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     quantum-jump unraveling of the same channels) up to 14 qubits.
 
 The trajectory engines sample the ensemble average that the exact engine
-computes. They apply each qubit's idle charge once per idle window (from
-one gate on the qubit to its next gate, or to readout) for the window's
-summed duration, which is the same channel as charging it layer by layer
-(see ``_idle_windows``). The bit-vector engine draws, for each damping
-window, depolarizing channel and readout flip, only the shots the event hits
-(``_hits``: a uniform subset of Binomial(shots, p) rows, the same law as
-per-shot trials) and touches only those rows. ``simulate_noisy_shot`` runs
-one trajectory.
+computes. All three apply each qubit's idle charge (``_channel_rates``) once
+per idle window (from one gate on the qubit to its next gate, or to readout)
+for the window's summed duration, which is the same channel as charging it
+layer by layer (see ``_idle_windows``). The bit-vector engine draws, for each
+damping window, depolarizing channel and readout flip, only the shots the
+event hits (``_hits``: a uniform subset of Binomial(shots, p) rows, the same
+law as per-shot trials) and touches only those rows.
 """
 from __future__ import annotations
 
@@ -49,12 +48,10 @@ from .simulator import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    StateVector,
     TAU,
     apply_single_qubit,
     apply_cnot_array,
     apply_op_array,
-    basis_label,
     gate_matrix,
     is_json_number,
 )
@@ -281,10 +278,6 @@ class ScheduledCircuit:
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]
 
-    @property
-    def total_duration(self) -> float:
-        return sum(layer.duration for layer in self.layers)
-
     def flattened(self) -> list[GateOp]:
         return [op for layer in self.layers for op in layer.ops]
 
@@ -390,17 +383,6 @@ def _idle_batch(amps: np.ndarray, qubit: int, n: int, gamma: float, pz: float,
     v[:, :, 1, :] *= f1[:, None, None]
     if gamma > 0.0:
         v[jump, :, 0, :] = jumped
-
-
-def apply_idle_noise(state: StateVector, qubit: int, dt: float,
-                     params: QubitNoiseParams, rng: np.random.Generator) -> StateVector:
-    """One trajectory sample of the idle channels on a single state."""
-    if qubit >= state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    gamma, pz, phase = _channel_rates(params, dt)
-    amps = state.amplitudes[None, :].copy()
-    _idle_batch(amps, qubit, state.n_qubits, gamma, pz, phase, rng)
-    return StateVector(state.n_qubits, amps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -526,28 +508,6 @@ def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots:
 # qubit q is qubit n + q, so a gate U is U on q and U* on n + q, reusing the
 # statevector primitives.
 
-def _idle_channels(cal: DeviceCalibration, n: int,
-                   dt: float) -> tuple[list[tuple[int, float]], np.ndarray]:
-    """The idle channels of every qubit over dt as (damped qubits with their
-    jump probability, elementwise factor of rho). Channels on different
-    qubits commute, so the factor is the kron of each qubit's 2x2
-    (row bit, column bit) factor: damping shrinks |1><1| by 1 - gamma and the
-    coherences by sqrt(1 - gamma), the phase flip shrinks the coherences by
-    1 - 2 pz, and drift rotates them by exp(-+i omega dt)."""
-    damped = []
-    factor = np.ones((1, 1), dtype=complex)
-    for q in range(n):
-        gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
-        if gamma > 0.0:
-            damped.append((q, gamma))
-        coherence = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
-        drift = complex(math.cos(phase), math.sin(phase))
-        f = np.array([[1.0, coherence * drift.conjugate()], [coherence * drift, 1.0 - gamma]])
-        k = factor.shape[0]
-        factor = (factor[:, None, :, None] * f[None, :, None, :]).reshape(2 * k, 2 * k)
-    return damped, factor.ravel()
-
-
 def _depolarize_rho(rho: np.ndarray, c: int, t: int, n: int, p: float) -> None:
     """Two-qubit depolarizing on (c, t) in place: the average over the 15
     non-identity Pauli pairs at total probability p equals
@@ -565,22 +525,27 @@ def _depolarize_rho(rho: np.ndarray, c: int, t: int, n: int, p: float) -> None:
 
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
     """Exact outcome distribution over the 2**n basis labels, readout error
-    included: the ensemble average that the trajectory engines sample."""
+    included: the ensemble average that the trajectory engines sample. Idle
+    noise is charged once per idle window, which ``_idle_windows`` shows is
+    exact."""
     n = scheduled.n_qubits
     dim = 1 << n
     rho = np.zeros(dim * dim, dtype=complex)
     rho[0] = 1.0
     p2 = cal.two_qubit_error
-    idle: dict[float, tuple[list[tuple[int, float]], np.ndarray]] = {}
-    for layer in scheduled.layers:
-        if layer.duration not in idle:
-            idle[layer.duration] = _idle_channels(cal, n, layer.duration)
-        damped, factor = idle[layer.duration]
-        for q, gamma in damped:
+    for windows, ops in _idle_windows(scheduled):
+        for q, dt in windows:
+            # damping moves gamma of |1><1| to |0><0|; then q's 2x2 (row bit,
+            # column bit) factor shrinks |1><1| by 1 - gamma, and shrinks and
+            # rotates the coherences by sqrt(1 - gamma) (1 - 2 pz) exp(i phase)
+            gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
             v = rho.reshape(1 << q, 2, dim >> (q + 1), 1 << q, 2, dim >> (q + 1))
-            v[:, 0, :, :, 0, :] += gamma * v[:, 1, :, :, 1, :]
-        rho *= factor
-        for op in layer.ops:
+            if gamma > 0.0:
+                v[:, 0, :, :, 0, :] += gamma * v[:, 1, :, :, 1, :]
+            coh = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
+            coh *= complex(math.cos(phase), math.sin(phase))
+            v *= np.array([[1.0, coh.conjugate()], [coh, 1.0 - gamma]])[:, None, None, :, None]
+        for op in ops:
             if op.kind == "CNOT":
                 c, t = op.qubits
                 rho = apply_cnot_array(rho, c, t, 2 * n)
@@ -601,54 +566,48 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
 
 
 _DENSE_QUBIT_LIMIT = 14
-
-
-def _check_calibrated(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> None:
-    if cal.n_qubits < scheduled.n_qubits:
-        raise CalibrationError(
-            f"calibration covers {cal.n_qubits} qubits, circuit needs {scheduled.n_qubits}"
-        )
-
-
-def simulate_noisy_shot(scheduled: ScheduledCircuit, cal: DeviceCalibration,
-                        seed) -> str:
-    """One noisy trajectory; returns the measured basis label."""
-    _check_calibrated(scheduled, cal)
-    rng = np.random.default_rng(seed)
-    if _is_classical(scheduled):
-        outcome = int(_run_classical(scheduled, cal, 1, rng)[0])
-    elif scheduled.n_qubits <= _DENSE_QUBIT_LIMIT:
-        outcome = int(_run_dense_batch(scheduled, cal, 1, rng)[0])
-    else:
-        raise SimulationError(
-            f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits are not supported"
-        )
-    return basis_label(outcome, scheduled.n_qubits)
+_DENSE_PEAK_COPIES = 3.5
+_DENSE_MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[str, int]:
-    """Noisy shot counts; deterministic per (schedule, calibration, seed)."""
+    """Noisy shot counts; deterministic per (schedule, calibration, seed).
+
+    A non-classical circuit raises SimulationError above _DENSE_QUBIT_LIMIT
+    qubits, or before allocating when its engine's peak memory, estimated
+    as _DENSE_PEAK_COPIES x 16 B x the entries of its complex state (4**n
+    for the exact engine, shots * 2**n for the trajectories), exceeds
+    _DENSE_MEMORY_BUDGET. tracemalloc peaks on superposed-control cnot-reset
+    chains of 8-10 qubits (numpy 2.4) were 3.50 copies on the exact engine
+    and 3.0-3.3 on the trajectories at 64-2000 shots."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:
         raise ValueError("seed must be given: counts are deterministic per seed")
-    _check_calibrated(scheduled, cal)
     n = scheduled.n_qubits
+    if cal.n_qubits < n:
+        raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
     if _is_classical(scheduled):
         outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
         values, counts = np.unique(outcomes, return_counts=True)
     elif n > _DENSE_QUBIT_LIMIT:
-        raise SimulationError(
-            f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits are not supported"
-        )
-    elif (1 << n) <= shots:
-        probs = _exact_probabilities(scheduled, cal)
-        draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
-        values = np.flatnonzero(draws)
-        counts = draws[values]
+        raise SimulationError(f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits "
+                              "are not supported")
     else:
-        outcomes = _run_dense_batch(scheduled, cal, shots, np.random.default_rng([seed, 2]))
-        values, counts = np.unique(outcomes, return_counts=True)
+        exact = (1 << n) <= shots
+        need = _DENSE_PEAK_COPIES * 16 * ((1 << 2 * n) if exact else shots << n)
+        if need > _DENSE_MEMORY_BUDGET:
+            raise SimulationError(f"the {'exact' if exact else 'trajectory'} engine would need "
+                                  f"about {need / 2**20:.0f} MiB for {n} qubits at {shots} "
+                                  f"shots, above the {_DENSE_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+        if exact:
+            probs = _exact_probabilities(scheduled, cal)
+            draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
+            values = np.flatnonzero(draws)
+            counts = draws[values]
+        else:
+            outcomes = _run_dense_batch(scheduled, cal, shots, np.random.default_rng([seed, 2]))
+            values, counts = np.unique(outcomes, return_counts=True)
     fmt = f"0{n}b"  # basis_label's format, without a call per outcome
     return {format(v, fmt): c for v, c in zip(values.tolist(), counts.tolist())}

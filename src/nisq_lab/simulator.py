@@ -12,7 +12,7 @@ compositions emitted by the builders module, never primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,11 +187,6 @@ class Circuit:
             for q in op.qubits:
                 frontier[q] = layer
         return max(frontier, default=0)
-
-    def remapped(self, layout: tuple[int, ...], n_qubits: int) -> "Circuit":
-        """Translate local operand indices through layout[local] = new index."""
-        ops = [replace(op, qubits=tuple(layout[q] for q in op.qubits)) for op in self.ops]
-        return Circuit(n_qubits, ops)
 
     def to_dict(self) -> dict:
         ops = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisq_lab import __version__, experiments, topology
+from nisq_lab import __version__, experiments, noise, topology
 from nisq_lab.cli import main
 from nisq_lab.experiments import ResultRow, ResultTable
 from nisq_lab.fitting import FitResult
@@ -344,6 +344,18 @@ def test_geometry_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys
                  "--shots", "8", "--seed", "2", "--out", str(out), "--geometries", "star4"])
     assert code == 2
     assert "no star4 placement" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys, monkeypatch):
+    """The pre-flight refuses the first CCNOT cell before allocating its state."""
+    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", 1024)
+    out = tmp_path / "out"
+    code = main(["ccnot-survey", "--calibration", str(noiseless_cal_file), "--shots", "8",
+                 "--seed", "2", "--out", str(out), "--families", "linear3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: the exact engine would need about") and "budget" in err
     assert not (out / "manifest.json").exists()
 
 

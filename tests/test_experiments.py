@@ -219,3 +219,25 @@ def test_experiment_config_rejects_bad_grid_entries(default_cal, field, grid, me
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(calibration=default_cal, **{field: grid})
 
+
+
+@pytest.mark.parametrize("field, names, message", [
+    ("strategies", ("none", "none"), "strategies must list distinct entries from none, "
+                                     "x-reset, cnot-reset"),
+    ("strategies", ("bogus",), "strategies must list distinct entries from none, "
+                               "x-reset, cnot-reset"),
+    ("orientations", (1, 1), "orientations must list distinct entries"),
+    ("geometries", ("star4", "star4"), "geometries must list distinct entries from linear3"),
+    ("geometries", ("bogus",), "geometries must list distinct entries from linear3"),
+])
+def test_experiment_config_rejects_repeated_or_unknown_names(default_cal, field, names, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(calibration=default_cal, **{field: names})
+
+
+@pytest.mark.parametrize("families", [("bogus",), ("star4", "star4"), ("linear3", "ring6")])
+def test_ccnot_survey_rejects_repeated_or_unknown_families(default_cal, families):
+    cfg = ExperimentConfig(calibration=default_cal, shots=10, seed=1)
+    with pytest.raises(ValueError, match="families must list distinct entries from linear3, "
+                                         "star4, ring6-3chain, ring6-1chains"):
+        run_ccnot_survey(cfg, families=families)

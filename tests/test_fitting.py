@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_lab.builders import qpe_expected_label, qpe_on_geometry
+from nisq_lab.experiments import ResultRow
 from nisq_lab.fitting import (
     damped_cosine_model,
     exponential_model,
@@ -52,7 +53,8 @@ def test_fidelity_length_mismatch():
 
 def test_fidelity_stderr():
     rep = fidelity({"11": 6400, "00": 1600}, ("control", "target"), "11")
-    assert rep.f1_stderr == pytest.approx(math.sqrt(0.8 * 0.2 / 8000))
+    row = ResultRow(x=0, f1=rep.f1, f2=rep.f2, shots=rep.shots)
+    assert row.f1_stderr == pytest.approx(math.sqrt(0.8 * 0.2 / 8000))
 
 
 @given(st.dictionaries(st.sampled_from(["000", "001", "010", "011", "100", "101", "110", "111"]),

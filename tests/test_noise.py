@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nisq_lab import noise
 from nisq_lab.noise import (
+    _channel_rates,
     _exact_probabilities,
     _hits,
     _idle_windows,
@@ -18,20 +20,17 @@ from nisq_lab.noise import (
     DurationModel,
     QubitNoiseParams,
     SimulationError,
-    apply_idle_noise,
     calibration_from_dict,
     derive_tphi,
     load_calibration,
     run_shots,
     schedule,
-    simulate_noisy_shot,
 )
 from nisq_lab.simulator import (
     Circuit,
     GateOp,
     StateVector,
     apply_circuit,
-    apply_gate,
     basis_label,
     sample_shots,
 )
@@ -142,42 +141,22 @@ def test_flattened_schedule_preserves_per_qubit_order(c):
 # ---------------------------------------------------------------------------
 
 def test_idle_zero_interval_is_identity():
-    rng = np.random.default_rng(0)
-    s = apply_gate(StateVector.zero(1), GateOp("H", (0,)))
-    out = apply_idle_noise(s, 0, 0.0, QubitNoiseParams(30e-6, 40e-6, omega=1e6), rng)
-    assert np.allclose(out.amplitudes, s.amplitudes)
+    assert _channel_rates(QubitNoiseParams(30e-6, 40e-6, omega=1e6), 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_idle_negative_interval_rejected():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        apply_idle_noise(StateVector.zero(1), 0, -1.0, QubitNoiseParams(30e-6, 40e-6), rng)
-
-
-def test_excited_survival_at_t1_over_trajectories():
-    t1 = 50e-6
-    params = QubitNoiseParams(t1=t1, t2=2 * t1)
-    rng = np.random.default_rng(123)
-    trials = 20000
-    survived = 0
-    one = StateVector.basis(1, "1")
-    for _ in range(trials):
-        out = apply_idle_noise(one, 0, t1, params, rng)
-        survived += int(abs(out.amplitudes[1]) ** 2 > 0.5)
-    expected = math.exp(-1.0)
-    sigma = math.sqrt(expected * (1 - expected) / trials)
-    assert abs(survived / trials - expected) < 5 * sigma
+        _channel_rates(QubitNoiseParams(30e-6, 40e-6), -1.0)
 
 
 def test_drift_rotation_exact():
-    # |+> with omega*dt = pi, then H: P(|0>) = cos^2(pi/2) = 0
+    # |+> with omega*dt = pi, then H: P(|0>) = cos^2(pi/2) = 0; zero gate and
+    # readout durations leave the delay as the only idle time
     dt = 1e-6
-    params = QubitNoiseParams(t1=INF, t2=INF, omega=math.pi / dt)
-    rng = np.random.default_rng(0)
-    plus = apply_gate(StateVector.zero(1), GateOp("H", (0,)))
-    out = apply_idle_noise(plus, 0, dt, params, rng)
-    out = apply_gate(out, GateOp("H", (0,)))
-    assert out.probability_of("0") == pytest.approx(0.0, abs=1e-12)
+    cal = flat_cal(1, omega=math.pi / dt,
+                   durations=DurationModel(single_qubit=0.0, measurement=0.0))
+    c = Circuit(1).h(0).delay(dt, 0).h(0).measure(0)
+    assert run_shots(schedule(c, cal.durations), cal, 1000, 0) == {"1": 1000}
 
 
 def test_survival_curve_matches_exponential():
@@ -274,15 +253,6 @@ def test_seed_determinism():
     sched = schedule(c, cal.durations)
     assert run_shots(sched, cal, 1000, 42) == run_shots(sched, cal, 1000, 42)
     assert run_shots(sched, cal, 1000, 42) != run_shots(sched, cal, 1000, 43)
-
-
-def test_single_shot_deterministic_and_labelled():
-    cal = flat_cal(2, t1=30e-6, t2=40e-6)
-    c = Circuit(2).x(0).cnot(0, 1).measure(0).measure(1)
-    sched = schedule(c, cal.durations)
-    label = simulate_noisy_shot(sched, cal, 7)
-    assert label == simulate_noisy_shot(sched, cal, 7)
-    assert len(label) == 2 and set(label) <= {"0", "1"}
 
 
 def test_classical_and_dense_paths_agree_in_distribution():
@@ -426,8 +396,9 @@ def test_idle_windows_close_before_gates_and_at_readout():
 @given(noisy_cells(max_qubits=4, kinds=("H", "X", "DELAY"), max_ops=16))
 @settings(max_examples=60, deadline=None)
 def test_idle_windows_charge_all_time_after_first_gate(cell):
-    """Each gated qubit is charged total_duration minus the time up to the
-    end of its first gate layer; a qubit no gate touches is charged nothing."""
+    """Each gated qubit is charged the circuit's duration minus the time up
+    to the end of its first gate layer; a qubit no gate touches is charged
+    nothing."""
     sched, _ = cell
     charged = {}
     for windows, _ in _idle_windows(sched):
@@ -444,7 +415,7 @@ def test_idle_windows_charge_all_time_after_first_gate(cell):
                     first_gate_end.setdefault(q, elapsed)
     for q in range(sched.n_qubits):
         if q in first_gate_end:
-            expected = sched.total_duration - first_gate_end[q]
+            expected = elapsed - first_gate_end[q]
             assert charged.get(q, 0.0) == pytest.approx(expected, rel=1e-9, abs=1e-15)
         else:
             assert q not in charged
@@ -504,6 +475,28 @@ def test_large_nonclassical_circuit_rejected():
     c.measure_all()
     with pytest.raises(SimulationError):
         run_shots(schedule(c, cal.durations), cal, 10, 0)
+
+
+def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
+    """The pre-flight estimate is _DENSE_PEAK_COPIES * 16 B per state entry:
+    4**n entries on the exact engine, shots * 2**n on the trajectories."""
+    cal = flat_cal(2, t1=30e-6, t2=40e-6)
+    sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
+    exact_need = noise._DENSE_PEAK_COPIES * 16 * 4**2
+    trajectory_need = noise._DENSE_PEAK_COPIES * 16 * 3 * 2**2
+    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", exact_need)
+    run_shots(sched, cal, 10, 0)
+    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", exact_need - 1)
+    with pytest.raises(SimulationError, match="exact engine"):
+        run_shots(sched, cal, 10, 0)
+    run_shots(sched, cal, 3, 0)
+    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", trajectory_need - 1)
+    with pytest.raises(SimulationError, match="trajectory engine"):
+        run_shots(sched, cal, 3, 0)
+    # the bit-vector engine holds no dense state
+    classical = schedule(Circuit(2).x(0).cnot(0, 1).measure_all(), cal.durations)
+    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", 0)
+    run_shots(classical, cal, 10, 0)
 
 
 def test_missing_calibration_entry():
