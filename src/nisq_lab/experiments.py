@@ -81,6 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.max_length < 1:
             raise CellRangeError(f"max_length must be >= 1, got {self.max_length}")
         if self.top_k < 1:

@@ -17,9 +17,10 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
   * circuits built purely from X/CNOT/Delay stay computational-basis states
     and run as vectorized bit-vector trajectories (any width);
   * other circuits with 2**n <= shots run on the exact density-matrix
-    engine, which computes the full outcome distribution once and draws a
-    multinomial from it; its 4**n state is never larger than the
-    shots * 2**n batch it replaces;
+    engine, which computes the outcome distribution once, applying each
+    idle window, single-qubit gate and CNOT (with its depolarizing channel)
+    as one superoperator, and draws a multinomial from it; its 4**n state
+    is never larger than the shots * 2**n batch it replaces;
   * the rest run as a dense batch of statevector trajectories (the
     quantum-jump unraveling of the same channels) up to 14 qubits.
 
@@ -50,7 +51,6 @@ from .simulator import (
     PAULI_Z,
     TAU,
     apply_single_qubit,
-    apply_cnot_array,
     apply_op_array,
     gate_matrix,
     is_json_number,
@@ -504,23 +504,21 @@ def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots:
 # ---------------------------------------------------------------------------
 # Exact density-matrix engine
 # ---------------------------------------------------------------------------
-# rho is kept flat as a 2n-qubit vector: row qubit q is qubit q and column
-# qubit q is qubit n + q, so a gate U is U on q and U* on n + q, reusing the
-# statevector primitives.
+# rho is a 2n-axis tensor: row qubit q is axis q and column qubit q is axis
+# n + q. An operation on k qubits is a 4**k x 4**k superoperator acting on
+# their row and column axes; its index orders the row bits, then the column
+# bits, so U rho U^dagger is kron(U, U*).
 
-def _depolarize_rho(rho: np.ndarray, c: int, t: int, n: int, p: float) -> None:
-    """Two-qubit depolarizing on (c, t) in place: the average over the 15
-    non-identity Pauli pairs at total probability p equals
-    (1 - 16p/15) rho + (16p/15) Tr_ct(rho) (x) I/4."""
-    lam = 16.0 * p / 15.0
-    lo, hi = min(c, t), max(c, t)  # the channel is symmetric in its operands
-    half = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
-    v = rho.reshape(half + half)
-    diagonal = [(slice(None), i, slice(None), j, slice(None)) * 2 for i in (0, 1) for j in (0, 1)]
-    mixed = sum(v[d] for d in diagonal) * (lam / 4.0)
-    v *= 1.0 - lam
-    for d in diagonal:
-        v[d] += mixed
+_CX = np.eye(4)[[0, 1, 3, 2]]  # CNOT on (control, target); real, so CX* = CX
+
+
+def _apply_superop(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Apply superoperator s to the row and column axes of ``qubits``."""
+    axes = [*qubits, *(n + q for q in qubits)]
+    perm = axes + [a for a in range(2 * n) if a not in axes]
+    v = rho.transpose(perm)
+    out = (s @ v.reshape(len(s), -1)).reshape(v.shape)
+    return out.transpose(sorted(range(2 * n), key=perm.__getitem__))
 
 
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
@@ -530,34 +528,29 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
     exact."""
     n = scheduled.n_qubits
     dim = 1 << n
-    rho = np.zeros(dim * dim, dtype=complex)
-    rho[0] = 1.0
-    p2 = cal.two_qubit_error
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    # two-qubit depolarizing (1 - lam) rho + lam Tr_ct(rho) (x) I/4, with
+    # lam = 16p/15, is the average over the 15 non-identity Pauli pairs
+    lam = 16.0 * cal.two_qubit_error / 15.0
+    vec_i = np.eye(4).reshape(16)
+    cnot = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ np.kron(_CX, _CX)
     for windows, ops in _idle_windows(scheduled):
         for q, dt in windows:
-            # damping moves gamma of |1><1| to |0><0|; then q's 2x2 (row bit,
-            # column bit) factor shrinks |1><1| by 1 - gamma, and shrinks and
-            # rotates the coherences by sqrt(1 - gamma) (1 - 2 pz) exp(i phase)
+            # damping moves gamma of |1><1| to |0><0|; coherences shrink and turn by c
             gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
-            v = rho.reshape(1 << q, 2, dim >> (q + 1), 1 << q, 2, dim >> (q + 1))
-            if gamma > 0.0:
-                v[:, 0, :, :, 0, :] += gamma * v[:, 1, :, :, 1, :]
-            coh = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
-            coh *= complex(math.cos(phase), math.sin(phase))
-            v *= np.array([[1.0, coh.conjugate()], [coh, 1.0 - gamma]])[:, None, None, :, None]
+            c = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz) * complex(math.cos(phase), math.sin(phase))
+            idle = np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
+                             [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]])
+            rho = _apply_superop(rho, idle, (q,), n)
         for op in ops:
             if op.kind == "CNOT":
-                c, t = op.qubits
-                rho = apply_cnot_array(rho, c, t, 2 * n)
-                rho = apply_cnot_array(rho, n + c, n + t, 2 * n)
-                if p2 > 0.0:
-                    _depolarize_rho(rho, c, t, n, p2)
+                rho = _apply_superop(rho, cnot, op.qubits, n)
             elif op.kind not in ("MEASURE", "DELAY"):
                 u = gate_matrix(op)
-                q = op.qubits[0]
-                rho = apply_single_qubit(rho, u, q, 2 * n)
-                rho = apply_single_qubit(rho, u.conj(), n + q, 2 * n)
-    probs = np.clip(rho[:: dim + 1].real, 0.0, None)
+                uu = u[:, None, :, None] * u.conj()[None, :, None, :]  # kron(u, u*), faster
+                rho = _apply_superop(rho, uu.reshape(4, 4), op.qubits, n)
+    probs = np.clip(rho.reshape(dim, dim).diagonal().real, 0.0, None)
     for q in range(n):
         r = cal.params_for(q).readout_error
         if r > 0.0:
@@ -567,20 +560,24 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
 
 _DENSE_QUBIT_LIMIT = 14
 _DENSE_PEAK_COPIES = 3.5
-_DENSE_MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
+_CLASSICAL_PEAK_COPIES = 27
+_MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[str, int]:
     """Noisy shot counts; deterministic per (schedule, calibration, seed).
 
-    A non-classical circuit raises SimulationError above _DENSE_QUBIT_LIMIT
-    qubits, or before allocating when its engine's peak memory, estimated
-    as _DENSE_PEAK_COPIES x 16 B x the entries of its complex state (4**n
-    for the exact engine, shots * 2**n for the trajectories), exceeds
-    _DENSE_MEMORY_BUDGET. tracemalloc peaks on superposed-control cnot-reset
-    chains of 8-10 qubits (numpy 2.4) were 3.50 copies on the exact engine
-    and 3.0-3.3 on the trajectories at 64-2000 shots."""
+    Raises SimulationError for a non-classical circuit above
+    _DENSE_QUBIT_LIMIT qubits, and before allocating when the engine's
+    estimated peak memory exceeds _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 16 B
+    x the complex state's entries (4**n exact, shots * 2**n trajectories),
+    or _CLASSICAL_PEAK_COPIES x 8 B x shots (bit-vector). tracemalloc peaks
+    (numpy 2.4) were 3.00 copies on the exact engine and 3.0-3.3 on the
+    trajectories at 64-2000 shots (cnot-reset chains of 8-10 qubits), and
+    2.25-3.2 on the bit-vector engine (t1 and 20-qubit chain cells at
+    10**3-10**6 shots), up to 26.6 when every shot reads a distinct 62-bit
+    label and the returned dict dominates."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:
@@ -589,25 +586,26 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     if cal.n_qubits < n:
         raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
     if _is_classical(scheduled):
-        outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
-        values, counts = np.unique(outcomes, return_counts=True)
+        engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
     elif n > _DENSE_QUBIT_LIMIT:
         raise SimulationError(f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits "
                               "are not supported")
+    elif (1 << n) <= shots:
+        engine, need = "exact", _DENSE_PEAK_COPIES * 16 * (1 << 2 * n)
     else:
-        exact = (1 << n) <= shots
-        need = _DENSE_PEAK_COPIES * 16 * ((1 << 2 * n) if exact else shots << n)
-        if need > _DENSE_MEMORY_BUDGET:
-            raise SimulationError(f"the {'exact' if exact else 'trajectory'} engine would need "
-                                  f"about {need / 2**20:.0f} MiB for {n} qubits at {shots} "
-                                  f"shots, above the {_DENSE_MEMORY_BUDGET / 2**20:.0f} MiB budget")
-        if exact:
-            probs = _exact_probabilities(scheduled, cal)
-            draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
-            values = np.flatnonzero(draws)
-            counts = draws[values]
-        else:
-            outcomes = _run_dense_batch(scheduled, cal, shots, np.random.default_rng([seed, 2]))
-            values, counts = np.unique(outcomes, return_counts=True)
+        engine, need = "trajectory", _DENSE_PEAK_COPIES * 16 * (shots << n)
+    if need > _MEMORY_BUDGET:
+        raise SimulationError(f"the {engine} engine would need about {need / 2**20:.0f} MiB "
+                              f"for {n} qubits at {shots} shots, above the "
+                              f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    if engine == "exact":
+        probs = _exact_probabilities(scheduled, cal)
+        draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
+        values = np.flatnonzero(draws)
+        counts = draws[values]
+    else:
+        run, stream = (_run_classical, 1) if engine == "bit-vector" else (_run_dense_batch, 2)
+        outcomes = run(scheduled, cal, shots, np.random.default_rng([seed, stream]))
+        values, counts = np.unique(outcomes, return_counts=True)
     fmt = f"0{n}b"  # basis_label's format, without a call per outcome
     return {format(v, fmt): c for v, c in zip(values.tolist(), counts.tolist())}

@@ -4,8 +4,9 @@ The CSV schema is versioned and fixed: header exactly
 ``independent_var,f1,f1_stderr,f2,f2_stderr,shots``, fractions with six
 decimal places, UTF-8, LF line endings, dot decimal separator. Extra
 per-row columns (e.g. the theoretical phase-sweep curve) appear only in
-the JSON mirror. A run writes its manifest after the result files it
-lists, so a run that fails leaves none.
+the JSON mirror. JSON files are strict: a non-finite float is written as
+null. A run writes its manifest after the result files it lists, so a run
+that fails leaves none.
 """
 from __future__ import annotations
 
@@ -47,11 +48,27 @@ def write_results(table: ResultTable, fmt: str, path) -> Path:
             ]))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     elif fmt == "json":
-        path.write_text(json.dumps(table_to_dict(table), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8", newline="\n")
+        path.write_text(_json_text(table_to_dict(table)), encoding="utf-8", newline="\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
+
+
+def _finite(value):
+    """``value`` with every non-finite float (such as the infinite T1 of a
+    null calibration entry) replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_text(obj) -> str:
+    """Strict JSON (no Infinity or NaN), keys sorted, two-space indent."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def table_to_dict(table: ResultTable) -> dict:
@@ -100,7 +117,7 @@ def fit_to_dict(fit: FitResult) -> dict:
     return {
         "model": fit.model,
         "params": fit.params,
-        "r_squared": None if math.isnan(fit.r_squared) else fit.r_squared,
+        "r_squared": fit.r_squared,
         "covariance": fit.covariance,
         "ok": fit.ok,
         "converged": fit.converged,
@@ -112,8 +129,7 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 def write_fit(fit: FitResult, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(fit_to_dict(fit), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
+    path.write_text(_json_text(fit_to_dict(fit)), encoding="utf-8", newline="\n")
     return path
 
 
@@ -134,8 +150,7 @@ def write_manifest(out_dir, manifest: RunManifest) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
+    path.write_text(_json_text(asdict(manifest)), encoding="utf-8", newline="\n")
     return path
 
 

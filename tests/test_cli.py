@@ -16,7 +16,7 @@ from nisq_lab import __version__, experiments, noise, topology
 from nisq_lab.cli import main
 from nisq_lab.experiments import ResultRow, ResultTable
 from nisq_lab.fitting import FitResult
-from nisq_lab.noise import SimulationError, calibration_from_dict
+from nisq_lab.noise import SimulationError, calibration_from_dict, default_calibration
 from nisq_lab.report import (
     CSV_HEADER,
     RunManifest,
@@ -220,6 +220,44 @@ def test_seed_env_override(tmp_path, noiseless_cal_file, monkeypatch):
     assert manifest2["seed"] == 3
 
 
+@pytest.mark.parametrize("flag, env", [("-1", None), (None, "-4")])
+def test_negative_seed_exit_1(tmp_path, noiseless_cal_file, capsys, monkeypatch, flag, env):
+    """A negative --seed or NISQ_LAB_SEED is refused with a message naming it."""
+    monkeypatch.delenv("NISQ_LAB_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("NISQ_LAB_SEED", env)
+    out = tmp_path / "out"
+    argv = ["t1", "--calibration", str(noiseless_cal_file), "--shots", "50", "--out", str(out),
+            "--grid-us", "0,5"] + (["--seed", flag] if flag is not None else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: seed must be a non-negative integer, got {flag or env}" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["t1", "t2-ramsey", "t2-echo"])
+def test_json_outputs_are_strict_json_with_infinite_coherence(tmp_path, subcommand):
+    """A null t1/t2 (infinite) is written as null, never as Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    cal = default_calibration().to_dict()
+    cal["qubits"][0].update(t1_us=None, t2_us=None)
+    cal_file = tmp_path / "cal.json"
+    cal_file.write_text(json.dumps(cal))
+    out = tmp_path / "out"
+    assert main([subcommand, "--calibration", str(cal_file), "--shots", "200", "--seed", "1",
+                 "--out", str(out), "--format", "json"]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert len(paths) == 3  # results, fit and manifest
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject) for p in paths}
+    stem = subcommand.replace("-", "_")
+    configured = "configured_t1_us" if subcommand == "t1" else "configured_t2_us"
+    assert docs[f"{stem}.json"]["metadata"][configured] is None
+    if subcommand == "t2-ramsey":  # the fitted dephasing time is infinite too
+        assert docs["t2_ramsey_fit.json"]["params"]["t_phi"] is None
+
+
 def test_cnot_chain_cli_writes_tables(tmp_path, noiseless_cal_file):
     out = tmp_path / "chains"
     code = main(["cnot-chain", "--calibration", str(noiseless_cal_file),
@@ -349,13 +387,27 @@ def test_geometry_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys
 
 def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys, monkeypatch):
     """The pre-flight refuses the first CCNOT cell before allocating its state."""
-    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", 1024)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", 1024)
     out = tmp_path / "out"
     code = main(["ccnot-survey", "--calibration", str(noiseless_cal_file), "--shots", "8",
                  "--seed", "2", "--out", str(out), "--families", "linear3"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: the exact engine would need about") and "budget" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_bit_vector_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys,
+                                                  monkeypatch):
+    """The pre-flight refuses a t1 cell whose shots would not fit the budget."""
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._CLASSICAL_PEAK_COPIES * 8 * 50 - 1)
+    out = tmp_path / "out"
+    code = main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "50",
+                 "--seed", "2", "--out", str(out), "--grid-us", "0,5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: the bit-vector engine would need about")
+    assert "budget" in err
     assert not (out / "manifest.json").exists()
 
 

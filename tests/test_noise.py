@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nisq_lab import noise
@@ -27,6 +27,7 @@ from nisq_lab.noise import (
     schedule,
 )
 from nisq_lab.simulator import (
+    TAU,
     Circuit,
     GateOp,
     StateVector,
@@ -312,7 +313,15 @@ def noisy_cells(draw, max_qubits, kinds=("H", "T", "S", "RPHI", "X", "DELAY"), m
     return schedule(c, cal.durations), cal
 
 
+# A fixed case that sees the direction of the drift: 1.2 us of drift at
+# 0.3 MHz (the delay plus the T and H layers) and T's pi/4 turn |+> the same
+# way, by nearly pi, so P(0) is about 0.0022; drift the other way gives 0.547.
+_DRIFT_SIGN_CAL = flat_cal(1, omega=TAU * 0.3e6)
+
+
 @given(noisy_cells(max_qubits=3))
+@example((schedule(Circuit(1).h(0).delay(1e-6, 0).t(0).h(0).measure(0),
+                   _DRIFT_SIGN_CAL.durations), _DRIFT_SIGN_CAL))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
@@ -479,24 +488,28 @@ def test_large_nonclassical_circuit_rejected():
 
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
     """The pre-flight estimate is _DENSE_PEAK_COPIES * 16 B per state entry:
-    4**n entries on the exact engine, shots * 2**n on the trajectories."""
+    4**n entries on the exact engine, shots * 2**n on the trajectories; and
+    _CLASSICAL_PEAK_COPIES * 8 B per shot on the bit-vector engine."""
     cal = flat_cal(2, t1=30e-6, t2=40e-6)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
     exact_need = noise._DENSE_PEAK_COPIES * 16 * 4**2
     trajectory_need = noise._DENSE_PEAK_COPIES * 16 * 3 * 2**2
-    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", exact_need)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need)
     run_shots(sched, cal, 10, 0)
-    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", exact_need - 1)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need - 1)
     with pytest.raises(SimulationError, match="exact engine"):
         run_shots(sched, cal, 10, 0)
     run_shots(sched, cal, 3, 0)
-    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", trajectory_need - 1)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", trajectory_need - 1)
     with pytest.raises(SimulationError, match="trajectory engine"):
         run_shots(sched, cal, 3, 0)
-    # the bit-vector engine holds no dense state
     classical = schedule(Circuit(2).x(0).cnot(0, 1).measure_all(), cal.durations)
-    monkeypatch.setattr(noise, "_DENSE_MEMORY_BUDGET", 0)
+    classical_need = noise._CLASSICAL_PEAK_COPIES * 8 * 10
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need)
     run_shots(classical, cal, 10, 0)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need - 1)
+    with pytest.raises(SimulationError, match="bit-vector engine"):
+        run_shots(classical, cal, 10, 0)
 
 
 def test_missing_calibration_entry():
