@@ -15,12 +15,17 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
 ``run_shots`` sends each circuit to one of three engines:
 
   * circuits built purely from X/CNOT/Delay stay computational-basis states
-    and run as vectorized bit-vector trajectories (any width);
+    and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
+    each of an int64);
   * other circuits with 2**n <= shots run on the exact density-matrix
-    engine, which computes the outcome distribution once, applying each
-    idle window, single-qubit gate and CNOT (with its depolarizing channel)
-    as one superoperator, and draws a multinomial from it; its 4**n state
-    is never larger than the shots * 2**n batch it replaces;
+    engine, which computes the outcome distribution once and draws a
+    multinomial from it; its 4**n state is never larger than the
+    shots * 2**n batch it replaces. Each single-qubit gate or CNOT (with
+    its depolarizing channel) is one superoperator, indexed qubit by qubit
+    so that channels on different qubits compose by kron, and the idle
+    windows the gate closes are folded into it. Windows still open at
+    readout only damp the populations, before the readout flips. Window and
+    gate matrices are built once, in bounded memos;
   * the rest run as a dense batch of statevector trajectories (the
     quantum-jump unraveling of the same channels) up to 14 qubits.
 
@@ -35,6 +40,7 @@ law as per-shot trials) and touches only those rows.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -506,59 +512,125 @@ def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots:
 # ---------------------------------------------------------------------------
 # rho is a 2n-axis tensor: row qubit q is axis q and column qubit q is axis
 # n + q. An operation on k qubits is a 4**k x 4**k superoperator acting on
-# their row and column axes; its index orders the row bits, then the column
-# bits, so U rho U^dagger is kron(U, U*).
+# their row and column axes. Its index takes each qubit's (row bit, column
+# bit) pair in turn, so U rho U^dagger on one qubit is kron(U, U*) and
+# channels on different qubits compose by kron.
+#
+# The memos below build each small matrix once and return it read-only. The
+# 156 survey cells close 7,224 windows with 708 distinct (params, dt) keys and
+# apply 4 distinct gates. Full, the memos hold about 1.4 MiB: 1024 windows at
+# 0.55 KiB, 256 gates at 0.7 KiB, 16 CNOTs at 2.7 KiB and 1024 axis
+# permutations at up to 0.65 KiB each (tracemalloc, numpy 2.4).
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, by broadcasting: several times
+    cheaper per call at these sizes."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
 
 _CX = np.eye(4)[[0, 1, 3, 2]]  # CNOT on (control, target); real, so CX* = CX
+_NO_IDLE = _read_only(np.eye(4))
+
+
+@functools.lru_cache(maxsize=1024)
+def _idle_superop(params: QubitNoiseParams, dt: float) -> np.ndarray:
+    """The 4x4 of a (qubit, dt) idle window: damping moves gamma of |1><1|
+    to |0><0|, and the coherences shrink and turn by c."""
+    gamma, pz, phase = _channel_rates(params, dt)
+    c = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz) * complex(math.cos(phase), math.sin(phase))
+    return _read_only(np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
+                                [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]]))
+
+
+@functools.lru_cache(maxsize=256)
+def _gate_superop(kind: str, angle: float) -> np.ndarray:
+    """kron(U, U*) of a single-qubit gate."""
+    u = gate_matrix(GateOp(kind, (0,), angle))
+    return _read_only(_kron(u, u.conj()))
+
+
+@functools.lru_cache(maxsize=16)
+def _cnot_superop(p2: float) -> np.ndarray:
+    """A CNOT and then its two-qubit depolarizing channel, on the index
+    (control row, control column, target row, target column)."""
+    # (1 - lam) rho + lam Tr_ct(rho) (x) I/4, with lam = 16p/15, is the
+    # average over the 15 non-identity Pauli pairs
+    lam = 16.0 * p2 / 15.0
+    vec_i = np.eye(4).reshape(16)
+    s = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ _kron(_CX, _CX)
+    # from (row c, row t, column c, column t) to the qubit-by-qubit index
+    s = s.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+    return _read_only(s)
+
+
+@functools.lru_cache(maxsize=1024)
+def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that brings ``qubits``' (row, column) axis pairs to the
+    front, and its inverse."""
+    axes = [a for q in qubits for a in (q, n + q)]
+    perm = axes + [a for a in range(2 * n) if a not in axes]
+    return tuple(perm), tuple(sorted(range(2 * n), key=perm.__getitem__))
 
 
 def _apply_superop(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply superoperator s to the row and column axes of ``qubits``."""
-    axes = [*qubits, *(n + q for q in qubits)]
-    perm = axes + [a for a in range(2 * n) if a not in axes]
+    perm, inverse = _superop_axes(qubits, n)
     v = rho.transpose(perm)
-    out = (s @ v.reshape(len(s), -1)).reshape(v.shape)
-    return out.transpose(sorted(range(2 * n), key=perm.__getitem__))
+    return (s @ v.reshape(len(s), -1)).reshape(v.shape).transpose(inverse)
 
 
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
     """Exact outcome distribution over the 2**n basis labels, readout error
-    included: the ensemble average that the trajectory engines sample. Idle
-    noise is charged once per idle window, which ``_idle_windows`` shows is
-    exact."""
+    included: the ensemble average that the trajectory engines sample.
+
+    Idle noise is charged once per idle window, which ``_idle_windows``
+    shows is exact, and each window is applied in one product with the gate
+    that closes it. Windows still open at readout act on the diagonal alone,
+    where phase and drift are invisible, so only their damping is applied,
+    before the readout confusion."""
     n = scheduled.n_qubits
     dim = 1 << n
     rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho[(0,) * (2 * n)] = 1.0
-    # two-qubit depolarizing (1 - lam) rho + lam Tr_ct(rho) (x) I/4, with
-    # lam = 16p/15, is the average over the 15 non-identity Pauli pairs
-    lam = 16.0 * cal.two_qubit_error / 15.0
-    vec_i = np.eye(4).reshape(16)
-    cnot = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ np.kron(_CX, _CX)
-    for windows, ops in _idle_windows(scheduled):
-        for q, dt in windows:
-            # damping moves gamma of |1><1| to |0><0|; coherences shrink and turn by c
-            gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
-            c = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz) * complex(math.cos(phase), math.sin(phase))
-            idle = np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
-                             [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]])
-            rho = _apply_superop(rho, idle, (q,), n)
+    *steps, (readout_windows, _) = _idle_windows(scheduled)
+    for windows, ops in steps:
+        idle = {q: _idle_superop(cal.params_for(q), dt) for q, dt in windows}
         for op in ops:
             if op.kind == "CNOT":
-                rho = _apply_superop(rho, cnot, op.qubits, n)
+                c, t = op.qubits
+                s = _cnot_superop(cal.two_qubit_error)
+                if c in idle or t in idle:
+                    s = s @ _kron(idle.get(c, _NO_IDLE), idle.get(t, _NO_IDLE))
             elif op.kind not in ("MEASURE", "DELAY"):
-                u = gate_matrix(op)
-                uu = u[:, None, :, None] * u.conj()[None, :, None, :]  # kron(u, u*), faster
-                rho = _apply_superop(rho, uu.reshape(4, 4), op.qubits, n)
+                s = _gate_superop(op.kind, op.angle)
+                if op.qubits[0] in idle:
+                    s = s @ idle[op.qubits[0]]
+            else:
+                continue
+            rho = _apply_superop(rho, s, op.qubits, n)
     probs = np.clip(rho.reshape(dim, dim).diagonal().real, 0.0, None)
+    open_at_readout = dict(readout_windows)
     for q in range(n):
-        r = cal.params_for(q).readout_error
-        if r > 0.0:
-            probs = apply_single_qubit(probs, np.array([[1.0 - r, r], [r, 1.0 - r]]), q, n)
+        params = cal.params_for(q)
+        r = params.readout_error
+        m = np.array([[1.0 - r, r], [r, 1.0 - r]])
+        if q in open_at_readout:
+            # [[1, gamma], [0, 1 - gamma]]: the window's action on populations
+            m = m @ _idle_superop(params, open_at_readout[q])[::3, ::3].real
+        elif r == 0.0:
+            continue
+        probs = apply_single_qubit(probs, m, q, n)
     return probs / probs.sum()
 
 
 _DENSE_QUBIT_LIMIT = 14
+_CLASSICAL_QUBIT_LIMIT = 63  # one bit per qubit of an int64 shot
 _DENSE_PEAK_COPIES = 3.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
@@ -569,11 +641,12 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     """Noisy shot counts; deterministic per (schedule, calibration, seed).
 
     Raises SimulationError for a non-classical circuit above
-    _DENSE_QUBIT_LIMIT qubits, and before allocating when the engine's
+    _DENSE_QUBIT_LIMIT qubits or a bit-vector one above
+    _CLASSICAL_QUBIT_LIMIT, and before allocating when the engine's
     estimated peak memory exceeds _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 16 B
     x the complex state's entries (4**n exact, shots * 2**n trajectories),
     or _CLASSICAL_PEAK_COPIES x 8 B x shots (bit-vector). tracemalloc peaks
-    (numpy 2.4) were 3.00 copies on the exact engine and 3.0-3.3 on the
+    (numpy 2.4) were 3.00-3.01 copies on the exact engine and 3.0-3.3 on the
     trajectories at 64-2000 shots (cnot-reset chains of 8-10 qubits), and
     2.25-3.2 on the bit-vector engine (t1 and 20-qubit chain cells at
     10**3-10**6 shots), up to 26.6 when every shot reads a distinct 62-bit
@@ -586,6 +659,9 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     if cal.n_qubits < n:
         raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
     if _is_classical(scheduled):
+        if n > _CLASSICAL_QUBIT_LIMIT:
+            raise SimulationError(f"bit-vector circuits above {_CLASSICAL_QUBIT_LIMIT} qubits "
+                                  "are not supported")
         engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
     elif n > _DENSE_QUBIT_LIMIT:
         raise SimulationError(f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits "

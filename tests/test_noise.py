@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nisq_lab import noise
+from nisq_lab import builders, noise, topology
 from nisq_lab.noise import (
     _channel_rates,
     _exact_probabilities,
@@ -319,15 +319,39 @@ def noisy_cells(draw, max_qubits, kinds=("H", "T", "S", "RPHI", "X", "DELAY"), m
 _DRIFT_SIGN_CAL = flat_cal(1, omega=TAU * 0.3e6)
 
 
+def _star4_survey_cell():
+    """A shipped star4 CCNOT cell as the survey runs it: controls prepared
+    in |1>, the compact circuit, every qubit measured, on the calibration of
+    its placement (33 ops on 4 qubits)."""
+    star = topology.enumerate_stars(topology.shipped_poughkeepsie())[0]
+    placement = topology.star_variants(star)[0]
+    built = builders.ccnot_on_geometry(placement, "star4-cnot-reset")
+    target = built.layout.index(placement.target)
+    prep = [GateOp("X", (q,)) for q in built.computational_locals if q != target]
+    cal = noise.default_calibration().subset(built.layout)
+    circuit = Circuit(built.circuit.n_qubits, prep + built.circuit.ops).measure_all()
+    return schedule(circuit, cal.durations), cal
+
+
 @given(noisy_cells(max_qubits=3))
 @example((schedule(Circuit(1).h(0).delay(1e-6, 0).t(0).h(0).measure(0),
                    _DRIFT_SIGN_CAL.durations), _DRIFT_SIGN_CAL))
+@example(_star4_survey_cell())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
     exact = _exact_probabilities(sched, cal)
     oracle = kraus_outcome_probabilities(sched, cal)
     assert np.max(np.abs(exact - oracle)) <= 1e-12
+
+
+def test_exact_engine_memos_are_read_only():
+    """Every call shares the memoized matrices, so none may be written."""
+    params = QubitNoiseParams(30e-6, 40e-6, omega=1e6)
+    for m in (noise._idle_superop(params, 1e-6), noise._gate_superop("H", 0.0),
+              noise._cnot_superop(0.01)):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
 
 
 def _within_5_sigma(count: int, shots: int, p: float) -> bool:
@@ -484,6 +508,22 @@ def test_large_nonclassical_circuit_rejected():
     c.measure_all()
     with pytest.raises(SimulationError):
         run_shots(schedule(c, cal.durations), cal, 10, 0)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_bit_vector_width_limit(n):
+    """A shot is one int64, so bit-vector circuits run up to 63 qubits and
+    are refused above."""
+    cal = flat_cal(n)
+    c = Circuit(n).x(0)
+    for i in range(n - 1):
+        c.cnot(i, i + 1)
+    sched = schedule(c.measure_all(), cal.durations)
+    if n == 63:
+        assert run_shots(sched, cal, 10, 0) == {"1" * n: 10}
+    else:
+        with pytest.raises(SimulationError, match="above 63 qubits"):
+            run_shots(sched, cal, 10, 0)
 
 
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
