@@ -223,16 +223,14 @@ def _survey_tables(args, cfg):
 
 
 def _qft_tables(args, cfg):
-    survey = experiments.run_ccnot_survey(cfg, families=cfg.geometries)
-    result = experiments.run_qft_perfect_phases(cfg, survey=survey)
-    tables = [(f"qft_{g.replace('-', '_')}", t, "scatter") for g, t in result.tables.items()]
-    return tables, [f"{g}: cnot_count={n}" for g, n in result.cnot_counts.items()]
+    tables = experiments.run_qft_perfect_phases(cfg)
+    return ([(f"qft_{g.replace('-', '_')}", t, "scatter") for g, t in tables.items()],
+            [f"{g}: cnot_count={t.metadata['cnot_count']}" for g, t in tables.items()])
 
 
 def _qpe_tables(args, cfg):
-    survey = experiments.run_ccnot_survey(cfg, families=cfg.geometries)
-    result = experiments.run_qpe_phase_sweep(cfg, survey=survey)
-    return [(f"qpe_{g}", t, "qpe") for g, t in result.tables.items()], []
+    tables = experiments.run_qpe_phase_sweep(cfg)
+    return [(f"qpe_{g}", t, "qpe") for g, t in tables.items()], []
 
 
 def _run_enumerate(args) -> int:

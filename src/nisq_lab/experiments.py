@@ -12,7 +12,14 @@ built right before it runs.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
-out in any order. Tables carry time in microseconds and phases in radians.
+out in any order. Chain and survey coordinates name the cell within the
+full experiment (every strategy, every survey family), not within the
+requested subset, so a subset run draws the same counts as the full run;
+a different topology re-enumerates, and so re-keys, the survey cells.
+Coherence and QPE coordinates index the requested grid. QFT and QPE run on
+the placements ranked best by a CCNOT survey of their geometries, on the
+same counts ``run_ccnot_survey`` reports. Tables carry time in
+microseconds and phases in radians.
 """
 from __future__ import annotations
 
@@ -294,7 +301,8 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
     lengths = range(1, cfg.max_length + 1)
     tables: dict[tuple[int, str], ResultTable] = {}
     for orientation, path in paths.items():
-        for s_idx, strategy in enumerate(cfg.strategies):
+        for strategy in cfg.strategies:
+            s_idx = builders.RESET_STRATEGIES.index(strategy)
             cells = (Cell(builders.cnot_chain(path[: n + 1], strategy),
                           (cfg.seed, _TAGS["chain"], orientation, s_idx, n), "11")
                      for n in lengths)
@@ -364,20 +372,16 @@ class SurveyResult:
         return [p for _, p in ranked[:k]]
 
 
-def _survey_placements(g: CouplingGraph, families) -> list[tuple[str, GeometryPlacement]]:
-    out: list[tuple[str, GeometryPlacement]] = []
-    if "linear3" in families:
-        for triple in topology.enumerate_linear_triples(g):
-            for var in topology.linear3_variants(triple):
-                out.append((var.kind, var))
-    if "star4" in families:
-        for star in topology.enumerate_stars(g):
-            for var in topology.star_variants(star):
-                out.append(("star4-x-reset", var))
-                out.append(("star4-cnot-reset", var))
+def _survey_placements(g: CouplingGraph) -> list[tuple[str, GeometryPlacement]]:
+    """Every (variant, placement) of the full survey; a cell's index here is
+    its seed coordinate."""
+    out = [(var.kind, var) for triple in topology.enumerate_linear_triples(g)
+           for var in topology.linear3_variants(triple)]
+    out += [(variant, var) for star in topology.enumerate_stars(g)
+            for var in topology.star_variants(star)
+            for variant in ("star4-x-reset", "star4-cnot-reset")]
     for kind in ("ring6-3chain", "ring6-1chains"):
-        if kind in families:
-            out += [(kind, p) for p in topology.ring_placements(g, kind)]
+        out += [(kind, p) for p in topology.ring_placements(g, kind)]
     return out
 
 
@@ -396,10 +400,12 @@ def run_ccnot_survey(cfg: ExperimentConfig,
     """
     _check_names("families", families, SURVEY_FAMILIES)
     g = cfg.graph or topology.shipped_poughkeepsie()
-    placements = _survey_placements(g, families)
+    placements = [(idx, variant, placement)
+                  for idx, (variant, placement) in enumerate(_survey_placements(g))
+                  if variant.startswith(tuple(families))]
 
     def cells():
-        for idx, (variant, placement) in enumerate(placements):
+        for idx, variant, placement in placements:
             built = builders.ccnot_on_geometry(placement, variant)
             target = built.layout.index(placement.target)
             controls = tuple(q for q in built.computational_locals if q != target)
@@ -408,7 +414,7 @@ def run_ccnot_survey(cfg: ExperimentConfig,
     reports = run_cells(cells(), cfg.calibration, cfg.shots)
     return SurveyResult(
         [SurveyCell(_cell_label(variant, placement), variant, placement, rep.f1, rep.f2,
-                    cfg.shots) for (variant, placement), rep in zip(placements, reports)],
+                    cfg.shots) for (_, variant, placement), rep in zip(placements, reports)],
         _metadata(cfg, "ccnot-survey", "placement", "fidelity"),
     )
 
@@ -417,41 +423,28 @@ def run_ccnot_survey(cfg: ExperimentConfig,
 # QFT / QPE experiments
 # ---------------------------------------------------------------------------
 
-def _qft_placements_for(geometry: str, g: CouplingGraph, survey: SurveyResult | None,
-                        top_k: int) -> list[GeometryPlacement]:
-    if survey is not None:
-        picks = survey.top_placements(geometry, top_k)
-        if picks:
-            return picks
-    if geometry == "linear3":
-        picks = topology.enumerate_linear_triples(g)[:top_k]
-    elif geometry == "star4":
-        picks = topology.enumerate_stars(g)[:top_k]
-    elif geometry == "ring6-3chain":
-        picks = topology.ring_placements(g, "ring6-3chain")[:top_k]
-    else:
-        raise ValueError(f"unsupported QFT geometry {geometry!r}")
-    if not picks:
-        raise CellRangeError(f"the topology has no {geometry} placement")
+def _ranked_placements(cfg: ExperimentConfig, geometries,
+                       k: int) -> dict[str, list[GeometryPlacement]]:
+    """The best-k placements per geometry, ranked by a CCNOT survey of those
+    geometries. Raises CellRangeError for a geometry with no placement."""
+    survey = run_ccnot_survey(cfg, families=tuple(geometries))
+    picks = {geometry: survey.top_placements(geometry, k) for geometry in geometries}
+    for geometry, chosen in picks.items():
+        if not chosen:
+            raise CellRangeError(f"the topology has no {geometry} placement")
     return picks
 
 
-@dataclass
-class QftPerfectResult:
-    tables: dict[str, ResultTable]
-    cnot_counts: dict[str, int]
-
-
-def run_qft_perfect_phases(cfg: ExperimentConfig,
-                           survey: SurveyResult | None = None) -> QftPerfectResult:
-    """All eight perfect phases k*pi/4 per geometry, averaged over the
-    selected placements (top-k of the CCNOT survey when one is supplied).
-    Ancillas always reset by CNOT: the register holds superposition."""
-    g = cfg.graph or topology.shipped_poughkeepsie()
-    tables: dict[str, ResultTable] = {}
-    cnot_counts: dict[str, int] = {}
+def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
+    """All eight perfect phases k*pi/4 per geometry, averaged over the top-k
+    placements of the CCNOT survey. Ancillas always reset by CNOT: the
+    register holds superposition. A geometry with no QFT builder raises
+    ValueError before any cell runs."""
     for geometry in cfg.geometries:
-        chosen = _qft_placements_for(geometry, g, survey, cfg.top_k)
+        if geometry not in builders.QFT_GEOMETRIES:
+            raise ValueError(f"unsupported QFT geometry {geometry!r}")
+    tables: dict[str, ResultTable] = {}
+    for geometry, chosen in _ranked_placements(cfg, cfg.geometries, cfg.top_k).items():
         gid = _GEOMETRY_IDS[geometry]
         rows = []
         for k in range(8):
@@ -459,19 +452,13 @@ def run_qft_perfect_phases(cfg: ExperimentConfig,
                           (cfg.seed, _TAGS["qft"], gid, p_idx, k), builders.qpe_expected_label(k))
                      for p_idx, placement in enumerate(chosen))
             rows.append(_mean_row(k, run_cells(cells, cfg.calibration, cfg.shots), cfg.shots))
-        cnot_counts[geometry] = builders.qft_dagger_3(chosen[0]).circuit.cnot_count()
         tables[geometry] = ResultTable(
             rows,
             metadata=_metadata(cfg, "qft-perfect", "phase_index", "fidelity", geometry=geometry,
                                placements=[list(p.qubits) for p in chosen],
-                               cnot_count=cnot_counts[geometry]),
+                               cnot_count=builders.qft_dagger_3(chosen[0]).circuit.cnot_count()),
         )
-    return QftPerfectResult(tables, cnot_counts)
-
-
-@dataclass
-class QpeSweepResult:
-    tables: dict[str, ResultTable]
+    return tables
 
 
 def default_phi_grid() -> tuple[float, ...]:
@@ -482,20 +469,16 @@ def nearest_perfect_phase(phi: float) -> int:
     return int(round(phi / (math.pi / 4.0))) % 8
 
 
-def run_qpe_phase_sweep(cfg: ExperimentConfig, survey: SurveyResult | None = None,
-                        placements: dict[str, GeometryPlacement] | None = None,
-                        ) -> QpeSweepResult:
-    """Continuous phase sweep; f1 counts shots on the nearest perfect-phase
-    outcome and rows carry the matching noiseless probability and ratio."""
-    g = cfg.graph or topology.shipped_poughkeepsie()
+def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
+    """Continuous phase sweep on the best survey placement of linear3 and
+    star4; other entries of cfg.geometries are ignored. f1 counts shots on
+    the nearest perfect-phase outcome and rows carry the matching noiseless
+    probability and ratio."""
     grid = cfg.phi_grid or default_phi_grid()
     ks = [nearest_perfect_phase(phi) for phi in grid]
+    geometries = [g for g in cfg.geometries if g in ("linear3", "star4")]
     tables: dict[str, ResultTable] = {}
-    for geometry in (g_ for g_ in cfg.geometries if g_ in ("linear3", "star4")):
-        if placements and geometry in placements:
-            placement = placements[geometry]
-        else:
-            placement = _qft_placements_for(geometry, g, survey, 1)[0]
+    for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = _GEOMETRY_IDS[geometry]
         cells = (Cell(builders.qpe_on_geometry(placement, phi), (cfg.seed, _TAGS["qpe"], gid, i),
                       builders.qpe_expected_label(k))
@@ -510,4 +493,4 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig, survey: SurveyResult | None = Non
             metadata=_metadata(cfg, "qpe-sweep", "phi_rad", "fidelity", geometry=geometry,
                                placement=list(placement.qubits)),
         )
-    return QpeSweepResult(tables)
+    return tables

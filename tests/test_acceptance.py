@@ -397,13 +397,8 @@ def test_criterion_6d_weak_qubit_dip(chain_sweep, cal):
 def test_criterion_6e_qpe_ratio_spread(g, cal):
     cfg = ExperimentConfig(calibration=cal, graph=g, shots=SHOTS, seed=SEED,
                            geometries=("linear3", "star4"))
-    placements = {
-        "linear3": topology.enumerate_linear_triples(g)[0],
-        "star4": topology.enumerate_stars(g)[0],
-    }
-    result = run_qpe_phase_sweep(cfg, placements=placements)
     checks = []
-    for geometry, table in result.tables.items():
+    for geometry, table in run_qpe_phase_sweep(cfg).items():
         ratios = np.array([r.extras["ratio"] for r in table.rows])
         spread = float(ratios.std() / ratios.mean())
         checks.append((f"{geometry}: measured/theoretical spread {spread:.3f} < 0.1",

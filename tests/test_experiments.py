@@ -1,10 +1,11 @@
 """Experiment drivers: closed-loop recovery, noiseless limits, trends."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nisq_lab import builders, topology
+from nisq_lab import builders, experiments, topology
 from nisq_lab.experiments import (
     ExperimentConfig,
     default_phi_grid,
@@ -160,20 +161,38 @@ def test_survey_top_placements_ranking(graph):
 
 def test_qft_perfect_noiseless_all_ones(graph):
     cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=32, seed=0, top_k=1)
-    result = run_qft_perfect_phases(cfg)
-    for geometry, table in result.tables.items():
+    tables = run_qft_perfect_phases(cfg)
+    assert list(tables) == list(cfg.geometries)
+    for geometry, table in tables.items():
         assert [r.x for r in table.rows] == list(range(8))
         assert all(r.f1 == 1.0 for r in table.rows), geometry
         assert all(r.f2 == 1.0 for r in table.rows), geometry
-    assert result.cnot_counts["star4"] == result.cnot_counts["linear3"] - 2
+    assert tables["star4"].metadata["cnot_count"] == tables["linear3"].metadata["cnot_count"] - 2
+
+
+def test_qft_rejects_unsupported_geometry_before_any_cell(graph, default_cal, monkeypatch):
+    calls = []
+    real = experiments.run_shots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_shots", counting)
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1,
+                           geometries=("linear3", "ring6-1chains"))
+    with pytest.raises(ValueError, match="unsupported QFT geometry 'ring6-1chains'"):
+        run_qft_perfect_phases(cfg)
+    assert calls == []
 
 
 def test_qpe_sweep_noiseless_matches_theory(graph):
     grid = tuple(np.arange(0.0, 9.0) * (math.pi / 16.0))
     cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=4000, seed=21,
                            geometries=("linear3",), phi_grid=grid)
-    result = run_qpe_phase_sweep(cfg)
-    table = result.tables["linear3"]
+    tables = run_qpe_phase_sweep(cfg)
+    assert list(tables) == ["linear3"]
+    table = tables["linear3"]
     for row in table.rows:
         theory = row.extras["theoretical"]
         sigma = math.sqrt(max(theory * (1 - theory), 1e-9) / 4000)
@@ -241,3 +260,64 @@ def test_ccnot_survey_rejects_repeated_or_unknown_families(default_cal, families
     with pytest.raises(ValueError, match="families must list distinct entries from linear3, "
                                          "star4, ring6-3chain, ring6-1chains"):
         run_ccnot_survey(cfg, families=families)
+
+
+# ---------------------------------------------------------------------------
+# Seed keys: a subset run draws the full run's counts
+# ---------------------------------------------------------------------------
+
+SUBSET_SHOTS = 200
+
+
+def _rows(table):
+    return [(r.x, r.f1, r.f2, r.shots) for r in table.rows]
+
+
+def test_survey_family_subset_draws_the_full_survey_counts(graph, default_cal):
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=3)
+    full = {c.label: (c.f1, c.f2) for c in run_ccnot_survey(cfg).cells}
+    assert len(full) == 156
+    star = {c.label: (c.f1, c.f2) for c in run_ccnot_survey(cfg, families=("star4",)).cells}
+    assert len(star) == 36
+    assert star == {label: full[label] for label in star}
+
+
+def test_chain_strategy_subset_draws_the_full_sweep_counts(graph, default_cal):
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=3)
+    full = run_cnot_chain_sweep(cfg)
+    sub = run_cnot_chain_sweep(replace(cfg, strategies=("cnot-reset",)))
+    assert set(sub.tables) == {(o, "cnot-reset") for o in cfg.orientations}
+    for key, table in sub.tables.items():
+        assert _rows(table) == _rows(full.tables[key]), key
+    assert _rows(sub.averages["cnot-reset"]) == _rows(full.averages["cnot-reset"])
+
+
+def test_qft_geometry_subset_matches_the_default_run(graph, default_cal):
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=3)
+    full = run_qft_perfect_phases(cfg)["star4"]
+    star = run_qft_perfect_phases(replace(cfg, geometries=("star4",)))["star4"]
+    assert star.metadata["placements"] == full.metadata["placements"]
+    assert _rows(star) == _rows(full)
+
+
+@pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo, run_cnot_chain_sweep,
+                                 run_ccnot_survey, run_qft_perfect_phases, run_qpe_phase_sweep])
+def test_seed_keys_are_distinct_and_one_length_per_tag(graph, default_cal, monkeypatch, run):
+    """numpy's SeedSequence flattens nested keys and ignores trailing zeros
+    ([1, 2] and [1, 2, 0] seed one stream), so keys stay distinct streams
+    only if all keys under one experiment tag have one length."""
+    keys = []
+    real = experiments.run_shots
+
+    def recording(scheduled, cal, shots, seed):
+        keys.append(tuple(seed))
+        return real(scheduled, cal, shots, seed)
+
+    monkeypatch.setattr(experiments, "run_shots", recording)
+    run(ExperimentConfig(calibration=default_cal, graph=graph, shots=16, seed=7))
+    assert keys
+    assert len(set(keys)) == len(keys)
+    lengths: dict[int, set[int]] = {}
+    for key in keys:
+        lengths.setdefault(key[1], set()).add(len(key))
+    assert all(len(ls) == 1 for ls in lengths.values()), lengths
