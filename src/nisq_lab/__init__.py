@@ -1,6 +1,7 @@
 """Simulated coherence, CNOT-chain, CCNOT and inverse-QFT experiments on
-connectivity-constrained qubit lattices, with trajectory-based T1/T2 noise,
-f1/f2 fidelity scoring, and decay-curve fitting."""
+connectivity-constrained qubit lattices, with T1/T2 noise (exact outcome
+distributions, or bit-flip trajectories for classical circuits), f1/f2
+fidelity scoring, and decay-curve fitting."""
 
 __version__ = "0.1.0"
 

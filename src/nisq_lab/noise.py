@@ -12,28 +12,25 @@ two-qubit depolarizing channel (one of the 15 non-identity Pauli pairs with
 total probability two_qubit_error). Readout bit-flips apply at the final
 measurement. Outcomes are deterministic per (schedule, calibration, seed).
 
-``run_shots`` sends each circuit to one of three engines:
+``run_shots`` sends each circuit to one of two engines:
 
   * circuits built purely from X/CNOT/Delay stay computational-basis states
     and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
     each of an int64);
-  * other circuits with 2**n <= shots run on the exact density-matrix
-    engine, which computes the outcome distribution once and draws a
-    multinomial from it; its 4**n state is never larger than the
-    shots * 2**n batch it replaces. Each single-qubit gate or CNOT (with
-    its depolarizing channel) is one superoperator, indexed qubit by qubit
-    so that channels on different qubits compose by kron, and the idle
-    windows the gate closes are folded into it. Windows still open at
-    readout only damp the populations, before the readout flips. Window and
-    gate matrices are built once, in bounded memos;
-  * the rest run as a dense batch of statevector trajectories (the
-    quantum-jump unraveling of the same channels) up to 14 qubits.
+  * every other circuit runs on the exact engine, which holds the density
+    matrix as its 4**n real Pauli coefficients, computes the outcome
+    distribution once and draws a multinomial from it. Each single-qubit
+    gate or CNOT (with its depolarizing channel) is one Pauli transfer
+    matrix, indexed qubit by qubit so that channels on different qubits
+    compose by kron, and the idle windows the gate closes are folded into
+    it. Windows still open at readout only damp the populations, before the
+    readout flips. Window and gate matrices are built once, in bounded memos.
 
-The trajectory engines sample the ensemble average that the exact engine
-computes. All three apply each qubit's idle charge (``_channel_rates``) once
-per idle window (from one gate on the qubit to its next gate, or to readout)
-for the window's summed duration, which is the same channel as charging it
-layer by layer (see ``_idle_windows``). The bit-vector engine draws, for each
+The bit-vector engine samples the ensemble average that the exact engine
+computes. Both apply each qubit's idle charge (``_channel_rates``) once per
+idle window (from one gate on the qubit to its next gate, or to readout) for
+the window's summed duration, which is the same channel as charging it layer
+by layer (see ``_idle_windows``). The bit-vector engine draws, for each
 damping window, depolarizing channel and readout flip, only the shots the
 event hits (``_hits``: a uniform subset of Binomial(shots, p) rows, the same
 law as per-shot trials) and touches only those rows.
@@ -57,7 +54,6 @@ from .simulator import (
     PAULI_Z,
     TAU,
     apply_single_qubit,
-    apply_op_array,
     gate_matrix,
     is_json_number,
 )
@@ -361,45 +357,14 @@ def _idle_windows(
     return steps
 
 
-def _idle_batch(amps: np.ndarray, qubit: int, n: int, gamma: float, pz: float,
-                phase: float, rng: np.random.Generator) -> None:
-    """Apply the three idle channels to one qubit of a (shots, 2**n) batch in
-    place: each shot's |0> and |1> halves are scaled by per-shot factors,
-    and only the rows that jump are copied."""
-    shots = amps.shape[0]
-    a = 1 << qubit
-    b = 1 << (n - qubit - 1)
-    v = amps.reshape(shots, a, 2, b)
-    f1 = np.full(shots, complex(math.cos(phase), math.sin(phase)))
-    if gamma > 0.0:
-        v1 = v[:, :, 1, :]
-        p1 = np.einsum("sab,sab->s", v1.real, v1.real) + np.einsum(
-            "sab,sab->s", v1.imag, v1.imag
-        )
-        jump = np.flatnonzero(rng.random(shots) < gamma * p1)
-        jumped = v[jump, :, 1, :] / np.sqrt(p1[jump])[:, None, None]
-        no_jump = 1.0 - gamma * p1
-        no_jump[jump] = 1.0  # these rows are overwritten below
-        f0 = 1.0 / np.sqrt(no_jump)
-        f1 *= f0 * math.sqrt(1.0 - gamma)
-        f1[jump] = 0.0
-        v[:, :, 0, :] *= f0[:, None, None]
-    if pz > 0.0:
-        f1[rng.random(shots) < pz] *= -1.0
-    v[:, :, 1, :] *= f1[:, None, None]
-    if gamma > 0.0:
-        v[jump, :, 0, :] = jumped
-
-
 # ---------------------------------------------------------------------------
-# Trajectory engines
+# Bit-vector engine
 # ---------------------------------------------------------------------------
 
 _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
 
 # two-qubit depolarizing: codes 1..15 map to Pauli pairs (code>>2, code&3)
 # with 0=I, 1=X, 2=Y, 3=Z; X and Y components flip the measured bit
-_PAULI_MATS = (None, PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
 
 
@@ -458,69 +423,24 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     return states
 
 
-def _depolarize_batch(amps: np.ndarray, c: int, t: int, n: int, p: float,
-                      rng: np.random.Generator) -> None:
-    shots = amps.shape[0]
-    err_rows = np.nonzero(rng.random(shots) < p)[0]
-    if err_rows.size == 0:
-        return
-    codes = rng.integers(1, 16, size=err_rows.size)
-    for code in np.unique(codes):
-        rows = err_rows[codes == code]
-        sub = amps[rows]
-        pc, pt = code >> 2, code & 3
-        if pc:
-            sub = apply_single_qubit(sub, _PAULI_MATS[pc], c, n)
-        if pt:
-            sub = apply_single_qubit(sub, _PAULI_MATS[pt], t, n)
-        amps[rows] = sub
-
-
-def _run_dense_batch(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    n = scheduled.n_qubits
-    dim = 1 << n
-    amps = np.zeros((shots, dim), dtype=complex)
-    amps[:, 0] = 1.0
-    p2 = cal.two_qubit_error
-    for windows, ops in _idle_windows(scheduled):
-        for q, dt in windows:
-            gamma, pz, phase = _channel_rates(cal.params_for(q), dt)
-            if gamma > 0.0 or pz > 0.0 or phase != 0.0:
-                _idle_batch(amps, q, n, gamma, pz, phase, rng)
-        for op in ops:
-            if op.kind in ("MEASURE", "DELAY"):
-                continue
-            amps = apply_op_array(amps, op, n)
-            if op.kind == "CNOT" and p2 > 0.0:
-                _depolarize_batch(amps, op.qubits[0], op.qubits[1], n, p2, rng)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(shots)
-    outcomes = np.minimum((cum < u[:, None]).sum(axis=1), dim - 1).astype(np.int64)
-    for q in range(n):
-        r = cal.params_for(q).readout_error
-        if r > 0.0:
-            flips = rng.random(shots) < r
-            outcomes ^= flips.astype(np.int64) << (n - 1 - q)
-    return outcomes
-
-
 # ---------------------------------------------------------------------------
-# Exact density-matrix engine
+# Exact engine: the density matrix as real Pauli coefficients
 # ---------------------------------------------------------------------------
-# rho is a 2n-axis tensor: row qubit q is axis q and column qubit q is axis
-# n + q. An operation on k qubits is a 4**k x 4**k superoperator acting on
-# their row and column axes. Its index takes each qubit's (row bit, column
-# bit) pair in turn, so U rho U^dagger on one qubit is kron(U, U*) and
-# channels on different qubits compose by kron.
+# rho = 2**-n sum_P r_P P over the Pauli strings P, with r_P = Tr(P rho)
+# real since rho is Hermitian. The r_P form an n-axis (4,)*n tensor: axis q
+# is qubit q's Pauli in I, X, Y, Z order. An operation on k qubits is a real
+# 4**k x 4**k Pauli transfer matrix (PTM) on their axes, and channels on
+# different qubits compose by kron. Every channel of the model has a real
+# PTM (Chow et al., PRL 109, 060501, 2012).
 #
-# The memos below build each small matrix once and return it read-only. The
-# 156 survey cells close 7,224 windows with 708 distinct (params, dt) keys and
-# apply 4 distinct gates. Full, the memos hold about 1.4 MiB: 1024 windows at
-# 0.55 KiB, 256 gates at 0.7 KiB, 16 CNOTs at 2.7 KiB and 1024 axis
-# permutations at up to 0.65 KiB each (tracemalloc, numpy 2.4).
+# Each memo below writes its channel once as a superoperator S on a qubit's
+# (row bit, column bit) index of rho, where U rho U^dagger is kron(U, U*),
+# maps it once to the PTM T S T^-1 (``_pauli_transfer``) and returns it
+# read-only. The 156 survey cells close 7,224 windows with 708 distinct
+# (params, dt) keys and apply 4 distinct gates. Full, the memos hold about
+# 1.4 MiB: 1024 windows at 0.5 KiB, 256 gates at 0.4 KiB, 16 CNOTs at
+# 2.3 KiB and 1024 axis permutations at up to 0.8 KiB each (13 qubits;
+# tracemalloc, numpy 2.4).
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -534,31 +454,41 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
+# Tr(P rho) = P^T.ravel() . rho.ravel(), and rho = sum_P r_P P / 2
+_T = np.array([p.T.ravel() for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)])
+_T_INV = _T.conj().T / 2.0  # column P is P.ravel() / 2
 _CX = np.eye(4)[[0, 1, 3, 2]]  # CNOT on (control, target); real, so CX* = CX
 _NO_IDLE = _read_only(np.eye(4))
+_TO_POPULATIONS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (r_I, r_Z) -> (P(0), P(1))
+
+
+def _pauli_transfer(s: np.ndarray) -> np.ndarray:
+    """The real PTM of a one- or two-qubit superoperator s."""
+    t, t_inv = (_T, _T_INV) if len(s) == 4 else (_kron(_T, _T), _kron(_T_INV, _T_INV))
+    return _read_only((t @ s @ t_inv).real.copy())
 
 
 @functools.lru_cache(maxsize=1024)
 def _idle_superop(params: QubitNoiseParams, dt: float) -> np.ndarray:
-    """The 4x4 of a (qubit, dt) idle window: damping moves gamma of |1><1|
+    """The PTM of a (qubit, dt) idle window: damping moves gamma of |1><1|
     to |0><0|, and the coherences shrink and turn by c."""
     gamma, pz, phase = _channel_rates(params, dt)
     c = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz) * complex(math.cos(phase), math.sin(phase))
-    return _read_only(np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
-                                [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]]))
+    return _pauli_transfer(np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
+                                     [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]]))
 
 
 @functools.lru_cache(maxsize=256)
 def _gate_superop(kind: str, angle: float) -> np.ndarray:
-    """kron(U, U*) of a single-qubit gate."""
+    """The PTM of a single-qubit gate, from kron(U, U*)."""
     u = gate_matrix(GateOp(kind, (0,), angle))
-    return _read_only(_kron(u, u.conj()))
+    return _pauli_transfer(_kron(u, u.conj()))
 
 
 @functools.lru_cache(maxsize=16)
 def _cnot_superop(p2: float) -> np.ndarray:
-    """A CNOT and then its two-qubit depolarizing channel, on the index
-    (control row, control column, target row, target column)."""
+    """The PTM of a CNOT and then its two-qubit depolarizing channel, on the
+    index (control Pauli, target Pauli)."""
     # (1 - lam) rho + lam Tr_ct(rho) (x) I/4, with lam = 16p/15, is the
     # average over the 15 non-identity Pauli pairs
     lam = 16.0 * p2 / 15.0
@@ -566,38 +496,30 @@ def _cnot_superop(p2: float) -> np.ndarray:
     s = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ _kron(_CX, _CX)
     # from (row c, row t, column c, column t) to the qubit-by-qubit index
     s = s.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-    return _read_only(s)
+    return _pauli_transfer(s)
 
 
 @functools.lru_cache(maxsize=1024)
 def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that brings ``qubits``' (row, column) axis pairs to the
-    front, and its inverse."""
-    axes = [a for q in qubits for a in (q, n + q)]
-    perm = axes + [a for a in range(2 * n) if a not in axes]
-    return tuple(perm), tuple(sorted(range(2 * n), key=perm.__getitem__))
-
-
-def _apply_superop(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply superoperator s to the row and column axes of ``qubits``."""
-    perm, inverse = _superop_axes(qubits, n)
-    v = rho.transpose(perm)
-    return (s @ v.reshape(len(s), -1)).reshape(v.shape).transpose(inverse)
+    """The transpose that brings ``qubits``' axes to the front, and its
+    inverse."""
+    perm = qubits + tuple(a for a in range(n) if a not in qubits)
+    return perm, tuple(sorted(range(n), key=perm.__getitem__))
 
 
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
     """Exact outcome distribution over the 2**n basis labels, readout error
-    included: the ensemble average that the trajectory engines sample.
+    included: the ensemble average that the bit-vector engine samples.
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
-    that closes it. Windows still open at readout act on the diagonal alone,
-    where phase and drift are invisible, so only their damping is applied,
-    before the readout confusion."""
+    that closes it. Readout sees only the {I, Z}^n coefficients. Windows
+    still open at readout act there as damping alone, since phase and drift
+    only move X and Y; then each qubit's (r_I, r_Z) become populations, and
+    the readout confusion acts last."""
     n = scheduled.n_qubits
-    dim = 1 << n
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
+    rho = np.zeros((4,) * n)
+    rho[(slice(None, None, 3),) * n] = 1.0  # |0><0| = (I + Z) / 2 on every qubit
     *steps, (readout_windows, _) = _idle_windows(scheduled)
     for windows, ops in steps:
         idle = {q: _idle_superop(cal.params_for(q), dt) for q, dt in windows}
@@ -613,25 +535,27 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
                     s = s @ idle[op.qubits[0]]
             else:
                 continue
-            rho = _apply_superop(rho, s, op.qubits, n)
-    probs = np.clip(rho.reshape(dim, dim).diagonal().real, 0.0, None)
+            perm, inverse = _superop_axes(op.qubits, n)
+            # the reshape copies rho unless perm keeps its order; rebinding
+            # rho frees the old state before the product allocates its own
+            rho = rho.transpose(perm).reshape(len(s), -1)
+            rho = (s @ rho).reshape((4,) * n).transpose(inverse)
+    probs = rho[(slice(None, None, 3),) * n].reshape(-1)
     open_at_readout = dict(readout_windows)
     for q in range(n):
         params = cal.params_for(q)
         r = params.readout_error
-        m = np.array([[1.0 - r, r], [r, 1.0 - r]])
+        m = np.array([[1.0 - r, r], [r, 1.0 - r]]) @ _TO_POPULATIONS
         if q in open_at_readout:
-            # [[1, gamma], [0, 1 - gamma]]: the window's action on populations
-            m = m @ _idle_superop(params, open_at_readout[q])[::3, ::3].real
-        elif r == 0.0:
-            continue
+            # [[1, 0], [gamma, 1 - gamma]]: the window's action on (r_I, r_Z)
+            m = m @ _idle_superop(params, open_at_readout[q])[::3, ::3]
         probs = apply_single_qubit(probs, m, q, n)
+    probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
 
-_DENSE_QUBIT_LIMIT = 14
-_CLASSICAL_QUBIT_LIMIT = 63  # one bit per qubit of an int64 shot
-_DENSE_PEAK_COPIES = 3.5
+_QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
+_DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 
@@ -640,17 +564,16 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[str, int]:
     """Noisy shot counts; deterministic per (schedule, calibration, seed).
 
-    Raises SimulationError for a non-classical circuit above
-    _DENSE_QUBIT_LIMIT qubits or a bit-vector one above
-    _CLASSICAL_QUBIT_LIMIT, and before allocating when the engine's
-    estimated peak memory exceeds _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 16 B
-    x the complex state's entries (4**n exact, shots * 2**n trajectories),
-    or _CLASSICAL_PEAK_COPIES x 8 B x shots (bit-vector). tracemalloc peaks
-    (numpy 2.4) were 3.00-3.01 copies on the exact engine and 3.0-3.3 on the
-    trajectories at 64-2000 shots (cnot-reset chains of 8-10 qubits), and
-    2.25-3.2 on the bit-vector engine (t1 and 20-qubit chain cells at
-    10**3-10**6 shots), up to 26.6 when every shot reads a distinct 62-bit
-    label and the returned dict dominates."""
+    Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and
+    before allocating when the engine's estimated peak memory exceeds
+    _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients
+    on the exact engine (so it runs up to 13 qubits, at any shot count), or
+    _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine. tracemalloc peaks (numpy 2.4) were 2.00-2.01
+    copies of the coefficients on the exact engine (superposed-control
+    cnot-reset chains of 8-10 qubits: 16.0 MiB at 10), and 2.25-3.2 on the
+    bit-vector engine (t1 and 20-qubit chain cells at 10**3-10**6 shots),
+    up to 26.6 when every shot reads a distinct 62-bit label and the
+    returned dict dominates."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:
@@ -658,18 +581,12 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     n = scheduled.n_qubits
     if cal.n_qubits < n:
         raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
+    if n > _QUBIT_LIMIT:
+        raise SimulationError(f"circuits above {_QUBIT_LIMIT} qubits are not supported")
     if _is_classical(scheduled):
-        if n > _CLASSICAL_QUBIT_LIMIT:
-            raise SimulationError(f"bit-vector circuits above {_CLASSICAL_QUBIT_LIMIT} qubits "
-                                  "are not supported")
         engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
-    elif n > _DENSE_QUBIT_LIMIT:
-        raise SimulationError(f"non-classical circuits above {_DENSE_QUBIT_LIMIT} qubits "
-                              "are not supported")
-    elif (1 << n) <= shots:
-        engine, need = "exact", _DENSE_PEAK_COPIES * 16 * (1 << 2 * n)
     else:
-        engine, need = "trajectory", _DENSE_PEAK_COPIES * 16 * (shots << n)
+        engine, need = "exact", _DENSE_PEAK_COPIES * 8 * 4.0**n
     if need > _MEMORY_BUDGET:
         raise SimulationError(f"the {engine} engine would need about {need / 2**20:.0f} MiB "
                               f"for {n} qubits at {shots} shots, above the "
@@ -680,8 +597,7 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
         values = np.flatnonzero(draws)
         counts = draws[values]
     else:
-        run, stream = (_run_classical, 1) if engine == "bit-vector" else (_run_dense_batch, 2)
-        outcomes = run(scheduled, cal, shots, np.random.default_rng([seed, stream]))
+        outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
         values, counts = np.unique(outcomes, return_counts=True)
     fmt = f"0{n}b"  # basis_label's format, without a call per outcome
     return {format(v, fmt): c for v, c in zip(values.tolist(), counts.tolist())}

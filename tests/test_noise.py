@@ -1,4 +1,4 @@
-"""Scheduling, idle channels, trajectory engines, and calibration files."""
+"""Scheduling, idle channels, the bit-vector and exact engines, and calibration files."""
 import json
 import math
 
@@ -14,7 +14,6 @@ from nisq_lab.noise import (
     _hits,
     _idle_windows,
     _run_classical,
-    _run_dense_batch,
     CalibrationError,
     DeviceCalibration,
     DurationModel,
@@ -187,22 +186,10 @@ def test_noiseless_limit_matches_sample_shots_deterministic():
     assert counts == {"111": 400}
 
 
-def _trajectory_counts(sched, cal, shots, seed):
-    """Counts from the dense trajectory batch on run_shots's stream for it,
-    whatever engine run_shots itself would pick for the cell."""
-    outcomes = _run_dense_batch(sched, cal, shots, np.random.default_rng([seed, 2]))
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {basis_label(int(v), sched.n_qubits): int(c) for v, c in zip(values, counts)}
-
-
-# run_shots sends the next three cells to the exact engine (2**n <= shots);
-# each *_on_trajectories twin runs the same check on the trajectory batch,
-# which serves wider cells
-
-def test_noiseless_limit_matches_sample_shots_distribution(run=run_shots):
+def test_noiseless_limit_matches_sample_shots_distribution():
     cal = flat_cal(2)
     c = Circuit(2).h(0).cnot(0, 1).measure(0).measure(1)
-    counts = run(schedule(c, cal.durations), cal, 8000, 5)
+    counts = run_shots(schedule(c, cal.durations), cal, 8000, 5)
     ideal = apply_circuit(StateVector.zero(2), Circuit(2).h(0).cnot(0, 1))
     reference = sample_shots(ideal, 8000, seed=6)
     assert set(counts) == set(reference) == {"00", "11"}
@@ -210,23 +197,15 @@ def test_noiseless_limit_matches_sample_shots_distribution(run=run_shots):
     assert abs(counts["11"] / 8000 - 0.5) < 5 * sigma
 
 
-def test_noiseless_limit_matches_sample_shots_distribution_on_trajectories():
-    test_noiseless_limit_matches_sample_shots_distribution(_trajectory_counts)
-
-
-def test_echo_refocuses_pure_drift_exactly(run=run_shots):
+def test_echo_refocuses_pure_drift_exactly():
     cal = flat_cal(1, omega=2 * math.pi * 0.25e6)
     for dt in (1e-6, 8e-6, 21e-6):
         c = Circuit(1).h(0).delay(dt / 2, 0).x(0).delay(dt / 2, 0).h(0).measure(0)
-        counts = run(schedule(c, cal.durations), cal, 2000, 3)
+        counts = run_shots(schedule(c, cal.durations), cal, 2000, 3)
         assert counts == {"0": 2000}
 
 
-def test_echo_refocuses_pure_drift_exactly_on_trajectories():
-    test_echo_refocuses_pure_drift_exactly(_trajectory_counts)
-
-
-def test_ramsey_damped_cosine_closed_form(run=run_shots):
+def test_ramsey_damped_cosine_closed_form():
     t2 = 40e-6
     omega = 2 * math.pi * 0.1e6
     cal = flat_cal(1, t1=INF, t2=t2, omega=omega)
@@ -236,16 +215,12 @@ def test_ramsey_damped_cosine_closed_form(run=run_shots):
         if dt > 0:
             c.delay(dt, 0)
         c.h(0).measure(0)
-        counts = run(schedule(c, cal.durations), cal, shots, 17)
+        counts = run_shots(schedule(c, cal.durations), cal, shots, 17)
         # the superposition also evolves during the 100 ns pre-H layer
         tau = dt + 100e-9
         expected = 0.5 * (1 + math.exp(-tau / t2) * math.cos(omega * tau))
         sigma = math.sqrt(max(expected * (1 - expected), 1e-9) / shots)
         assert abs(counts.get("0", 0) / shots - expected) <= 5 * sigma
-
-
-def test_ramsey_damped_cosine_closed_form_on_trajectories():
-    test_ramsey_damped_cosine_closed_form(_trajectory_counts)
 
 
 def test_seed_determinism():
@@ -259,8 +234,8 @@ def test_seed_determinism():
 def test_classical_and_dense_paths_agree_in_distribution():
     """The bit-vector fast path and the exact engine sample the same law.
 
-    The phase gate makes the second circuit non-classical; at 40000 shots
-    its 2 qubits go to the exact density-matrix engine (2**n <= shots)."""
+    The phase gate makes the second circuit non-classical, so it runs on
+    the exact engine."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     classical = Circuit(2).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
     sched = schedule(classical, cal.durations)
@@ -319,13 +294,11 @@ def noisy_cells(draw, max_qubits, kinds=("H", "T", "S", "RPHI", "X", "DELAY"), m
 _DRIFT_SIGN_CAL = flat_cal(1, omega=TAU * 0.3e6)
 
 
-def _star4_survey_cell():
-    """A shipped star4 CCNOT cell as the survey runs it: controls prepared
-    in |1>, the compact circuit, every qubit measured, on the calibration of
-    its placement (33 ops on 4 qubits)."""
-    star = topology.enumerate_stars(topology.shipped_poughkeepsie())[0]
-    placement = topology.star_variants(star)[0]
-    built = builders.ccnot_on_geometry(placement, "star4-cnot-reset")
+def _survey_cell(placement, variant):
+    """A shipped CCNOT cell as the survey runs it: controls prepared in |1>,
+    the compact circuit, every qubit measured, on the calibration of its
+    placement."""
+    built = builders.ccnot_on_geometry(placement, variant)
     target = built.layout.index(placement.target)
     prep = [GateOp("X", (q,)) for q in built.computational_locals if q != target]
     cal = noise.default_calibration().subset(built.layout)
@@ -333,10 +306,26 @@ def _star4_survey_cell():
     return schedule(circuit, cal.durations), cal
 
 
+def _wide_chain_cell(width):
+    """A superposed-control cnot-reset chain along orientation 1 on the
+    shipped calibration, as the wide-dense benchmark workload runs it."""
+    path = topology.chain_paths(topology.shipped_poughkeepsie(), 1)[:width]
+    built = builders.cnot_chain(path, "cnot-reset", control_in_superposition=True)
+    circuit = Circuit(width, [GateOp("H", (0,))] + built.circuit.ops).measure_all()
+    cal = noise.default_calibration().subset(built.layout)
+    return schedule(circuit, cal.durations), cal
+
+
+_STAR4 = topology.star_variants(topology.enumerate_stars(topology.shipped_poughkeepsie())[0])[0]
+_RING6 = topology.ring_placements(topology.shipped_poughkeepsie(), "ring6-3chain")[0]
+
+
 @given(noisy_cells(max_qubits=3))
 @example((schedule(Circuit(1).h(0).delay(1e-6, 0).t(0).h(0).measure(0),
                    _DRIFT_SIGN_CAL.durations), _DRIFT_SIGN_CAL))
-@example(_star4_survey_cell())
+@example(_survey_cell(_STAR4, "star4-cnot-reset"))  # 33 ops on 4 qubits
+@example(_survey_cell(_RING6, "ring6-3chain"))
+@example(_wide_chain_cell(6))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
@@ -362,23 +351,10 @@ def _within_5_sigma(count: int, shots: int, p: float) -> bool:
     return abs(count - shots * p) <= slack + math.sqrt(slack**2 + 25.0 * shots * p * (1 - p))
 
 
-# derandomized: a sampled histogram against a bound must see the same
-# examples on every run
-@given(noisy_cells(max_qubits=4))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_trajectory_histograms_match_exact_distribution(cell):
-    sched, cal = cell
-    shots = 4000
-    probs = _exact_probabilities(sched, cal)
-    outcomes = _run_dense_batch(sched, cal, shots, np.random.default_rng(0))
-    counts = np.bincount(outcomes, minlength=len(probs))
-    for k, (count, p) in enumerate(zip(counts, probs)):
-        label = basis_label(k, sched.n_qubits)
-        assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
-
-
 # X/CNOT/DELAY circuits run on the bit-vector engine, whose idle windows
-# span many layers; up to 16 ops on n <= 4 qubits leave long idle gaps
+# span many layers; up to 16 ops on n <= 4 qubits leave long idle gaps.
+# Derandomized: a sampled histogram against a bound must see the same
+# examples on every run.
 @given(noisy_cells(max_qubits=4, kinds=("X", "DELAY"), max_ops=16))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_classical_histograms_match_exact_distribution(cell):
@@ -454,23 +430,19 @@ def test_idle_windows_charge_all_time_after_first_gate(cell):
             assert q not in charged
 
 
-def test_exact_engine_runs_when_basis_fits_in_shots():
+def test_exact_engine_runs_at_any_shot_count():
     """Non-classical cells draw a multinomial from the exact distribution
-    when 2**n <= shots, and run trajectories otherwise."""
+    on stream 3 of the seed, whether or not 2**n <= shots."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
     probs = _exact_probabilities(sched, cal)
-    draws = np.random.default_rng([5, 3]).multinomial(4, probs)
-    exact = {basis_label(k, 2): int(c) for k, c in enumerate(draws) if c}
-    assert run_shots(sched, cal, 4, 5) == exact
-    outcomes = _run_dense_batch(sched, cal, 3, np.random.default_rng([5, 2]))
-    values, counts = np.unique(outcomes, return_counts=True)
-    trajectories = {basis_label(int(v), 2): int(c) for v, c in zip(values, counts)}
-    assert run_shots(sched, cal, 3, 5) == trajectories
+    for shots in (3, 4):
+        draws = np.random.default_rng([5, 3]).multinomial(shots, probs)
+        exact = {basis_label(k, 2): int(c) for k, c in enumerate(draws) if c}
+        assert run_shots(sched, cal, shots, 5) == exact
 
 
-@pytest.mark.parametrize("prep, shots", [("x", 10), ("h", 10), ("h", 3)],
-                         ids=["classical", "exact", "trajectory"])
+@pytest.mark.parametrize("prep, shots", [("x", 10), ("h", 10)], ids=["classical", "exact"])
 def test_missing_seed_rejected(prep, shots):
     cal = flat_cal(2)
     c = Circuit(2)
@@ -501,13 +473,16 @@ def test_depolarizing_error_rate_applied():
 
 
 def test_large_nonclassical_circuit_rejected():
-    cal = flat_cal(16)
-    c = Circuit(16).h(0)
-    for i in range(15):
-        c.cnot(i, i + 1)
-    c.measure_all()
-    with pytest.raises(SimulationError):
-        run_shots(schedule(c, cal.durations), cal, 10, 0)
+    """The memory budget refuses the exact engine from 14 qubits on, before
+    allocating anything."""
+    for n in (14, 16):
+        cal = flat_cal(n)
+        c = Circuit(n).h(0)
+        for i in range(n - 1):
+            c.cnot(i, i + 1)
+        c.measure_all()
+        with pytest.raises(SimulationError, match="exact engine"):
+            run_shots(schedule(c, cal.durations), cal, 10, 0)
 
 
 @pytest.mark.parametrize("n", [63, 64])
@@ -527,22 +502,19 @@ def test_bit_vector_width_limit(n):
 
 
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
-    """The pre-flight estimate is _DENSE_PEAK_COPIES * 16 B per state entry:
-    4**n entries on the exact engine, shots * 2**n on the trajectories; and
+    """The pre-flight estimate is _DENSE_PEAK_COPIES * 8 B per Pauli
+    coefficient (4**n of them, at any shot count) on the exact engine, and
     _CLASSICAL_PEAK_COPIES * 8 B per shot on the bit-vector engine."""
     cal = flat_cal(2, t1=30e-6, t2=40e-6)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
-    exact_need = noise._DENSE_PEAK_COPIES * 16 * 4**2
-    trajectory_need = noise._DENSE_PEAK_COPIES * 16 * 3 * 2**2
+    exact_need = noise._DENSE_PEAK_COPIES * 8 * 4**2
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need)
     run_shots(sched, cal, 10, 0)
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need - 1)
-    with pytest.raises(SimulationError, match="exact engine"):
-        run_shots(sched, cal, 10, 0)
     run_shots(sched, cal, 3, 0)
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", trajectory_need - 1)
-    with pytest.raises(SimulationError, match="trajectory engine"):
-        run_shots(sched, cal, 3, 0)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need - 1)
+    for shots in (10, 3):
+        with pytest.raises(SimulationError, match="exact engine"):
+            run_shots(sched, cal, shots, 0)
     classical = schedule(Circuit(2).x(0).cnot(0, 1).measure_all(), cal.durations)
     classical_need = noise._CLASSICAL_PEAK_COPIES * 8 * 10
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need)
