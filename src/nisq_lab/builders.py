@@ -4,7 +4,8 @@ Every builder emits a BuiltCircuit whose gates act on *local* qubit
 indices; ``layout[local]`` gives the device qubit, so the same circuit can
 be validated against a coupling graph or simulated compactly. Local order
 follows the placement's geometric order (chain order, ring order, outer
-qubits then star center), which is also the order of counts-string bits.
+qubits then star center), which is also the order of outcome bits, most
+significant first.
 
 Constructions:
   * SWAP as three alternating CNOTs; distant CNOT / controlled-phase via a

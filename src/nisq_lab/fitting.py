@@ -9,7 +9,6 @@ scale: 1 - SS_res / SS_tot. Convergence: relative parameter change below
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,34 +16,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """f1 = fraction of shots whose computational substring matches the
-    desired outcome; f2 additionally requires the ancilla substring."""
+    """f1 = fraction of shots whose computational bits read the desired
+    outcome; f2 additionally requires the ancilla bits."""
 
     f1: float
     f2: float
     shots: int
-    roles: tuple[str, ...]
-    desired_computational: str
-    desired_ancilla: str
 
 
-def _picker(positions: list[int]):
-    """key -> the tuple of its characters at ``positions``."""
-    if len(positions) > 1:
-        return operator.itemgetter(*positions)
-    return lambda key: tuple(key[i] for i in positions)
+def _mask_and_want(positions: list[int], bits: str, n: int) -> tuple[int, int]:
+    """The bits of ``positions`` in an n-bit outcome (position 0 the most
+    significant), and the value they hold when they read ``bits``."""
+    mask = want = 0
+    for i, bit in zip(positions, bits):
+        mask |= 1 << (n - 1 - i)
+        want |= int(bit, 2) << (n - 1 - i)
+    return mask, want
 
 
-def fidelity(counts: dict[str, int], roles, desired_computational: str,
+def fidelity(counts: dict[int, int], roles, desired_computational: str,
              desired_ancilla: str = "") -> FidelityReport:
     """Score shot counts against desired computational/ancilla outcomes.
 
-    ``roles`` tags every counts-string position; positions tagged
-    "ancilla" form the ancilla substring, everything else (control,
-    target, computational) forms the computational substring, both read in
-    ascending position order.
+    ``counts`` maps outcome integers to shots, qubit 0 the most significant
+    of ``len(roles)`` bits. Positions tagged "ancilla" are the ancilla bits;
+    every other position (control, target, computational) is a
+    computational bit. Each desired string lists its bits in ascending
+    position order and becomes a (mask, want) pair: an outcome v reads it
+    when ``v & mask == want``.
     """
     roles = tuple(roles)
+    n = len(roles)
     comp_idx = [i for i, r in enumerate(roles) if r != "ancilla"]
     anc_idx = [i for i, r in enumerate(roles) if r == "ancilla"]
     if len(desired_computational) != len(comp_idx):
@@ -56,29 +58,23 @@ def fidelity(counts: dict[str, int], roles, desired_computational: str,
         raise ValueError(
             f"desired ancilla string has {len(desired_ancilla)} bits, roles give {len(anc_idx)}"
         )
-    comp_of, anc_of = _picker(comp_idx), _picker(anc_idx)
-    want_comp, want_anc = tuple(desired_computational), tuple(desired_ancilla)
+    top = max(counts, default=0)
+    if top >> n:
+        raise ValueError(f"outcome {top} has more bits than the {n} roles")
+    comp_mask, comp_want = _mask_and_want(comp_idx, desired_computational, n)
+    anc_mask, anc_want = _mask_and_want(anc_idx, desired_ancilla, n)
     total = 0
     n_f1 = 0
     n_f2 = 0
-    for key, c in counts.items():
-        if len(key) != len(roles):
-            raise ValueError(f"counts key {key!r} does not match {len(roles)} roles")
+    for v, c in counts.items():
         total += c
-        if comp_of(key) == want_comp:
+        if v & comp_mask == comp_want:
             n_f1 += c
-            if anc_of(key) == want_anc:
+            if v & anc_mask == anc_want:
                 n_f2 += c
     if total == 0:
         raise ValueError("empty counts")
-    return FidelityReport(
-        f1=n_f1 / total,
-        f2=n_f2 / total,
-        shots=total,
-        roles=roles,
-        desired_computational=desired_computational,
-        desired_ancilla=desired_ancilla,
-    )
+    return FidelityReport(f1=n_f1 / total, f2=n_f2 / total, shots=total)
 
 
 @dataclass

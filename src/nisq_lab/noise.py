@@ -508,7 +508,7 @@ def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tup
 
 
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
-    """Exact outcome distribution over the 2**n basis labels, readout error
+    """Exact outcome distribution over the 2**n basis states, readout error
     included: the ensemble average that the bit-vector engine samples.
 
     Idle noise is charged once per idle window, which ``_idle_windows``
@@ -561,19 +561,22 @@ _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
-              seed) -> dict[str, int]:
-    """Noisy shot counts; deterministic per (schedule, calibration, seed).
+              seed) -> dict[int, int]:
+    """Noisy shot counts by outcome integer, qubit 0 the most significant
+    bit; deterministic per (schedule, calibration, seed).
 
     Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and
     before allocating when the engine's estimated peak memory exceeds
     _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients
     on the exact engine (so it runs up to 13 qubits, at any shot count), or
-    _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine. tracemalloc peaks (numpy 2.4) were 2.00-2.01
-    copies of the coefficients on the exact engine (superposed-control
-    cnot-reset chains of 8-10 qubits: 16.0 MiB at 10), and 2.25-3.2 on the
-    bit-vector engine (t1 and 20-qubit chain cells at 10**3-10**6 shots),
-    up to 26.6 when every shot reads a distinct 62-bit label and the
-    returned dict dominates."""
+    _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine.
+    tracemalloc peaks (numpy 2.4) were 2.00-2.01 copies of the coefficients
+    on the exact engine (superposed-control cnot-reset chains of 8-10
+    qubits: 16.0 MiB at 10), and on the bit-vector engine 2.25-3.4 copies
+    for a 20-qubit chain cell at 10**3-10**6 shots, up to 19.3 when every
+    shot reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4,
+    2*10**5 and 10**6 shots: 19.3, 19.2, 17.2) and the returned dict
+    dominates."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:
@@ -599,5 +602,4 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     else:
         outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
         values, counts = np.unique(outcomes, return_counts=True)
-    fmt = f"0{n}b"  # basis_label's format, without a call per outcome
-    return {format(v, fmt): c for v, c in zip(values.tolist(), counts.tolist())}
+    return dict(zip(values.tolist(), counts.tolist()))

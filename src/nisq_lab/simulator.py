@@ -1,9 +1,9 @@
 """Exact statevector simulation of small gate circuits.
 
 Bit-order convention used everywhere in this package: qubit 0 is the MOST
-significant bit of a basis label. For three qubits the label "110" means
+significant bit of a basis index. For three qubits the label "110" means
 qubit0=1, qubit1=1, qubit2=0 and corresponds to amplitude index 6. All
-counts dictionaries key on labels in this order.
+counts dictionaries key on these integer indices.
 
 The gate set is deliberately small (X, H, T, T`, S, S`, Rphi, CNOT plus
 Measure/Delay pseudo-ops): SWAP, CCNOT and controlled-phase gates are
@@ -242,10 +242,6 @@ def is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def basis_label(index: int, n_qubits: int) -> str:
-    return format(index, f"0{n_qubits}b")
-
-
 def basis_index(label: str) -> int:
     return int(label, 2)
 
@@ -375,16 +371,16 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return batch.T
 
 
-def sample_shots(state: StateVector, shots: int, seed: int | None = None) -> dict[str, int]:
-    """Draw shot outcomes from |amplitude|^2. Deterministic for a fixed seed."""
+def sample_shots(state: StateVector, shots: int, seed: int | None = None) -> dict[int, int]:
+    """Draw shot outcomes from |amplitude|^2, counted by basis index.
+    Deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     probs = state.probabilities()
     probs = probs / probs.sum()
     draws = rng.multinomial(shots, probs)
-    n = state.n_qubits
-    return {basis_label(i, n): int(c) for i, c in enumerate(draws) if c > 0}
+    return {i: int(c) for i, c in enumerate(draws) if c}
 
 
 def states_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:

@@ -26,39 +26,38 @@ from oracles import qpe_outcome_probability
 # ---------------------------------------------------------------------------
 
 def test_fidelity_no_ancilla():
-    rep = fidelity({"11": 800, "01": 200}, ("control", "target"), "11")
+    rep = fidelity({0b11: 800, 0b01: 200}, ("control", "target"), "11")
     assert rep.f1 == pytest.approx(0.8)
     assert rep.f2 == pytest.approx(0.8)
 
 
 def test_fidelity_with_ancilla():
-    rep = fidelity({"110": 600, "111": 400}, ("control", "target", "ancilla"), "11", "0")
+    rep = fidelity({0b110: 600, 0b111: 400}, ("control", "target", "ancilla"), "11", "0")
     assert rep.f1 == pytest.approx(1.0)
     assert rep.f2 == pytest.approx(0.6)
 
 
 def test_fidelity_role_positions_not_contiguous():
     # ancilla sits between the computational qubits
-    rep = fidelity({"101": 700, "111": 300}, ("control", "ancilla", "target"), "11", "0")
+    rep = fidelity({0b101: 700, 0b111: 300}, ("control", "ancilla", "target"), "11", "0")
     assert rep.f1 == pytest.approx(1.0)
     assert rep.f2 == pytest.approx(0.7)
 
 
 def test_fidelity_length_mismatch():
+    with pytest.raises(ValueError, match="more bits than the 2 roles"):
+        fidelity({0b111: 1}, ("control", "target"), "11")
     with pytest.raises(ValueError):
-        fidelity({"11": 1}, ("control", "target", "ancilla"), "11", "0")
-    with pytest.raises(ValueError):
-        fidelity({"11": 1}, ("control", "target"), "111")
+        fidelity({0b11: 1}, ("control", "target"), "111")
 
 
 def test_fidelity_stderr():
-    rep = fidelity({"11": 6400, "00": 1600}, ("control", "target"), "11")
+    rep = fidelity({0b11: 6400, 0b00: 1600}, ("control", "target"), "11")
     row = ResultRow(x=0, f1=rep.f1, f2=rep.f2, shots=rep.shots)
     assert row.f1_stderr == pytest.approx(math.sqrt(0.8 * 0.2 / 8000))
 
 
-@given(st.dictionaries(st.sampled_from(["000", "001", "010", "011", "100", "101", "110", "111"]),
-                       st.integers(1, 500), min_size=1),
+@given(st.dictionaries(st.integers(0, 0b111), st.integers(1, 500), min_size=1),
        st.sampled_from(["000", "010", "111"]),
        st.permutations(["computational", "computational", "ancilla"]))
 @settings(max_examples=60, deadline=None)
@@ -71,12 +70,14 @@ def test_f2_never_exceeds_f1(counts, desired, roles):
 
 
 def _fidelity_by_characters(counts, roles, desired_computational, desired_ancilla):
-    """The scoring definition, one character at a time."""
+    """The scoring definition, one character of each outcome's label at a
+    time."""
     comp_idx = [i for i, r in enumerate(roles) if r != "ancilla"]
     anc_idx = [i for i, r in enumerate(roles) if r == "ancilla"]
     total = sum(counts.values())
     n_f1 = n_f2 = 0
-    for key, c in counts.items():
+    for v, c in counts.items():
+        key = format(v, f"0{len(roles)}b")
         if all(key[i] == desired_computational[j] for j, i in enumerate(comp_idx)):
             n_f1 += c
             if all(key[i] == desired_ancilla[j] for j, i in enumerate(anc_idx)):
@@ -90,8 +91,10 @@ def scored_counts(draw):
                                                  "ancilla"]), min_size=1, max_size=8)))
     width = len(roles)
     bits = st.text("01", min_size=width, max_size=width)
-    counts = draw(st.dictionaries(bits, st.integers(1, 500), min_size=1, max_size=12))
-    desired = draw(st.one_of(bits, st.sampled_from(sorted(counts))))  # often a hit
+    counts = draw(st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(1, 500),
+                                  min_size=1, max_size=12))
+    hits = st.sampled_from(sorted(counts)).map(lambda v: format(v, f"0{width}b"))
+    desired = draw(st.one_of(bits, hits))  # often a hit
     comp = "".join(b for b, r in zip(desired, roles) if r != "ancilla")
     anc = "".join(b for b, r in zip(desired, roles) if r == "ancilla")
     return counts, roles, comp, anc

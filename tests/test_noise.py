@@ -1,6 +1,7 @@
 """Scheduling, idle channels, the bit-vector and exact engines, and calibration files."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from nisq_lab.simulator import (
     GateOp,
     StateVector,
     apply_circuit,
-    basis_label,
     sample_shots,
 )
 
@@ -156,7 +156,7 @@ def test_drift_rotation_exact():
     cal = flat_cal(1, omega=math.pi / dt,
                    durations=DurationModel(single_qubit=0.0, measurement=0.0))
     c = Circuit(1).h(0).delay(dt, 0).h(0).measure(0)
-    assert run_shots(schedule(c, cal.durations), cal, 1000, 0) == {"1": 1000}
+    assert run_shots(schedule(c, cal.durations), cal, 1000, 0) == {1: 1000}
 
 
 def test_survival_curve_matches_exponential():
@@ -172,7 +172,7 @@ def test_survival_curve_matches_exponential():
         counts = run_shots(schedule(c, cal.durations), cal, shots, 99)
         expected = math.exp(-frac)
         sigma = math.sqrt(max(expected * (1 - expected), 1e-9) / shots)
-        assert abs(counts.get("1", 0) / shots - expected) <= 5 * sigma
+        assert abs(counts.get(1, 0) / shots - expected) <= 5 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_noiseless_limit_matches_sample_shots_deterministic():
     cal = flat_cal(3)
     c = Circuit(3).x(0).cnot(0, 1).cnot(1, 2).measure(0).measure(1).measure(2)
     counts = run_shots(schedule(c, cal.durations), cal, 400, 5)
-    assert counts == {"111": 400}
+    assert counts == {0b111: 400}
 
 
 def test_noiseless_limit_matches_sample_shots_distribution():
@@ -192,9 +192,9 @@ def test_noiseless_limit_matches_sample_shots_distribution():
     counts = run_shots(schedule(c, cal.durations), cal, 8000, 5)
     ideal = apply_circuit(StateVector.zero(2), Circuit(2).h(0).cnot(0, 1))
     reference = sample_shots(ideal, 8000, seed=6)
-    assert set(counts) == set(reference) == {"00", "11"}
+    assert set(counts) == set(reference) == {0b00, 0b11}
     sigma = math.sqrt(0.25 / 8000)
-    assert abs(counts["11"] / 8000 - 0.5) < 5 * sigma
+    assert abs(counts[0b11] / 8000 - 0.5) < 5 * sigma
 
 
 def test_echo_refocuses_pure_drift_exactly():
@@ -202,7 +202,7 @@ def test_echo_refocuses_pure_drift_exactly():
     for dt in (1e-6, 8e-6, 21e-6):
         c = Circuit(1).h(0).delay(dt / 2, 0).x(0).delay(dt / 2, 0).h(0).measure(0)
         counts = run_shots(schedule(c, cal.durations), cal, 2000, 3)
-        assert counts == {"0": 2000}
+        assert counts == {0: 2000}
 
 
 def test_ramsey_damped_cosine_closed_form():
@@ -220,7 +220,7 @@ def test_ramsey_damped_cosine_closed_form():
         tau = dt + 100e-9
         expected = 0.5 * (1 + math.exp(-tau / t2) * math.cos(omega * tau))
         sigma = math.sqrt(max(expected * (1 - expected), 1e-9) / shots)
-        assert abs(counts.get("0", 0) / shots - expected) <= 5 * sigma
+        assert abs(counts.get(0, 0) / shots - expected) <= 5 * sigma
 
 
 def test_seed_determinism():
@@ -364,7 +364,7 @@ def test_classical_histograms_match_exact_distribution(cell):
     outcomes = _run_classical(sched, cal, shots, np.random.default_rng(0))
     counts = np.bincount(outcomes, minlength=len(probs))
     for k, (count, p) in enumerate(zip(counts, probs)):
-        label = basis_label(k, sched.n_qubits)
+        label = format(k, f"0{sched.n_qubits}b")
         assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
 
 
@@ -438,7 +438,7 @@ def test_exact_engine_runs_at_any_shot_count():
     probs = _exact_probabilities(sched, cal)
     for shots in (3, 4):
         draws = np.random.default_rng([5, 3]).multinomial(shots, probs)
-        exact = {basis_label(k, 2): int(c) for k, c in enumerate(draws) if c}
+        exact = {k: int(c) for k, c in enumerate(draws) if c}
         assert run_shots(sched, cal, shots, 5) == exact
 
 
@@ -456,7 +456,7 @@ def test_readout_error_flips_bits():
     cal = flat_cal(1, readout=0.25, durations=DurationModel(measurement=0.0))
     c = Circuit(1).x(0).measure(0)
     counts = run_shots(schedule(c, cal.durations), cal, 20000, 21)
-    frac0 = counts.get("0", 0) / 20000
+    frac0 = counts.get(0, 0) / 20000
     assert abs(frac0 - 0.25) < 5 * math.sqrt(0.25 * 0.75 / 20000)
 
 
@@ -464,7 +464,7 @@ def test_depolarizing_error_rate_applied():
     cal = flat_cal(2, p2=0.3, durations=DurationModel(measurement=0.0))
     c = Circuit(2).x(0).cnot(0, 1).measure(0).measure(1)
     counts = run_shots(schedule(c, cal.durations), cal, 20000, 31)
-    frac11 = counts.get("11", 0) / 20000
+    frac11 = counts.get(0b11, 0) / 20000
     # with probability p one of the 15 non-identity Pauli pairs acts; only
     # those with I or Z on both operands (ZI, IZ, ZZ: 3 of 15) leave |11>,
     # so P(11) = 1 - p + p * 3/15
@@ -495,7 +495,7 @@ def test_bit_vector_width_limit(n):
         c.cnot(i, i + 1)
     sched = schedule(c.measure_all(), cal.durations)
     if n == 63:
-        assert run_shots(sched, cal, 10, 0) == {"1" * n: 10}
+        assert run_shots(sched, cal, 10, 0) == {(1 << n) - 1: 10}
     else:
         with pytest.raises(SimulationError, match="above 63 qubits"):
             run_shots(sched, cal, 10, 0)
@@ -524,6 +524,24 @@ def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
         run_shots(classical, cal, 10, 0)
 
 
+def test_bit_vector_peak_memory_within_estimate():
+    """The bit-vector estimate covers the worst case, where every shot reads
+    a distinct outcome and the returned counts dominate the peak."""
+    import tracemalloc
+
+    n, shots = 62, 200_000
+    cal = flat_cal(n, readout=0.45)
+    sched = schedule(Circuit(n).x(0).measure_all(), cal.durations)
+    tracemalloc.start()
+    try:
+        counts = run_shots(sched, cal, shots, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == shots
+    assert peak <= noise._CLASSICAL_PEAK_COPIES * 8 * shots
+
+
 def test_missing_calibration_entry():
     cal = flat_cal(1)
     c = Circuit(2).x(0).measure(0).measure(1)
@@ -545,7 +563,7 @@ def test_chain_duration_monotonicity():
                 c.delay(extra_us * 1e-6, q)
         c.measure_all()
         counts = run_shots(schedule(c, cal.durations), cal, shots, 77)
-        good = sum(v for k, v in counts.items() if k[0] == "1" and k[-1] == "1")
+        good = sum(v for k, v in counts.items() if k & 0b10001 == 0b10001)
         f1s.append(good / shots)
     sigma = math.sqrt(0.25 / shots)
     for a, b in zip(f1s, f1s[1:]):

@@ -13,7 +13,6 @@ from nisq_lab.simulator import (
     apply_circuit,
     apply_gate,
     basis_index,
-    basis_label,
     circuit_unitary,
     sample_shots,
     states_equivalent,
@@ -115,14 +114,14 @@ def test_ops_after_measure_rejected():
 
 def test_sample_deterministic_state():
     counts = sample_shots(StateVector.basis(3, "101"), 100, seed=0)
-    assert counts == {"101": 100}
+    assert counts == {0b101: 100}
 
 
 def test_sample_plus_state_within_binomial_error():
     s = apply_gate(StateVector.zero(1), GateOp("H", (0,)))
     counts = sample_shots(s, 8000, seed=42)
     sigma = math.sqrt(0.25 / 8000)
-    assert abs(counts.get("1", 0) / 8000 - 0.5) < 5 * sigma
+    assert abs(counts.get(1, 0) / 8000 - 0.5) < 5 * sigma
 
 
 def test_sample_same_seed_identical():
@@ -138,7 +137,7 @@ def test_sample_requires_positive_shots():
 def test_label_round_trip_exhaustive():
     for n in range(1, 11):
         for i in range(1 << n):
-            assert basis_index(basis_label(i, n)) == i
+            assert basis_index(format(i, f"0{n}b")) == i
 
 
 def test_rphi_angle_normalized():
