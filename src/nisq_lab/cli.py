@@ -5,6 +5,8 @@ qpe-sweep, enumerate, validate. The seven experiment subcommands share one
 handler: load the topology and calibration, build the config, run, write
 each result table (plus its fit, and its SVG with --plot), then write
 manifest.json listing the result and fit files, and print a summary.
+``main`` may be called repeatedly in one process; it builds its parser and
+loads the shipped topology and calibration once per process.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (such as
 a circuit whose simulation would exceed the memory budget) or a request for
@@ -19,7 +21,7 @@ default seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import os
 import sys
@@ -63,6 +65,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+@functools.cache
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="nisq-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nisq-lab {__version__}")
@@ -143,14 +146,12 @@ def _config(args, graph, cal) -> ExperimentConfig:
 
 
 def _manifest(args, cfg, graph, outputs) -> report.RunManifest:
-    topo_hash = hashlib.sha256(
-        json.dumps(graph.to_dict(), sort_keys=True).encode()).hexdigest()
     return report.RunManifest(
         subcommand=args.subcommand,
         seed=cfg.seed,
         shots=cfg.shots,
         calibration_hash=cfg.calibration.content_hash(),
-        topology_hash=topo_hash,
+        topology_hash=graph.content_hash(),
         config={
             "format": args.format,
             "out_dir": str(args.out),

@@ -41,7 +41,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -88,15 +88,14 @@ class QubitNoiseParams:
     t2: float
     omega: float = 0.0
     readout_error: float = 0.0
+    # 1/tphi = 1/t2 - 1/(2 t1), set once by __post_init__
+    tphi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        derive_tphi(self.t1, self.t2)  # validates positivity and t2 <= 2 t1
+        # derive_tphi validates positivity and t2 <= 2 t1
+        object.__setattr__(self, "tphi", derive_tphi(self.t1, self.t2))
         if not (0.0 <= self.readout_error < 0.5):
             raise CalibrationError(f"readout_error must be in [0, 0.5), got {self.readout_error}")
-
-    @property
-    def tphi(self) -> float:
-        return derive_tphi(self.t1, self.t2)
 
     @classmethod
     def noiseless(cls) -> "QubitNoiseParams":
@@ -181,8 +180,14 @@ class DeviceCalibration:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of ``to_dict()`` as sorted-key JSON, computed once per
+        object. The memo is keyed by identity, not value: calibrations that
+        compare equal can still serialize differently (omega 0.0 vs -0.0)."""
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+            digest = self.__dict__["_content_hash"] = hashlib.sha256(blob).hexdigest()
+        return digest
 
 
 _REQUIRED_QUBIT_KEYS = ("t1_us", "t2_us", "omega_mhz", "readout_error")
@@ -254,8 +259,10 @@ def load_calibration(path) -> DeviceCalibration:
     return calibration_from_dict(raw)
 
 
+@functools.cache
 def default_calibration() -> DeviceCalibration:
-    """The shipped 20-qubit calibration (one deliberately weak qubit, q7)."""
+    """The shipped 20-qubit calibration (one deliberately weak qubit, q7),
+    loaded once per process; every caller shares the one frozen object."""
     with resources.files("nisq_lab.data").joinpath("default_calibration.json").open(
         "r", encoding="utf-8"
     ) as fh:

@@ -6,6 +6,8 @@ deterministic: every list is sorted by its qubit-index tuples.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -54,6 +56,14 @@ class CouplingGraph:
     def to_dict(self) -> dict:
         return {"n_qubits": self.n_qubits, "edges": sorted(list(e) for e in self.edges)}
 
+    def content_hash(self) -> str:
+        """sha256 of ``to_dict()`` as sorted-key JSON, computed once per object."""
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+            digest = self.__dict__["_content_hash"] = hashlib.sha256(blob).hexdigest()
+        return digest
+
 
 def load_graph(path) -> CouplingGraph:
     """Load and validate a topology file: {"n_qubits": N, "edges": [[a,b],...]}."""
@@ -82,11 +92,16 @@ def _load_data(name: str) -> dict | list:
         return json.load(fh)
 
 
+# The shipped data is read once per process; the loaders return frozen
+# objects, so every caller can share them.
+
+@functools.cache
 def shipped_poughkeepsie() -> CouplingGraph:
     """The 20-qubit lattice shipped with the package (23 edges)."""
     return graph_from_dict(_load_data("poughkeepsie.json"))
 
 
+@functools.cache
 def shipped_orientations() -> tuple[tuple[int, ...], ...]:
     """Four stored full-lattice chain paths, as vertex sequences."""
     return tuple(tuple(p) for p in _load_data("chain_orientations.json"))

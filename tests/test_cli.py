@@ -1,6 +1,7 @@
 """CLI subcommands, file outputs, and plot structure."""
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -461,6 +462,61 @@ def test_good_run_manifest_lists_written_outputs(tmp_path, noiseless_cal_file):
     text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
     assert (out / "manifest.json").read_bytes() == text.encode("utf-8")
     assert all((out / name).exists() for name in expected["outputs"])
+
+
+def _tree(out: Path) -> dict:
+    """Every file under ``out`` by relative path: manifests parsed with
+    their out_dir removed, other files as bytes."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            assert manifest["config"].pop("out_dir") == str(path.parent)
+            files[str(path.relative_to(out))] = manifest
+        else:
+            files[str(path.relative_to(out))] = path.read_bytes()
+    return files
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    """main builds its parser and loads the shipped topology and calibration
+    once per process; runs that fail in between must not change what a
+    later run writes."""
+    t1 = ["t1", "--qubit", "3", "--shots", "200", "--seed", "5", "--plot"]
+    assert main(t1 + ["--out", str(tmp_path / "a")]) == 0
+    assert main(["ccnot-survey", "--families", "star4,bogus", "--shots", "8",
+                 "--out", str(tmp_path / "bad1")]) == 1
+    assert main(["cnot-chain", "--max-length", "40", "--shots", "8",
+                 "--out", str(tmp_path / "bad2")]) == 2
+    assert main(t1 + ["--out", str(tmp_path / "b")]) == 0
+    assert not (tmp_path / "bad1").exists() and not (tmp_path / "bad2").exists()
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+    assert set(_tree(tmp_path / "a")) == {"t1.csv", "t1_fit.json", "t1.svg", "manifest.json"}
+
+    survey = ["ccnot-survey", "--shots", "8", "--seed", "2"]
+    assert main(survey + ["--out", str(tmp_path / "full")]) == 0
+    assert main(survey + ["--families", "star4", "--out", str(tmp_path / "star4")]) == 0
+    capsys.readouterr()
+    full = (tmp_path / "full" / "ccnot_survey.csv").read_text().splitlines()
+    star4 = (tmp_path / "star4" / "ccnot_survey.csv").read_text().splitlines()
+    assert len(star4) == 1 + 36
+    assert star4 == [full[0]] + [row for row in full[1:] if row.startswith("star4-")]
+
+
+def test_shipped_objects_are_shared_and_frozen():
+    """Every caller in a process shares the shipped calibration and
+    topology, which is safe only while nobody can change them."""
+    cal, graph = default_calibration(), topology.shipped_poughkeepsie()
+    assert cal is default_calibration()
+    assert graph is topology.shipped_poughkeepsie()
+    for obj, attr in ((cal, "two_qubit_error"), (cal.qubits[0], "t1"),
+                      (cal.durations, "single_qubit"), (graph, "n_qubits")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, 0)
+    assert isinstance(cal.qubits, tuple) and isinstance(graph.edges, frozenset)
+    orientations = topology.shipped_orientations()
+    assert isinstance(orientations, tuple)
+    assert all(isinstance(path, tuple) for path in orientations)
 
 
 # ---------------------------------------------------------------------------

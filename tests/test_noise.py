@@ -1,4 +1,5 @@
 """Scheduling, idle channels, the bit-vector and exact engines, and calibration files."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -620,3 +621,32 @@ def test_calibration_unphysical_t2_rejected(tmp_path):
 def test_calibration_hash_stable(default_cal):
     assert default_cal.content_hash() == default_cal.content_hash()
     assert len(default_cal.content_hash()) == 64
+
+
+def test_content_hash_belongs_to_the_object_not_its_value(tmp_path):
+    """Drift -0.0 and 0.0 load as equal calibrations with equal Python
+    hashes, but they serialize differently, so each must report the hash of
+    its own serialization: a memo keyed by value would give one file's hash
+    for the other."""
+    cals = []
+    for name, omega in (("neg.json", -0.0), ("pos.json", 0.0)):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "qubits": [{"t1_us": 50.0, "t2_us": 60.0, "omega_mhz": omega, "readout_error": 0.0}],
+            "durations_ns": {"single": 100, "two_qubit": 300, "measure": 1000},
+            "two_qubit_error": 0.0,
+        }))
+        cals.append(load_calibration(path))
+    neg, pos = cals
+
+    def fresh(cal):
+        blob = json.dumps(cal.to_dict(), sort_keys=True).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
+
+    assert neg == pos and hash(neg) == hash(pos)
+    assert neg.content_hash() != pos.content_hash()
+    assert neg.content_hash() == fresh(neg)
+    assert pos.content_hash() == fresh(pos)
+    first = neg.content_hash()
+    assert neg.content_hash() is first
+    assert first == fresh(neg)
