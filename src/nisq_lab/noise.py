@@ -30,15 +30,16 @@ The bit-vector engine samples the ensemble average that the exact engine
 computes. Both apply each qubit's idle charge (``_channel_rates``) once per
 idle window (from one gate on the qubit to its next gate, or to readout) for
 the window's summed duration, which is the same channel as charging it layer
-by layer (see ``_idle_windows``). The bit-vector engine draws, for each
-damping window, depolarizing channel and readout flip, only the shots the
-event hits (``_hits``: a uniform subset of Binomial(shots, p) rows, the same
-law as per-shot trials) and touches only those rows.
+by layer (see ``_idle_windows``). The bit-vector engine draws the shots that
+each damping window, depolarizing channel and readout flip hits, many events
+at once, as running sums of Geometric(p) gaps (``_event_hits``: the same law
+as per-shot trials), and touches only those rows.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -373,23 +374,79 @@ _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
 # two-qubit depolarizing: codes 1..15 map to Pauli pairs (code>>2, code&3)
 # with 0=I, 1=X, 2=Y, 3=Z; X and Y components flip the measured bit
 _PAULI_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
+_GROUP_BUDGET = 2  # a group's first gap budgets sum to at most this many times shots + 1
 
 
-def _hits(rng: np.random.Generator, shots: int, p: float) -> np.ndarray:
-    """The distinct rows of ``range(shots)`` that an event of probability p
-    hits, each row independently.
+def _gap_budget(shots: int, p: float) -> int:
+    """Gaps an event of probability p draws at first: its mean hit count plus
+    4 sqrt(mean) + 4 (short for well under one event in 10**4), at most
+    shots + 1."""
+    mean = shots * p
+    return min(math.ceil(mean + 4.0 * math.sqrt(mean) + 4.0), shots + 1)
 
-    A uniform subset of Binomial(shots, p) rows has the same law as per-row
-    Bernoulli(p) trials, and drawing it costs time per hit rather than per
-    shot. Measured on a 2-core x86 VM with numpy 2.4 (best of 9 repeats,
-    250-8000 shots, p = 0.005-0.4), the subset draw cost about
-    15 us + 31 ns per hit and the per-shot mask about 7.5 us + 6.5 ns per
-    shot. So the subset is cheaper when shots * (1 - 5 p) > 1200: up to
-    p ~ 0.17 at 8000 shots and p ~ 0.14 at 4000, never below 1200 shots.
-    """
-    if shots * (1.0 - 5.0 * p) > 1200:
-        return rng.choice(shots, rng.binomial(shots, p), replace=False, shuffle=False)
-    return np.flatnonzero(rng.random(shots) < p)
+
+def _draw_group(rng: np.random.Generator, shots: int,
+                group: list) -> list[tuple[np.ndarray, int | np.ndarray]]:
+    """``_event_hits`` for one group of ``(p, bits, budget)`` events."""
+    budget = [b for _, _, b in group]
+    # Geometric(p) gaps by inverse transform, floor(log(1 - U) / log(1 - p)) + 1,
+    # clipped to shots + 1 before the integer cast. log(1 - p) is capped at
+    # -1e-300 so that the division cannot overflow: any gap the cap changes
+    # is longer than shots either way.
+    log_q = [-math.inf if p == 1.0 else min(math.log1p(-p), -1e-300) for p, _, _ in group]
+    gaps = np.log1p(-rng.random(sum(budget)))
+    gaps /= np.repeat(log_q, budget) if len(group) > 1 else log_q[0]
+    gaps = np.minimum(gaps, shots, out=gaps).astype(np.int64)
+    gaps += 1
+    starts = list(itertools.accumulate(budget[:-1], initial=0))
+    if len(group) > 1:  # restart the running sum at each event's first gap
+        gaps[starts[1:]] -= np.add.reduceat(gaps, starts)[:-1]
+    np.cumsum(gaps, out=gaps)  # one past each row an event hits
+    hit = gaps <= shots
+    rows = gaps[hit] - 1
+    counts = np.add.reduceat(hit, starts, dtype=np.int64).tolist()
+    del gaps, hit  # the group keeps only its rows
+    bounds = list(itertools.accumulate(counts, initial=0))
+    hits = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    for k, (p, _, b) in enumerate(group):
+        if counts[k] == b:
+            # every gap fell in range(shots); the rows past the last hit are a
+            # Bernoulli(p) process of their own, drawn with twice the budget
+            last = int(hits[k][-1]) + 1
+            [(more, _)] = _draw_group(rng, shots - last, [(p, (0,), 2 * b)])
+            hits[k] = np.concatenate([hits[k], more + last])
+    patterns = [1 << bits[0] for _, bits, _ in group]
+    pairs = [k for k, (_, bits, _) in enumerate(group) if len(bits) == 2]
+    if pairs:
+        sizes = [hits[k].size for k in pairs]
+        codes = rng.integers(1, 16, size=sum(sizes))
+        control, target = np.array([group[k][1] for k in pairs]).T
+        flips = ((_PAULI_FLIPS[codes >> 2] << np.repeat(control, sizes))
+                 | (_PAULI_FLIPS[codes & 3] << np.repeat(target, sizes)))
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        for k, a, b in zip(pairs, bounds, bounds[1:]):
+            patterns[k] = flips[a:b]
+    return list(zip(hits, patterns))
+
+
+def _event_hits(rng: np.random.Generator, shots: int, events: list):
+    """Yield, for each event ``(p, bits)`` (0 < p <= 1) in turn, the rows of
+    range(shots) it hits and what to XOR into them: ``1 << bits[0]``, or for
+    a CNOT's depolarizing on bits (control, target) each row's X/Y flips of a
+    uniform non-identity Pauli pair. The rows are a Bernoulli(p) process: the
+    running sums of Geometric(p) gaps below shots. Events are drawn in groups
+    whose first gap budgets sum to at most _GROUP_BUDGET x (shots + 1), or of
+    one event, each group's gaps and Pauli codes in one numpy pass."""
+    group, total = [], 0
+    for p, bits in events:
+        budget = _gap_budget(shots, p)
+        if group and total + budget > _GROUP_BUDGET * (shots + 1):
+            yield from _draw_group(rng, shots, group)
+            group, total = [], 0
+        group.append((p, bits, budget))
+        total += budget
+    if group:
+        yield from _draw_group(rng, shots, group)
 
 
 def _is_classical(scheduled: ScheduledCircuit) -> bool:
@@ -400,33 +457,42 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
                    rng: np.random.Generator) -> np.ndarray:
     """Bit-vector trajectories for circuits that stay in the computational
     basis: phase channels are unobservable there, damping is a plain decay
-    flip, and depolarizing reduces to its X/Y bit-flip components. Each
-    damping window, depolarizing channel and readout flip draws only the
-    rows it hits (``_hits``) and updates those rows alone."""
+    flip, and depolarizing reduces to its X/Y bit-flip components.
+
+    A first pass lists the gates and noise events in time order; the second
+    draws the events' rows in batches (``_event_hits``) and applies both."""
     n = scheduled.n_qubits
-    states = np.zeros(shots, dtype=np.int64)
     p2 = cal.two_qubit_error
+    steps = []  # ("X", mask), ("CNOT", shift, target mask), or an event (kind, p, bits)
     for windows, ops in _idle_windows(scheduled):
         for q, dt in windows:
             gamma, _, _ = _channel_rates(cal.params_for(q), dt)
             if gamma > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
-                states[_hits(rng, shots, gamma)] &= ~(1 << (n - 1 - q))
+                steps.append(("decay", gamma, (n - 1 - q,)))
         for op in ops:
             if op.kind == "X":
-                states ^= 1 << (n - 1 - op.qubits[0])
+                steps.append(("X", 1 << (n - 1 - op.qubits[0])))
             elif op.kind == "CNOT":
-                bc = n - 1 - op.qubits[0]
-                bt = n - 1 - op.qubits[1]
-                states ^= ((states >> bc) & 1) << bt
+                c, t = n - 1 - op.qubits[0], n - 1 - op.qubits[1]
+                steps.append(("CNOT", c - t, 1 << t))
                 if p2 > 0.0:
-                    rows = _hits(rng, shots, p2)
-                    code = rng.integers(1, 16, size=rows.size)
-                    states[rows] ^= (_PAULI_FLIPS[code >> 2] << bc) | (_PAULI_FLIPS[code & 3] << bt)
-    for q in range(n):
-        r = cal.params_for(q).readout_error
-        if r > 0.0:
-            states[_hits(rng, shots, r)] ^= 1 << (n - 1 - q)
+                    steps.append(("flip", p2, (c, t)))
+    steps += [("flip", r, (n - 1 - q,)) for q in range(n)
+              if (r := cal.params_for(q).readout_error) > 0.0]
+    events = [step[1:] for step in steps if step[0] in ("decay", "flip")]
+    states = np.zeros(shots, dtype=np.int64)
+    hits = _event_hits(rng, shots, events)
+    for kind, *args in steps:
+        if kind == "X":
+            states ^= args[0]
+        elif kind == "CNOT":  # shift the control bit onto the target's and add it
+            moved = states >> args[0] if args[0] > 0 else states << -args[0]
+            moved &= args[1]
+            states ^= moved
+        else:
+            rows, pattern = next(hits)
+            states[rows] = states[rows] & ~pattern if kind == "decay" else states[rows] ^ pattern
     return states
 
 
@@ -579,11 +645,11 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine.
     tracemalloc peaks (numpy 2.4) were 2.00-2.01 copies of the coefficients
     on the exact engine (superposed-control cnot-reset chains of 8-10
-    qubits: 16.0 MiB at 10), and on the bit-vector engine 2.25-3.4 copies
-    for a 20-qubit chain cell at 10**3-10**6 shots, up to 19.3 when every
-    shot reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4,
-    2*10**5 and 10**6 shots: 19.3, 19.2, 17.2) and the returned dict
-    dominates."""
+    qubits: 16.0 MiB at 10), and on the bit-vector engine 6.9-10.7 copies
+    for 20-qubit chain cells (none and cnot-reset along orientation 1) at
+    10**3-10**6 shots, up to 19.2 when every shot reads a distinct 62-bit
+    outcome (readout error 0.45 at 2*10**4, 2*10**5 and 10**6 shots: 14.9,
+    19.2, 17.2) and the returned dict dominates."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:

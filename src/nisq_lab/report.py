@@ -250,7 +250,9 @@ def emit_plot(table: ResultTable, style: str, path) -> Path:
         dashed = (np.array(xs), np.array([r.extras.get("theoretical", float("nan"))
                                           for r in table.rows]))
     if dashed is not None:
-        pts = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(*dashed) if not math.isnan(y)]
+        # as Python floats: the same strings, formatted faster than numpy scalars
+        grid, curve = (a.tolist() for a in dashed)
+        pts = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(grid, curve) if not math.isnan(y)]
         if pts:
             d_attr = "M " + " L ".join(pts)
             parts.append(f'<path d="{d_attr}" fill="none" stroke="black" '

@@ -13,7 +13,7 @@ from nisq_lab import builders, noise, topology
 from nisq_lab.noise import (
     _channel_rates,
     _exact_probabilities,
-    _hits,
+    _event_hits,
     _idle_windows,
     _run_classical,
     CalibrationError,
@@ -344,12 +344,18 @@ def test_exact_engine_memos_are_read_only():
             m[0, 0] = 0.0
 
 
-def _within_5_sigma(count: int, shots: int, p: float) -> bool:
-    """A 5-sigma binomial bound in Bernstein's form, which stays valid for
+def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
+    """A z-sigma binomial bound in Bernstein's form, which stays valid for
     rare outcomes where the normal approximation does not: it is
-    5 sqrt(shots p (1 - p)) for common outcomes, plus about 4 counts."""
-    slack = 25.0 / 6.0
-    return abs(count - shots * p) <= slack + math.sqrt(slack**2 + 25.0 * shots * p * (1 - p))
+    z sqrt(shots p (1 - p)) for common outcomes, plus about z**2 / 6
+    counts, and a correct count falls outside it with probability at most
+    2 exp(-z**2 / 2)."""
+    slack = z * z / 6.0
+    return abs(count - shots * p) <= slack + math.sqrt(slack**2 + z * z * shots * p * (1 - p))
+
+
+def _within_5_sigma(count: int, shots: int, p: float) -> bool:
+    return _within_sigmas(count, shots, p, 5.0)
 
 
 # X/CNOT/DELAY circuits run on the bit-vector engine, whose idle windows
@@ -370,25 +376,93 @@ def test_classical_histograms_match_exact_distribution(cell):
 
 
 @pytest.mark.parametrize("shots", [1, 250, 4000])
-@pytest.mark.parametrize("p", [0.003, 0.05, 0.3, 0.9])
-def test_hits_are_distinct_rows_at_rate_p(shots, p):
-    """_hits draws a subset below its crossover and a per-shot mask above
-    it (at 4000 shots p = 0.003 and 0.05 take the subset); either way the
-    rows are distinct, in range, and each is hit with probability p."""
-    rng = np.random.default_rng([shots, int(p * 1000)])
+@pytest.mark.parametrize("p", [1e-300, 0.003, 0.05, 0.3, 0.9, 1.0])
+def test_hits_are_distinct_rows_at_rate_p(monkeypatch, shots, p):
+    """Each event's rows are distinct and in range, and every row, the first
+    and last included, is hit with probability p. Three events drawn in one
+    group are independent: two of them hit a row together with probability
+    p**2. A depolarized CNOT's patterns are the X/Y flips of a uniform
+    non-identity Pauli pair: none on 3 of the 15 pairs, and each of the
+    three others on 4. All of this holds again with a first budget of one
+    gap, where every event that hits a row draws on past it."""
+    events = [(p, (0,)), (p, (1,)), (p, (2, 3))]
+    monkeypatch.setattr(noise, "_GROUP_BUDGET", len(events))  # room for all three
+    _check_event_hits(np.random.default_rng([shots, int(p * 1000)]), shots, events)
+    with monkeypatch.context() as m:
+        m.setattr(noise, "_gap_budget", lambda shots, p: 1)
+        longest = _check_event_hits(np.random.default_rng([shots, int(p * 1000), 1]),
+                                    shots, events)
+    if shots * p > 5:
+        assert longest > 1  # rows past the first gap: the top-up ran
+
+
+def _check_event_hits(rng, shots, events) -> int:
+    """Check ``_event_hits`` over 400 draws of three events of one
+    probability (see above); return the most rows an event hit."""
+    p = events[0][0]
+    budget = sum(noise._gap_budget(shots, q) for q, _ in events)
+    assert budget <= noise._GROUP_BUDGET * (shots + 1)  # one group
     draws = 400
-    total = first = last = 0
+    total = first = last = together = longest = 0
+    patterns = np.zeros(16, dtype=np.int64)
     for _ in range(draws):
-        rows = _hits(rng, shots, p)
-        assert rows.size == np.unique(rows).size
-        assert rows.size == 0 or (rows.min() >= 0 and rows.max() < shots)
-        assert _within_5_sigma(rows.size, shots, p)
-        total += rows.size
-        first += int(np.any(rows == 0))
-        last += int(np.any(rows == shots - 1))
-    assert _within_5_sigma(total, draws * shots, p)
-    assert _within_5_sigma(first, draws, p)
-    assert _within_5_sigma(last, draws, p)
+        hits = list(_event_hits(rng, shots, events))
+        assert len(hits) == len(events)
+        for rows, _ in hits:
+            assert np.all(np.diff(rows) > 0)
+            assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < shots)
+            assert _within_5_sigma(rows.size, shots, p)
+            total += rows.size
+            first += int(rows.size > 0 and rows[0] == 0)
+            last += int(rows.size > 0 and rows[-1] == shots - 1)
+            longest = max(longest, rows.size)
+        assert [pattern for _, pattern in hits[:2]] == [0b1, 0b10]
+        hit_by_first = np.zeros(shots, dtype=bool)
+        hit_by_first[hits[0][0]] = True
+        together += np.count_nonzero(hit_by_first[hits[1][0]])
+        rows, pattern = hits[2]
+        assert pattern.shape == rows.shape
+        patterns += np.bincount(pattern, minlength=16)
+    assert _within_5_sigma(total, 3 * draws * shots, p)
+    assert _within_5_sigma(first, 3 * draws, p)
+    assert _within_5_sigma(last, 3 * draws, p)
+    assert _within_5_sigma(together, draws * shots, p * p)
+    pair_hits = int(patterns.sum())
+    assert patterns[[0b0000, 0b0100, 0b1000, 0b1100]].sum() == pair_hits
+    for flips, share in ((0b0000, 3 / 15), (0b0100, 4 / 15), (0b1000, 4 / 15), (0b1100, 4 / 15)):
+        assert _within_5_sigma(int(patterns[flips]), pair_hits, share)
+    return longest
+
+
+def _chain_cell(links, strategy, orientation):
+    """A chain cell as ``cnot-chain`` runs it, on the shipped calibration."""
+    path = topology.chain_paths(topology.shipped_poughkeepsie(), orientation)[:links + 1]
+    built = builders.cnot_chain(path, strategy)
+    cal = noise.default_calibration().subset(built.layout)
+    return schedule(Circuit(len(path), built.circuit.ops).measure_all(), cal.durations), cal
+
+
+@pytest.mark.parametrize("group_budget", [None, 0.05])
+def test_bit_vector_law_at_scale_on_a_chain_cell(monkeypatch, group_budget):
+    """The 8-qubit cnot-reset chain along orientation 1 at 200k shots
+    matches its exact distribution in every one of the 256 bins. Its 40
+    events are 13 depolarized CNOTs and 27 damping windows, 8 of them open
+    at readout, where the weak qubit's reaches gamma = 0.21 (the shipped
+    calibration has no readout error). Drawn in one group, as by default,
+    and in groups cut so small that it takes 22 of 1-3 events each.
+
+    Each bin's bound is Bernstein's at 5.5 sigma, so a correct engine fails
+    a bin with probability at most 2 exp(-5.5**2 / 2) = 5.4e-7 and the
+    test at most 256 times that, 1.4e-4 (Bonferroni)."""
+    if group_budget is not None:
+        monkeypatch.setattr(noise, "_GROUP_BUDGET", group_budget)
+    sched, cal = _chain_cell(7, "cnot-reset", 1)
+    shots = 200_000
+    probs = _exact_probabilities(sched, cal)
+    counts = np.bincount(_run_classical(sched, cal, shots, np.random.default_rng(5)),
+                         minlength=len(probs))
+    for k, (count, p) in enumerate(zip(counts, probs)):
+        assert _within_sigmas(int(count), shots, float(p), 5.5), f"{k:08b}: {count} vs {shots * p}"
 
 
 def test_idle_windows_close_before_gates_and_at_readout():
