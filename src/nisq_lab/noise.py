@@ -18,13 +18,17 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
     each of an int64);
   * every other circuit runs on the exact engine, which holds the density
-    matrix as its 4**n real Pauli coefficients, computes the outcome
+    matrix as its real Pauli coefficients, computes the outcome
     distribution once and draws a multinomial from it. Each single-qubit
     gate or CNOT (with its depolarizing channel) is one Pauli transfer
     matrix, indexed qubit by qubit so that channels on different qubits
     compose by kron, and the idle windows the gate closes are folded into
-    it. Windows still open at readout only damp the populations, before the
-    readout flips. Window and gate matrices are built once, in bounded memos.
+    it. A qubit's axis is live (4 coefficients) only from its first gate
+    to its last: the first gate's matrix takes the qubit's |0> column, and
+    the last one's ends in the qubit's readout rows (the damping of the
+    window still open at readout, then the readout flips), so that the
+    axis leaves it holding the qubit's two outcome probabilities. Window,
+    gate and readout matrices are built once, in bounded memos.
 
 The bit-vector engine samples the ensemble average that the exact engine
 computes. Both apply each qubit's idle charge (``_channel_rates``) once per
@@ -37,6 +41,7 @@ as per-shot trials), and touches only those rows.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -54,7 +59,6 @@ from .simulator import (
     PAULI_Y,
     PAULI_Z,
     TAU,
-    apply_single_qubit,
     gate_matrix,
     is_json_number,
 )
@@ -97,6 +101,12 @@ class QubitNoiseParams:
         object.__setattr__(self, "tphi", derive_tphi(self.t1, self.t2))
         if not (0.0 <= self.readout_error < 0.5):
             raise CalibrationError(f"readout_error must be in [0, 0.5), got {self.readout_error}")
+        # the exact engine's memos hash params once per idle window: hash the
+        # compared fields once, as the generated __hash__ would
+        object.__setattr__(self, "_hash", hash((self.t1, self.t2, self.omega, self.readout_error)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def noiseless(cls) -> "QubitNoiseParams":
@@ -356,11 +366,13 @@ def _idle_windows(
     now = 0.0
     for layer in scheduled.layers:
         now += layer.duration
-        gated = sorted({q for op in layer.ops if op.kind not in ("MEASURE", "DELAY")
-                        for q in op.qubits})
-        steps.append(([(q, now - last_gate[q]) for q in gated
-                       if q in last_gate and now > last_gate[q]], layer.ops))
-        last_gate.update((q, now) for q in gated)
+        windows = []
+        for q in sorted({q for op in layer.ops if op.kind not in ("MEASURE", "DELAY")
+                         for q in op.qubits}):
+            if now > last_gate.get(q, now):
+                windows.append((q, now - last_gate[q]))
+            last_gate[q] = now
+        steps.append((windows, layer.ops))
     steps.append(([(q, now - t) for q, t in sorted(last_gate.items()) if now > t], ()))
     return steps
 
@@ -466,7 +478,7 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     steps = []  # ("X", mask), ("CNOT", shift, target mask), or an event (kind, p, bits)
     for windows, ops in _idle_windows(scheduled):
         for q, dt in windows:
-            gamma, _, _ = _channel_rates(cal.params_for(q), dt)
+            gamma, _, _ = _channel_rates(cal.qubits[q], dt)
             if gamma > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
                 steps.append(("decay", gamma, (n - 1 - q,)))
@@ -479,7 +491,7 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
                 if p2 > 0.0:
                     steps.append(("flip", p2, (c, t)))
     steps += [("flip", r, (n - 1 - q,)) for q in range(n)
-              if (r := cal.params_for(q).readout_error) > 0.0]
+              if (r := cal.qubits[q].readout_error) > 0.0]
     events = [step[1:] for step in steps if step[0] in ("decay", "flip")]
     states = np.zeros(shots, dtype=np.int64)
     hits = _event_hits(rng, shots, events)
@@ -510,10 +522,11 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 # (row bit, column bit) index of rho, where U rho U^dagger is kron(U, U*),
 # maps it once to the PTM T S T^-1 (``_pauli_transfer``) and returns it
 # read-only. The 156 survey cells close 7,224 windows with 708 distinct
-# (params, dt) keys and apply 4 distinct gates. Full, the memos hold about
-# 1.4 MiB: 1024 windows at 0.5 KiB, 256 gates at 0.4 KiB, 16 CNOTs at
-# 2.3 KiB and 1024 axis permutations at up to 0.8 KiB each (13 qubits;
-# tracemalloc, numpy 2.4).
+# (params, dt) keys, apply 4 distinct gates and read out 624 qubits. Full,
+# the memos hold about 1.7 MiB: 1024 windows at 0.4-0.5 KiB, 1024 readout
+# row pairs at 0.3 KiB, 256 gates at 0.4 KiB, 16 CNOTs at 2.3 KiB and 1024
+# axis permutations at up to 0.8 KiB each (13 qubits; tracemalloc,
+# numpy 2.4).
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -522,8 +535,8 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, by broadcasting: several times
-    cheaper per call at these sizes."""
+    """np.kron of two matrices, by broadcasting: several times cheaper per
+    call at these sizes."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
@@ -532,6 +545,7 @@ _T = np.array([p.T.ravel() for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)])
 _T_INV = _T.conj().T / 2.0  # column P is P.ravel() / 2
 _CX = np.eye(4)[[0, 1, 3, 2]]  # CNOT on (control, target); real, so CX* = CX
 _NO_IDLE = _read_only(np.eye(4))
+_ZERO = _read_only(np.array([[1.0], [0.0], [0.0], [1.0]]))  # |0><0| = (I + Z) / 2
 _TO_POPULATIONS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (r_I, r_Z) -> (P(0), P(1))
 
 
@@ -580,50 +594,84 @@ def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tup
     return perm, tuple(sorted(range(n), key=perm.__getitem__))
 
 
+@functools.lru_cache(maxsize=1024)
+def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
+    """The 2 x 4 map from a qubit's Pauli coefficients after its last gate
+    to its two readout outcomes. Readout sees only (r_I, r_Z). The window of
+    dt still open at readout acts on them as damping alone, since phase and
+    drift only move X and Y; then they become populations, and the readout
+    confusion acts last."""
+    r = params.readout_error
+    m = np.array([[1.0 - r, r], [r, 1.0 - r]]) @ _TO_POPULATIONS
+    if dt:
+        # [[1, 0], [gamma, 1 - gamma]]: the window's action on (r_I, r_Z)
+        m = m @ _idle_superop(params, dt)[::3, ::3]
+    rows = np.zeros((2, 4))
+    rows[:, ::3] = m
+    return _read_only(rows)
+
+
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
     """Exact outcome distribution over the 2**n basis states, readout error
     included: the ensemble average that the bit-vector engine samples.
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
-    that closes it. Readout sees only the {I, Z}^n coefficients. Windows
-    still open at readout act there as damping alone, since phase and drift
-    only move X and Y; then each qubit's (r_I, r_Z) become populations, and
-    the readout confusion acts last."""
+    that closes it. Qubit q's axis of the coefficient tensor holds only
+    what is still needed of it: size 1 before its first gate, where it is
+    |0> and no idle time is charged, so that gate takes the |0> column
+    (``_ZERO``); size 4 while it is live; and size 2 after its last gate,
+    whose matrix ends in q's readout rows (``_readout_rows``), so that the
+    axis holds q's two outcome probabilities. A qubit no gate touches reads
+    [1 - r, r]. The final tensor is the outcome distribution in qubit order.
+
+    A gate whose operands are all live costs one product over the whole
+    tensor, and a reshape that moves its axes to the front copies the
+    tensor first: all-live circuits peak at 2.00-2.01 copies of 8 B x 4**n
+    (tracemalloc, numpy 2.4, 8-12 qubits). Circuits whose qubits join late
+    and leave early peak lower: the superposed-control cnot-reset chains
+    of 8-12 qubits never hold more than 4**(n-1) x 2 coefficients, and
+    peak at 1.00-1.01 copies (8.0 MiB at 10 qubits, against 16.0 MiB with
+    every axis held at size 4).
+    """
     n = scheduled.n_qubits
-    rho = np.zeros((4,) * n)
-    rho[(slice(None, None, 3),) * n] = 1.0  # |0><0| = (I + Z) / 2 on every qubit
+    sizes = [1] * n  # each qubit's axis size
+    rho = np.ones(sizes)
     *steps, (readout_windows, _) = _idle_windows(scheduled)
+    open_at_readout = dict(readout_windows)
+    gates_left = collections.Counter(q for _, ops in steps for op in ops
+                                     if op.kind not in ("MEASURE", "DELAY") for q in op.qubits)
     for windows, ops in steps:
-        idle = {q: _idle_superop(cal.params_for(q), dt) for q, dt in windows}
+        idle = {q: _idle_superop(cal.qubits[q], dt) for q, dt in windows}
         for op in ops:
             if op.kind == "CNOT":
-                c, t = op.qubits
                 s = _cnot_superop(cal.two_qubit_error)
-                if c in idle or t in idle:
-                    s = s @ _kron(idle.get(c, _NO_IDLE), idle.get(t, _NO_IDLE))
             elif op.kind not in ("MEASURE", "DELAY"):
                 s = _gate_superop(op.kind, op.angle)
-                if op.qubits[0] in idle:
-                    s = s @ idle[op.qubits[0]]
             else:
                 continue
+            ins = [idle.get(q, _NO_IDLE) if sizes[q] == 4 else _ZERO for q in op.qubits]
+            outs = []
+            for q in op.qubits:
+                gates_left[q] -= 1
+                sizes[q] = 4 if gates_left[q] else 2
+                outs.append(_NO_IDLE if gates_left[q] else
+                            _readout_rows(cal.qubits[q], open_at_readout.get(q, 0.0)))
+            # ins[0] and ins[-1] cover one qubit or both of a CNOT's
+            if ins[0] is not _NO_IDLE or ins[-1] is not _NO_IDLE:
+                s = s @ functools.reduce(_kron, ins)
+            if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE:
+                s = functools.reduce(_kron, outs) @ s
             perm, inverse = _superop_axes(op.qubits, n)
             # the reshape copies rho unless perm keeps its order; rebinding
             # rho frees the old state before the product allocates its own
-            rho = rho.transpose(perm).reshape(len(s), -1)
-            rho = (s @ rho).reshape((4,) * n).transpose(inverse)
-    probs = rho[(slice(None, None, 3),) * n].reshape(-1)
-    open_at_readout = dict(readout_windows)
+            rho = rho.transpose(perm).reshape(s.shape[1], -1)
+            rho = (s @ rho).reshape([sizes[a] for a in perm]).transpose(inverse)
     for q in range(n):
-        params = cal.params_for(q)
-        r = params.readout_error
-        m = np.array([[1.0 - r, r], [r, 1.0 - r]]) @ _TO_POPULATIONS
-        if q in open_at_readout:
-            # [[1, 0], [gamma, 1 - gamma]]: the window's action on (r_I, r_Z)
-            m = m @ _idle_superop(params, open_at_readout[q])[::3, ::3]
-        probs = apply_single_qubit(probs, m, q, n)
-    probs = np.clip(probs, 0.0, None)
+        if sizes[q] == 1:  # never gated
+            r = cal.qubits[q].readout_error
+            rho = rho * np.array([1.0 - r, r]).reshape((2,) + (1,) * (n - 1 - q))
+    probs = np.clip(rho.reshape(-1), 0.0, None)
     return probs / probs.sum()
 
 
@@ -643,13 +691,15 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients
     on the exact engine (so it runs up to 13 qubits, at any shot count), or
     _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine.
-    tracemalloc peaks (numpy 2.4) were 2.00-2.01 copies of the coefficients
-    on the exact engine (superposed-control cnot-reset chains of 8-10
-    qubits: 16.0 MiB at 10), and on the bit-vector engine 6.9-10.7 copies
-    for 20-qubit chain cells (none and cnot-reset along orientation 1) at
-    10**3-10**6 shots, up to 19.2 when every shot reads a distinct 62-bit
-    outcome (readout error 0.45 at 2*10**4, 2*10**5 and 10**6 shots: 14.9,
-    19.2, 17.2) and the returned dict dominates."""
+    tracemalloc peaks (numpy 2.4) on the exact engine were 2.00-2.01 copies
+    of the 4**n coefficients for circuits that gate every qubit before any
+    qubit's last gate (8-12 qubits), and 1.00-1.01 for superposed-control
+    cnot-reset chains of 8-12 qubits (8.0 MiB at 10), whose qubits are live
+    only from their first gate to their last; on the bit-vector engine
+    they were 6.9-10.7 copies for 20-qubit chain cells (none and cnot-reset
+    along orientation 1) at 10**3-10**6 shots, up to 19.2 when every shot
+    reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4, 2*10**5
+    and 10**6 shots: 14.9, 19.2, 17.2) and the returned dict dominates."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:

@@ -102,14 +102,14 @@ def _apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
 
 
 def kraus_outcome_probabilities(scheduled, cal) -> np.ndarray:
-    """Exact outcome distribution of a scheduled noisy circuit (n <= 6),
+    """Exact outcome distribution of a scheduled noisy circuit (n <= 7),
     evolving the density matrix as rho -> sum_k K rho K^dagger with
     full-space Kraus operators, one channel at a time, in the order the
     noise model states: per layer, each qubit's amplitude damping, phase
     flip and drift rotation, then the gates with a two-qubit depolarizing
     channel after every CNOT; finally readout bit flips."""
     n = scheduled.n_qubits
-    assert n <= 6, "oracle limited to 6 qubits"
+    assert n <= 7, "oracle limited to 7 qubits"
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0

@@ -321,12 +321,36 @@ _STAR4 = topology.star_variants(topology.enumerate_stars(topology.shipped_poughk
 _RING6 = topology.ring_placements(topology.shipped_poughkeepsie(), "ring6-3chain")[0]
 
 
+# Each qubit's own T1, T2, drift and readout error, so that a qubit's
+# readout rows or idle windows charged to another qubit show.
+_LIVE_AXIS_CAL = DeviceCalibration(
+    tuple(QubitNoiseParams(t1=(20 + 10 * q) * 1e-6, t2=(30 + 14 * q) * 1e-6,
+                           omega=TAU * (0.1 + 0.05 * q) * 1e6, readout_error=0.02 + 0.03 * q)
+          for q in range(3)),
+    DurationModel(), 0.03)
+
+
+def _live_axis_cell(circuit):
+    return schedule(circuit.measure_all(), _LIVE_AXIS_CAL.durations), _LIVE_AXIS_CAL
+
+
 @given(noisy_cells(max_qubits=3))
 @example((schedule(Circuit(1).h(0).delay(1e-6, 0).t(0).h(0).measure(0),
                    _DRIFT_SIGN_CAL.durations), _DRIFT_SIGN_CAL))
 @example(_survey_cell(_STAR4, "star4-cnot-reset"))  # 33 ops on 4 qubits
 @example(_survey_cell(_RING6, "ring6-3chain"))
 @example(_wide_chain_cell(6))
+# the exact engine's axis bookkeeping: q1 is never gated but has readout error
+@example(_live_axis_cell(Circuit(3).h(0).cnot(0, 2).t(2)))
+# q1's one H both activates and finishes it, 4.1 us before readout
+@example(_live_axis_cell(Circuit(3).h(1).h(0).delay(3e-6, 0).h(0).x(2)))
+# the CNOT activates its target q2 and finishes its control q0
+@example(_live_axis_cell(Circuit(3).h(0).t(0).x(1).cnot(0, 2).h(2).cnot(1, 2)))
+# q0: gate, 15 us delay, gate, while q1 and q2 finish
+@example(_live_axis_cell(Circuit(3).h(0).x(2).cnot(0, 1).h(1).delay(15e-6, 0).h(0)))
+# q0, not the highest index, finishes last
+@example(_live_axis_cell(Circuit(3).h(2).cnot(2, 1).cnot(1, 0).t(0).h(0)))
+@example(_wide_chain_cell(7))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
@@ -339,9 +363,45 @@ def test_exact_engine_memos_are_read_only():
     """Every call shares the memoized matrices, so none may be written."""
     params = QubitNoiseParams(30e-6, 40e-6, omega=1e6)
     for m in (noise._idle_superop(params, 1e-6), noise._gate_superop("H", 0.0),
-              noise._cnot_superop(0.01)):
+              noise._cnot_superop(0.01), noise._readout_rows(params, 1e-6)):
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 0.0
+
+
+def test_qubit_params_hash_once_and_share_memo_entries():
+    """Equal params hash equal, drift -0.0 and 0.0 included, as the
+    dataclass's own hash of the compared fields would; the idle-window memo
+    therefore hits for the same qubit reached through any subset of a
+    calibration, and for equal params built apart."""
+    a = QubitNoiseParams(30e-6, 40e-6, omega=-0.0, readout_error=0.01)
+    b = QubitNoiseParams(30e-6, 40e-6, omega=0.0, readout_error=0.01)
+    assert a == b and hash(a) == hash(b) == hash((30e-6, 40e-6, 0.0, 0.01))
+    assert hash(a) != hash(QubitNoiseParams(30e-6, 40e-6, omega=1.0, readout_error=0.01))
+    cal = noise.default_calibration()
+    dt = 1.234567e-6  # a key no other test uses
+    first = noise._idle_superop(cal.subset([7, 8]).qubits[0], dt)
+    hits = noise._idle_superop.cache_info().hits
+    assert noise._idle_superop(cal.subset([3, 7]).qubits[1], dt) is first
+    assert noise._idle_superop(QubitNoiseParams(
+        cal.qubits[7].t1, cal.qubits[7].t2, cal.qubits[7].omega,
+        cal.qubits[7].readout_error), dt) is first
+    assert noise._idle_superop.cache_info().hits == hits + 2
+
+
+def test_exact_engine_peak_memory_on_a_wide_chain():
+    """The superposed-control cnot-reset chain on 10 qubits never holds all
+    ten axes live: each qubit is size 1 until its first CNOT and size 2
+    after its last, so the peak stays below 1.5 copies of the 4**10
+    coefficients that a full tensor would take."""
+    sched, cal = _wide_chain_cell(10)
+    _exact_probabilities(sched, cal)  # fill the memos first
+    tracemalloc.start()
+    try:
+        _exact_probabilities(sched, cal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 4**10
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
