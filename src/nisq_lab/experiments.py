@@ -4,11 +4,11 @@ Every experiment is a sequence of cells. A ``Cell`` is one built circuit,
 its seed key, the computational basis string it should read out, and the
 locals to flip to |1> before it runs. ``run_cells`` runs each cell on its
 own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule
-on the calibration subset of the cell's layout, ``run_shots``, and score
-with ``fidelity``. The experiments below differ only in the cells they
-yield and in how they fold the reports into tables; ``_metadata`` builds
-every table's metadata. Cells come from generators, so each circuit is
-built right before it runs.
+(once per distinct circuit in the call), ``run_shots`` on the calibration
+subset of the cell's layout, and score with ``fidelity``. The experiments
+below differ only in the cells they yield and in how they fold the reports
+into tables; ``_metadata`` builds every table's metadata. Cells come from
+generators, so each circuit is built right before it runs.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -39,7 +39,7 @@ from .fitting import (
     fit_exponential,
     theoretical_qpe_distribution,
 )
-from .noise import DeviceCalibration, run_shots, schedule
+from .noise import DeviceCalibration, ScheduledCircuit, run_shots, schedule
 from .simulator import Circuit, GateOp
 from .topology import CouplingGraph, GeometryPlacement
 
@@ -157,15 +157,24 @@ class Cell:
 
 
 def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
-    """Run and score each cell compactly on its own qubits, in order."""
+    """Run and score each cell compactly on its own qubits, in order.
+
+    Cells with the same local circuit (width, ``prep_x`` and ops), such as
+    one survey variant's placements, share one schedule within the call,
+    which the exact engine plans once; each cell still makes its own
+    ``run_shots`` call on its own calibration subset and seed key."""
+    scheduled: dict[tuple, ScheduledCircuit] = {}
     reports = []
     for cell in cells:
         built = cell.built
         n = built.circuit.n_qubits
-        circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
-                          + [GateOp("MEASURE", (q,)) for q in range(n)], built.circuit.roles)
-        sub = cal.subset(built.layout)
-        counts = run_shots(schedule(circuit, sub.durations), sub, shots, list(cell.seed_key))
+        key = (n, cell.prep_x, tuple(built.circuit.ops))
+        sched = scheduled.get(key)
+        if sched is None:
+            circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
+                              + [GateOp("MEASURE", (q,)) for q in range(n)], built.circuit.roles)
+            sched = scheduled[key] = schedule(circuit, cal.durations)
+        counts = run_shots(sched, cal.subset(built.layout), shots, list(cell.seed_key))
         reports.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
     return reports
 
@@ -299,19 +308,20 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
             raise CellRangeError(f"max_length {cfg.max_length} exceeds the {len(path) - 1} "
                                  f"links of orientation {orientation}")
     lengths = range(1, cfg.max_length + 1)
+    keys = [(orientation, strategy) for orientation in paths for strategy in cfg.strategies]
+    cells = (Cell(builders.cnot_chain(paths[orientation][: n + 1], strategy),
+                  (cfg.seed, _TAGS["chain"], orientation,
+                   builders.RESET_STRATEGIES.index(strategy), n), "11")
+             for orientation, strategy in keys for n in lengths)
+    reports = run_cells(cells, cfg.calibration, cfg.shots)
     tables: dict[tuple[int, str], ResultTable] = {}
-    for orientation, path in paths.items():
-        for strategy in cfg.strategies:
-            s_idx = builders.RESET_STRATEGIES.index(strategy)
-            cells = (Cell(builders.cnot_chain(path[: n + 1], strategy),
-                          (cfg.seed, _TAGS["chain"], orientation, s_idx, n), "11")
-                     for n in lengths)
-            reports = run_cells(cells, cfg.calibration, cfg.shots)
-            tables[(orientation, strategy)] = ResultTable(
-                [_row(n, rep) for n, rep in zip(lengths, reports)],
-                metadata=_metadata(cfg, "cnot-chain", "chain_length", "fidelity",
-                                   orientation=orientation, strategy=strategy),
-            )
+    for i, (orientation, strategy) in enumerate(keys):
+        part = reports[i * len(lengths):(i + 1) * len(lengths)]
+        tables[(orientation, strategy)] = ResultTable(
+            [_row(n, rep) for n, rep in zip(lengths, part)],
+            metadata=_metadata(cfg, "cnot-chain", "chain_length", "fidelity",
+                               orientation=orientation, strategy=strategy),
+        )
     averages: dict[str, ResultTable] = {}
     for strategy in cfg.strategies:
         per = [tables[(o, strategy)] for o in cfg.orientations]

@@ -28,12 +28,16 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     the last one's ends in the qubit's readout rows (the damping of the
     window still open at readout, then the readout flips), so that the
     axis leaves it holding the qubit's two outcome probabilities. Window,
-    gate and readout matrices are built once, in bounded memos.
+    gate and readout matrices are built once, in bounded memos. What
+    depends on the schedule alone is planned once per ``ScheduledCircuit``
+    (``_exact_plan``); each run looks up its calibration's matrices and
+    applies the products.
 
 The bit-vector engine samples the ensemble average that the exact engine
-computes. Both apply each qubit's idle charge (``_channel_rates``) once per
-idle window (from one gate on the qubit to its next gate, or to readout) for
-the window's summed duration, which is the same channel as charging it layer
+computes. Both apply each qubit's idle charge (``_channel_rates``; the
+bit-vector engine needs only its damping, ``_damping``) once per idle
+window (from one gate on the qubit to its next gate, or to readout) for the
+window's summed duration, which is the same channel as charging it layer
 by layer (see ``_idle_windows``). The bit-vector engine draws the shots that
 each damping window, depolarizing channel and readout flip hits, many events
 at once, as running sums of Geometric(p) gaps (``_event_hits``: the same law
@@ -41,7 +45,6 @@ as per-shot trials), and touches only those rows.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -293,7 +296,8 @@ class ScheduledLayer:
 @dataclass(frozen=True)
 class ScheduledCircuit:
     """ASAP time layers. Measure ops, if present, form one final layer:
-    readout happens once at the end of the circuit."""
+    readout happens once at the end of the circuit. The exact engine keeps
+    its plan of the circuit on the object (see ``_exact_probabilities``)."""
 
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]
@@ -337,11 +341,16 @@ def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
 # Idle noise channels
 # ---------------------------------------------------------------------------
 
-def _channel_rates(params: QubitNoiseParams, dt: float) -> tuple[float, float, float]:
-    """(jump probability scale, phase-flip probability, drift angle) for dt."""
+def _damping(params: QubitNoiseParams, dt: float) -> float:
+    """The jump probability 1 - exp(-dt/t1) of amplitude damping over dt."""
     if dt < 0:
         raise ValueError(f"negative interval dt={dt}")
-    gamma = 0.0 if not math.isfinite(params.t1) else 1.0 - math.exp(-dt / params.t1)
+    return 0.0 if not math.isfinite(params.t1) else 1.0 - math.exp(-dt / params.t1)
+
+
+def _channel_rates(params: QubitNoiseParams, dt: float) -> tuple[float, float, float]:
+    """(jump probability scale, phase-flip probability, drift angle) for dt."""
+    gamma = _damping(params, dt)
     tphi = params.tphi
     pz = 0.0 if not math.isfinite(tphi) else 0.5 * (1.0 - math.exp(-dt / tphi))
     return gamma, pz, params.omega * dt
@@ -367,8 +376,9 @@ def _idle_windows(
     for layer in scheduled.layers:
         now += layer.duration
         windows = []
-        for q in sorted({q for op in layer.ops if op.kind not in ("MEASURE", "DELAY")
-                         for q in op.qubits}):
+        gated = [q for op in layer.ops if op.kind not in ("MEASURE", "DELAY") for q in op.qubits]
+        gated.sort()  # no set needed: a layer's ops act on distinct qubits
+        for q in gated:
             if now > last_gate.get(q, now):
                 windows.append((q, now - last_gate[q]))
             last_gate[q] = now
@@ -478,7 +488,7 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     steps = []  # ("X", mask), ("CNOT", shift, target mask), or an event (kind, p, bits)
     for windows, ops in _idle_windows(scheduled):
         for q, dt in windows:
-            gamma, _, _ = _channel_rates(cal.qubits[q], dt)
+            gamma = _damping(cal.qubits[q], dt)
             if gamma > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
                 steps.append(("decay", gamma, (n - 1 - q,)))
@@ -611,6 +621,43 @@ def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
     return _read_only(rows)
 
 
+def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]]:
+    """What ``_exact_probabilities`` does on any calibration, as
+    ``(gates, never_gated)``. A gate is ``(gate, ins, outs, perm, inverse,
+    shape)``: its PTM (None for a CNOT, whose PTM depends on the
+    calibration); per operand, what its axis takes first (``_ZERO``, the
+    ``(q, dt)`` window the gate closes, or ``_NO_IDLE``) and, at its last
+    gate, the ``(q, dt)`` of its readout rows, each None when all are
+    ``_NO_IDLE``; the axis permutation and its inverse; and the permuted
+    shape after the gate. ``never_gated`` lists each ungated qubit with the
+    broadcast shape of its readout pair."""
+    n = scheduled.n_qubits
+    sizes = [1] * n  # each qubit's axis size
+    *steps, (readout_windows, _) = _idle_windows(scheduled)
+    open_at_readout = {w[0]: w for w in readout_windows}
+    gated = [op for _, ops in steps for op in ops if op.kind not in ("MEASURE", "DELAY")]
+    last = {q: i for i, op in enumerate(gated) for q in op.qubits}  # each qubit's last gate
+    gates = []
+    for windows, ops in steps:
+        idle = {w[0]: w for w in windows}
+        for op in ops:
+            if op.kind in ("MEASURE", "DELAY"):
+                continue
+            ins = [idle.get(q, _NO_IDLE) if sizes[q] == 4 else _ZERO for q in op.qubits]
+            for q in op.qubits:
+                sizes[q] = 2 if last[q] == len(gates) else 4
+            outs = [open_at_readout.get(q, (q, 0.0)) if sizes[q] == 2 else _NO_IDLE
+                    for q in op.qubits]
+            perm, inverse = _superop_axes(op.qubits, n)
+            # ins[0] and ins[-1] cover one qubit or both of a CNOT's
+            gates.append((None if op.kind == "CNOT" else _gate_superop(op.kind, op.angle),
+                          ins if ins[0] is not _NO_IDLE or ins[-1] is not _NO_IDLE else None,
+                          outs if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE else None,
+                          perm, inverse, [sizes[a] for a in perm]))
+    never_gated = [(q, (2,) + (1,) * (n - 1 - q)) for q in range(n) if sizes[q] == 1]
+    return gates, never_gated
+
+
 def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
     """Exact outcome distribution over the 2**n basis states, readout error
     included: the ensemble average that the bit-vector engine samples.
@@ -625,6 +672,11 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
     axis holds q's two outcome probabilities. A qubit no gate touches reads
     [1 - r, r]. The final tensor is the outcome distribution in qubit order.
 
+    That bookkeeping depends on the schedule alone: it is planned
+    (``_exact_plan``) on the first exact run of a ``ScheduledCircuit`` and
+    kept on the object, so each later run, on any calibration, only looks
+    up the memoized matrices of ``cal``'s qubits and applies the products.
+
     A gate whose operands are all live costs one product over the whole
     tensor, and a reshape that moves its axes to the front copies the
     tensor first: all-live circuits peak at 2.00-2.01 copies of 8 B x 4**n
@@ -634,43 +686,28 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
     peak at 1.00-1.01 copies (8.0 MiB at 10 qubits, against 16.0 MiB with
     every axis held at size 4).
     """
-    n = scheduled.n_qubits
-    sizes = [1] * n  # each qubit's axis size
-    rho = np.ones(sizes)
-    *steps, (readout_windows, _) = _idle_windows(scheduled)
-    open_at_readout = dict(readout_windows)
-    gates_left = collections.Counter(q for _, ops in steps for op in ops
-                                     if op.kind not in ("MEASURE", "DELAY") for q in op.qubits)
-    for windows, ops in steps:
-        idle = {q: _idle_superop(cal.qubits[q], dt) for q, dt in windows}
-        for op in ops:
-            if op.kind == "CNOT":
-                s = _cnot_superop(cal.two_qubit_error)
-            elif op.kind not in ("MEASURE", "DELAY"):
-                s = _gate_superop(op.kind, op.angle)
-            else:
-                continue
-            ins = [idle.get(q, _NO_IDLE) if sizes[q] == 4 else _ZERO for q in op.qubits]
-            outs = []
-            for q in op.qubits:
-                gates_left[q] -= 1
-                sizes[q] = 4 if gates_left[q] else 2
-                outs.append(_NO_IDLE if gates_left[q] else
-                            _readout_rows(cal.qubits[q], open_at_readout.get(q, 0.0)))
-            # ins[0] and ins[-1] cover one qubit or both of a CNOT's
-            if ins[0] is not _NO_IDLE or ins[-1] is not _NO_IDLE:
-                s = s @ functools.reduce(_kron, ins)
-            if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE:
-                s = functools.reduce(_kron, outs) @ s
-            perm, inverse = _superop_axes(op.qubits, n)
-            # the reshape copies rho unless perm keeps its order; rebinding
-            # rho frees the old state before the product allocates its own
-            rho = rho.transpose(perm).reshape(s.shape[1], -1)
-            rho = (s @ rho).reshape([sizes[a] for a in perm]).transpose(inverse)
-    for q in range(n):
-        if sizes[q] == 1:  # never gated
-            r = cal.qubits[q].readout_error
-            rho = rho * np.array([1.0 - r, r]).reshape((2,) + (1,) * (n - 1 - q))
+    plan = scheduled.__dict__.get("_exact_plan")
+    if plan is None:
+        plan = scheduled.__dict__["_exact_plan"] = _exact_plan(scheduled)
+    gates, never_gated = plan
+    params = cal.qubits
+    rho = np.ones((1,) * scheduled.n_qubits)
+    # a plan entry is a constant matrix or a (q, dt) key into a memo
+    for gate, ins, outs, perm, inverse, shape in gates:
+        s = _cnot_superop(cal.two_qubit_error) if gate is None else gate
+        if ins is not None:
+            s = s @ functools.reduce(_kron, [_idle_superop(params[m[0]], m[1])
+                                             if type(m) is tuple else m for m in ins])
+        if outs is not None:
+            s = functools.reduce(_kron, [_readout_rows(params[m[0]], m[1])
+                                         if type(m) is tuple else m for m in outs]) @ s
+        # the reshape copies rho unless perm keeps its order; rebinding
+        # rho frees the old state before the product allocates its own
+        rho = rho.transpose(perm).reshape(s.shape[1], -1)
+        rho = (s @ rho).reshape(shape).transpose(inverse)
+    for q, shape in never_gated:
+        r = params[q].readout_error
+        rho = rho * np.array([1.0 - r, r]).reshape(shape)
     probs = np.clip(rho.reshape(-1), 0.0, None)
     return probs / probs.sum()
 

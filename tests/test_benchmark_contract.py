@@ -3,6 +3,7 @@ attributes (``experiments.run_t1``, ``experiments.run_shots``, ...) and looks
 them up at call time. If a call site binds one of them at import, the traced
 run sees no calls for its layer and the benchmark guard fails; these tests
 catch that in the ordinary suite."""
+import collections
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from nisq_lab import cli  # noqa: E402
+from nisq_lab import cli, experiments  # noqa: E402
 
 # which engine a run reaches depends on its circuits; every other layer of
 # its workload must show up in each run on its own
@@ -39,3 +40,24 @@ def test_every_benchmark_layer_records_calls(workload, tmp_path):
         assert layers - ENGINE_LAYERS <= called, (argv, sorted(layers - called))
         seen |= called
     assert seen == layers, sorted(layers - seen)
+
+
+def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
+        monkeypatch, graph, default_cal):
+    """The benchmark cuts its passes at each ``experiments.run_shots`` call
+    and checks that ``noise.schedule`` records calls: every cell must still
+    reach run_shots on its own, while cells that share a local circuit share
+    one schedule (12 distinct circuits among the 156 survey cells, 55 among
+    the 228 chain cells)."""
+    calls = collections.Counter()
+    for name in ("run_shots", "schedule"):
+        def counting(*args, _real=getattr(experiments, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(experiments, name, counting)
+    cfg = experiments.ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    experiments.run_ccnot_survey(cfg)
+    assert calls == {"run_shots": 156, "schedule": 12}
+    calls.clear()
+    experiments.run_cnot_chain_sweep(cfg)
+    assert calls == {"run_shots": 228, "schedule": 55}

@@ -7,10 +7,12 @@ import pytest
 
 from nisq_lab import builders, experiments, topology
 from nisq_lab.experiments import (
+    Cell,
     ExperimentConfig,
     default_phi_grid,
     nearest_perfect_phase,
     run_ccnot_survey,
+    run_cells,
     run_cnot_chain_sweep,
     run_qft_perfect_phases,
     run_qpe_phase_sweep,
@@ -18,7 +20,9 @@ from nisq_lab.experiments import (
     run_t2_echo,
     run_t2_ramsey,
 )
-from nisq_lab.noise import DeviceCalibration, DurationModel, QubitNoiseParams
+from nisq_lab.fitting import fidelity
+from nisq_lab.noise import DeviceCalibration, DurationModel, QubitNoiseParams, run_shots, schedule
+from nisq_lab.simulator import Circuit, GateOp
 
 INF = math.inf
 
@@ -298,6 +302,30 @@ def test_qft_geometry_subset_matches_the_default_run(graph, default_cal):
     star = run_qft_perfect_phases(replace(cfg, geometries=("star4",)))["star4"]
     assert star.metadata["placements"] == full.metadata["placements"]
     assert _rows(star) == _rows(full)
+
+
+def test_shared_schedules_report_what_a_fresh_schedule_per_cell_reports(graph, default_cal):
+    """run_cells schedules each distinct circuit once; its reports equal
+    those of building and scheduling every cell afresh."""
+    cells = []
+    for idx, (variant, placement) in enumerate(experiments._survey_placements(graph)):
+        if variant.startswith("star4"):
+            built = builders.ccnot_on_geometry(placement, variant)
+            target = built.layout.index(placement.target)
+            controls = tuple(q for q in built.computational_locals if q != target)
+            cells.append(Cell(built, (3, experiments._TAGS["ccnot"], idx), "111",
+                              prep_x=controls))
+    assert len({(c.prep_x, tuple(c.built.circuit.ops)) for c in cells}) < len(cells)
+    fresh = []
+    for cell in cells:
+        built, n = cell.built, cell.built.circuit.n_qubits
+        circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops,
+                          built.circuit.roles).measure_all()
+        sub = default_cal.subset(built.layout)
+        counts = run_shots(schedule(circuit, sub.durations), sub, SUBSET_SHOTS,
+                           list(cell.seed_key))
+        fresh.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
+    assert run_cells(cells, default_cal, SUBSET_SHOTS) == fresh
 
 
 @pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo, run_cnot_chain_sweep,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ def test_idle_zero_interval_is_identity():
 
 
 def test_idle_negative_interval_rejected():
-    with pytest.raises(ValueError):
-        _channel_rates(QubitNoiseParams(30e-6, 40e-6), -1.0)
+    for rates in (_channel_rates, noise._damping):  # the bit-vector engine calls _damping
+        with pytest.raises(ValueError, match="negative interval"):
+            rates(QubitNoiseParams(30e-6, 40e-6), -1.0)
 
 
 def test_drift_rotation_exact():
@@ -354,9 +356,28 @@ def _live_axis_cell(circuit):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
-    exact = _exact_probabilities(sched, cal)
+    sched = replace(sched)  # a new object: its plan is built on the first call
+    cold = _exact_probabilities(sched, cal)
+    warm = _exact_probabilities(sched, cal)
     oracle = kraus_outcome_probabilities(sched, cal)
-    assert np.max(np.abs(exact - oracle)) <= 1e-12
+    assert np.max(np.abs(cold - oracle)) <= 1e-12
+    assert np.array_equal(warm, cold)
+
+
+def test_one_schedule_runs_on_every_placement_like_fresh_schedules():
+    """The plan kept on a ScheduledCircuit holds nothing of a calibration:
+    one schedule run on two placements' calibrations, in either order,
+    gives what each placement's own fresh schedule gives."""
+    stars = topology.enumerate_stars(topology.shipped_poughkeepsie())[:2]
+    cells = [_survey_cell(topology.star_variants(star)[0], "star4-cnot-reset") for star in stars]
+    (sched, cal_a), (sched_b, cal_b) = cells
+    assert sched == sched_b and cal_a != cal_b  # one local circuit, two calibrations
+    fresh = [_exact_probabilities(*cell) for cell in cells]  # each on its own schedule
+    assert not np.array_equal(*fresh)
+    for order in ((0, 1), (1, 0)):
+        shared = replace(sched)
+        for i in order:
+            assert np.array_equal(_exact_probabilities(shared, cells[i][1]), fresh[i])
 
 
 def test_exact_engine_memos_are_read_only():
@@ -392,16 +413,18 @@ def test_exact_engine_peak_memory_on_a_wide_chain():
     """The superposed-control cnot-reset chain on 10 qubits never holds all
     ten axes live: each qubit is size 1 until its first CNOT and size 2
     after its last, so the peak stays below 1.5 copies of the 4**10
-    coefficients that a full tensor would take."""
+    coefficients that a full tensor would take, whether the run reuses the
+    schedule's plan or builds it first (on a new object)."""
     sched, cal = _wide_chain_cell(10)
-    _exact_probabilities(sched, cal)  # fill the memos first
-    tracemalloc.start()
-    try:
-        _exact_probabilities(sched, cal)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 8 * 4**10
+    _exact_probabilities(sched, cal)  # fill the memos and the plan first
+    for run in (sched, replace(sched)):
+        tracemalloc.start()
+        try:
+            _exact_probabilities(run, cal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 4**10, run is sched
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
