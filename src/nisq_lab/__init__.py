@@ -5,15 +5,7 @@ fidelity scoring, and decay-curve fitting."""
 
 __version__ = "0.1.0"
 
-from .simulator import (  # noqa: F401
-    Circuit,
-    GateOp,
-    StateVector,
-    apply_circuit,
-    apply_gate,
-    circuit_unitary,
-    sample_shots,
-)
+from .simulator import Circuit, GateOp  # noqa: F401
 from .topology import (  # noqa: F401
     CouplingGraph,
     GeometryPlacement,

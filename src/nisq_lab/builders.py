@@ -7,18 +7,28 @@ follows the placement's geometric order (chain order, ring order, outer
 qubits then star center), which is also the order of outcome bits, most
 significant first.
 
+A two-qubit gate between uncoupled qubits is routed one of two ways, each
+written once:
+  * ``_via_swap``: a SWAP sandwich (SWAP as three alternating CNOTs) moves
+    the control into the middle qubit of a linear triple and back;
+  * ``_via_copies``: CNOTs copy the control's value down a path of |0>
+    ancillas (a star centre, a ring arc, a chain), the gate acts on the
+    last link, and the copies are undone, by mirrored CNOTs (exact for any
+    control) or by X (exact only for a classical |1> control).
+``_DETOURS`` lists, per geometry, which pairs take which path.
+
 Constructions:
-  * SWAP as three alternating CNOTs; distant CNOT / controlled-phase via a
-    SWAP sandwich through the middle qubit of a linear triple.
+  * Distant CNOT / controlled-phase on a linear triple, and star-mediated
+    CNOTs through the central ancilla.
   * CNOT chains with three ancilla-reset strategies (none, X gates, or a
     mirrored CNOT un-chain for superposed controls).
-  * Star-mediated CNOTs through a central ancilla, reset by X (classical
-    |1> control only) or by a second CNOT.
-  * CCNOT from the standard 6-CNOT / 7-T decomposition, adapted to linear
-    triples (both target choices), stars, and the two 6-ring layouts.
+  * CCNOT from the standard 6-CNOT / 7-T decomposition (Barenco et al.
+    1995), adapted to linear triples (both target choices), stars, and the
+    two 6-ring layouts.
   * A 3-qubit inverse-QFT without terminal swaps (see qpe_expected_label
     for the resulting output bit order) plus its geometry adaptations; the
-    star form merges two phase gates sharing a control and saves 2 CNOTs.
+    star form keeps one ancilla copy across two phase gates sharing a
+    control and saves 2 CNOTs.
   * Phase-ladder state prep standing in for controlled-U powers in phase
     estimation.
 """
@@ -113,6 +123,63 @@ def _linear3_locals(placement: GeometryPlacement, device_q: int) -> int:
         raise BuildError(f"qubit {device_q} is not in placement {placement.computational}") from None
 
 
+def _via_swap(circuit: Circuit, c: int, mid: int, t: int, gate) -> None:
+    """``gate`` from c to t through their common neighbour ``mid``: SWAP c's
+    state into the middle, ``gate(mid, t)``, SWAP back (mid's state kept)."""
+    circuit.extend(swap_via_cnots(c, mid))
+    gate(mid, t)
+    circuit.extend(swap_via_cnots(mid, c))
+
+
+def _via_copies(circuit: Circuit, path, gate, *, x_reset: bool = False) -> None:
+    """``gate`` from path[0] to path[-1] through |0> ancillas: CNOT copies of
+    the control's value run down the path, ``gate`` acts on the last link,
+    and the copies are undone in reverse. With ``x_reset`` each ancilla is
+    flipped back by X instead, which is exact only for a |1> control."""
+    links = list(zip(path, path[1:]))
+    for a, b in links[:-1]:
+        circuit.cnot(a, b)
+    gate(*links[-1])
+    for a, b in reversed(links[:-1]):
+        if x_reset:
+            circuit.x(b)
+        else:
+            circuit.cnot(a, b)
+
+
+# For each ordered pair of uncoupled computational locals (0-2, in geometric
+# order), the path its two-qubit gate takes: a linear triple swaps through
+# its middle qubit; the other geometries copy down their ancillas (3-5).
+_LINEAR3_DETOURS = {(0, 2): (0, 1, 2), (2, 0): (2, 1, 0)}
+_DETOURS = {
+    "linear3-cct": _LINEAR3_DETOURS,
+    "linear3-ctc": _LINEAR3_DETOURS,
+    "star4": {(c, t): (c, 3, t) for c in range(3) for t in range(3) if c != t},
+    # the three-ancilla arc 0 - 5 - 4 - 3 - 2
+    "ring6-3chain": {(0, 2): (0, 5, 4, 3, 2), (2, 0): (2, 3, 4, 5, 0)},
+    # one ancilla between each pair: 3 mediates (0,1), 4 mediates (1,2), 5 mediates (2,0)
+    "ring6-1chains": {(c, t): (c, m, t) for (a, b), m in {(0, 1): 3, (1, 2): 4, (2, 0): 5}.items()
+                      for c, t in ((a, b), (b, a))},
+}
+
+
+def _routed(circuit: Circuit, kind: str, c: int, t: int, gate, *, x_reset: bool = False) -> None:
+    """``gate(c, t)``, routed along the detour of placement kind ``kind``
+    (none for "ideal") when c and t are not coupled."""
+    path = _DETOURS.get(kind, {}).get((c, t))
+    if path is None:
+        gate(c, t)
+    elif kind.startswith("linear3"):
+        _via_swap(circuit, *path, gate)
+    else:
+        _via_copies(circuit, path, gate, x_reset=x_reset)
+
+
+def _crphi(circuit: Circuit, phi: float):
+    """A gate emitter for a controlled-Rphi on ``circuit``."""
+    return lambda c, t: circuit.extend(control_rphi_ops(c, t, phi))
+
+
 def distant_cnot_via_swaps(placement: GeometryPlacement, control: int, target: int) -> BuiltCircuit:
     """CNOT between the outer qubits of a linear triple: SWAP the control
     into the center, CNOT, SWAP back (7 CNOTs, center state preserved)."""
@@ -121,9 +188,7 @@ def distant_cnot_via_swaps(placement: GeometryPlacement, control: int, target: i
     if {cl, tl} != {0, 2}:
         raise BuildError("distant CNOT runs between the two outer qubits")
     circuit = Circuit(3, roles=_roles_for(3, {cl: "control", tl: "target"}))
-    circuit.extend(swap_via_cnots(cl, 1))
-    circuit.cnot(1, tl)
-    circuit.extend(swap_via_cnots(1, cl))
+    _via_swap(circuit, cl, 1, tl, circuit.cnot)
     return BuiltCircuit(circuit, placement.computational, placement, "")
 
 
@@ -131,14 +196,21 @@ def distant_crphi_via_swaps(placement: GeometryPlacement, phi: float) -> BuiltCi
     """Controlled-Rphi between the outer qubits of a linear triple."""
     _require_kind(placement, "linear3-cct", "linear3-ctc")
     circuit = Circuit(3, roles=_roles_for(3, {0: "control", 2: "target"}))
-    circuit.extend(swap_via_cnots(0, 1))
-    circuit.extend(control_rphi_ops(1, 2, phi))
-    circuit.extend(swap_via_cnots(1, 0))
+    _via_swap(circuit, 0, 1, 2, _crphi(circuit, phi))
     return BuiltCircuit(circuit, placement.computational, placement, "")
 
 
 def _roles_for(n: int, overrides: dict[int, str]) -> tuple[str, ...]:
     return tuple(overrides.get(i, "computational") for i in range(n))
+
+
+def _geometry_circuit(placement: GeometryPlacement) -> tuple[Circuit, tuple[int, ...], str]:
+    """An empty circuit over the placement's computational qubits then its
+    ancillas, its layout, and the all-|0> desired ancilla string."""
+    layout = placement.computational + placement.ancilla
+    n, n_anc = len(layout), len(placement.ancilla)
+    circuit = Circuit(n, roles=_roles_for(n, {q: "ancilla" for q in range(n - n_anc, n)}))
+    return circuit, layout, "0" * n_anc
 
 
 def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -> BuiltCircuit:
@@ -161,13 +233,13 @@ def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -
     circuit = Circuit(m + 1, roles=roles)
     if not control_in_superposition:
         circuit.x(0)
-    for i in range(m):
-        circuit.cnot(i, i + 1)
-        if strategy == "x-reset" and 1 <= i:
-            circuit.x(i)
     if strategy == "cnot-reset":
-        for i in range(m - 2, -1, -1):
+        _via_copies(circuit, range(m + 1), circuit.cnot)
+    else:
+        for i in range(m):
             circuit.cnot(i, i + 1)
+            if strategy == "x-reset" and 1 <= i:
+                circuit.x(i)
     desired = ("1" if strategy == "none" else "0") * (m - 1)
     return BuiltCircuit(circuit, placement.path, placement, desired)
 
@@ -185,21 +257,10 @@ def star_cnot(placement: GeometryPlacement, control: int, target: int, strategy:
     if control == target or control not in placement.computational or target not in placement.computational:
         raise BuildError("control and target must be distinct outer qubits")
     layout = placement.computational + placement.ancilla
-    cl = layout.index(control)
-    tl = layout.index(target)
-    roles = _roles_for(4, {cl: "control", tl: "target", 3: "ancilla"})
-    circuit = Circuit(4, roles=roles)
-    _emit_star_cx(circuit, cl, tl, 3, strategy)
+    cl, tl = layout.index(control), layout.index(target)
+    circuit = Circuit(4, roles=_roles_for(4, {cl: "control", tl: "target", 3: "ancilla"}))
+    _via_copies(circuit, (cl, 3, tl), circuit.cnot, x_reset=strategy == "x-reset")
     return BuiltCircuit(circuit, layout, placement, "0")
-
-
-def _emit_star_cx(circuit: Circuit, control: int, target: int, center: int, strategy: str) -> None:
-    circuit.cnot(control, center)
-    circuit.cnot(center, target)
-    if strategy == "x-reset":
-        circuit.x(center)
-    else:
-        circuit.cnot(control, center)
 
 
 def ccnot_ideal(q1: int, q2: int, q3: int) -> list[GateOp]:
@@ -207,35 +268,31 @@ def ccnot_ideal(q1: int, q2: int, q3: int) -> list[GateOp]:
     if len({q1, q2, q3}) != 3:
         raise BuildError("CCNOT needs three distinct qubits")
     c = Circuit(max(q1, q2, q3) + 1)
-    _toffoli_body(c, c.cnot, q1, q2, q3)
+    _toffoli_body(c, "ideal", q1, q2, q3)
     return c.ops
 
 
-def _toffoli_body(circuit: Circuit, emit_cx, q1: int, q2: int, q3: int) -> None:
+def _toffoli_body(circuit: Circuit, kind: str, q1: int, q2: int, q3: int, *,
+                  x_reset: bool = False) -> None:
+    """Controls q1, q2 and target q3, each CNOT routed for placement ``kind``."""
+    def cx(c, t):
+        _routed(circuit, kind, c, t, circuit.cnot, x_reset=x_reset)
+
     circuit.h(q3)
-    emit_cx(q2, q3)
+    cx(q2, q3)
     circuit.tdg(q3)
-    emit_cx(q1, q3)
+    cx(q1, q3)
     circuit.t(q3)
-    emit_cx(q2, q3)
+    cx(q2, q3)
     circuit.tdg(q3)
-    emit_cx(q1, q3)
+    cx(q1, q3)
     circuit.t(q2)
     circuit.t(q3)
-    emit_cx(q1, q2)
+    cx(q1, q2)
     circuit.h(q3)
     circuit.t(q1)
     circuit.tdg(q2)
-    emit_cx(q1, q2)
-
-
-def _emit_chain_cx(circuit: Circuit, path: tuple[int, ...]) -> None:
-    """Exact distant CNOT along a path of |0> ancillas: copy the control
-    value down the chain, fire the last link, then un-copy."""
-    for i in range(len(path) - 1):
-        circuit.cnot(path[i], path[i + 1])
-    for i in range(len(path) - 3, -1, -1):
-        circuit.cnot(path[i], path[i + 1])
+    cx(q1, q2)
 
 
 def ccnot_on_geometry(placement: GeometryPlacement, variant: str) -> BuiltCircuit:
@@ -244,73 +301,27 @@ def ccnot_on_geometry(placement: GeometryPlacement, variant: str) -> BuiltCircui
     Linear triples route their one distant pair through SWAP sandwiches;
     stars mediate every CNOT through the center ancilla (reset per the
     variant); ring layouts pass distant CNOTs down CNOT-reset ancilla
-    chains. The star x-reset form is only exact for controls prepared in
-    |1>, matching how it is surveyed.
+    chains. Controls keep geometric order. The star x-reset form is only
+    exact for controls prepared in |1>, matching how it is surveyed.
     """
     if variant not in CCNOT_VARIANTS:
         raise BuildError(f"unknown CCNOT variant {variant!r}")
-    if variant.startswith("star4"):
-        _require_kind(placement, "star4")
-    else:
-        _require_kind(placement, variant)
+    _require_kind(placement, "star4" if variant.startswith("star4") else variant)
+    circuit, layout, desired = _geometry_circuit(placement)
+    q3 = layout.index(placement.target)
+    q1, q2 = [q for q in (0, 1, 2) if q != q3]
+    _toffoli_body(circuit, placement.kind, q1, q2, q3, x_reset=variant == "star4-x-reset")
+    return BuiltCircuit(circuit, layout, placement, desired)
 
-    if variant in ("linear3-cct", "linear3-ctc"):
-        roles = _roles_for(3, {})
-        circuit = Circuit(3, roles=roles)
-        # logical target per variant; controls keep geometric order
-        q3 = 2 if variant == "linear3-cct" else 1
-        q1, q2 = [q for q in (0, 1, 2) if q != q3]
 
-        def emit(c, t):
-            if {c, t} == {0, 2}:
-                circuit.extend(swap_via_cnots(c, 1))
-                circuit.cnot(1, t)
-                circuit.extend(swap_via_cnots(1, c))
-            else:
-                circuit.cnot(c, t)
-
-        _toffoli_body(circuit, emit, q1, q2, q3)
-        return BuiltCircuit(circuit, placement.computational, placement, "")
-
-    if variant.startswith("star4"):
-        strategy = "x-reset" if variant.endswith("x-reset") else "cnot-reset"
-        layout = placement.computational + placement.ancilla
-        q3 = layout.index(placement.target)
-        q1, q2 = [q for q in (0, 1, 2) if q != q3]
-        circuit = Circuit(4, roles=_roles_for(4, {3: "ancilla"}))
-
-        def emit(c, t):
-            _emit_star_cx(circuit, c, t, 3, strategy)
-
-        _toffoli_body(circuit, emit, q1, q2, q3)
-        return BuiltCircuit(circuit, layout, placement, "0")
-
-    layout = placement.computational + placement.ancilla
-    circuit = Circuit(6, roles=_roles_for(6, {3: "ancilla", 4: "ancilla", 5: "ancilla"}))
-    if variant == "ring6-3chain":
-        # geometric middle is the target; the outer pair routes through the
-        # three-ancilla arc 0 - 5 - 4 - 3 - 2
-        q1, q2, q3 = 0, 2, 1
-
-        def emit(c, t):
-            if {c, t} == {0, 2}:
-                _emit_chain_cx(circuit, (0, 5, 4, 3, 2) if c == 0 else (2, 3, 4, 5, 0))
-            else:
-                circuit.cnot(c, t)
-
-        _toffoli_body(circuit, emit, q1, q2, q3)
-    else:
-        # one ancilla between each computational pair: 3 mediates (0,1),
-        # 4 mediates (1,2), 5 mediates (2,0)
-        mediator = {frozenset((0, 1)): 3, frozenset((1, 2)): 4, frozenset((0, 2)): 5}
-        q3 = layout.index(placement.target)
-        q1, q2 = [q for q in (0, 1, 2) if q != q3]
-
-        def emit(c, t):
-            _emit_chain_cx(circuit, (c, mediator[frozenset((c, t))], t))
-
-        _toffoli_body(circuit, emit, q1, q2, q3)
-    return BuiltCircuit(circuit, layout, placement, "000")
+def _qft_body(circuit: Circuit, kind: str) -> None:
+    """The inverse-QFT gates, each controlled phase routed for ``kind``."""
+    circuit.h(0)
+    _routed(circuit, kind, 1, 0, _crphi(circuit, -math.pi / 2))
+    _routed(circuit, kind, 2, 0, _crphi(circuit, -math.pi / 4))
+    circuit.h(1)
+    _routed(circuit, kind, 2, 1, _crphi(circuit, -math.pi / 2))
+    circuit.h(2)
 
 
 def qft_dagger_3(placement: GeometryPlacement | str = "ideal") -> BuiltCircuit:
@@ -324,62 +335,27 @@ def qft_dagger_3(placement: GeometryPlacement | str = "ideal") -> BuiltCircuit:
         if placement != "ideal":
             raise BuildError(f"unknown QFT geometry {placement!r}")
         circuit = Circuit(3, roles=_roles_for(3, {}))
-        circuit.h(0)
-        circuit.extend(control_rphi_ops(1, 0, -math.pi / 2))
-        circuit.extend(control_rphi_ops(2, 0, -math.pi / 4))
-        circuit.h(1)
-        circuit.extend(control_rphi_ops(2, 1, -math.pi / 2))
-        circuit.h(2)
+        _qft_body(circuit, "ideal")
         return BuiltCircuit(circuit, (0, 1, 2), None, "")
+    if placement.kind not in ("linear3-cct", "linear3-ctc", "star4", "ring6-3chain"):
+        raise BuildError(f"QFT does not support placement kind {placement.kind!r}")
+    circuit, layout, desired = _geometry_circuit(placement)
+    if placement.kind != "star4":
+        _qft_body(circuit, placement.kind)
+        return BuiltCircuit(circuit, layout, placement, desired)
+    circuit.h(0)
+    _via_copies(circuit, (1, 3, 0), _crphi(circuit, -math.pi / 2))
 
-    if placement.kind in ("linear3-cct", "linear3-ctc"):
-        circuit = Circuit(3, roles=_roles_for(3, {}))
-        circuit.h(0)
-        circuit.extend(control_rphi_ops(1, 0, -math.pi / 2))
-        circuit.extend(swap_via_cnots(2, 1))
-        circuit.extend(control_rphi_ops(1, 0, -math.pi / 4))
-        circuit.extend(swap_via_cnots(1, 2))
+    # the next two phase gates share control 2: keep its copy on the
+    # ancilla across both and skip one reset round-trip (saves 2 CNOTs)
+    def shared_copy(a, _):
+        circuit.extend(control_rphi_ops(a, 0, -math.pi / 4))
         circuit.h(1)
-        circuit.extend(control_rphi_ops(2, 1, -math.pi / 2))
-        circuit.h(2)
-        return BuiltCircuit(circuit, placement.computational, placement, "")
+        circuit.extend(control_rphi_ops(a, 1, -math.pi / 2))
 
-    if placement.kind == "star4":
-        layout = placement.computational + placement.ancilla
-        circuit = Circuit(4, roles=_roles_for(4, {3: "ancilla"}))
-        circuit.h(0)
-        circuit.cnot(1, 3)
-        circuit.extend(control_rphi_ops(3, 0, -math.pi / 2))
-        circuit.cnot(1, 3)
-        # the next two phase gates share control 2: keep its copy on the
-        # ancilla across both and skip one reset round-trip (saves 2 CNOTs)
-        circuit.cnot(2, 3)
-        circuit.extend(control_rphi_ops(3, 0, -math.pi / 4))
-        circuit.h(1)
-        circuit.extend(control_rphi_ops(3, 1, -math.pi / 2))
-        circuit.cnot(2, 3)
-        circuit.h(2)
-        return BuiltCircuit(circuit, layout, placement, "0")
-
-    if placement.kind == "ring6-3chain":
-        layout = placement.computational + placement.ancilla
-        circuit = Circuit(6, roles=_roles_for(6, {3: "ancilla", 4: "ancilla", 5: "ancilla"}))
-        circuit.h(0)
-        circuit.extend(control_rphi_ops(1, 0, -math.pi / 2))
-        # copy qubit 2's value along the ancilla arc to sit beside qubit 0
-        circuit.cnot(2, 3)
-        circuit.cnot(3, 4)
-        circuit.cnot(4, 5)
-        circuit.extend(control_rphi_ops(5, 0, -math.pi / 4))
-        circuit.cnot(4, 5)
-        circuit.cnot(3, 4)
-        circuit.cnot(2, 3)
-        circuit.h(1)
-        circuit.extend(control_rphi_ops(2, 1, -math.pi / 2))
-        circuit.h(2)
-        return BuiltCircuit(circuit, layout, placement, "000")
-
-    raise BuildError(f"QFT does not support placement kind {placement.kind!r}")
+    _via_copies(circuit, (2, 3, 0), shared_copy)
+    circuit.h(2)
+    return BuiltCircuit(circuit, layout, placement, desired)
 
 
 def qpe_prep(phi: float) -> list[GateOp]:

@@ -12,11 +12,12 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure (such as
 a circuit whose simulation would exceed the memory budget) or a request for
 cells that do not exist (a chain longer than its orientation,
 --max-length or --top-k below 1, a geometry the topology has no placement
-for). Configuration errors include an unknown or repeated entry in
---families, --geometries, --strategies or --orientations, a --grid-us
-entry that is negative or not finite, and a negative seed. A failed run
-writes no manifest. The environment variable NISQ_LAB_SEED overrides the
-default seed when --seed is not given.
+for, a survey of families none of which has one). Configuration errors
+include an unknown or repeated entry in --families, --geometries,
+--strategies or --orientations, a --grid-us entry that is negative or not
+finite, and a negative seed. A failed run writes no manifest. The
+environment variable NISQ_LAB_SEED overrides the default seed when --seed
+is not given.
 """
 from __future__ import annotations
 

@@ -406,13 +406,15 @@ def run_ccnot_survey(cfg: ExperimentConfig,
 
     f1 scores the three computational qubits against |111>; f2 additionally
     requires all ancillas back in |0>. An unknown or repeated family raises
-    ValueError.
+    ValueError; CellRangeError when none of the families has a placement.
     """
     _check_names("families", families, SURVEY_FAMILIES)
     g = cfg.graph or topology.shipped_poughkeepsie()
     placements = [(idx, variant, placement)
                   for idx, (variant, placement) in enumerate(_survey_placements(g))
                   if variant.startswith(tuple(families))]
+    if families and not placements:
+        raise CellRangeError(f"the topology has no {' or '.join(families)} placement")
 
     def cells():
         for idx, variant, placement in placements:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import ResultRow, ResultTable
+from .experiments import ResultTable
 from .fitting import FitResult, damped_cosine_model, exponential_model
 
 CSV_HEADER = "independent_var,f1,f1_stderr,f2,f2_stderr,shots"
@@ -88,29 +88,6 @@ def table_to_dict(table: ResultTable) -> dict:
         ],
         "fit": fit_to_dict(table.fit) if table.fit is not None else None,
     }
-
-
-def table_from_dict(raw: dict) -> ResultTable:
-    rows = [
-        ResultRow(
-            x=entry["independent_var"],
-            f1=entry["f1"],
-            f2=entry["f2"],
-            shots=entry["shots"],
-            extras=entry.get("extras", {}),
-        )
-        for entry in raw["rows"]
-    ]
-    fit = None
-    if raw.get("fit") is not None:
-        f = dict(raw["fit"])
-        fit = FitResult(
-            model=f["model"], params=f["params"], r_squared=f["r_squared"],
-            covariance=f.get("covariance"), ok=f.get("ok", True),
-            converged=f.get("converged", True), fallback=f.get("fallback", False),
-            message=f.get("message", ""), iterations=f.get("iterations", 0),
-        )
-    return ResultTable(rows, fit, raw.get("metadata", {}))
 
 
 def fit_to_dict(fit: FitResult) -> dict:

@@ -1,4 +1,4 @@
-"""Exact statevector simulation of small gate circuits.
+"""Gate circuits: the gate set, its single-qubit matrices, and ``Circuit``.
 
 Bit-order convention used everywhere in this package: qubit 0 is the MOST
 significant bit of a basis index. For three qubits the label "110" means
@@ -7,7 +7,9 @@ counts dictionaries key on these integer indices.
 
 The gate set is deliberately small (X, H, T, T`, S, S`, Rphi, CNOT plus
 Measure/Delay pseudo-ops): SWAP, CCNOT and controlled-phase gates are
-compositions emitted by the builders module, never primitives.
+compositions emitted by the builders module, never primitives. The noise
+module simulates circuits; the tests check them against an independent
+noiseless unitary oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -34,6 +36,13 @@ _FIXED_MATRICES = {
 PAULI_X = _FIXED_MATRICES["X"]
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def gate_matrix(op: GateOp) -> np.ndarray:
+    """The 2x2 matrix of a single-qubit gate."""
+    if op.kind == "RPHI":
+        return np.array([[1, 0], [0, np.exp(1j * op.angle)]], dtype=complex)
+    return _FIXED_MATRICES[op.kind]
 
 
 def normalize_angle(angle: float) -> float:
@@ -160,12 +169,6 @@ class Circuit:
             self.measure(q)
         return self
 
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_qubits, list(self.ops), self.roles)
-
-    def has_measurements(self) -> bool:
-        return any(op.kind == "MEASURE" for op in self.ops)
-
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for op in self.ops:
@@ -241,168 +244,3 @@ def is_json_number(value) -> bool:
     """True for a JSON number, integer or not (a bool is neither)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-
-def basis_index(label: str) -> int:
-    return int(label, 2)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over 2**n_qubits basis states, unit norm."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(f"expected {1 << self.n_qubits} amplitudes, got {amps.shape}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |amps|^2 = {norm}")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
-    def basis(cls, n_qubits: int, label: str | int) -> "StateVector":
-        idx = basis_index(label) if isinstance(label, str) else label
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[idx] = 1.0
-        return cls(n_qubits, amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def probability_of(self, label: str) -> float:
-        return float(abs(self.amplitudes[basis_index(label)]) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Raw array primitives. These operate on arrays of shape (..., 2**n) so the
-# same code drives single states, unitary columns, and batched noisy shots.
-# ---------------------------------------------------------------------------
-
-def gate_matrix(op: GateOp) -> np.ndarray:
-    if op.kind == "RPHI":
-        return np.array([[1, 0], [0, np.exp(1j * op.angle)]], dtype=complex)
-    return _FIXED_MATRICES[op.kind]
-
-
-def apply_single_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    shape = amps.shape
-    a = 1 << qubit
-    b = 1 << (n - qubit - 1)
-    v = amps.reshape(-1, a, 2, b)
-    out = np.empty_like(v)
-    out[:, :, 0, :] = mat[0, 0] * v[:, :, 0, :] + mat[0, 1] * v[:, :, 1, :]
-    out[:, :, 1, :] = mat[1, 0] * v[:, :, 0, :] + mat[1, 1] * v[:, :, 1, :]
-    return out.reshape(shape)
-
-
-def apply_cnot_array(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    shape = amps.shape
-    lo, hi = (control, target) if control < target else (target, control)
-    a = 1 << lo
-    m = 1 << (hi - lo - 1)
-    b = 1 << (n - hi - 1)
-    v = amps.reshape(-1, a, 2, m, 2, b).copy()
-    if control < target:
-        tmp = v[:, :, 1, :, 0, :].copy()
-        v[:, :, 1, :, 0, :] = v[:, :, 1, :, 1, :]
-        v[:, :, 1, :, 1, :] = tmp
-    else:
-        tmp = v[:, :, 0, :, 1, :].copy()
-        v[:, :, 0, :, 1, :] = v[:, :, 1, :, 1, :]
-        v[:, :, 1, :, 1, :] = tmp
-    return v.reshape(shape)
-
-
-def apply_op_array(amps: np.ndarray, op: GateOp, n: int) -> np.ndarray:
-    if op.kind == "CNOT":
-        return apply_cnot_array(amps, op.qubits[0], op.qubits[1], n)
-    if op.kind == "DELAY":
-        return amps
-    if op.kind == "MEASURE":
-        raise ValueError("Measure cannot be applied as a unitary; use sample_shots")
-    return apply_single_qubit(amps, gate_matrix(op), op.qubits[0], n)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate; rejects Measure and out-of-range operands."""
-    if any(q >= state.n_qubits for q in op.qubits):
-        raise ValueError(f"operands {op.qubits} out of range for {state.n_qubits} qubits")
-    return StateVector(state.n_qubits, apply_op_array(state.amplitudes, op, state.n_qubits))
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply every gate in order. The circuit must not contain Measure ops."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError(f"circuit has {circuit.n_qubits} qubits, state has {state.n_qubits}")
-    if circuit.has_measurements():
-        raise ValueError("circuit contains Measure ops; use sample_shots for measurement")
-    amps = state.amplitudes
-    for op in circuit.ops:
-        amps = apply_op_array(amps, op, circuit.n_qubits)
-    norm = float(np.sum(np.abs(amps) ** 2))
-    assert abs(norm - 1.0) < 1e-10, f"norm drifted to {norm}"
-    return StateVector(state.n_qubits, amps)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n x 2**n unitary of the circuit. Oracle use only: n <= 10."""
-    n = circuit.n_qubits
-    if n > 10:
-        raise ValueError(f"circuit_unitary limited to 10 qubits, got {n}")
-    if circuit.has_measurements():
-        raise ValueError("circuit contains Measure ops")
-    dim = 1 << n
-    batch = np.eye(dim, dtype=complex)  # row k = basis state |k>
-    for op in circuit.ops:
-        batch = apply_op_array(batch, op, n)
-    return batch.T
-
-
-def sample_shots(state: StateVector, shots: int, seed: int | None = None) -> dict[int, int]:
-    """Draw shot outcomes from |amplitude|^2, counted by basis index.
-    Deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    draws = rng.multinomial(shots, probs)
-    return {i: int(c) for i, c in enumerate(draws) if c}
-
-
-def states_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """True when two unit vectors agree up to a global phase."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        return False
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= atol)
-
-
-def unitaries_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """True when two matrices agree entrywise up to a single global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(b)))
-    ref = b.ravel()[k]
-    if abs(ref) < atol:
-        return bool(np.allclose(a, b, atol=atol))
-    phase = a.ravel()[k] / ref
-    if abs(abs(phase) - 1.0) > atol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) <= atol)

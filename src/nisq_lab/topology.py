@@ -50,9 +50,6 @@ class CouplingGraph:
     def neighbors(self, q: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == q else a for a, b in self.edges if q in (a, b)))
 
-    def degree(self, q: int) -> int:
-        return sum(1 for e in self.edges if q in e)
-
     def to_dict(self) -> dict:
         return {"n_qubits": self.n_qubits, "edges": sorted(list(e) for e in self.edges)}
 
@@ -313,10 +310,9 @@ def ring_placements(g: CouplingGraph, kind: str) -> list[GeometryPlacement]:
     return out
 
 
-def chain_paths(g: CouplingGraph, orientation_id: int, orientations=None) -> tuple[int, ...]:
+def chain_paths(g: CouplingGraph, orientation_id: int) -> tuple[int, ...]:
     """One of the stored full-lattice chain paths, validated against g."""
-    if orientations is None:
-        orientations = shipped_orientations()
+    orientations = shipped_orientations()
     if not (1 <= orientation_id <= len(orientations)):
         raise TopologyError(f"unknown orientation {orientation_id}; have 1..{len(orientations)}")
     path = tuple(orientations[orientation_id - 1])

@@ -2,7 +2,10 @@
 
 These build expected matrices from first principles (explicit matrix
 products, index permutations, closed-form sums) so circuit constructions
-are checked against something other than themselves.
+are checked against something other than themselves. ``circuit_unitary``
+is the noiseless reference for every builder; ``kraus_outcome_probabilities``
+is the noisy one for the engines in ``nisq_lab.noise``. Neither imports
+the package's simulation code.
 """
 import math
 from functools import reduce
@@ -49,8 +52,6 @@ def qpe_outcome_probability(phi: float, k: int) -> float:
 def restricted_unitary(built) -> np.ndarray:
     """Circuit unitary restricted to computational qubits, with ancillas
     entering |0...0> and read out at the declared desired string."""
-    from nisq_lab.simulator import circuit_unitary
-
     U = circuit_unitary(built.circuit)
     n = built.circuit.n_qubits
     comp = built.computational_locals
@@ -95,6 +96,49 @@ def _gate(kind: str, angle: float) -> np.ndarray:
 def _embed(ops_by_qubit: dict, n: int) -> np.ndarray:
     """Full-space operator: the given 2x2 factors, identity elsewhere."""
     return reduce(np.kron, [ops_by_qubit.get(q, _I2) for q in range(n)])
+
+
+def circuit_unitary(circuit) -> np.ndarray:
+    """Full 2**n x 2**n unitary of a measurement-free circuit (n <= 10): the
+    product of each gate's full-space matrix, DELAY acting as the identity."""
+    n = circuit.n_qubits
+    if n > 10:
+        raise ValueError(f"unitary oracle limited to 10 qubits, got {n}")
+    u = np.eye(1 << n, dtype=complex)
+    for op in circuit.ops:
+        if op.kind == "MEASURE":
+            raise ValueError("circuit contains Measure ops")
+        if op.kind == "CNOT":
+            u = cnot_matrix(*op.qubits, n) @ u
+        elif op.kind != "DELAY":
+            u = _embed({op.qubits[0]: _gate(op.kind, op.angle)}, n) @ u
+    return u
+
+
+def final_state(circuit, label: str | None = None) -> np.ndarray:
+    """The circuit's output for basis input ``label`` (default all zeros):
+    one column of its unitary."""
+    return circuit_unitary(circuit)[:, int(label, 2) if label else 0]
+
+
+def probability_of(state: np.ndarray, label: str) -> float:
+    return float(abs(state[int(label, 2)]) ** 2)
+
+
+def unitaries_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
+    """True when two matrices agree entrywise up to a single global phase."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    k = int(np.argmax(np.abs(b)))
+    ref = b.ravel()[k]
+    if abs(ref) < atol:
+        return bool(np.allclose(a, b, atol=atol))
+    phase = a.ravel()[k] / ref
+    if abs(abs(phase) - 1.0) > atol:
+        return False
+    return bool(np.max(np.abs(a - phase * b)) <= atol)
 
 
 def _apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:

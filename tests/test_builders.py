@@ -20,22 +20,19 @@ from nisq_lab.builders import (
     star_cnot,
     swap_via_cnots,
 )
-from nisq_lab.simulator import (
-    Circuit,
-    GateOp,
-    StateVector,
-    apply_circuit,
-    circuit_unitary,
-    unitaries_equivalent,
-)
+from nisq_lab.simulator import Circuit, GateOp
 from nisq_lab.topology import GeometryPlacement
 
 from oracles import (
+    circuit_unitary,
     cnot_matrix,
+    final_state,
+    probability_of,
     qpe_outcome_probability,
     restricted_unitary,
     swap_matrix_from_cnots,
     toffoli_matrix,
+    unitaries_equivalent,
 )
 
 
@@ -68,8 +65,7 @@ def test_swap_unitary_matches_cnot_product_oracle():
 
 def test_swap_exchanges_basis_states():
     c = Circuit(2).extend(swap_via_cnots(0, 1))
-    s = apply_circuit(StateVector.basis(2, "01"), c)
-    assert s.probability_of("10") == pytest.approx(1.0)
+    assert probability_of(final_state(c, "01"), "10") == pytest.approx(1.0)
 
 
 def test_distant_cnot_seven_cnots():
@@ -92,17 +88,15 @@ def test_distant_cnot_preserves_center_state(psi):
         prep.x(1)
     elif psi == "plus":
         prep.h(1)
-    state = apply_circuit(StateVector.zero(3), prep)
-    out = apply_circuit(state, built.circuit)
+    out = final_state(Circuit(3, list(prep.ops)).extend(built.circuit.ops))
     # control and target both |1>, center unchanged
-    expected = apply_circuit(state, Circuit(3).x(2))
-    assert abs(np.vdot(out.amplitudes, expected.amplitudes)) == pytest.approx(1.0, abs=1e-10)
+    expected = final_state(prep.x(2))
+    assert abs(np.vdot(out, expected)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distant_cnot_control_off_is_identity():
     built = distant_cnot_via_swaps(linear3(), 0, 2)
-    out = apply_circuit(StateVector.zero(3), built.circuit)
-    assert out.probability_of("000") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "000") == pytest.approx(1.0)
 
 
 def test_distant_cnot_rejects_center_operand():
@@ -144,35 +138,31 @@ def test_distant_crphi_random_angle_oracle():
 
 def test_chain_none_leaves_ancilla_excited():
     built = cnot_chain((0, 1, 2, 3), "none")
-    out = apply_circuit(StateVector.zero(4), built.circuit)
-    assert out.probability_of("1111") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "1111") == pytest.approx(1.0)
     assert built.desired_ancilla == "11"
 
 
 def test_chain_x_reset_clears_ancilla():
     built = cnot_chain((0, 1, 2, 3), "x-reset")
-    out = apply_circuit(StateVector.zero(4), built.circuit)
-    assert out.probability_of("1001") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "1001") == pytest.approx(1.0)
     assert built.desired_ancilla == "00"
 
 
 def test_chain_cnot_reset_clears_ancilla():
     built = cnot_chain((0, 1, 2, 3), "cnot-reset")
-    out = apply_circuit(StateVector.zero(4), built.circuit)
-    assert out.probability_of("1001") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "1001") == pytest.approx(1.0)
 
 
 def test_chain_cnot_reset_superposed_control_bell_pair():
     built = cnot_chain((0, 1, 2, 3), "cnot-reset", control_in_superposition=True)
-    prep = Circuit(4).h(0)
-    out = apply_circuit(apply_circuit(StateVector.zero(4), prep), built.circuit)
+    out = final_state(Circuit(4).h(0).extend(built.circuit.ops))
     # ancilla |1> amplitude mass identically zero
-    for i, amp in enumerate(out.amplitudes):
+    for i, amp in enumerate(out):
         bits = format(i, "04b")
         if bits[1] != "0" or bits[2] != "0":
             assert abs(amp) < 1e-10
-    assert out.probability_of("0000") == pytest.approx(0.5)
-    assert out.probability_of("1001") == pytest.approx(0.5)
+    assert probability_of(out, "0000") == pytest.approx(0.5)
+    assert probability_of(out, "1001") == pytest.approx(0.5)
 
 
 def test_chain_superposition_requires_cnot_reset():
@@ -188,13 +178,12 @@ def test_chain_cnot_reset_completeness_all_inputs():
     anc = built.ancilla_locals
 
     def ancilla_mass(state):
-        return sum(abs(a) ** 2 for i, a in enumerate(state.amplitudes)
+        return sum(abs(a) ** 2 for i, a in enumerate(state)
                    if any(format(i, f"0{n}b")[q] == "1" for q in anc))
 
-    inputs = [StateVector.basis(n, c + "000" + t) for c in "01" for t in "01"]
-    inputs.append(apply_circuit(StateVector.zero(n), Circuit(n).h(0)))
-    for state in inputs:
-        out = apply_circuit(state, built.circuit)
+    outputs = [final_state(built.circuit, c + "000" + t) for c in "01" for t in "01"]
+    outputs.append(final_state(Circuit(n).h(0).extend(built.circuit.ops)))
+    for out in outputs:
         assert ancilla_mass(out) < 1e-10
 
 
@@ -202,8 +191,7 @@ def test_chain_roles_and_length_one():
     built = cnot_chain((4, 9), "none")
     assert built.circuit.roles == ("control", "target")
     assert built.desired_ancilla == ""
-    out = apply_circuit(StateVector.zero(2), built.circuit)
-    assert out.probability_of("11") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "11") == pytest.approx(1.0)
 
 
 def test_chain_rejects_short_path():
@@ -217,24 +205,21 @@ def test_chain_rejects_short_path():
 
 def test_star_cnot_x_reset_classical_control():
     built = star_cnot(star4(), 0, 6, "x-reset")
-    prep = Circuit(4).x(built.layout.index(0))
-    out = apply_circuit(apply_circuit(StateVector.zero(4), prep), built.circuit)
+    out = final_state(Circuit(4).x(built.layout.index(0)).extend(built.circuit.ops))
     # control 1, target 1, spectator 0, ancilla reset to 0
-    assert out.probability_of("1100") == pytest.approx(1.0)
+    assert probability_of(out, "1100") == pytest.approx(1.0)
 
 
 def test_star_cnot_cnot_reset_control_off():
     built = star_cnot(star4(), 0, 6, "cnot-reset")
-    out = apply_circuit(StateVector.zero(4), built.circuit)
-    assert out.probability_of("0000") == pytest.approx(1.0)
+    assert probability_of(final_state(built.circuit), "0000") == pytest.approx(1.0)
 
 
 def test_star_cnot_superposed_control_entangles_outers():
     built = star_cnot(star4(), 0, 6, "cnot-reset", control_in_superposition=True)
-    prep = Circuit(4).h(built.layout.index(0))
-    out = apply_circuit(apply_circuit(StateVector.zero(4), prep), built.circuit)
-    assert out.probability_of("0000") == pytest.approx(0.5)
-    assert out.probability_of("1100") == pytest.approx(0.5)
+    out = final_state(Circuit(4).h(built.layout.index(0)).extend(built.circuit.ops))
+    assert probability_of(out, "0000") == pytest.approx(0.5)
+    assert probability_of(out, "1100") == pytest.approx(0.5)
 
 
 def test_star_cnot_x_reset_rejects_superposition():
@@ -257,10 +242,8 @@ def test_star_cnot_cnot_reset_is_exact_cnot():
 
 def test_ccnot_ideal_truth_table():
     c = Circuit(3).extend(ccnot_ideal(0, 1, 2))
-    out = apply_circuit(StateVector.basis(3, "110"), c)
-    assert out.probability_of("111") == pytest.approx(1.0)
-    out = apply_circuit(StateVector.basis(3, "100"), c)
-    assert out.probability_of("100") == pytest.approx(1.0)
+    assert probability_of(final_state(c, "110"), "111") == pytest.approx(1.0)
+    assert probability_of(final_state(c, "100"), "100") == pytest.approx(1.0)
 
 
 def test_ccnot_ideal_matrix_and_counts():
@@ -312,10 +295,10 @@ def test_ccnot_star4_x_reset_on_contracted_inputs(graph):
         bits = ["0"] * 4
         bits[controls[0]] = bits[controls[1]] = "1"
         bits[tl] = str(t_in)
-        out = apply_circuit(StateVector.basis(4, "".join(bits)), built.circuit)
+        out = final_state(built.circuit, "".join(bits))
         expect = bits.copy()
         expect[tl] = str(1 - t_in)
-        assert out.probability_of("".join(expect)) == pytest.approx(1.0, abs=1e-10)
+        assert probability_of(out, "".join(expect)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ccnot_ring6_exact_toffoli(graph):
@@ -385,21 +368,19 @@ def test_qft_rejects_unknown_geometry(graph):
 
 def test_qpe_prep_zero_phase_returns_all_zeros():
     c = Circuit(3).extend(qpe_prep(0.0)).extend(qft_dagger_3("ideal").circuit.ops)
-    out = apply_circuit(StateVector.zero(3), c)
-    assert out.probability_of("000") == pytest.approx(1.0)
+    assert probability_of(final_state(c), "000") == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("k", range(8))
 def test_qpe_perfect_phases_deterministic(k):
     built = qpe_on_geometry("ideal", k * math.pi / 4)
-    out = apply_circuit(StateVector.zero(3), built.circuit)
-    assert out.probability_of(qpe_expected_label(k)) == pytest.approx(1.0, abs=1e-10)
+    out = final_state(built.circuit)
+    assert probability_of(out, qpe_expected_label(k)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_qpe_halfway_phase_max_probability():
     built = qpe_on_geometry("ideal", math.pi / 8)
-    out = apply_circuit(StateVector.zero(3), built.circuit)
-    probs = out.probabilities()
+    probs = np.abs(final_state(built.circuit)) ** 2
     assert max(probs) == pytest.approx(qpe_outcome_probability(math.pi / 8, 0), abs=1e-10)
     assert max(probs) == pytest.approx(0.4105, abs=5e-4)
 

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -22,7 +23,6 @@ from nisq_lab.report import (
     CSV_HEADER,
     RunManifest,
     emit_plot,
-    table_from_dict,
     table_to_dict,
     write_manifest,
     write_results,
@@ -81,11 +81,10 @@ def test_json_round_trip(tmp_path):
     table.fit = FitResult(model="exponential", params={"t_decay": 33.0}, r_squared=0.99)
     path = write_results(table, "json", tmp_path / "t.json")
     raw = json.loads(path.read_text())
-    back = table_from_dict(raw)
-    assert [(r.x, r.f1, r.f2, r.shots) for r in back.rows] == \
+    assert [(r["independent_var"], r["f1"], r["f2"], r["shots"]) for r in raw["rows"]] == \
         [(r.x, r.f1, r.f2, r.shots) for r in table.rows]
-    assert back.fit.params == table.fit.params
-    assert back.metadata == table.metadata
+    assert raw["fit"]["params"] == table.fit.params
+    assert raw["metadata"] == table.metadata
 
 
 def test_json_carries_extras(tmp_path):
@@ -386,6 +385,25 @@ def test_geometry_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("plot", [[], ["--plot"]], ids=["table", "plot"])
+@pytest.mark.parametrize("topo, families, missing", [
+    ({"n_qubits": 2, "edges": [[0, 1]]}, [], "linear3 or star4 or ring6-3chain or ring6-1chains"),
+    ({"n_qubits": 3, "edges": [[0, 1], [1, 2]]}, ["--families", "star4"], "star4"),
+], ids=["one-edge", "path-star4"])
+def test_survey_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys, topo, families,
+                                          missing, plot):
+    """A survey with no cell used to exit 0 with a header-only table, or,
+    with --plot, exit 1 and leave that table without a manifest."""
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(topo))
+    out = tmp_path / "out"
+    code = main(["ccnot-survey", "--topology", str(path), "--calibration", str(noiseless_cal_file),
+                 "--shots", "8", "--seed", "2", "--out", str(out)] + families + plot)
+    assert code == 2
+    assert f"error: the topology has no {missing} placement" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys, monkeypatch):
     """The pre-flight refuses the first CCNOT cell before allocating its state."""
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", 1024)
@@ -650,3 +668,26 @@ def test_malformed_input_regressions(kind, doc, message, tmp_path, capsys):
     else:
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+def test_compare_outputs_ignores_only_the_out_dir(tmp_path, noiseless_cal_file, capsys):
+    """scripts/compare_outputs.py: two runs of one command into different
+    directories compare equal; any other change to a file, or a file in
+    only one tree, is listed and exits 1."""
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).parents[1] / "scripts" / "compare_outputs.py")
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "50",
+                     "--seed", "3", "--grid-us", "0,5", "--out", str(out)]) == 0
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    manifest = b / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"seed": 3', '"seed": 4'))
+    (b / "t1.csv").unlink()
+    (b / "extra.txt").write_text("")
+    capsys.readouterr()
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {a}: t1.csv", f"only in {b}: extra.txt", "differs: manifest.json"]

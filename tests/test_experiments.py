@@ -155,6 +155,15 @@ def test_ccnot_survey_star_and_ring_noiseless(graph):
     assert all(c.f1 == 1.0 and c.f2 == 1.0 for c in result.cells)
 
 
+def test_ccnot_survey_runs_the_families_that_have_placements():
+    """A 3-qubit path has a linear triple but no star: a survey of both
+    families runs the triple's cells alone."""
+    path = topology.CouplingGraph.from_edge_list(3, [(0, 1), (1, 2)])
+    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=path, shots=16, seed=0)
+    result = run_ccnot_survey(cfg, families=("linear3", "star4"))
+    assert [c.variant for c in result.cells] == ["linear3-cct", "linear3-cct", "linear3-ctc"]
+
+
 def test_survey_top_placements_ranking(graph):
     cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=16, seed=0)
     result = run_ccnot_survey(cfg, families=("star4",))

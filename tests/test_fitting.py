@@ -16,9 +16,8 @@ from nisq_lab.fitting import (
     fit_exponential,
     theoretical_qpe_distribution,
 )
-from nisq_lab.simulator import StateVector, apply_circuit
 
-from oracles import qpe_outcome_probability
+from oracles import final_state, probability_of, qpe_outcome_probability
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,8 @@ def test_qpe_distribution_matches_statevector_oracle():
     for phi in rng.uniform(0, 2 * math.pi, 50):
         dist = theoretical_qpe_distribution(phi)
         built = qpe_on_geometry("ideal", phi)
-        state = apply_circuit(StateVector.zero(3), built.circuit)
+        state = final_state(built.circuit)
         for k in range(8):
-            assert state.probability_of(qpe_expected_label(k)) == pytest.approx(
+            assert probability_of(state, qpe_expected_label(k)) == pytest.approx(
                 dist[k], abs=1e-10
             )

@@ -28,16 +28,9 @@ from nisq_lab.noise import (
     run_shots,
     schedule,
 )
-from nisq_lab.simulator import (
-    TAU,
-    Circuit,
-    GateOp,
-    StateVector,
-    apply_circuit,
-    sample_shots,
-)
+from nisq_lab.simulator import TAU, Circuit, GateOp
 
-from oracles import kraus_outcome_probabilities
+from oracles import final_state, kraus_outcome_probabilities
 
 INF = math.inf
 
@@ -193,9 +186,9 @@ def test_noiseless_limit_matches_sample_shots_distribution():
     cal = flat_cal(2)
     c = Circuit(2).h(0).cnot(0, 1).measure(0).measure(1)
     counts = run_shots(schedule(c, cal.durations), cal, 8000, 5)
-    ideal = apply_circuit(StateVector.zero(2), Circuit(2).h(0).cnot(0, 1))
-    reference = sample_shots(ideal, 8000, seed=6)
-    assert set(counts) == set(reference) == {0b00, 0b11}
+    ideal = np.abs(final_state(Circuit(2).h(0).cnot(0, 1))) ** 2
+    support = {i for i, p in enumerate(ideal) if p > 1e-12}
+    assert set(counts) == support == {0b00, 0b11}
     sigma = math.sqrt(0.25 / 8000)
     assert abs(counts[0b11] / 8000 - 0.5) < 5 * sigma
 
@@ -608,6 +601,14 @@ def test_missing_seed_rejected(prep, shots):
     sched = schedule(c.cnot(0, 1).measure_all(), cal.durations)
     with pytest.raises(ValueError, match="seed"):
         run_shots(sched, cal, shots, None)
+
+
+def test_non_positive_shots_rejected():
+    cal = flat_cal(1)
+    sched = schedule(Circuit(1).x(0).measure_all(), cal.durations)
+    for shots in (0, -1):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run_shots(sched, cal, shots, 1)
 
 
 def test_readout_error_flips_bits():

@@ -1,4 +1,5 @@
-"""Statevector simulator: gate actions, unitarity, sampling, conventions."""
+"""Gate ops and circuits, and the conventions of the unitary oracle the
+builder tests rely on: bit order, gate actions, unitarity."""
 import math
 
 import numpy as np
@@ -6,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisq_lab.simulator import (
-    Circuit,
-    GateOp,
-    StateVector,
-    apply_circuit,
-    apply_gate,
-    basis_index,
+from nisq_lab.noise import DeviceCalibration, schedule
+from nisq_lab.simulator import Circuit, GateOp
+
+from oracles import (
     circuit_unitary,
-    sample_shots,
-    states_equivalent,
+    cnot_matrix,
+    final_state,
+    kraus_outcome_probabilities,
+    probability_of,
     unitaries_equivalent,
 )
 
@@ -23,45 +23,37 @@ SQRT2_INV = 1 / math.sqrt(2)
 
 
 def test_x_flips_zero_to_one():
-    s = apply_gate(StateVector.zero(1), GateOp("X", (0,)))
-    assert np.allclose(s.amplitudes, [0, 1])
+    assert np.allclose(final_state(Circuit(1).x(0)), [0, 1])
 
 
 def test_h_makes_plus_state():
-    s = apply_gate(StateVector.zero(1), GateOp("H", (0,)))
-    assert np.allclose(s.amplitudes, [SQRT2_INV, SQRT2_INV])
+    assert np.allclose(final_state(Circuit(1).h(0)), [SQRT2_INV, SQRT2_INV])
 
 
 def test_cnot_truth_table_msb_convention():
     # qubit 0 is the most significant label bit: |10> means qubit0=1
-    s = apply_gate(StateVector.basis(2, "10"), GateOp("CNOT", (0, 1)))
-    assert s.probability_of("11") == pytest.approx(1.0)
-    s = apply_gate(StateVector.basis(2, "01"), GateOp("CNOT", (0, 1)))
-    assert s.probability_of("01") == pytest.approx(1.0)
+    c = Circuit(2).cnot(0, 1)
+    assert probability_of(final_state(c, "10"), "11") == pytest.approx(1.0)
+    assert probability_of(final_state(c, "01"), "01") == pytest.approx(1.0)
 
 
 def test_empty_circuit_identity():
-    s = apply_circuit(StateVector.basis(3, "101"), Circuit(3))
-    assert s.probability_of("101") == pytest.approx(1.0)
+    assert probability_of(final_state(Circuit(3), "101"), "101") == pytest.approx(1.0)
 
 
 def test_h_self_inverse():
-    c = Circuit(1).h(0).h(0)
-    s = apply_circuit(StateVector.zero(1), c)
-    assert states_equivalent(s.amplitudes, [1, 0])
+    assert np.allclose(final_state(Circuit(1).h(0).h(0)), [1, 0])
 
 
 def test_x_then_cnot_composition():
-    c = Circuit(2).x(0).cnot(0, 1)
-    s = apply_circuit(StateVector.zero(2), c)
-    assert s.probability_of("11") == pytest.approx(1.0)
+    out = final_state(Circuit(2).x(0).cnot(0, 1))
+    assert probability_of(out, "11") == pytest.approx(1.0)
 
 
 def test_rphi_applies_phase_to_one_component():
-    c = Circuit(1).h(0).rphi(math.pi / 3, 0)
-    s = apply_circuit(StateVector.zero(1), c)
+    out = final_state(Circuit(1).h(0).rphi(math.pi / 3, 0))
     expected = np.array([SQRT2_INV, SQRT2_INV * np.exp(1j * math.pi / 3)])
-    assert np.allclose(s.amplitudes, expected)
+    assert np.allclose(out, expected)
 
 
 def test_single_x_unitary():
@@ -70,8 +62,6 @@ def test_single_x_unitary():
 
 
 def test_cnot_unitary_every_ordered_pair():
-    from oracles import cnot_matrix
-
     for c in range(3):
         for t in range(3):
             if c == t:
@@ -91,17 +81,9 @@ def test_circuit_unitary_size_limit():
         circuit_unitary(Circuit(11))
 
 
-def test_measure_rejected_by_apply_paths():
-    with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(1), GateOp("MEASURE", (0,)))
-    c = Circuit(1).x(0).measure(0)
-    with pytest.raises(ValueError):
-        apply_circuit(StateVector.zero(1), c)
-
-
 def test_operand_out_of_range():
     with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(1), GateOp("X", (1,)))
+        Circuit(1).x(1)
     with pytest.raises(ValueError):
         Circuit(2).cnot(0, 2)
 
@@ -112,37 +94,10 @@ def test_ops_after_measure_rejected():
         c.x(1)
 
 
-def test_sample_deterministic_state():
-    counts = sample_shots(StateVector.basis(3, "101"), 100, seed=0)
-    assert counts == {0b101: 100}
-
-
-def test_sample_plus_state_within_binomial_error():
-    s = apply_gate(StateVector.zero(1), GateOp("H", (0,)))
-    counts = sample_shots(s, 8000, seed=42)
-    sigma = math.sqrt(0.25 / 8000)
-    assert abs(counts.get(1, 0) / 8000 - 0.5) < 5 * sigma
-
-
-def test_sample_same_seed_identical():
-    s = apply_circuit(StateVector.zero(2), Circuit(2).h(0).cnot(0, 1))
-    assert sample_shots(s, 500, seed=7) == sample_shots(s, 500, seed=7)
-
-
-def test_sample_requires_positive_shots():
-    with pytest.raises(ValueError):
-        sample_shots(StateVector.zero(1), 0)
-
-
-def test_label_round_trip_exhaustive():
-    for n in range(1, 11):
-        for i in range(1 << n):
-            assert basis_index(format(i, f"0{n}b")) == i
-
-
 def test_rphi_angle_normalized():
     op = GateOp("RPHI", (0,), angle=7 * math.pi)
     assert -2 * math.pi < op.angle <= 2 * math.pi
+    assert op.angle == pytest.approx(math.pi)
     u1 = circuit_unitary(Circuit(1).add(op))
     u2 = circuit_unitary(Circuit(1).rphi(math.pi, 0))
     assert np.allclose(u1, u2)
@@ -152,7 +107,7 @@ def test_rphi_angle_normalized():
 # Properties
 # ---------------------------------------------------------------------------
 
-_gate_strategy = st.sampled_from(["X", "H", "T", "TDG", "S", "SDG"])
+_gate_strategy = st.sampled_from(["X", "H", "T", "TDG", "S", "SDG", "RPHI"])
 
 
 @st.composite
@@ -167,25 +122,22 @@ def random_circuits(draw, max_qubits=4, max_ops=12):
             c.cnot(q, target)
         else:
             kind = draw(_gate_strategy)
-            c.add(GateOp(kind, (draw(st.integers(0, n - 1)),)))
+            angle = draw(st.floats(-4.0, 4.0)) if kind == "RPHI" else 0.0
+            c.add(GateOp(kind, (draw(st.integers(0, n - 1)),), angle=angle))
     return c
 
 
 @given(random_circuits())
 @settings(max_examples=40, deadline=None)
 def test_norm_preserved_by_random_circuits(c):
-    s = apply_circuit(StateVector.zero(c.n_qubits), c)
-    assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-10
+    assert abs(np.sum(np.abs(final_state(c)) ** 2) - 1.0) < 1e-10
 
 
 @given(random_circuits(max_qubits=3, max_ops=6), st.sampled_from(["X", "H"]))
 @settings(max_examples=30, deadline=None)
 def test_involutions_on_random_states(c, kind):
-    s = apply_circuit(StateVector.zero(c.n_qubits), c)
-    op = GateOp(kind, (0,))
-    twice = apply_gate(apply_gate(s, op), op)
-    overlap = abs(np.vdot(s.amplitudes, twice.amplitudes))
-    assert overlap >= 1.0 - 1e-10
+    twice = Circuit(c.n_qubits, list(c.ops)).add(GateOp(kind, (0,))).add(GateOp(kind, (0,)))
+    assert abs(np.vdot(final_state(c), final_state(twice))) >= 1.0 - 1e-10
 
 
 @given(random_circuits(max_qubits=3, max_ops=6))
@@ -193,10 +145,19 @@ def test_involutions_on_random_states(c, kind):
 def test_cnot_involution(c):
     if c.n_qubits < 2:
         return
-    s = apply_circuit(StateVector.zero(c.n_qubits), c)
-    op = GateOp("CNOT", (0, 1))
-    twice = apply_gate(apply_gate(s, op), op)
-    assert abs(np.vdot(s.amplitudes, twice.amplitudes)) >= 1.0 - 1e-10
+    twice = Circuit(c.n_qubits, list(c.ops)).cnot(0, 1).cnot(0, 1)
+    assert abs(np.vdot(final_state(c), final_state(twice))) >= 1.0 - 1e-10
+
+
+@given(random_circuits(max_qubits=5))
+@settings(max_examples=40, deadline=None)
+def test_unitary_oracle_matches_noiseless_kraus_oracle(c):
+    """The unitary oracle's first column and the Kraus oracle's scheduled
+    density-matrix evolution, with every channel off, give one law."""
+    cal = DeviceCalibration.noiseless(c.n_qubits)
+    measured = Circuit(c.n_qubits, list(c.ops)).measure_all()
+    kraus = kraus_outcome_probabilities(schedule(measured, cal.durations), cal)
+    assert np.max(np.abs(np.abs(final_state(c)) ** 2 - kraus)) <= 1e-12
 
 
 def test_unitaries_equivalent_handles_global_phase():
