@@ -5,7 +5,14 @@ indices; ``layout[local]`` gives the device qubit, so the same circuit can
 be validated against a coupling graph or simulated compactly. Local order
 follows the placement's geometric order (chain order, ring order, outer
 qubits then star center), which is also the order of outcome bits, most
-significant first.
+significant first. ``placement_layout`` is that rule, written only here.
+
+A local circuit depends on its placement only through the placement's
+shape (its width, and for a CCNOT the local index of its target), so an
+experiment driver builds it once per shape and runs it on every placement
+of that shape: ``BuiltCircuit.placed`` gives the same circuit object on
+another placement. Nothing mutates a built circuit, which makes the sharing
+safe, and a driver keeps a shared circuit only for the length of one call.
 
 A two-qubit gate between uncoupled qubits is routed one of two ways, each
 written once:
@@ -79,6 +86,11 @@ class BuiltCircuit:
         if len(self.desired_ancilla) != len(self.ancilla_locals):
             raise BuildError("desired ancilla string must cover every ancilla qubit")
 
+    def placed(self, placement: GeometryPlacement) -> "BuiltCircuit":
+        """This circuit, the same object, on another placement of its shape."""
+        return BuiltCircuit(self.circuit, placement_layout(placement), placement,
+                            self.desired_ancilla)
+
     @property
     def roles(self) -> tuple[str, ...]:
         return self.circuit.roles
@@ -90,6 +102,12 @@ class BuiltCircuit:
     @property
     def ancilla_locals(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.circuit.roles) if r == "ancilla")
+
+
+def placement_layout(placement: GeometryPlacement) -> tuple[int, ...]:
+    """The device qubit of each local: path order for a chain; otherwise the
+    computational qubits in geometric order, then the ancillas."""
+    return placement.path if placement.kind == "chain-path" else placement.qubits
 
 
 def swap_via_cnots(a: int, b: int) -> list[GateOp]:
@@ -189,7 +207,7 @@ def distant_cnot_via_swaps(placement: GeometryPlacement, control: int, target: i
         raise BuildError("distant CNOT runs between the two outer qubits")
     circuit = Circuit(3, roles=_roles_for(3, {cl: "control", tl: "target"}))
     _via_swap(circuit, cl, 1, tl, circuit.cnot)
-    return BuiltCircuit(circuit, placement.computational, placement, "")
+    return BuiltCircuit(circuit, placement_layout(placement), placement, "")
 
 
 def distant_crphi_via_swaps(placement: GeometryPlacement, phi: float) -> BuiltCircuit:
@@ -197,7 +215,7 @@ def distant_crphi_via_swaps(placement: GeometryPlacement, phi: float) -> BuiltCi
     _require_kind(placement, "linear3-cct", "linear3-ctc")
     circuit = Circuit(3, roles=_roles_for(3, {0: "control", 2: "target"}))
     _via_swap(circuit, 0, 1, 2, _crphi(circuit, phi))
-    return BuiltCircuit(circuit, placement.computational, placement, "")
+    return BuiltCircuit(circuit, placement_layout(placement), placement, "")
 
 
 def _roles_for(n: int, overrides: dict[int, str]) -> tuple[str, ...]:
@@ -207,7 +225,7 @@ def _roles_for(n: int, overrides: dict[int, str]) -> tuple[str, ...]:
 def _geometry_circuit(placement: GeometryPlacement) -> tuple[Circuit, tuple[int, ...], str]:
     """An empty circuit over the placement's computational qubits then its
     ancillas, its layout, and the all-|0> desired ancilla string."""
-    layout = placement.computational + placement.ancilla
+    layout = placement_layout(placement)
     n, n_anc = len(layout), len(placement.ancilla)
     circuit = Circuit(n, roles=_roles_for(n, {q: "ancilla" for q in range(n - n_anc, n)}))
     return circuit, layout, "0" * n_anc
@@ -241,7 +259,7 @@ def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -
             if strategy == "x-reset" and 1 <= i:
                 circuit.x(i)
     desired = ("1" if strategy == "none" else "0") * (m - 1)
-    return BuiltCircuit(circuit, placement.path, placement, desired)
+    return BuiltCircuit(circuit, placement_layout(placement), placement, desired)
 
 
 def star_cnot(placement: GeometryPlacement, control: int, target: int, strategy: str,
@@ -256,7 +274,7 @@ def star_cnot(placement: GeometryPlacement, control: int, target: int, strategy:
         raise BuildError("x-reset cannot restore the ancilla for a superposed control")
     if control == target or control not in placement.computational or target not in placement.computational:
         raise BuildError("control and target must be distinct outer qubits")
-    layout = placement.computational + placement.ancilla
+    layout = placement_layout(placement)
     cl, tl = layout.index(control), layout.index(target)
     circuit = Circuit(4, roles=_roles_for(4, {cl: "control", tl: "target", 3: "ancilla"}))
     _via_copies(circuit, (cl, 3, tl), circuit.cnot, x_reset=strategy == "x-reset")

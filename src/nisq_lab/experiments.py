@@ -7,8 +7,16 @@ own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule
 (once per distinct circuit in the call), ``run_shots`` on the calibration
 subset of the cell's layout, and score with ``fidelity``. The experiments
 below differ only in the cells they yield and in how they fold the reports
-into tables; ``_metadata`` builds every table's metadata. Cells come from
-generators, so each circuit is built right before it runs.
+into tables; ``_metadata`` builds every table's metadata.
+
+A driver builds each distinct local circuit once and places that one
+circuit object on every placement of its shape (``BuiltCircuit.placed``):
+a survey shape is a variant and its target's local index, a chain shape a
+length and a strategy, and a QFT shape a geometry and a phase. Only each
+cell's layout, placement and calibration subset differ. Nothing mutates a
+built circuit, and the shapes live in a dict local to the driver call, so
+the sharing ends when the call returns. Cells come from generators, so
+each shape's circuit is built right before its first cell runs.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -161,8 +169,10 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
 
     Cells with the same local circuit (width, ``prep_x`` and ops), such as
     one survey variant's placements, share one schedule within the call,
-    which the exact engine plans once; each cell still makes its own
-    ``run_shots`` call on its own calibration subset and seed key."""
+    which either engine plans once; each cell still makes its own
+    ``run_shots`` call on its own calibration subset and seed key. Cells
+    of one shape may hold the same circuit object: this reads it and never
+    mutates it."""
     scheduled: dict[tuple, ScheduledCircuit] = {}
     reports = []
     for cell in cells:
@@ -177,6 +187,15 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
         counts = run_shots(sched, cal.subset(built.layout), shots, list(cell.seed_key))
         reports.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
     return reports
+
+
+def _placed(shapes: dict, shape, placement: GeometryPlacement, build, *args) -> BuiltCircuit:
+    """``build(*args)`` for the first placement of ``shape``; each later
+    placement of the shape gets that same circuit object, placed on it."""
+    if shape in shapes:
+        return shapes[shape].placed(placement)
+    built = shapes[shape] = build(*args)
+    return built
 
 
 def _row(x, rep: FidelityReport, **extras) -> ResultRow:
@@ -309,11 +328,18 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
                                  f"links of orientation {orientation}")
     lengths = range(1, cfg.max_length + 1)
     keys = [(orientation, strategy) for orientation in paths for strategy in cfg.strategies]
-    cells = (Cell(builders.cnot_chain(paths[orientation][: n + 1], strategy),
-                  (cfg.seed, _TAGS["chain"], orientation,
-                   builders.RESET_STRATEGIES.index(strategy), n), "11")
-             for orientation, strategy in keys for n in lengths)
-    reports = run_cells(cells, cfg.calibration, cfg.shots)
+
+    def cells():
+        shapes: dict[tuple[int, str], BuiltCircuit] = {}
+        for orientation, strategy in keys:
+            for n in lengths:
+                path = paths[orientation][: n + 1]
+                built = _placed(shapes, (n, strategy), topology.chain_placement(path),
+                                builders.cnot_chain, path, strategy)
+                yield Cell(built, (cfg.seed, _TAGS["chain"], orientation,
+                                   builders.RESET_STRATEGIES.index(strategy), n), "11")
+
+    reports = run_cells(cells(), cfg.calibration, cfg.shots)
     tables: dict[tuple[int, str], ResultTable] = {}
     for i, (orientation, strategy) in enumerate(keys):
         part = reports[i * len(lengths):(i + 1) * len(lengths)]
@@ -417,9 +443,11 @@ def run_ccnot_survey(cfg: ExperimentConfig,
         raise CellRangeError(f"the topology has no {' or '.join(families)} placement")
 
     def cells():
+        shapes: dict[tuple[str, int], BuiltCircuit] = {}
         for idx, variant, placement in placements:
-            built = builders.ccnot_on_geometry(placement, variant)
-            target = built.layout.index(placement.target)
+            target = builders.placement_layout(placement).index(placement.target)
+            built = _placed(shapes, (variant, target), placement,
+                            builders.ccnot_on_geometry, placement, variant)
             controls = tuple(q for q in built.computational_locals if q != target)
             yield Cell(built, (cfg.seed, _TAGS["ccnot"], idx), "111", prep_x=controls)
 
@@ -460,8 +488,10 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
         gid = _GEOMETRY_IDS[geometry]
         rows = []
         for k in range(8):
-            cells = (Cell(builders.qpe_on_geometry(placement, k * math.pi / 4.0),
-                          (cfg.seed, _TAGS["qft"], gid, p_idx, k), builders.qpe_expected_label(k))
+            # the placements of one geometry share one local circuit
+            built = builders.qpe_on_geometry(chosen[0], k * math.pi / 4.0)
+            cells = (Cell(built.placed(placement), (cfg.seed, _TAGS["qft"], gid, p_idx, k),
+                          builders.qpe_expected_label(k))
                      for p_idx, placement in enumerate(chosen))
             rows.append(_mean_row(k, run_cells(cells, cfg.calibration, cfg.shots), cfg.shots))
         tables[geometry] = ResultTable(
@@ -483,12 +513,16 @@ def nearest_perfect_phase(phi: float) -> int:
 
 def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     """Continuous phase sweep on the best survey placement of linear3 and
-    star4; other entries of cfg.geometries are ignored. f1 counts shots on
+    star4; other entries of cfg.geometries are ignored, and CellRangeError
+    is raised before any cell runs when it holds neither. f1 counts shots on
     the nearest perfect-phase outcome and rows carry the matching noiseless
     probability and ratio."""
     grid = cfg.phi_grid or default_phi_grid()
     ks = [nearest_perfect_phase(phi) for phi in grid]
     geometries = [g for g in cfg.geometries if g in ("linear3", "star4")]
+    if not geometries:
+        raise CellRangeError(f"qpe-sweep runs on linear3 or star4; geometries "
+                             f"{tuple(cfg.geometries)} hold neither")
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = _GEOMETRY_IDS[geometry]

@@ -16,7 +16,9 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
 
   * circuits built purely from X/CNOT/Delay stay computational-basis states
     and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
-    each of an int64);
+    each of an int64). Their gates and idle windows are listed in time
+    order once per ``ScheduledCircuit`` (``_bit_plan``); each run prices the
+    windows' damping on its calibration, draws the events and applies them;
   * every other circuit runs on the exact engine, which holds the density
     matrix as its real Pauli coefficients, computes the outcome
     distribution once and draws a multinomial from it. Each single-qubit
@@ -32,6 +34,12 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     depends on the schedule alone is planned once per ``ScheduledCircuit``
     (``_exact_plan``); each run looks up its calibration's matrices and
     applies the products.
+
+Both plans are kept on the ``ScheduledCircuit`` (``_kept``) and hold nothing
+of a calibration, so one schedule runs on the calibration subset of every
+placement of its circuit. The bit-vector plan, built on the first run,
+also records which engine runs the circuit: it is None when an op leaves
+the computational basis.
 
 The bit-vector engine samples the ensemble average that the exact engine
 computes. Both apply each qubit's idle charge (``_channel_rates``; the
@@ -296,14 +304,11 @@ class ScheduledLayer:
 @dataclass(frozen=True)
 class ScheduledCircuit:
     """ASAP time layers. Measure ops, if present, form one final layer:
-    readout happens once at the end of the circuit. The exact engine keeps
-    its plan of the circuit on the object (see ``_exact_probabilities``)."""
+    readout happens once at the end of the circuit. Each engine keeps its
+    plan of the circuit on the object (see ``_kept``)."""
 
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]
-
-    def flattened(self) -> list[GateOp]:
-        return [op for layer in self.layers for op in layer.ops]
 
 
 def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
@@ -397,6 +402,7 @@ _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
 # with 0=I, 1=X, 2=Y, 3=Z; X and Y components flip the measured bit
 _PAULI_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
 _GROUP_BUDGET = 2  # a group's first gap budgets sum to at most this many times shots + 1
+_DECAY, _FLIP = ("decay",), ("flip",)  # where _run_classical applies an event
 
 
 def _gap_budget(shots: int, p: float) -> int:
@@ -471,8 +477,36 @@ def _event_hits(rng: np.random.Generator, shots: int, events: list):
         yield from _draw_group(rng, shots, group)
 
 
-def _is_classical(scheduled: ScheduledCircuit) -> bool:
-    return all(op.kind in _CLASSICAL_KINDS for op in scheduled.flattened())
+def _kept(scheduled: ScheduledCircuit, plan):
+    """``plan(scheduled)``, computed on first use and kept on the object: a
+    plan depends on the schedule alone, never on a calibration."""
+    key = plan.__name__
+    if key not in scheduled.__dict__:
+        scheduled.__dict__[key] = plan(scheduled)
+    return scheduled.__dict__[key]
+
+
+def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]] | None:
+    """What ``_run_classical`` does on any calibration, as ``(steps,
+    readouts)``, or None when an op leaves the computational basis (the
+    exact engine then runs the circuit). A step is ``("decay", q, dt,
+    bits)`` for an idle window, ``("X", mask)``, or ``("CNOT", shift,
+    target mask, bits)``, in time order; ``readouts`` pairs each qubit with
+    its bit. ``bits`` are what a noise event on the step flips."""
+    if any(op.kind not in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops):
+        return None
+    n = scheduled.n_qubits
+    bit = [(n - 1 - q,) for q in range(n)]  # shared by every event on qubit q
+    steps = []
+    for windows, ops in _idle_windows(scheduled):
+        steps += [("decay", q, dt, bit[q]) for q, dt in windows]
+        for op in ops:
+            if op.kind == "X":
+                steps.append(("X", 1 << (n - 1 - op.qubits[0])))
+            elif op.kind == "CNOT":
+                c, t = n - 1 - op.qubits[0], n - 1 - op.qubits[1]
+                steps.append(("CNOT", c - t, 1 << t, (c, t)))
+    return steps, list(enumerate(bit))
 
 
 def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
@@ -481,40 +515,41 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     basis: phase channels are unobservable there, damping is a plain decay
     flip, and depolarizing reduces to its X/Y bit-flip components.
 
-    A first pass lists the gates and noise events in time order; the second
-    draws the events' rows in batches (``_event_hits``) and applies both."""
-    n = scheduled.n_qubits
-    p2 = cal.two_qubit_error
-    steps = []  # ("X", mask), ("CNOT", shift, target mask), or an event (kind, p, bits)
-    for windows, ops in _idle_windows(scheduled):
-        for q, dt in windows:
-            gamma = _damping(cal.qubits[q], dt)
+    The gates and the places of noise events are planned once per
+    ``ScheduledCircuit`` (``_bit_plan``). Each run prices the events on
+    ``cal`` in time order, keeping those with p > 0, then draws their rows
+    in batches (``_event_hits``) and applies gates and events in turn."""
+    plan_steps, readouts = _kept(scheduled, _bit_plan)
+    params, p2 = cal.qubits, cal.two_qubit_error
+    steps, events = [], []  # the gates, and _DECAY or _FLIP where an event applies
+    for step in plan_steps:
+        if step[0] == "decay":
+            gamma = _damping(params[step[1]], step[2])
             if gamma > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
-                steps.append(("decay", gamma, (n - 1 - q,)))
-        for op in ops:
-            if op.kind == "X":
-                steps.append(("X", 1 << (n - 1 - op.qubits[0])))
-            elif op.kind == "CNOT":
-                c, t = n - 1 - op.qubits[0], n - 1 - op.qubits[1]
-                steps.append(("CNOT", c - t, 1 << t))
-                if p2 > 0.0:
-                    steps.append(("flip", p2, (c, t)))
-    steps += [("flip", r, (n - 1 - q,)) for q in range(n)
-              if (r := cal.qubits[q].readout_error) > 0.0]
-    events = [step[1:] for step in steps if step[0] in ("decay", "flip")]
+                steps.append(_DECAY)
+                events.append((gamma, step[3]))
+        else:
+            steps.append(step)
+            if step[0] == "CNOT" and p2 > 0.0:
+                steps.append(_FLIP)
+                events.append((p2, step[3]))
+    for q, bits in readouts:
+        if (r := params[q].readout_error) > 0.0:
+            steps.append(_FLIP)
+            events.append((r, bits))
     states = np.zeros(shots, dtype=np.int64)
     hits = _event_hits(rng, shots, events)
-    for kind, *args in steps:
-        if kind == "X":
-            states ^= args[0]
-        elif kind == "CNOT":  # shift the control bit onto the target's and add it
-            moved = states >> args[0] if args[0] > 0 else states << -args[0]
-            moved &= args[1]
+    for step in steps:
+        if step[0] == "X":
+            states ^= step[1]
+        elif step[0] == "CNOT":  # shift the control bit onto the target's and add it
+            moved = states >> step[1] if step[1] > 0 else states << -step[1]
+            moved &= step[2]
             states ^= moved
         else:
             rows, pattern = next(hits)
-            states[rows] = states[rows] & ~pattern if kind == "decay" else states[rows] ^ pattern
+            states[rows] = states[rows] & ~pattern if step is _DECAY else states[rows] ^ pattern
     return states
 
 
@@ -528,15 +563,17 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 # different qubits compose by kron. Every channel of the model has a real
 # PTM (Chow et al., PRL 109, 060501, 2012).
 #
-# Each memo below writes its channel once as a superoperator S on a qubit's
-# (row bit, column bit) index of rho, where U rho U^dagger is kron(U, U*),
-# maps it once to the PTM T S T^-1 (``_pauli_transfer``) and returns it
-# read-only. The 156 survey cells close 7,224 windows with 708 distinct
-# (params, dt) keys, apply 4 distinct gates and read out 624 qubits. Full,
-# the memos hold about 1.7 MiB: 1024 windows at 0.4-0.5 KiB, 1024 readout
-# row pairs at 0.3 KiB, 256 gates at 0.4 KiB, 16 CNOTs at 2.3 KiB and 1024
-# axis permutations at up to 0.8 KiB each (13 qubits; tracemalloc,
-# numpy 2.4).
+# Each memo below builds its matrix once and returns it read-only. An idle
+# window's PTM and a qubit's readout rows are written directly from the
+# channel rates. A gate, or a CNOT with its depolarizing channel, is written
+# as a superoperator S on a qubit's (row bit, column bit) index of rho,
+# where U rho U^dagger is kron(U, U*), and mapped to the PTM T S T^-1
+# (``_pauli_transfer``). The 156 survey cells close 6,648 windows at gates,
+# with 550 distinct (params, dt) keys, and 576 at readout, with 187; they
+# apply 4 distinct gates and read out 624 qubits. Full, the memos hold
+# about 1.7 MiB: 1024 windows at 0.4-0.5 KiB, 1024 readout row pairs at
+# 0.3 KiB, 256 gates at 0.4 KiB, 16 CNOTs at 2.3 KiB and 1024 axis
+# permutations at up to 0.8 KiB each (13 qubits; tracemalloc, numpy 2.4).
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -567,12 +604,14 @@ def _pauli_transfer(s: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _idle_superop(params: QubitNoiseParams, dt: float) -> np.ndarray:
-    """The PTM of a (qubit, dt) idle window: damping moves gamma of |1><1|
-    to |0><0|, and the coherences shrink and turn by c."""
+    """The PTM of a (qubit, dt) idle window, written directly: damping moves
+    gamma of r_Z into r_I and keeps 1 - gamma of it, and the coherences
+    (r_X, r_Y) shrink by a and turn by the drift angle."""
     gamma, pz, phase = _channel_rates(params, dt)
-    c = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz) * complex(math.cos(phase), math.sin(phase))
-    return _pauli_transfer(np.array([[1.0, 0.0, 0.0, gamma], [0.0, c.conjugate(), 0.0, 0.0],
-                                     [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0 - gamma]]))
+    a = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
+    cos, sin = a * math.cos(phase), a * math.sin(phase)
+    return _read_only(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, cos, -sin, 0.0],
+                                [0.0, sin, cos, 0.0], [gamma, 0.0, 0.0, 1.0 - gamma]]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -614,8 +653,8 @@ def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
     r = params.readout_error
     m = np.array([[1.0 - r, r], [r, 1.0 - r]]) @ _TO_POPULATIONS
     if dt:
-        # [[1, 0], [gamma, 1 - gamma]]: the window's action on (r_I, r_Z)
-        m = m @ _idle_superop(params, dt)[::3, ::3]
+        gamma = _damping(params, dt)
+        m = m @ np.array([[1.0, 0.0], [gamma, 1.0 - gamma]])  # the window on (r_I, r_Z)
     rows = np.zeros((2, 4))
     rows[:, ::3] = m
     return _read_only(rows)
@@ -686,10 +725,7 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
     peak at 1.00-1.01 copies (8.0 MiB at 10 qubits, against 16.0 MiB with
     every axis held at size 4).
     """
-    plan = scheduled.__dict__.get("_exact_plan")
-    if plan is None:
-        plan = scheduled.__dict__["_exact_plan"] = _exact_plan(scheduled)
-    gates, never_gated = plan
+    gates, never_gated = _kept(scheduled, _exact_plan)
     params = cal.qubits
     rho = np.ones((1,) * scheduled.n_qubits)
     # a plan entry is a constant matrix or a (q, dt) key into a memo
@@ -746,7 +782,7 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
         raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
     if n > _QUBIT_LIMIT:
         raise SimulationError(f"circuits above {_QUBIT_LIMIT} qubits are not supported")
-    if _is_classical(scheduled):
+    if _kept(scheduled, _bit_plan) is not None:
         engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
     else:
         engine, need = "exact", _DENSE_PEAK_COPIES * 8 * 4.0**n

@@ -337,6 +337,102 @@ def test_shared_schedules_report_what_a_fresh_schedule_per_cell_reports(graph, d
     assert run_cells(cells, default_cal, SUBSET_SHOTS) == fresh
 
 
+def _recorded_cells(monkeypatch, run, cfg) -> list[Cell]:
+    """Every cell ``run(cfg)`` sends to run_cells, after run_cells ran it."""
+    cells = []
+    real = experiments.run_cells
+
+    def recording(cell_iter, cal, shots):
+        batch = list(cell_iter)
+        reports = real(batch, cal, shots)
+        cells.extend(batch)
+        return reports
+
+    monkeypatch.setattr(experiments, "run_cells", recording)
+    run(cfg)
+    return cells
+
+
+def _assert_built_like(built, fresh):
+    assert built.circuit.n_qubits == fresh.circuit.n_qubits
+    assert built.circuit.ops == fresh.circuit.ops
+    assert built.roles == fresh.roles
+    assert (built.layout, built.placement) == (fresh.layout, fresh.placement)
+    assert built.desired_ancilla == fresh.desired_ancilla
+
+
+def test_every_cell_holds_what_a_fresh_builder_call_returns(graph, default_cal, monkeypatch):
+    """Cells of one shape share one circuit object, yet every cell of the
+    full survey, the chain sweep and qft-perfect, checked after run_cells
+    ran it, holds what a fresh builder call on its own placement returns."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    survey = experiments._survey_placements(graph)
+    cells = _recorded_cells(monkeypatch, run_ccnot_survey, cfg)
+    assert len(cells) == 156
+    assert len({id(c.built.circuit) for c in cells}) == 12
+    for cell in cells:
+        variant, placement = survey[cell.seed_key[2]]
+        fresh = builders.ccnot_on_geometry(placement, variant)
+        _assert_built_like(cell.built, fresh)
+        target = fresh.layout.index(placement.target)
+        assert cell.prep_x == tuple(q for q in fresh.computational_locals if q != target)
+
+    cells = _recorded_cells(monkeypatch, run_cnot_chain_sweep, cfg)
+    assert len(cells) == 228
+    assert len({id(c.built.circuit) for c in cells}) == 57
+    for cell in cells:
+        _, _, orientation, strategy, n = cell.seed_key
+        path = topology.chain_paths(graph, orientation)[: n + 1]
+        _assert_built_like(cell.built,
+                           builders.cnot_chain(path, builders.RESET_STRATEGIES[strategy]))
+        assert cell.prep_x == ()
+
+    cells = [c for c in _recorded_cells(monkeypatch, run_qft_perfect_phases, cfg)
+             if c.seed_key[1] == experiments._TAGS["qft"]]
+    assert len(cells) == 8 * len(cfg.geometries) * cfg.top_k
+    assert len({id(c.built.circuit) for c in cells}) == 8 * len(cfg.geometries)
+    for cell in cells:
+        k = cell.seed_key[4]
+        _assert_built_like(cell.built,
+                           builders.qpe_on_geometry(cell.built.placement, k * math.pi / 4.0))
+        assert cell.prep_x == ()
+
+
+def test_each_cell_shape_is_built_once_per_driver_call(graph, default_cal, monkeypatch):
+    """12 survey shapes (variant, target local), 57 chain shapes (length,
+    strategy), and one QFT circuit per geometry and phase."""
+    calls = dict.fromkeys(("ccnot_on_geometry", "cnot_chain", "qpe_on_geometry"), 0)
+    for name in calls:
+        def counting(*args, _real=getattr(builders, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(builders, name, counting)
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    run_ccnot_survey(cfg)
+    run_cnot_chain_sweep(cfg)
+    assert calls == {"ccnot_on_geometry": 12, "cnot_chain": 57, "qpe_on_geometry": 0}
+    run_qft_perfect_phases(cfg)
+    # its ranking survey has 2 linear3, 6 star4 and 1 ring6-3chain shapes
+    assert calls["ccnot_on_geometry"] == 12 + 9
+    assert calls["qpe_on_geometry"] == 8 * len(cfg.geometries)
+
+
+def test_a_second_survey_in_one_process_reports_what_the_first_did(graph, default_cal):
+    """Shared circuits live for one driver call, and nothing mutates them."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=5)
+    assert run_ccnot_survey(cfg) == run_ccnot_survey(cfg)
+
+
+def test_qpe_sweep_without_linear3_or_star4_raises_before_any_cell(default_cal, monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "run_cells", no_cells)
+    cfg = ExperimentConfig(calibration=default_cal, shots=8, geometries=("ring6-3chain",))
+    with pytest.raises(experiments.CellRangeError, match="linear3 or star4"):
+        run_qpe_phase_sweep(cfg)
+
+
 @pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo, run_cnot_chain_sweep,
                                  run_ccnot_survey, run_qft_perfect_phases, run_qpe_phase_sweep])
 def test_seed_keys_are_distinct_and_one_length_per_tag(graph, default_cal, monkeypatch, run):

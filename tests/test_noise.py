@@ -124,7 +124,7 @@ def small_circuits(draw):
 @settings(max_examples=30, deadline=None)
 def test_flattened_schedule_preserves_per_qubit_order(c):
     sched = schedule(c, DurationModel())
-    flat = sched.flattened()
+    flat = [op for layer in sched.layers for op in layer.ops]
     for q in range(c.n_qubits):
         original = [op for op in c.ops if q in op.qubits]
         scheduled = [op for op in flat if q in op.qubits]
@@ -516,6 +516,43 @@ def _chain_cell(links, strategy, orientation):
     built = builders.cnot_chain(path, strategy)
     cal = noise.default_calibration().subset(built.layout)
     return schedule(Circuit(len(path), built.circuit.ops).measure_all(), cal.durations), cal
+
+
+def test_one_bit_vector_schedule_runs_on_every_placement_like_fresh_schedules():
+    """The bit-vector plan kept on a ScheduledCircuit holds nothing of a
+    calibration: one 20-qubit chain schedule run under two orientations'
+    calibrations, in either order, counts what each orientation's own fresh
+    schedule counts at the same seed key. Each qubit gets its own readout
+    error, so that readout events differ between the placements too."""
+    base = noise.default_calibration()
+    cal = replace(base, qubits=tuple(replace(p, readout_error=0.002 * (q % 7))
+                                     for q, p in enumerate(base.qubits)))
+    cells = []
+    for orientation in (1, 2):
+        path = topology.chain_paths(topology.shipped_poughkeepsie(), orientation)[:20]
+        built = builders.cnot_chain(path, "x-reset")
+        sub = cal.subset(built.layout)
+        circuit = Circuit(20, built.circuit.ops).measure_all()
+        cells.append((schedule(circuit, sub.durations), sub, [7, orientation]))
+    (sched, cal_a, _), (sched_b, cal_b, _) = cells
+    assert sched == sched_b and cal_a != cal_b  # one local circuit, two calibrations
+    fresh = [run_shots(*cell[:2], 4000, cell[2]) for cell in cells]
+    assert fresh[0] != fresh[1]
+    for order in ((0, 1), (1, 0)):
+        shared = replace(sched)
+        for i in order:
+            assert run_shots(shared, cells[i][1], 4000, cells[i][2]) == fresh[i]
+
+
+def test_bit_vector_plan_is_built_once_per_schedule(monkeypatch):
+    """Runs after the first reuse the plan kept on the ScheduledCircuit."""
+    calls = []
+    real = noise._idle_windows
+    monkeypatch.setattr(noise, "_idle_windows", lambda s: calls.append(s) or real(s))
+    sched, cal = _chain_cell(5, "x-reset", 1)
+    counts = [run_shots(sched, cal, 100, seed) for seed in (1, 2, 1)]
+    assert len(calls) == 1
+    assert counts[0] == counts[2]
 
 
 @pytest.mark.parametrize("group_budget", [None, 0.05])
