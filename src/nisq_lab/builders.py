@@ -25,8 +25,6 @@ written once:
 ``_DETOURS`` lists, per geometry, which pairs take which path.
 
 Constructions:
-  * Distant CNOT / controlled-phase on a linear triple, and star-mediated
-    CNOTs through the central ancilla.
   * CNOT chains with three ancilla-reset strategies (none, X gates, or a
     mirrored CNOT un-chain for superposed controls).
   * CCNOT from the standard 6-CNOT / 7-T decomposition (Barenco et al.
@@ -63,7 +61,7 @@ CCNOT_VARIANTS = (
     "ring6-1chains",
 )
 
-QFT_GEOMETRIES = ("ideal", "linear3", "star4", "ring6-3chain")
+QFT_GEOMETRIES = ("linear3", "star4", "ring6-3chain")
 
 
 @dataclass(frozen=True)
@@ -129,18 +127,6 @@ def control_rphi_ops(control: int, target: int, phi: float) -> list[GateOp]:
     ]
 
 
-def _require_kind(placement: GeometryPlacement, *kinds: str) -> None:
-    if placement.kind not in kinds:
-        raise BuildError(f"expected placement kind in {kinds}, got {placement.kind!r}")
-
-
-def _linear3_locals(placement: GeometryPlacement, device_q: int) -> int:
-    try:
-        return placement.computational.index(device_q)
-    except ValueError:
-        raise BuildError(f"qubit {device_q} is not in placement {placement.computational}") from None
-
-
 def _via_swap(circuit: Circuit, c: int, mid: int, t: int, gate) -> None:
     """``gate`` from c to t through their common neighbour ``mid``: SWAP c's
     state into the middle, ``gate(mid, t)``, SWAP back (mid's state kept)."""
@@ -183,8 +169,8 @@ _DETOURS = {
 
 def _routed(circuit: Circuit, kind: str, c: int, t: int, gate, *, x_reset: bool = False) -> None:
     """``gate(c, t)``, routed along the detour of placement kind ``kind``
-    (none for "ideal") when c and t are not coupled."""
-    path = _DETOURS.get(kind, {}).get((c, t))
+    when c and t are not coupled."""
+    path = _DETOURS[kind].get((c, t))
     if path is None:
         gate(c, t)
     elif kind.startswith("linear3"):
@@ -198,36 +184,12 @@ def _crphi(circuit: Circuit, phi: float):
     return lambda c, t: circuit.extend(control_rphi_ops(c, t, phi))
 
 
-def distant_cnot_via_swaps(placement: GeometryPlacement, control: int, target: int) -> BuiltCircuit:
-    """CNOT between the outer qubits of a linear triple: SWAP the control
-    into the center, CNOT, SWAP back (7 CNOTs, center state preserved)."""
-    _require_kind(placement, "linear3-cct", "linear3-ctc")
-    cl, tl = _linear3_locals(placement, control), _linear3_locals(placement, target)
-    if {cl, tl} != {0, 2}:
-        raise BuildError("distant CNOT runs between the two outer qubits")
-    circuit = Circuit(3, roles=_roles_for(3, {cl: "control", tl: "target"}))
-    _via_swap(circuit, cl, 1, tl, circuit.cnot)
-    return BuiltCircuit(circuit, placement_layout(placement), placement, "")
-
-
-def distant_crphi_via_swaps(placement: GeometryPlacement, phi: float) -> BuiltCircuit:
-    """Controlled-Rphi between the outer qubits of a linear triple."""
-    _require_kind(placement, "linear3-cct", "linear3-ctc")
-    circuit = Circuit(3, roles=_roles_for(3, {0: "control", 2: "target"}))
-    _via_swap(circuit, 0, 1, 2, _crphi(circuit, phi))
-    return BuiltCircuit(circuit, placement_layout(placement), placement, "")
-
-
-def _roles_for(n: int, overrides: dict[int, str]) -> tuple[str, ...]:
-    return tuple(overrides.get(i, "computational") for i in range(n))
-
-
 def _geometry_circuit(placement: GeometryPlacement) -> tuple[Circuit, tuple[int, ...], str]:
     """An empty circuit over the placement's computational qubits then its
     ancillas, its layout, and the all-|0> desired ancilla string."""
     layout = placement_layout(placement)
     n, n_anc = len(layout), len(placement.ancilla)
-    circuit = Circuit(n, roles=_roles_for(n, {q: "ancilla" for q in range(n - n_anc, n)}))
+    circuit = Circuit(n, roles=("computational",) * (n - n_anc) + ("ancilla",) * n_anc)
     return circuit, layout, "0" * n_anc
 
 
@@ -260,34 +222,6 @@ def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -
                 circuit.x(i)
     desired = ("1" if strategy == "none" else "0") * (m - 1)
     return BuiltCircuit(circuit, placement_layout(placement), placement, desired)
-
-
-def star_cnot(placement: GeometryPlacement, control: int, target: int, strategy: str,
-              *, control_in_superposition: bool = False) -> BuiltCircuit:
-    """CNOT between two outer qubits of a star, mediated by the center
-    ancilla. X-reset assumes the control is classically |1| at use time;
-    cnot-reset un-copies coherently and works for any control state."""
-    _require_kind(placement, "star4")
-    if strategy not in ("x-reset", "cnot-reset"):
-        raise BuildError("star_cnot resets by x-reset or cnot-reset")
-    if control_in_superposition and strategy == "x-reset":
-        raise BuildError("x-reset cannot restore the ancilla for a superposed control")
-    if control == target or control not in placement.computational or target not in placement.computational:
-        raise BuildError("control and target must be distinct outer qubits")
-    layout = placement_layout(placement)
-    cl, tl = layout.index(control), layout.index(target)
-    circuit = Circuit(4, roles=_roles_for(4, {cl: "control", tl: "target", 3: "ancilla"}))
-    _via_copies(circuit, (cl, 3, tl), circuit.cnot, x_reset=strategy == "x-reset")
-    return BuiltCircuit(circuit, layout, placement, "0")
-
-
-def ccnot_ideal(q1: int, q2: int, q3: int) -> list[GateOp]:
-    """Doubly-controlled X on fully connected qubits: 6 CNOTs, 2 H, 7 T/T`."""
-    if len({q1, q2, q3}) != 3:
-        raise BuildError("CCNOT needs three distinct qubits")
-    c = Circuit(max(q1, q2, q3) + 1)
-    _toffoli_body(c, "ideal", q1, q2, q3)
-    return c.ops
 
 
 def _toffoli_body(circuit: Circuit, kind: str, q1: int, q2: int, q3: int, *,
@@ -324,7 +258,9 @@ def ccnot_on_geometry(placement: GeometryPlacement, variant: str) -> BuiltCircui
     """
     if variant not in CCNOT_VARIANTS:
         raise BuildError(f"unknown CCNOT variant {variant!r}")
-    _require_kind(placement, "star4" if variant.startswith("star4") else variant)
+    kind = "star4" if variant.startswith("star4") else variant
+    if placement.kind != kind:
+        raise BuildError(f"variant {variant!r} needs a {kind} placement, got {placement.kind!r}")
     circuit, layout, desired = _geometry_circuit(placement)
     q3 = layout.index(placement.target)
     q1, q2 = [q for q in (0, 1, 2) if q != q3]
@@ -342,20 +278,14 @@ def _qft_body(circuit: Circuit, kind: str) -> None:
     circuit.h(2)
 
 
-def qft_dagger_3(placement: GeometryPlacement | str = "ideal") -> BuiltCircuit:
+def qft_dagger_3(placement: GeometryPlacement) -> BuiltCircuit:
     """3-qubit inverse QFT, no terminal swaps.
 
     Gate order: H(0); cR(-pi/2, 1->0); cR(-pi/4, 2->0); H(1);
     cR(-pi/2, 2->1); H(2). Qubit 0 therefore reads out the least
     significant result bit (see qpe_expected_label).
     """
-    if isinstance(placement, str):
-        if placement != "ideal":
-            raise BuildError(f"unknown QFT geometry {placement!r}")
-        circuit = Circuit(3, roles=_roles_for(3, {}))
-        _qft_body(circuit, "ideal")
-        return BuiltCircuit(circuit, (0, 1, 2), None, "")
-    if placement.kind not in ("linear3-cct", "linear3-ctc", "star4", "ring6-3chain"):
+    if not placement.kind.startswith(QFT_GEOMETRIES):
         raise BuildError(f"QFT does not support placement kind {placement.kind!r}")
     circuit, layout, desired = _geometry_circuit(placement)
     if placement.kind != "star4":
@@ -398,7 +328,7 @@ def qpe_expected_label(k: int) -> str:
     return format(k, "03b")[::-1]
 
 
-def qpe_on_geometry(placement: GeometryPlacement | str, phi: float) -> BuiltCircuit:
+def qpe_on_geometry(placement: GeometryPlacement, phi: float) -> BuiltCircuit:
     """Phase-ladder prep followed by the geometry's inverse QFT."""
     built = qft_dagger_3(placement)
     circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)

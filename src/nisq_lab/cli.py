@@ -105,11 +105,11 @@ def _build_parser() -> _CliParser:
     add_names(p, "--families", experiments.SURVEY_FAMILIES)
 
     p = add_experiment("qft-perfect", _qft_tables, "inverse-QFT perfect-phase fidelities")
-    add_names(p, "--geometries", experiments.SURVEY_FAMILIES[:3])
+    add_names(p, "--geometries", builders.QFT_GEOMETRIES)
     p.add_argument("--top-k", type=int, default=3)
 
     p = add_experiment("qpe-sweep", _qpe_tables, "continuous phase-estimation sweep")
-    add_names(p, "--geometries", experiments.SURVEY_FAMILIES[:2])
+    add_names(p, "--geometries", experiments.QPE_GEOMETRIES)
 
     p = sub.add_parser("enumerate", help="count geometry placements on a topology")
     p.set_defaults(handler=_run_enumerate)
@@ -163,7 +163,7 @@ def _manifest(args, cfg, graph, outputs) -> report.RunManifest:
     )
 
 
-def _emit(table, args, stem, plot_style) -> list[str]:
+def _emit(table, args, stem) -> list[str]:
     """Write one table, its fit and, with --plot, its SVG; returns the
     names the manifest lists (the results file and the fit file)."""
     out = Path(args.out)
@@ -175,7 +175,7 @@ def _emit(table, args, stem, plot_style) -> list[str]:
     if table.fit is not None:
         names.append(report.write_fit(table.fit, out / f"{stem}_fit.json").name)
     if args.plot:
-        report.emit_plot(table, plot_style, out / f"{stem}.svg")
+        report.emit_plot(table, out / f"{stem}.svg")
     return names
 
 
@@ -184,7 +184,7 @@ def _run_experiment(args) -> int:
     cal = load_calibration(args.calibration) if args.calibration else default_calibration()
     cfg = _config(args, graph, cal)
     tables, summary = args.tables(args, cfg)
-    outputs = [name for stem, table, style in tables for name in _emit(table, args, stem, style)]
+    outputs = [name for stem, table in tables for name in _emit(table, args, stem)]
     report.write_manifest(args.out, _manifest(args, cfg, graph, outputs))
     for line in summary:
         print(line)
@@ -192,7 +192,7 @@ def _run_experiment(args) -> int:
 
 
 # Each experiment subcommand runs its experiment and returns
-# ([(file stem, table, plot style)], summary lines).
+# ([(file stem, table)], summary lines).
 
 def _coherence_tables(args, cfg):
     stem = args.subcommand.replace("-", "_")
@@ -203,13 +203,13 @@ def _coherence_tables(args, cfg):
         line = f"{args.subcommand}: fit {params} r_squared={fit.r_squared:.6f}"
     else:
         line = f"{args.subcommand}: fit failed ({fit.message if fit else 'no fit'})"
-    return [(stem, table, "fit")], [line]
+    return [(stem, table)], [line]
 
 
 def _chain_tables(args, cfg):
     result = experiments.run_cnot_chain_sweep(cfg)
-    tables = [(f"chain_o{o}_{s}", t, "scatter") for (o, s), t in result.tables.items()]
-    tables += [(f"chain_avg_{s}", t, "scatter") for s, t in result.averages.items()]
+    tables = [(f"chain_o{o}_{s}", t) for (o, s), t in result.tables.items()]
+    tables += [(f"chain_avg_{s}", t) for s, t in result.averages.items()]
     return tables, []
 
 
@@ -221,18 +221,18 @@ def _survey_tables(args, cfg):
         if stats:
             summary.append(f"{fam}: mean_f1={stats['mean_f1']:.4f} "
                            f"max_f1={stats['max_f1']:.4f} mean_f2={stats['mean_f2']:.4f}")
-    return [("ccnot_survey", result.table(), "scatter")], summary
+    return [("ccnot_survey", result.table())], summary
 
 
 def _qft_tables(args, cfg):
     tables = experiments.run_qft_perfect_phases(cfg)
-    return ([(f"qft_{g.replace('-', '_')}", t, "scatter") for g, t in tables.items()],
+    return ([(f"qft_{g.replace('-', '_')}", t) for g, t in tables.items()],
             [f"{g}: cnot_count={t.metadata['cnot_count']}" for g, t in tables.items()])
 
 
 def _qpe_tables(args, cfg):
     tables = experiments.run_qpe_phase_sweep(cfg)
-    return [(f"qpe_{g}", t, "qpe") for g, t in tables.items()], []
+    return [(f"qpe_{g}", t) for g, t in tables.items()], []
 
 
 def _run_enumerate(args) -> int:

@@ -63,6 +63,8 @@ _GEOMETRY_IDS = {"linear3": 0, "star4": 1, "ring6-3chain": 2, "ring6-1chains": 3
 
 SURVEY_FAMILIES = ("linear3", "star4", "ring6-3chain", "ring6-1chains")
 
+QPE_GEOMETRIES = ("linear3", "star4")
+
 
 def _check_names(name: str, got, allowed=None) -> None:
     """ValueError unless ``got`` lists distinct entries (of ``allowed``, if given)."""
@@ -90,7 +92,7 @@ class ExperimentConfig:
     strategies: tuple[str, ...] = ("none", "x-reset", "cnot-reset")
     orientations: tuple[int, ...] = (1, 2, 3, 4)
     max_length: int = 19
-    geometries: tuple[str, ...] = ("linear3", "star4", "ring6-3chain")
+    geometries: tuple[str, ...] = builders.QFT_GEOMETRIES
     top_k: int = 3
 
     def __post_init__(self):
@@ -519,9 +521,9 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     probability and ratio."""
     grid = cfg.phi_grid or default_phi_grid()
     ks = [nearest_perfect_phase(phi) for phi in grid]
-    geometries = [g for g in cfg.geometries if g in ("linear3", "star4")]
+    geometries = [g for g in cfg.geometries if g in QPE_GEOMETRIES]
     if not geometries:
-        raise CellRangeError(f"qpe-sweep runs on linear3 or star4; geometries "
+        raise CellRangeError(f"qpe-sweep runs on {' or '.join(QPE_GEOMETRIES)}; geometries "
                              f"{tuple(cfg.geometries)} hold neither")
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():

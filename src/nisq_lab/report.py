@@ -86,27 +86,13 @@ def table_to_dict(table: ResultTable) -> dict:
             }
             for r in table.rows
         ],
-        "fit": fit_to_dict(table.fit) if table.fit is not None else None,
-    }
-
-
-def fit_to_dict(fit: FitResult) -> dict:
-    return {
-        "model": fit.model,
-        "params": fit.params,
-        "r_squared": fit.r_squared,
-        "covariance": fit.covariance,
-        "ok": fit.ok,
-        "converged": fit.converged,
-        "fallback": fit.fallback,
-        "message": fit.message,
-        "iterations": fit.iterations,
+        "fit": asdict(table.fit) if table.fit is not None else None,
     }
 
 
 def write_fit(fit: FitResult, path) -> Path:
     path = Path(path)
-    path.write_text(_json_text(fit_to_dict(fit)), encoding="utf-8", newline="\n")
+    path.write_text(_json_text(asdict(fit)), encoding="utf-8", newline="\n")
     return path
 
 
@@ -197,16 +183,12 @@ def _fit_curve(table: ResultTable, xs):
     return grid, curve
 
 
-def emit_plot(table: ResultTable, style: str, path) -> Path:
-    """Scatter with error bars; dashed fitted or theoretical overlay.
-
-    style: "scatter" (points only), "fit" (add the fitted model curve),
-    "qpe" (add the noiseless theoretical curve from row extras).
-    """
+def emit_plot(table: ResultTable, path) -> Path:
+    """Scatter with error bars, and a dashed overlay: the fitted model curve
+    when the table carries an ok fit, else the noiseless theoretical curve
+    when any row carries one in its extras."""
     if not table.rows:
         raise ValueError("cannot plot an empty table")
-    if style not in ("scatter", "fit", "qpe"):
-        raise ValueError(f"unknown plot style {style!r}")
     xs = [float(r.x) if not isinstance(r.x, str) else i for i, r in enumerate(table.rows)]
     ys = [r.f1 for r in table.rows]
     sx, sy, x_range, y_range = _scales(xs, ys)
@@ -218,12 +200,8 @@ def emit_plot(table: ResultTable, style: str, path) -> Path:
     parts += _axis_elements(sx, sy, x_range, y_range,
                             table.metadata.get("x_label", "x"),
                             table.metadata.get("y_label", "fidelity"))
-    dashed = None
-    if style == "fit":
-        got = _fit_curve(table, xs)
-        if got is not None:
-            dashed = got
-    elif style == "qpe":
+    dashed = _fit_curve(table, xs)
+    if dashed is None and any("theoretical" in r.extras for r in table.rows):
         dashed = (np.array(xs), np.array([r.extras.get("theoretical", float("nan"))
                                           for r in table.rows]))
     if dashed is not None:

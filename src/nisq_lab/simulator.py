@@ -146,12 +146,6 @@ class Circuit:
     def tdg(self, q: int) -> "Circuit":
         return self.add(GateOp("TDG", (q,)))
 
-    def s(self, q: int) -> "Circuit":
-        return self.add(GateOp("S", (q,)))
-
-    def sdg(self, q: int) -> "Circuit":
-        return self.add(GateOp("SDG", (q,)))
-
     def rphi(self, angle: float, q: int) -> "Circuit":
         return self.add(GateOp("RPHI", (q,), angle=angle))
 
@@ -168,12 +162,6 @@ class Circuit:
         for q in range(self.n_qubits):
             self.measure(q)
         return self
-
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for op in self.ops:
-            counts[op.kind] = counts.get(op.kind, 0) + 1
-        return counts
 
     def cnot_count(self) -> int:
         return sum(1 for op in self.ops if op.kind == "CNOT")

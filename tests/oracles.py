@@ -3,9 +3,10 @@
 These build expected matrices from first principles (explicit matrix
 products, index permutations, closed-form sums) so circuit constructions
 are checked against something other than themselves. ``circuit_unitary``
-is the noiseless reference for every builder; ``kraus_outcome_probabilities``
-is the noisy one for the engines in ``nisq_lab.noise``. Neither imports
-the package's simulation code.
+is the noiseless reference for every builder, and ``inverse_qft_matrix``
+the closed-form target of every inverse-QFT construction.
+``kraus_outcome_probabilities`` is the noisy reference for the engines in
+``nisq_lab.noise``. None of them imports the package's simulation code.
 """
 import math
 from functools import reduce
@@ -40,6 +41,19 @@ def toffoli_matrix(controls: tuple[int, int], target: int, n: int = 3) -> np.nda
             bits[target] ^= 1
         i = sum(bb << (n - 1 - q) for q, bb in enumerate(bits))
         mat[i, j] = 1.0
+    return mat
+
+
+def inverse_qft_matrix(n: int = 3) -> np.ndarray:
+    """The inverse QFT without terminal swaps: the inverse DFT with its
+    output index bit-reversed, entry [rev(k), j] = exp(-2 pi i j k / 2**n)
+    / sqrt(2**n), from the closed form."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        rev = int(format(k, f"0{n}b")[::-1], 2)
+        for j in range(dim):
+            mat[rev, j] = np.exp(-2j * np.pi * j * k / dim) / math.sqrt(dim)
     return mat
 
 

@@ -1,32 +1,30 @@
 """Circuit constructions checked against exact unitary oracles."""
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nisq_lab import topology
+from nisq_lab import builders, topology
 from nisq_lab.builders import (
     BuildError,
-    ccnot_ideal,
+    BuiltCircuit,
     ccnot_on_geometry,
     cnot_chain,
-    distant_cnot_via_swaps,
-    distant_crphi_via_swaps,
     qft_dagger_3,
     qpe_expected_label,
     qpe_on_geometry,
     qpe_prep,
-    star_cnot,
     swap_via_cnots,
 )
 from nisq_lab.simulator import Circuit, GateOp
-from nisq_lab.topology import GeometryPlacement
 
 from oracles import (
     circuit_unitary,
     cnot_matrix,
     final_state,
+    inverse_qft_matrix,
     probability_of,
     qpe_outcome_probability,
     restricted_unitary,
@@ -36,17 +34,42 @@ from oracles import (
 )
 
 
-def linear3(a=0, b=1, c=2, kind="linear3-cct"):
-    target = c if kind == "linear3-cct" else b
-    return GeometryPlacement(kind, (a, b, c), (), target)
+def distant_cnot(c=0, t=2) -> Circuit:
+    """CNOT between the outer qubits of a linear triple, by SWAP sandwich."""
+    circuit = Circuit(3)
+    builders._via_swap(circuit, c, 1, t, circuit.cnot)
+    return circuit
 
 
-def star4(outer=(0, 6, 10), center=5, target=0):
-    return GeometryPlacement("star4", outer, (center,), target)
+def distant_crphi(phi) -> Circuit:
+    """Controlled-Rphi between the outer qubits of a linear triple."""
+    circuit = Circuit(3)
+    builders._via_swap(circuit, 0, 1, 2, builders._crphi(circuit, phi))
+    return circuit
+
+
+def star_cnot(c=0, t=1, *, x_reset=False) -> BuiltCircuit:
+    """CNOT between two outer locals of a star (0-2), copied through the
+    centre ancilla (local 3)."""
+    circuit = Circuit(4, roles=("computational",) * 3 + ("ancilla",))
+    builders._via_copies(circuit, (c, 3, t), circuit.cnot, x_reset=x_reset)
+    return BuiltCircuit(circuit, (0, 1, 2, 3), None, "0")
+
+
+def qft_placements(graph):
+    """The first placement of each QFT geometry."""
+    return (topology.enumerate_linear_triples(graph)[0], topology.enumerate_stars(graph)[0],
+            topology.ring_placements(graph, "ring6-3chain")[0])
+
+
+def qpe_output(placement, phi) -> np.ndarray:
+    """The computational qubits' noiseless output state of the geometry's
+    phase estimation, ancillas read out at their desired string."""
+    return restricted_unitary(qpe_on_geometry(placement, phi))[:, 0]
 
 
 # ---------------------------------------------------------------------------
-# SWAP and distant two-qubit gates
+# SWAP and the two routings of a distant two-qubit gate
 # ---------------------------------------------------------------------------
 
 def test_swap_is_three_cnots():
@@ -69,67 +92,55 @@ def test_swap_exchanges_basis_states():
 
 
 def test_distant_cnot_seven_cnots():
-    built = distant_cnot_via_swaps(linear3(), 0, 2)
-    assert built.circuit.cnot_count() == 7
+    assert distant_cnot().cnot_count() == 7
 
 
 def test_distant_cnot_unitary_is_cnot_tensor_identity():
-    built = distant_cnot_via_swaps(linear3(), 0, 2)
-    # oracle: CNOT between locals 0 and 2 of a 3-qubit register
-    expected = cnot_matrix(0, 2, 3)
-    assert unitaries_equivalent(circuit_unitary(built.circuit), expected)
+    # oracle: CNOT between locals 0 and 2 of a 3-qubit register, either way
+    for c, t in ((0, 2), (2, 0)):
+        assert unitaries_equivalent(circuit_unitary(distant_cnot(c, t)), cnot_matrix(c, t, 3))
 
 
 @pytest.mark.parametrize("psi", ["zero", "one", "plus"])
 def test_distant_cnot_preserves_center_state(psi):
-    built = distant_cnot_via_swaps(linear3(), 0, 2)
     prep = Circuit(3).x(0)
     if psi == "one":
         prep.x(1)
     elif psi == "plus":
         prep.h(1)
-    out = final_state(Circuit(3, list(prep.ops)).extend(built.circuit.ops))
+    out = final_state(Circuit(3, list(prep.ops)).extend(distant_cnot().ops))
     # control and target both |1>, center unchanged
     expected = final_state(prep.x(2))
     assert abs(np.vdot(out, expected)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distant_cnot_control_off_is_identity():
-    built = distant_cnot_via_swaps(linear3(), 0, 2)
-    assert probability_of(final_state(built.circuit), "000") == pytest.approx(1.0)
-
-
-def test_distant_cnot_rejects_center_operand():
-    with pytest.raises(BuildError):
-        distant_cnot_via_swaps(linear3(), 0, 1)
+    assert probability_of(final_state(distant_cnot()), "000") == pytest.approx(1.0)
 
 
 def test_distant_crphi_zero_angle_identity():
-    built = distant_crphi_via_swaps(linear3(), 0.0)
-    assert unitaries_equivalent(circuit_unitary(built.circuit), np.eye(8))
+    assert unitaries_equivalent(circuit_unitary(distant_crphi(0.0)), np.eye(8))
 
 
 def test_distant_crphi_matches_diagonal_oracle():
     phi = math.pi
-    built = distant_crphi_via_swaps(linear3(), phi)
     # oracle: phase phi iff outer qubits (locals 0 and 2) are both 1
     expected = np.eye(8, dtype=complex)
     for i in range(8):
         if (i >> 2) & 1 and i & 1:
             expected[i, i] = np.exp(1j * phi)
-    u = circuit_unitary(built.circuit)
+    u = circuit_unitary(distant_crphi(phi))
     assert unitaries_equivalent(u, expected)
     assert u[5, 5] == pytest.approx(np.exp(1j * math.pi))  # |101>
 
 
 def test_distant_crphi_random_angle_oracle():
     phi = 0.8342
-    built = distant_crphi_via_swaps(linear3(), phi)
     expected = np.eye(8, dtype=complex)
     for i in range(8):
         if (i >> 2) & 1 and i & 1:
             expected[i, i] = np.exp(1j * phi)
-    assert unitaries_equivalent(circuit_unitary(built.circuit), expected)
+    assert unitaries_equivalent(circuit_unitary(distant_crphi(phi)), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -204,55 +215,52 @@ def test_chain_rejects_short_path():
 # ---------------------------------------------------------------------------
 
 def test_star_cnot_x_reset_classical_control():
-    built = star_cnot(star4(), 0, 6, "x-reset")
-    out = final_state(Circuit(4).x(built.layout.index(0)).extend(built.circuit.ops))
+    built = star_cnot(x_reset=True)
+    out = final_state(Circuit(4).x(0).extend(built.circuit.ops))
     # control 1, target 1, spectator 0, ancilla reset to 0
     assert probability_of(out, "1100") == pytest.approx(1.0)
 
 
 def test_star_cnot_cnot_reset_control_off():
-    built = star_cnot(star4(), 0, 6, "cnot-reset")
-    assert probability_of(final_state(built.circuit), "0000") == pytest.approx(1.0)
+    assert probability_of(final_state(star_cnot().circuit), "0000") == pytest.approx(1.0)
 
 
 def test_star_cnot_superposed_control_entangles_outers():
-    built = star_cnot(star4(), 0, 6, "cnot-reset", control_in_superposition=True)
-    out = final_state(Circuit(4).h(built.layout.index(0)).extend(built.circuit.ops))
+    out = final_state(Circuit(4).h(0).extend(star_cnot().circuit.ops))
     assert probability_of(out, "0000") == pytest.approx(0.5)
     assert probability_of(out, "1100") == pytest.approx(0.5)
 
 
-def test_star_cnot_x_reset_rejects_superposition():
-    with pytest.raises(BuildError):
-        star_cnot(star4(), 0, 6, "x-reset", control_in_superposition=True)
-
-
 def test_star_cnot_cnot_reset_is_exact_cnot():
-    built = star_cnot(star4(), 0, 6, "cnot-reset")
-    cl = built.layout.index(0)
-    tl = built.layout.index(6)
-    M = restricted_unitary(built)
-    expected = cnot_matrix(cl, tl, 3)
-    assert unitaries_equivalent(M, expected)
+    for c in range(3):
+        for t in range(3):
+            if c != t:
+                assert unitaries_equivalent(restricted_unitary(star_cnot(c, t)),
+                                            cnot_matrix(c, t, 3)), (c, t)
 
 
 # ---------------------------------------------------------------------------
 # CCNOT
 # ---------------------------------------------------------------------------
 
-def test_ccnot_ideal_truth_table():
-    c = Circuit(3).extend(ccnot_ideal(0, 1, 2))
-    assert probability_of(final_state(c, "110"), "111") == pytest.approx(1.0)
-    assert probability_of(final_state(c, "100"), "100") == pytest.approx(1.0)
-
-
-def test_ccnot_ideal_matrix_and_counts():
-    c = Circuit(3).extend(ccnot_ideal(0, 1, 2))
-    assert unitaries_equivalent(circuit_unitary(c), toffoli_matrix((0, 1), 2))
-    counts = c.gate_counts()
-    assert counts["CNOT"] == 6
-    assert counts["H"] == 2
-    assert counts.get("T", 0) + counts.get("TDG", 0) == 7
+def test_every_ccnot_variant_keeps_two_h_and_seven_t_gates(graph):
+    """Routing adds only CNOTs (and X resets): each variant keeps the
+    decomposition's 2 H and 7 T/T` gates."""
+    triple = topology.enumerate_linear_triples(graph)[0]
+    star = topology.enumerate_stars(graph)[0]
+    placements = {
+        "linear3-cct": topology.linear3_variants(triple)[0],
+        "linear3-ctc": topology.linear3_variants(triple)[2],
+        "star4-x-reset": star,
+        "star4-cnot-reset": star,
+        "ring6-3chain": topology.ring_placements(graph, "ring6-3chain")[0],
+        "ring6-1chains": topology.ring_placements(graph, "ring6-1chains")[0],
+    }
+    assert set(placements) == set(builders.CCNOT_VARIANTS)
+    for variant, placement in placements.items():
+        kinds = Counter(op.kind for op in ccnot_on_geometry(placement, variant).circuit.ops)
+        assert kinds["H"] == 2 and kinds["T"] + kinds["TDG"] == 7, variant
+        assert set(kinds) <= {"H", "T", "TDG", "CNOT", "X"}, variant
 
 
 @pytest.mark.parametrize("variant", ["linear3-cct", "linear3-ctc"])
@@ -313,9 +321,10 @@ def test_ccnot_ring6_exact_toffoli(graph):
 def test_ccnot_ring6_variants_equal_cnot_and_x_counts(graph):
     b3 = ccnot_on_geometry(topology.ring_placements(graph, "ring6-3chain")[0], "ring6-3chain")
     b1 = ccnot_on_geometry(topology.ring_placements(graph, "ring6-1chains")[0], "ring6-1chains")
-    c3, c1 = b3.circuit.gate_counts(), b1.circuit.gate_counts()
+    c3 = Counter(op.kind for op in b3.circuit.ops)
+    c1 = Counter(op.kind for op in b1.circuit.ops)
     assert c3["CNOT"] == c1["CNOT"]
-    assert c3.get("X", 0) == c1.get("X", 0)
+    assert c3["X"] == c1["X"]
 
 
 def test_ccnot_rejects_mismatched_variant(graph):
@@ -328,26 +337,24 @@ def test_ccnot_rejects_mismatched_variant(graph):
 # QFT and phase estimation
 # ---------------------------------------------------------------------------
 
-def test_qft_inverse_pair_is_identity():
-    built = qft_dagger_3("ideal")
+def test_qft_inverse_pair_is_identity(graph):
+    """The linear3 inverse QFT, reversed with negated angles, undoes the
+    closed-form inverse QFT."""
+    built = qft_dagger_3(topology.enumerate_linear_triples(graph)[0])
     forward = Circuit(3)
     for op in reversed(built.circuit.ops):
         if op.kind == "RPHI":
             forward.rphi(-op.angle, op.qubits[0])
         else:
             forward.add(GateOp(op.kind, op.qubits))
-    combined = circuit_unitary(forward) @ circuit_unitary(built.circuit)
-    assert np.allclose(combined, np.eye(8), atol=1e-9)
+    combined = circuit_unitary(forward) @ inverse_qft_matrix()
+    assert unitaries_equivalent(combined, np.eye(8))
 
 
 def test_qft_geometry_variants_match_ideal(graph):
-    ideal_u = circuit_unitary(qft_dagger_3("ideal").circuit)
-    triple = topology.enumerate_linear_triples(graph)[0]
-    star = topology.enumerate_stars(graph)[0]
-    ring = topology.ring_placements(graph, "ring6-3chain")[0]
-    for placement in (triple, star, ring):
+    for placement in qft_placements(graph):
         built = qft_dagger_3(placement)
-        assert unitaries_equivalent(restricted_unitary(built), ideal_u)
+        assert unitaries_equivalent(restricted_unitary(built), inverse_qft_matrix()), placement.kind
 
 
 def test_qft_cnot_counts_star_saves_two(graph):
@@ -361,28 +368,26 @@ def test_qft_cnot_counts_star_saves_two(graph):
 
 def test_qft_rejects_unknown_geometry(graph):
     with pytest.raises(BuildError):
-        qft_dagger_3("linear5")
-    with pytest.raises(BuildError):
         qft_dagger_3(topology.ring_placements(graph, "ring6-1chains")[0])
 
 
 def test_qpe_prep_zero_phase_returns_all_zeros():
-    c = Circuit(3).extend(qpe_prep(0.0)).extend(qft_dagger_3("ideal").circuit.ops)
-    assert probability_of(final_state(c), "000") == pytest.approx(1.0)
+    state = inverse_qft_matrix() @ final_state(Circuit(3).extend(qpe_prep(0.0)))
+    assert probability_of(state, "000") == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("k", range(8))
-def test_qpe_perfect_phases_deterministic(k):
-    built = qpe_on_geometry("ideal", k * math.pi / 4)
-    out = final_state(built.circuit)
-    assert probability_of(out, qpe_expected_label(k)) == pytest.approx(1.0, abs=1e-10)
+def test_qpe_perfect_phases_deterministic(k, graph):
+    for placement in qft_placements(graph):
+        out = qpe_output(placement, k * math.pi / 4)
+        assert probability_of(out, qpe_expected_label(k)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_qpe_halfway_phase_max_probability():
-    built = qpe_on_geometry("ideal", math.pi / 8)
-    probs = np.abs(final_state(built.circuit)) ** 2
-    assert max(probs) == pytest.approx(qpe_outcome_probability(math.pi / 8, 0), abs=1e-10)
-    assert max(probs) == pytest.approx(0.4105, abs=5e-4)
+def test_qpe_halfway_phase_max_probability(graph):
+    for placement in qft_placements(graph):
+        probs = np.abs(qpe_output(placement, math.pi / 8)) ** 2
+        assert max(probs) == pytest.approx(qpe_outcome_probability(math.pi / 8, 0), abs=1e-10)
+        assert max(probs) == pytest.approx(0.4105, abs=5e-4)
 
 
 def test_every_builder_output_respects_topology(graph):
@@ -394,7 +399,6 @@ def test_every_builder_output_respects_topology(graph):
         for i, variant in ((0, "linear3-cct"), (2, "linear3-ctc")):
             builts.append(ccnot_on_geometry(topology.linear3_variants(triple)[i], variant))
         builts.append(qft_dagger_3(triple))
-        builts.append(distant_cnot_via_swaps(triple, triple.computational[0], triple.computational[2]))
     for star in topology.enumerate_stars(graph)[:2]:
         builts.append(ccnot_on_geometry(star, "star4-x-reset"))
         builts.append(ccnot_on_geometry(star, "star4-cnot-reset"))

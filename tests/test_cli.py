@@ -111,7 +111,7 @@ def test_manifest_written(tmp_path):
 def test_plot_scatter_and_dashed_fit(tmp_path):
     table = sample_table()
     table.fit = FitResult(model="exponential", params={"t_decay": 10.0}, r_squared=1.0)
-    path = emit_plot(table, "fit", tmp_path / "t.svg")
+    path = emit_plot(table, tmp_path / "t.svg")
     svg = path.read_text()
     assert "<circle" in svg
     assert svg.count("stroke-dasharray") == 1
@@ -121,23 +121,35 @@ def test_plot_scatter_and_dashed_fit(tmp_path):
 def test_plot_qpe_two_series(tmp_path):
     rows = [ResultRow(x=i * 0.2, f1=0.5 + 0.01 * i, f2=0.5, shots=1000,
                       extras={"theoretical": 0.9 - 0.02 * i}) for i in range(10)]
-    path = emit_plot(ResultTable(rows, metadata={"x_label": "phi_rad"}), "qpe",
-                     tmp_path / "q.svg")
+    path = emit_plot(ResultTable(rows, metadata={"x_label": "phi_rad"}), tmp_path / "q.svg")
     svg = path.read_text()
     assert svg.count("<circle") == 10
     assert "stroke-dasharray" in svg
 
 
+def test_plot_overlay_follows_the_table(tmp_path):
+    """An ok fit draws its curve, else any row's theoretical value, else nothing."""
+    table = sample_table()
+    assert "stroke-dasharray" not in emit_plot(table, tmp_path / "a.svg").read_text()
+    table.fit = FitResult.failed("exponential", "no convergence")
+    assert "stroke-dasharray" not in emit_plot(table, tmp_path / "b.svg").read_text()
+    table.rows[1].extras["theoretical"] = 0.5
+    svg = emit_plot(table, tmp_path / "c.svg").read_text()
+    assert svg.count("stroke-dasharray") == 1 and " L " not in svg
+    table.fit = FitResult(model="exponential", params={"t_decay": 10.0}, r_squared=1.0)
+    assert emit_plot(table, tmp_path / "d.svg").read_text().count(" L ") == 119
+
+
 def test_plot_deterministic(tmp_path):
     t = sample_table()
-    a = emit_plot(t, "scatter", tmp_path / "a.svg").read_bytes()
-    b = emit_plot(t, "scatter", tmp_path / "b.svg").read_bytes()
+    a = emit_plot(t, tmp_path / "a.svg").read_bytes()
+    b = emit_plot(t, tmp_path / "b.svg").read_bytes()
     assert a == b
 
 
 def test_plot_empty_table_rejected(tmp_path):
     with pytest.raises(ValueError):
-        emit_plot(ResultTable([]), "scatter", tmp_path / "x.svg")
+        emit_plot(ResultTable([]), tmp_path / "x.svg")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisq_lab.builders import qpe_expected_label, qpe_on_geometry
+from nisq_lab.builders import qpe_expected_label, qpe_prep
 from nisq_lab.experiments import ResultRow
 from nisq_lab.fitting import (
     damped_cosine_model,
@@ -16,8 +16,9 @@ from nisq_lab.fitting import (
     fit_exponential,
     theoretical_qpe_distribution,
 )
+from nisq_lab.simulator import Circuit
 
-from oracles import final_state, probability_of, qpe_outcome_probability
+from oracles import final_state, inverse_qft_matrix, probability_of, qpe_outcome_probability
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,7 @@ def test_qpe_distribution_matches_statevector_oracle():
     rng = np.random.default_rng(7)
     for phi in rng.uniform(0, 2 * math.pi, 50):
         dist = theoretical_qpe_distribution(phi)
-        built = qpe_on_geometry("ideal", phi)
-        state = final_state(built.circuit)
+        state = inverse_qft_matrix() @ final_state(Circuit(3).extend(qpe_prep(phi)))
         for k in range(8):
             assert probability_of(state, qpe_expected_label(k)) == pytest.approx(
                 dist[k], abs=1e-10

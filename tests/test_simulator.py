@@ -71,7 +71,7 @@ def test_cnot_unitary_every_ordered_pair():
 
 
 def test_circuit_unitary_is_unitary():
-    c = Circuit(3).h(0).cnot(0, 1).t(1).cnot(1, 2).sdg(2).rphi(0.7, 0)
+    c = Circuit(3).h(0).cnot(0, 1).t(1).cnot(1, 2).add(GateOp("SDG", (2,))).rphi(0.7, 0)
     u = circuit_unitary(c)
     assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-9)
 
