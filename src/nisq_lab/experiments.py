@@ -24,9 +24,10 @@ out in any order. Chain and survey coordinates name the cell within the
 full experiment (every strategy, every survey family), not within the
 requested subset, so a subset run draws the same counts as the full run;
 a different topology re-enumerates, and so re-keys, the survey cells.
-Coherence and QPE coordinates index the requested grid. QFT and QPE run on
-the placements ranked best by a CCNOT survey of their geometries, on the
-same counts ``run_ccnot_survey`` reports. Tables carry time in
+Coherence coordinates index the requested delay grid, and QPE
+coordinates the fixed phase grid (``default_phi_grid``). QFT and QPE run
+on the placements ranked best by a CCNOT survey of their geometries, on
+the same counts ``run_ccnot_survey`` reports. Tables carry time in
 microseconds and phases in radians.
 """
 from __future__ import annotations
@@ -59,8 +60,6 @@ PROVENANCE = f"nisq-lab {__version__}"
 # experiment tags keep per-cell seed streams disjoint across experiments
 _TAGS = {"t1": 11, "ramsey": 12, "echo": 13, "chain": 21, "ccnot": 31, "qft": 41, "qpe": 42}
 
-_GEOMETRY_IDS = {"linear3": 0, "star4": 1, "ring6-3chain": 2, "ring6-1chains": 3}
-
 SURVEY_FAMILIES = ("linear3", "star4", "ring6-3chain", "ring6-1chains")
 
 QPE_GEOMETRIES = ("linear3", "star4")
@@ -88,7 +87,6 @@ class ExperimentConfig:
     seed: int = 0
     qubit: int = 0
     dt_grid_us: tuple[float, ...] | None = None
-    phi_grid: tuple[float, ...] | None = None
     strategies: tuple[str, ...] = ("none", "x-reset", "cnot-reset")
     orientations: tuple[int, ...] = (1, 2, 3, 4)
     max_length: int = 19
@@ -111,19 +109,18 @@ class ExperimentConfig:
         if not (0 <= self.qubit < n):
             raise ValueError(f"qubit {self.qubit} is outside the calibration's {n} qubits "
                              f"(0..{n - 1})")
-        for name, grid in (("dt_grid_us", self.dt_grid_us), ("phi_grid", self.phi_grid)):
-            if grid is None:
-                continue
+        grid = self.dt_grid_us
+        if grid is not None:
             if len(grid) == 0:
                 raise ValueError("parameter grid must be non-empty")
             for value in grid:
                 if not math.isfinite(value):
-                    raise ValueError(f"{name} entry {value} is not finite")
+                    raise ValueError(f"dt_grid_us entry {value} is not finite")
             if list(grid) != sorted(grid):
                 raise ValueError("parameter grid must be sorted")
-        if self.dt_grid_us is not None and self.dt_grid_us[0] < 0:
-            raise ValueError(f"dt_grid_us entry {self.dt_grid_us[0]} is negative: "
-                             "a delay cannot be shorter than zero")
+            if grid[0] < 0:
+                raise ValueError(f"dt_grid_us entry {grid[0]} is negative: "
+                                 "a delay cannot be shorter than zero")
 
 
 @dataclass
@@ -487,7 +484,7 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
             raise ValueError(f"unsupported QFT geometry {geometry!r}")
     tables: dict[str, ResultTable] = {}
     for geometry, chosen in _ranked_placements(cfg, cfg.geometries, cfg.top_k).items():
-        gid = _GEOMETRY_IDS[geometry]
+        gid = SURVEY_FAMILIES.index(geometry)
         rows = []
         for k in range(8):
             # the placements of one geometry share one local circuit
@@ -519,7 +516,7 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     is raised before any cell runs when it holds neither. f1 counts shots on
     the nearest perfect-phase outcome and rows carry the matching noiseless
     probability and ratio."""
-    grid = cfg.phi_grid or default_phi_grid()
+    grid = default_phi_grid()
     ks = [nearest_perfect_phase(phi) for phi in grid]
     geometries = [g for g in cfg.geometries if g in QPE_GEOMETRIES]
     if not geometries:
@@ -527,7 +524,7 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
                              f"{tuple(cfg.geometries)} hold neither")
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
-        gid = _GEOMETRY_IDS[geometry]
+        gid = SURVEY_FAMILIES.index(geometry)
         cells = (Cell(builders.qpe_on_geometry(placement, phi), (cfg.seed, _TAGS["qpe"], gid, i),
                       builders.qpe_expected_label(k))
                  for i, (phi, k) in enumerate(zip(grid, ks)))

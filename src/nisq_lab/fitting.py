@@ -112,6 +112,13 @@ _MAX_ITERATIONS = 200
 _REL_TOL = 1e-9
 
 
+def _exponential_normal(t: np.ndarray, T: float, w: np.ndarray):
+    """The model, its derivative in T, and the weighted normal matrix."""
+    f = np.exp(-t / T)
+    jac = f * t / T**2
+    return f, jac, float(np.dot(w * jac, jac))
+
+
 def fit_exponential(t, p, shots) -> FitResult:
     """Fit p(t) = exp(-t / T): log-linear initialization through the
     origin, then Gauss-Newton refinement. Time units follow the input."""
@@ -141,9 +148,7 @@ def fit_exponential(t, p, shots) -> FitResult:
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        f = np.exp(-t / T)
-        jac = f * t / T**2
-        den = float(np.dot(w * jac, jac))
+        f, jac, den = _exponential_normal(t, T, w)
         if den == 0.0:
             return FitResult.failed("exponential", "singular normal equations")
         step = float(np.dot(w * jac, p - f)) / den
@@ -154,11 +159,9 @@ def fit_exponential(t, p, shots) -> FitResult:
             converged = True
             break
 
-    f = np.exp(-t / T)
+    f, _, jtj = _exponential_normal(t, T, w)
     ss_res = float(np.sum((p - f) ** 2))
     ss_tot = float(np.sum((p - p.mean()) ** 2))
-    jac = f * t / T**2
-    jtj = float(np.dot(w * jac, jac))
     dof = max(len(t) - 1, 1)
     var = float(np.sum(w * (p - f) ** 2)) / dof / jtj if jtj > 0 else float("nan")
     return FitResult(
@@ -183,6 +186,18 @@ def _spectral_omega(t: np.ndarray, y: np.ndarray) -> float:
     phases = np.exp(-1j * np.outer(omegas, t))
     power = np.abs(phases @ y) ** 2
     return float(omegas[int(np.argmax(power))])
+
+
+def _cosine_normal(t: np.ndarray, rate: float, omega: float, w: np.ndarray):
+    """The model, its derivatives in rate and omega, and the normal matrix a11, a12, a22."""
+    env = np.exp(-rate * t)
+    cos_wt = np.cos(omega * t)
+    sin_wt = np.sin(omega * t)
+    f = 0.5 * (1.0 + env * cos_wt)
+    j_rate = -0.5 * t * env * cos_wt
+    j_omega = -0.5 * t * env * sin_wt
+    return (f, j_rate, j_omega, float(np.dot(w * j_rate, j_rate)),
+            float(np.dot(w * j_rate, j_omega)), float(np.dot(w * j_omega, j_omega)))
 
 
 def fit_damped_cosine(t, p, shots) -> FitResult:
@@ -231,16 +246,8 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        env = np.exp(-rate * t)
-        cos_wt = np.cos(omega * t)
-        sin_wt = np.sin(omega * t)
-        f = 0.5 * (1.0 + env * cos_wt)
+        f, j_rate, j_omega, a11, a12, a22 = _cosine_normal(t, rate, omega, w)
         r = p - f
-        j_rate = -0.5 * t * env * cos_wt
-        j_omega = -0.5 * t * env * sin_wt
-        a11 = float(np.dot(w * j_rate, j_rate))
-        a12 = float(np.dot(w * j_rate, j_omega))
-        a22 = float(np.dot(w * j_omega, j_omega))
         b1 = float(np.dot(w * j_rate, r))
         b2 = float(np.dot(w * j_omega, r))
         det = a11 * a22 - a12 * a12
@@ -259,17 +266,11 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
     if abs(omega) * span < math.pi / 2:
         return exponential_fallback("no spectral peak")
 
-    env = np.exp(-rate * t)
-    f = 0.5 * (1.0 + env * np.cos(omega * t))
+    # covariance from the final normal equations
+    f, _, _, a11, a12, a22 = _cosine_normal(t, rate, omega, w)
     ss_res = float(np.sum((p - f) ** 2))
     ss_tot = float(np.sum((p - p.mean()) ** 2))
     t_phi = 1.0 / rate if rate > 1e-30 else float("inf")
-    # covariance from the final normal equations
-    j_rate = -0.5 * t * env * np.cos(omega * t)
-    j_omega = -0.5 * t * env * np.sin(omega * t)
-    a11 = float(np.dot(w * j_rate, j_rate))
-    a12 = float(np.dot(w * j_rate, j_omega))
-    a22 = float(np.dot(w * j_omega, j_omega))
     det = a11 * a22 - a12 * a12
     dof = max(len(t) - 2, 1)
     s2 = float(np.sum(w * (p - f) ** 2)) / dof

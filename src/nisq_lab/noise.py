@@ -27,8 +27,8 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     compose by kron, and the idle windows the gate closes are folded into
     it. A qubit's axis is live (4 coefficients) only from its first gate
     to its last: the first gate's matrix takes the qubit's |0> column, and
-    the last one's ends in the qubit's readout rows (the damping of the
-    window still open at readout, then the readout flips), so that the
+    the last one's ends in the qubit's readout rows (the (r_I, r_Z) rows of
+    the window still open at readout, then the readout flips), so that the
     axis leaves it holding the qubit's two outcome probabilities. Window,
     gate and readout matrices are built once, in bounded memos. What
     depends on the schedule alone is planned once per ``ScheduledCircuit``
@@ -54,12 +54,10 @@ as per-shot trials), and touches only those rows.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -70,8 +68,10 @@ from .simulator import (
     PAULI_Y,
     PAULI_Z,
     TAU,
+    content_hash,
     gate_matrix,
     is_json_number,
+    load_package_data,
 )
 
 
@@ -118,10 +118,6 @@ class QubitNoiseParams:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @classmethod
-    def noiseless(cls) -> "QubitNoiseParams":
-        return cls(t1=math.inf, t2=math.inf, omega=0.0, readout_error=0.0)
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,6 @@ class DeviceCalibration:
             two_qubit_error=self.two_qubit_error,
         )
 
-    @classmethod
-    def noiseless(cls, n_qubits: int, durations: DurationModel | None = None) -> "DeviceCalibration":
-        return cls(
-            qubits=tuple(QubitNoiseParams.noiseless() for _ in range(n_qubits)),
-            durations=durations or DurationModel(),
-            two_qubit_error=0.0,
-        )
-
     def to_dict(self) -> dict:
         return {
             "qubits": [
@@ -202,14 +190,7 @@ class DeviceCalibration:
         }
 
     def content_hash(self) -> str:
-        """sha256 of ``to_dict()`` as sorted-key JSON, computed once per
-        object. The memo is keyed by identity, not value: calibrations that
-        compare equal can still serialize differently (omega 0.0 vs -0.0)."""
-        digest = self.__dict__.get("_content_hash")
-        if digest is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-            digest = self.__dict__["_content_hash"] = hashlib.sha256(blob).hexdigest()
-        return digest
+        return content_hash(self, self.to_dict)
 
 
 _REQUIRED_QUBIT_KEYS = ("t1_us", "t2_us", "omega_mhz", "readout_error")
@@ -285,10 +266,7 @@ def load_calibration(path) -> DeviceCalibration:
 def default_calibration() -> DeviceCalibration:
     """The shipped 20-qubit calibration (one deliberately weak qubit, q7),
     loaded once per process; every caller shares the one frozen object."""
-    with resources.files("nisq_lab.data").joinpath("default_calibration.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return calibration_from_dict(json.load(fh))
+    return calibration_from_dict(load_package_data("default_calibration.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +542,18 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 # PTM (Chow et al., PRL 109, 060501, 2012).
 #
 # Each memo below builds its matrix once and returns it read-only. An idle
-# window's PTM and a qubit's readout rows are written directly from the
-# channel rates. A gate, or a CNOT with its depolarizing channel, is written
-# as a superoperator S on a qubit's (row bit, column bit) index of rho,
-# where U rho U^dagger is kron(U, U*), and mapped to the PTM T S T^-1
-# (``_pauli_transfer``). The 156 survey cells close 6,648 windows at gates,
-# with 550 distinct (params, dt) keys, and 576 at readout, with 187; they
-# apply 4 distinct gates and read out 624 qubits. Full, the memos hold
-# about 1.7 MiB: 1024 windows at 0.4-0.5 KiB, 1024 readout row pairs at
-# 0.3 KiB, 256 gates at 0.4 KiB, 16 CNOTs at 2.3 KiB and 1024 axis
-# permutations at up to 0.8 KiB each (13 qubits; tracemalloc, numpy 2.4).
+# window's PTM is written directly from the channel rates, and a qubit's
+# readout rows are two of its window's PTM rows, mapped to outcomes. A gate,
+# or a CNOT with its depolarizing channel, is written as a superoperator S
+# on a qubit's (row bit, column bit) index of rho, where U rho U^dagger is
+# kron(U, U*), and mapped to the PTM T S T^-1 (``_pauli_transfer``). The
+# 156 survey cells close 6,648 windows at gates, with 550 distinct
+# (params, dt) keys, and 576 at readout, with 187, of which 158 are new to
+# the window memo (708 keys in all); they apply 4 distinct gates and read
+# out 624 qubits. Full, the memos hold about 1.7 MiB: 1024 windows at
+# 0.4-0.5 KiB, 1024 readout row pairs at 0.3 KiB, 256 gates at 0.4 KiB,
+# 16 CNOTs at 2.3 KiB and 1024 axis permutations at up to 0.8 KiB each
+# (13 qubits; tracemalloc, numpy 2.4).
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -646,18 +626,12 @@ def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tup
 @functools.lru_cache(maxsize=1024)
 def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
     """The 2 x 4 map from a qubit's Pauli coefficients after its last gate
-    to its two readout outcomes. Readout sees only (r_I, r_Z). The window of
-    dt still open at readout acts on them as damping alone, since phase and
-    drift only move X and Y; then they become populations, and the readout
-    confusion acts last."""
+    to its two readout outcomes: the (r_I, r_Z) rows of the idle window of
+    dt still open at readout, which phase and drift leave alone, turned
+    into populations, then the readout confusion."""
     r = params.readout_error
-    m = np.array([[1.0 - r, r], [r, 1.0 - r]]) @ _TO_POPULATIONS
-    if dt:
-        gamma = _damping(params, dt)
-        m = m @ np.array([[1.0, 0.0], [gamma, 1.0 - gamma]])  # the window on (r_I, r_Z)
-    rows = np.zeros((2, 4))
-    rows[:, ::3] = m
-    return _read_only(rows)
+    confusion = np.array([[1.0 - r, r], [r, 1.0 - r]])
+    return _read_only(confusion @ _TO_POPULATIONS @ _idle_superop(params, dt)[[0, 3]])
 
 
 def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]]:

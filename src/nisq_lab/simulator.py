@@ -13,8 +13,11 @@ noiseless unitary oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -179,23 +182,9 @@ class Circuit:
                 frontier[q] = layer
         return max(frontier, default=0)
 
-    def to_dict(self) -> dict:
-        ops = []
-        for op in self.ops:
-            entry: dict = {"kind": op.kind, "qubits": list(op.qubits)}
-            if op.kind == "RPHI":
-                entry["angle"] = op.angle
-            if op.kind == "DELAY":
-                entry["duration"] = op.duration
-            ops.append(entry)
-        d: dict = {"n_qubits": self.n_qubits, "ops": ops}
-        if self.roles is not None:
-            d["roles"] = list(self.roles)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
-        """Parse ``to_dict`` output; malformed input raises ValueError."""
+        """Parse the circuit file schema; malformed input raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError("circuit must be a JSON object")
         try:
@@ -232,3 +221,19 @@ def is_json_number(value) -> bool:
     """True for a JSON number, integer or not (a bool is neither)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
+
+def load_package_data(name: str) -> dict | list:
+    """The JSON file ``name`` shipped in the package data directory."""
+    with resources.files("nisq_lab.data").joinpath(name).open("r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def content_hash(obj, to_dict) -> str:
+    """sha256 of ``to_dict()`` as sorted-key JSON, computed once per ``obj``
+    and kept on it. The memo is keyed by identity, not value: objects that
+    compare equal can still serialize differently (omega 0.0 vs -0.0)."""
+    digest = obj.__dict__.get("_content_hash")
+    if digest is None:
+        blob = json.dumps(to_dict(), sort_keys=True).encode("utf-8")
+        digest = obj.__dict__["_content_hash"] = hashlib.sha256(blob).hexdigest()
+    return digest

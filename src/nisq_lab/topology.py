@@ -7,13 +7,11 @@ deterministic: every list is sorted by its qubit-index tuples.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import combinations
 
-from .simulator import Circuit, GateOp, is_json_int
+from .simulator import Circuit, GateOp, content_hash, is_json_int, load_package_data
 
 
 class TopologyError(ValueError):
@@ -54,12 +52,7 @@ class CouplingGraph:
         return {"n_qubits": self.n_qubits, "edges": sorted(list(e) for e in self.edges)}
 
     def content_hash(self) -> str:
-        """sha256 of ``to_dict()`` as sorted-key JSON, computed once per object."""
-        digest = self.__dict__.get("_content_hash")
-        if digest is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-            digest = self.__dict__["_content_hash"] = hashlib.sha256(blob).hexdigest()
-        return digest
+        return content_hash(self, self.to_dict)
 
 
 def load_graph(path) -> CouplingGraph:
@@ -84,24 +77,19 @@ def graph_from_dict(raw: dict) -> CouplingGraph:
     return CouplingGraph.from_edge_list(n, edges)
 
 
-def _load_data(name: str) -> dict | list:
-    with resources.files("nisq_lab.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # The shipped data is read once per process; the loaders return frozen
 # objects, so every caller can share them.
 
 @functools.cache
 def shipped_poughkeepsie() -> CouplingGraph:
     """The 20-qubit lattice shipped with the package (23 edges)."""
-    return graph_from_dict(_load_data("poughkeepsie.json"))
+    return graph_from_dict(load_package_data("poughkeepsie.json"))
 
 
 @functools.cache
 def shipped_orientations() -> tuple[tuple[int, ...], ...]:
     """Four stored full-lattice chain paths, as vertex sequences."""
-    return tuple(tuple(p) for p in _load_data("chain_orientations.json"))
+    return tuple(tuple(p) for p in load_package_data("chain_orientations.json"))
 
 
 PLACEMENT_KINDS = (

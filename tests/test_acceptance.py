@@ -41,6 +41,7 @@ from nisq_lab.noise import (
 )
 from nisq_lab.simulator import Circuit
 
+from calibrations import flat_cal
 from oracles import (
     circuit_unitary,
     cnot_matrix,
@@ -291,7 +292,7 @@ def test_criterion_4_decay_recovery():
 
 def test_criterion_5_noiseless_qpe(g):
     checks = []
-    ncal = DeviceCalibration.noiseless(20)
+    ncal = flat_cal(20)
     placements = {
         "linear3": topology.enumerate_linear_triples(g)[0],
         "star4": topology.enumerate_stars(g)[0],

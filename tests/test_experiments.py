@@ -2,7 +2,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from nisq_lab import builders, experiments, topology
@@ -23,6 +22,8 @@ from nisq_lab.experiments import (
 from nisq_lab.fitting import fidelity
 from nisq_lab.noise import DeviceCalibration, DurationModel, QubitNoiseParams, run_shots, schedule
 from nisq_lab.simulator import Circuit, GateOp
+
+from calibrations import flat_cal
 
 INF = math.inf
 
@@ -96,12 +97,8 @@ def test_echo_decay_at_least_ramsey_decay():
     assert echo.fit.params["t_decay"] >= 0.9 * ramsey.fit.params["t_phi"]
 
 
-def noiseless_20q():
-    return DeviceCalibration.noiseless(20)
-
-
 def test_chain_sweep_noiseless_all_ones(graph):
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=64, seed=0,
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=64, seed=0,
                            orientations=(1, 3), max_length=6)
     result = run_cnot_chain_sweep(cfg)
     for table in result.tables.values():
@@ -139,14 +136,14 @@ def test_chain_weak_qubit_dip(graph):
 
 
 def test_ccnot_survey_noiseless_all_ones(graph):
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=16, seed=0)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=16, seed=0)
     result = run_ccnot_survey(cfg, families=("linear3",))
     assert len(result.cells) == 96  # 32 triples x 3 target placements
     assert all(c.f1 == 1.0 and c.f2 == 1.0 for c in result.cells)
 
 
 def test_ccnot_survey_star_and_ring_noiseless(graph):
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=16, seed=0)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=16, seed=0)
     result = run_ccnot_survey(cfg, families=("star4", "ring6-3chain", "ring6-1chains"))
     assert len(result.family("star4-x-reset")) == 18  # 6 stars x 3 targets
     assert len(result.family("star4-cnot-reset")) == 18
@@ -159,13 +156,13 @@ def test_ccnot_survey_runs_the_families_that_have_placements():
     """A 3-qubit path has a linear triple but no star: a survey of both
     families runs the triple's cells alone."""
     path = topology.CouplingGraph.from_edge_list(3, [(0, 1), (1, 2)])
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=path, shots=16, seed=0)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=path, shots=16, seed=0)
     result = run_ccnot_survey(cfg, families=("linear3", "star4"))
     assert [c.variant for c in result.cells] == ["linear3-cct", "linear3-cct", "linear3-ctc"]
 
 
 def test_survey_top_placements_ranking(graph):
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=16, seed=0)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=16, seed=0)
     result = run_ccnot_survey(cfg, families=("star4",))
     top = result.top_placements("star4", 3)
     assert len(top) == 3
@@ -173,7 +170,7 @@ def test_survey_top_placements_ranking(graph):
 
 
 def test_qft_perfect_noiseless_all_ones(graph):
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=32, seed=0, top_k=1)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=32, seed=0, top_k=1)
     tables = run_qft_perfect_phases(cfg)
     assert list(tables) == list(cfg.geometries)
     for geometry, table in tables.items():
@@ -200,12 +197,12 @@ def test_qft_rejects_unsupported_geometry_before_any_cell(graph, default_cal, mo
 
 
 def test_qpe_sweep_noiseless_matches_theory(graph):
-    grid = tuple(np.arange(0.0, 9.0) * (math.pi / 16.0))
-    cfg = ExperimentConfig(calibration=noiseless_20q(), graph=graph, shots=4000, seed=21,
-                           geometries=("linear3",), phi_grid=grid)
+    cfg = ExperimentConfig(calibration=flat_cal(20), graph=graph, shots=4000, seed=21,
+                           geometries=("linear3",))
     tables = run_qpe_phase_sweep(cfg)
     assert list(tables) == ["linear3"]
     table = tables["linear3"]
+    assert [row.x for row in table.rows] == list(default_phi_grid())
     for row in table.rows:
         theory = row.extras["theoretical"]
         sigma = math.sqrt(max(theory * (1 - theory), 1e-9) / 4000)
@@ -244,8 +241,6 @@ def test_experiment_config_validation(default_cal):
 @pytest.mark.parametrize("field, grid, message", [
     ("dt_grid_us", (-5.0, 0.0, 5.0), "dt_grid_us entry -5.0 is negative"),
     ("dt_grid_us", (0.0, math.nan), "dt_grid_us entry nan is not finite"),
-    ("phi_grid", (0.0, math.inf), "phi_grid entry inf is not finite"),
-    ("phi_grid", (math.nan, 1.0), "phi_grid entry nan is not finite"),
 ])
 def test_experiment_config_rejects_bad_grid_entries(default_cal, field, grid, message):
     with pytest.raises(ValueError, match=message):

@@ -30,18 +30,10 @@ from nisq_lab.noise import (
 )
 from nisq_lab.simulator import TAU, Circuit, GateOp
 
+from calibrations import flat_cal
 from oracles import final_state, kraus_outcome_probabilities
 
 INF = math.inf
-
-
-def flat_cal(n, t1=INF, t2=INF, omega=0.0, readout=0.0, p2=0.0, durations=None):
-    return DeviceCalibration(
-        qubits=tuple(QubitNoiseParams(t1=t1, t2=t2, omega=omega, readout_error=readout)
-                     for _ in range(n)),
-        durations=durations or DurationModel(),
-        two_qubit_error=p2,
-    )
 
 
 # ---------------------------------------------------------------------------

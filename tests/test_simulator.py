@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisq_lab.noise import DeviceCalibration, schedule
+from nisq_lab.noise import schedule
 from nisq_lab.simulator import Circuit, GateOp
 
+from calibrations import flat_cal
 from oracles import (
     circuit_unitary,
     cnot_matrix,
@@ -154,7 +155,7 @@ def test_cnot_involution(c):
 def test_unitary_oracle_matches_noiseless_kraus_oracle(c):
     """The unitary oracle's first column and the Kraus oracle's scheduled
     density-matrix evolution, with every channel off, give one law."""
-    cal = DeviceCalibration.noiseless(c.n_qubits)
+    cal = flat_cal(c.n_qubits)
     measured = Circuit(c.n_qubits, list(c.ops)).measure_all()
     kraus = kraus_outcome_probabilities(schedule(measured, cal.durations), cal)
     assert np.max(np.abs(np.abs(final_state(c)) ** 2 - kraus)) <= 1e-12
@@ -166,10 +167,19 @@ def test_unitaries_equivalent_handles_global_phase():
     assert not unitaries_equivalent(u, np.eye(4, dtype=complex))
 
 
-def test_circuit_dict_round_trip():
-    c = Circuit(2, roles=("control", "target")).x(0).rphi(-0.3, 1).cnot(0, 1).measure(0).measure(1)
-    c2 = Circuit.from_dict(c.to_dict())
-    assert c2.n_qubits == c.n_qubits
-    assert c2.roles == c.roles
-    assert [op.kind for op in c2.ops] == [op.kind for op in c.ops]
-    assert c2.ops[1].angle == pytest.approx(c.ops[1].angle)
+def test_circuit_from_dict_reads_angles_delays_and_roles():
+    c = Circuit.from_dict({
+        "n_qubits": 2,
+        "roles": ["control", "target"],
+        "ops": [{"kind": "X", "qubits": [0]},
+                {"kind": "RPHI", "qubits": [1], "angle": -0.3},
+                {"kind": "DELAY", "qubits": [0], "duration": 2e-6},
+                {"kind": "CNOT", "qubits": [0, 1]},
+                {"kind": "MEASURE", "qubits": [0]},
+                {"kind": "MEASURE", "qubits": [1]}],
+    })
+    assert c.n_qubits == 2
+    assert c.roles == ("control", "target")
+    assert c.ops == [GateOp("X", (0,)), GateOp("RPHI", (1,), angle=-0.3),
+                     GateOp("DELAY", (0,), duration=2e-6), GateOp("CNOT", (0, 1)),
+                     GateOp("MEASURE", (0,)), GateOp("MEASURE", (1,))]
