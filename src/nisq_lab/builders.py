@@ -8,11 +8,10 @@ qubits then star center), which is also the order of outcome bits, most
 significant first. ``placement_layout`` is that rule, written only here.
 
 A local circuit depends on its placement only through the placement's
-shape (its width, and for a CCNOT the local index of its target), so an
-experiment driver builds it once per shape and runs it on every placement
-of that shape: ``BuiltCircuit.placed`` gives the same circuit object on
-another placement. Nothing mutates a built circuit, which makes the sharing
-safe, and a driver keeps a shared circuit only for the length of one call.
+shape (its width, and for a CCNOT the local index of its target), so the
+experiments build it once per shape and run it on every placement of that
+shape, each on its own ``placement_layout``. Nothing mutates a built
+circuit, which makes the sharing safe.
 
 A two-qubit gate between uncoupled qubits is routed one of two ways, each
 written once:
@@ -84,18 +83,9 @@ class BuiltCircuit:
         if len(self.desired_ancilla) != len(self.ancilla_locals):
             raise BuildError("desired ancilla string must cover every ancilla qubit")
 
-    def placed(self, placement: GeometryPlacement) -> "BuiltCircuit":
-        """This circuit, the same object, on another placement of its shape."""
-        return BuiltCircuit(self.circuit, placement_layout(placement), placement,
-                            self.desired_ancilla)
-
     @property
     def roles(self) -> tuple[str, ...]:
         return self.circuit.roles
-
-    @property
-    def computational_locals(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.circuit.roles) if r != "ancilla")
 
     @property
     def ancilla_locals(self) -> tuple[int, ...]:

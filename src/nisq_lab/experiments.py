@@ -1,22 +1,22 @@
 """End-to-end experiment drivers: build, schedule, run noisy shots, score.
 
-Every experiment is a sequence of cells. A ``Cell`` is one built circuit,
+Every experiment is a sequence of cells. A ``Cell`` names the shape of its
+local circuit and a call that builds it, the device qubit of each local,
 its seed key, the computational basis string it should read out, and the
 locals to flip to |1> before it runs. ``run_cells`` runs each cell on its
-own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule
-(once per distinct circuit in the call), ``run_shots`` on the calibration
-subset of the cell's layout, and score with ``fidelity``. The experiments
-below differ only in the cells they yield and in how they fold the reports
-into tables; ``_metadata`` builds every table's metadata.
+own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule,
+``run_shots`` on the calibration subset of the cell's layout, and score
+with ``fidelity``. The experiments below differ only in the cells they
+yield and in how they fold the reports into tables; ``_metadata`` builds
+every table's metadata.
 
-A driver builds each distinct local circuit once and places that one
-circuit object on every placement of its shape (``BuiltCircuit.placed``):
-a survey shape is a variant and its target's local index, a chain shape a
-length and a strategy, and a QFT shape a geometry and a phase. Only each
-cell's layout, placement and calibration subset differ. Nothing mutates a
-built circuit, and the shapes live in a dict local to the driver call, so
-the sharing ends when the call returns. Cells come from generators, so
-each shape's circuit is built right before its first cell runs.
+A local circuit depends on its placement only through its shape: a survey
+shape is a variant and its target's local index, a chain shape a length
+and a strategy, a QFT shape a phase. ``run_cells`` builds and schedules
+each shape once per call, from its first cell, so the cells of a shape
+differ only in layout, seed key and calibration subset. Nothing mutates a
+built circuit. Cells come from generators, so each shape's circuit is
+built right before its first cell runs.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -153,11 +154,13 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class Cell:
-    """One circuit run: ``desired`` is the computational basis string the
-    circuit should read out; ``prep_x`` lists the locals flipped to |1>
-    before the circuit."""
+    """One circuit run: ``build()`` returns the local circuit of ``shape``,
+    which every cell of that shape must build, with the same ``prep_x``;
+    ``layout[local]`` is the device qubit each local runs on."""
 
-    built: BuiltCircuit
+    shape: Hashable
+    build: Callable[[], BuiltCircuit]
+    layout: tuple[int, ...]
     seed_key: tuple[int, ...]
     desired: str
     prep_x: tuple[int, ...] = ()
@@ -166,35 +169,24 @@ class Cell:
 def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
     """Run and score each cell compactly on its own qubits, in order.
 
-    Cells with the same local circuit (width, ``prep_x`` and ops), such as
-    one survey variant's placements, share one schedule within the call,
-    which either engine plans once; each cell still makes its own
-    ``run_shots`` call on its own calibration subset and seed key. Cells
-    of one shape may hold the same circuit object: this reads it and never
-    mutates it."""
-    scheduled: dict[tuple, ScheduledCircuit] = {}
+    The first cell of each shape builds its circuit, and that circuit with
+    its X prep and a measurement of every qubit is scheduled once for the
+    call, which either engine plans once. Each cell still makes its own
+    ``run_shots`` call on its own calibration subset and seed key, and is
+    scored with its shape's roles and desired ancilla string."""
+    shapes: dict[Hashable, tuple[BuiltCircuit, ScheduledCircuit]] = {}
     reports = []
     for cell in cells:
-        built = cell.built
-        n = built.circuit.n_qubits
-        key = (n, cell.prep_x, tuple(built.circuit.ops))
-        sched = scheduled.get(key)
-        if sched is None:
+        if cell.shape not in shapes:
+            built = cell.build()
+            n = built.circuit.n_qubits
             circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
-                              + [GateOp("MEASURE", (q,)) for q in range(n)], built.circuit.roles)
-            sched = scheduled[key] = schedule(circuit, cal.durations)
-        counts = run_shots(sched, cal.subset(built.layout), shots, list(cell.seed_key))
-        reports.append(fidelity(counts, built.circuit.roles, cell.desired, built.desired_ancilla))
+                              + [GateOp("MEASURE", (q,)) for q in range(n)], built.roles)
+            shapes[cell.shape] = (built, schedule(circuit, cal.durations))
+        built, sched = shapes[cell.shape]
+        counts = run_shots(sched, cal.subset(cell.layout), shots, list(cell.seed_key))
+        reports.append(fidelity(counts, built.roles, cell.desired, built.desired_ancilla))
     return reports
-
-
-def _placed(shapes: dict, shape, placement: GeometryPlacement, build, *args) -> BuiltCircuit:
-    """``build(*args)`` for the first placement of ``shape``; each later
-    placement of the shape gets that same circuit object, placed on it."""
-    if shape in shapes:
-        return shapes[shape].placed(placement)
-    built = shapes[shape] = build(*args)
-    return built
 
 
 def _row(x, rep: FidelityReport, **extras) -> ResultRow:
@@ -236,14 +228,14 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
                     body) -> list[ResultRow]:
     """One single-qubit cell per delay on cfg.qubit; ``body(circuit, dt_s)``
     adds its gates and delays."""
-    def cells():
-        for i, dt in enumerate(grid):
-            circuit = Circuit(1, roles=("computational",))
-            body(circuit, dt * US)
-            yield Cell(BuiltCircuit(circuit, (cfg.qubit,), None, ""),
-                       (cfg.seed, _TAGS[tag], i), desired)
+    def build(dt_s: float) -> BuiltCircuit:
+        circuit = Circuit(1, roles=("computational",))
+        body(circuit, dt_s)
+        return BuiltCircuit(circuit, (cfg.qubit,), None, "")
 
-    reports = run_cells(cells(), cfg.calibration, cfg.shots)
+    cells = (Cell(dt, partial(build, dt * US), (cfg.qubit,), (cfg.seed, _TAGS[tag], i), desired)
+             for i, dt in enumerate(grid))
+    reports = run_cells(cells, cfg.calibration, cfg.shots)
     return [_row(float(dt), rep) for dt, rep in zip(grid, reports)]
 
 
@@ -329,14 +321,12 @@ def run_cnot_chain_sweep(cfg: ExperimentConfig) -> ChainSweepResult:
     keys = [(orientation, strategy) for orientation in paths for strategy in cfg.strategies]
 
     def cells():
-        shapes: dict[tuple[int, str], BuiltCircuit] = {}
         for orientation, strategy in keys:
             for n in lengths:
                 path = paths[orientation][: n + 1]
-                built = _placed(shapes, (n, strategy), topology.chain_placement(path),
-                                builders.cnot_chain, path, strategy)
-                yield Cell(built, (cfg.seed, _TAGS["chain"], orientation,
-                                   builders.RESET_STRATEGIES.index(strategy), n), "11")
+                yield Cell((n, strategy), partial(builders.cnot_chain, path, strategy), path,
+                           (cfg.seed, _TAGS["chain"], orientation,
+                            builders.RESET_STRATEGIES.index(strategy), n), "11")
 
     reports = run_cells(cells(), cfg.calibration, cfg.shots)
     tables: dict[tuple[int, str], ResultTable] = {}
@@ -442,13 +432,13 @@ def run_ccnot_survey(cfg: ExperimentConfig,
         raise CellRangeError(f"the topology has no {' or '.join(families)} placement")
 
     def cells():
-        shapes: dict[tuple[str, int], BuiltCircuit] = {}
         for idx, variant, placement in placements:
-            target = builders.placement_layout(placement).index(placement.target)
-            built = _placed(shapes, (variant, target), placement,
-                            builders.ccnot_on_geometry, placement, variant)
-            controls = tuple(q for q in built.computational_locals if q != target)
-            yield Cell(built, (cfg.seed, _TAGS["ccnot"], idx), "111", prep_x=controls)
+            layout = builders.placement_layout(placement)
+            target = layout.index(placement.target)
+            # placement_layout puts the computational qubits first
+            controls = tuple(q for q in range(len(placement.computational)) if q != target)
+            yield Cell((variant, target), partial(builders.ccnot_on_geometry, placement, variant),
+                       layout, (cfg.seed, _TAGS["ccnot"], idx), "111", prep_x=controls)
 
     reports = run_cells(cells(), cfg.calibration, cfg.shots)
     return SurveyResult(
@@ -485,16 +475,15 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     tables: dict[str, ResultTable] = {}
     for geometry, chosen in _ranked_placements(cfg, cfg.geometries, cfg.top_k).items():
         gid = SURVEY_FAMILIES.index(geometry)
-        rows = []
-        for k in range(8):
-            # the placements of one geometry share one local circuit
-            built = builders.qpe_on_geometry(chosen[0], k * math.pi / 4.0)
-            cells = (Cell(built.placed(placement), (cfg.seed, _TAGS["qft"], gid, p_idx, k),
-                          builders.qpe_expected_label(k))
-                     for p_idx, placement in enumerate(chosen))
-            rows.append(_mean_row(k, run_cells(cells, cfg.calibration, cfg.shots), cfg.shots))
+        # the placements of one geometry share one local circuit per phase
+        cells = (Cell(k, partial(builders.qpe_on_geometry, placement, k * math.pi / 4.0),
+                      builders.placement_layout(placement),
+                      (cfg.seed, _TAGS["qft"], gid, p_idx, k), builders.qpe_expected_label(k))
+                 for k in range(8) for p_idx, placement in enumerate(chosen))
+        reports = run_cells(cells, cfg.calibration, cfg.shots)
         tables[geometry] = ResultTable(
-            rows,
+            [_mean_row(k, reports[k * len(chosen):(k + 1) * len(chosen)], cfg.shots)
+             for k in range(8)],
             metadata=_metadata(cfg, "qft-perfect", "phase_index", "fidelity", geometry=geometry,
                                placements=[list(p.qubits) for p in chosen],
                                cnot_count=builders.qft_dagger_3(chosen[0]).circuit.cnot_count()),
@@ -525,7 +514,8 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = SURVEY_FAMILIES.index(geometry)
-        cells = (Cell(builders.qpe_on_geometry(placement, phi), (cfg.seed, _TAGS["qpe"], gid, i),
+        cells = (Cell(phi, partial(builders.qpe_on_geometry, placement, phi),
+                      builders.placement_layout(placement), (cfg.seed, _TAGS["qpe"], gid, i),
                       builders.qpe_expected_label(k))
                  for i, (phi, k) in enumerate(zip(grid, ks)))
         rows = []

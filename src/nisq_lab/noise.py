@@ -134,12 +134,11 @@ class DurationModel:
                 raise CalibrationError(f"{name} duration must be >= 0")
 
     def op_duration(self, op: GateOp) -> float:
+        """A gate's or delay's duration; ``schedule`` times readout by ``measurement``."""
         if op.kind == "DELAY":
             return float(op.duration)
         if op.kind == "CNOT":
             return self.two_qubit
-        if op.kind == "MEASURE":
-            return self.measurement
         return self.single_qubit
 
 

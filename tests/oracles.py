@@ -68,8 +68,8 @@ def restricted_unitary(built) -> np.ndarray:
     entering |0...0> and read out at the declared desired string."""
     U = circuit_unitary(built.circuit)
     n = built.circuit.n_qubits
-    comp = built.computational_locals
     anc = built.ancilla_locals
+    comp = tuple(q for q in range(n) if q not in anc)
     dim_c = 1 << len(comp)
 
     def global_index(comp_bits: str, anc_bits: str) -> int:

@@ -7,6 +7,7 @@ calibration; exact criteria use the unitary oracle at 1e-9.
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -299,8 +300,9 @@ def test_criterion_5_noiseless_qpe(g):
         "ring6-3chain": topology.ring_placements(g, "ring6-3chain")[0],
     }
     for geometry, placement in placements.items():
-        cells = [Cell(qpe_on_geometry(placement, k * math.pi / 4), (SEED, 50, k),
-                      qpe_expected_label(k)) for k in range(8)]
+        cells = [Cell(k, partial(qpe_on_geometry, placement, k * math.pi / 4),
+                      builders.placement_layout(placement), (SEED, 50, k), qpe_expected_label(k))
+                 for k in range(8)]
         for k, rep in enumerate(run_cells(cells, ncal, 2000)):
             checks.append((f"{geometry} k={k} f1=1", rep.f1 == 1.0))
         # halfway phase: max-outcome probability ~0.41

@@ -46,9 +46,10 @@ def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
         monkeypatch, graph, default_cal):
     """The benchmark cuts its passes at each ``experiments.run_shots`` call
     and checks that ``noise.schedule`` records calls: every cell must still
-    reach run_shots on its own, while cells that share a local circuit share
-    one schedule (12 distinct circuits among the 156 survey cells, 55 among
-    the 228 chain cells)."""
+    reach run_shots on its own, while cells of one shape share one schedule
+    (12 shapes among the 156 survey cells, 57 among the 228 chain cells;
+    the three strategies at length 1 are three shapes that build the same
+    two ops)."""
     calls = collections.Counter()
     for name in ("run_shots", "schedule"):
         def counting(*args, _real=getattr(experiments, name), _name=name):
@@ -60,4 +61,4 @@ def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
     assert calls == {"run_shots": 156, "schedule": 12}
     calls.clear()
     experiments.run_cnot_chain_sweep(cfg)
-    assert calls == {"run_shots": 228, "schedule": 55}
+    assert calls == {"run_shots": 228, "schedule": 57}

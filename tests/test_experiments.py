@@ -1,6 +1,7 @@
 """Experiment drivers: closed-loop recovery, noiseless limits, trends."""
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -309,21 +310,23 @@ def test_qft_geometry_subset_matches_the_default_run(graph, default_cal):
 
 
 def test_shared_schedules_report_what_a_fresh_schedule_per_cell_reports(graph, default_cal):
-    """run_cells schedules each distinct circuit once; its reports equal
+    """run_cells builds and schedules each shape once; its reports equal
     those of building and scheduling every cell afresh."""
     cells = []
     for idx, (variant, placement) in enumerate(experiments._survey_placements(graph)):
         if variant.startswith("star4"):
-            built = builders.ccnot_on_geometry(placement, variant)
-            target = built.layout.index(placement.target)
-            controls = tuple(q for q in built.computational_locals if q != target)
-            cells.append(Cell(built, (3, experiments._TAGS["ccnot"], idx), "111",
-                              prep_x=controls))
-    assert len({(c.prep_x, tuple(c.built.circuit.ops)) for c in cells}) < len(cells)
+            layout = builders.placement_layout(placement)
+            target = layout.index(placement.target)
+            controls = tuple(q for q in range(3) if q != target)
+            cells.append(Cell((variant, target),
+                              partial(builders.ccnot_on_geometry, placement, variant), layout,
+                              (3, experiments._TAGS["ccnot"], idx), "111", prep_x=controls))
+    assert len({c.shape for c in cells}) < len(cells)
     fresh = []
     for cell in cells:
-        built, n = cell.built, cell.built.circuit.n_qubits
-        circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops,
+        built = cell.build()
+        circuit = Circuit(built.circuit.n_qubits,
+                          [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops,
                           built.circuit.roles).measure_all()
         sub = default_cal.subset(built.layout)
         counts = run_shots(schedule(circuit, sub.durations), sub, SUBSET_SHOTS,
@@ -348,49 +351,86 @@ def _recorded_cells(monkeypatch, run, cfg) -> list[Cell]:
     return cells
 
 
-def _assert_built_like(built, fresh):
-    assert built.circuit.n_qubits == fresh.circuit.n_qubits
-    assert built.circuit.ops == fresh.circuit.ops
-    assert built.roles == fresh.roles
-    assert (built.layout, built.placement) == (fresh.layout, fresh.placement)
-    assert built.desired_ancilla == fresh.desired_ancilla
+def _assert_cell_builds(cell, shared, fresh):
+    """The cell's own build, its shape's shared build (from the first cell
+    of the shape) and a fresh builder call on the cell's placement hold one
+    circuit, and the cell runs it on the fresh build's layout."""
+    own = cell.build()
+    for built in (own, shared):
+        assert built.circuit.n_qubits == fresh.circuit.n_qubits
+        assert built.circuit.ops == fresh.circuit.ops
+        assert built.roles == fresh.roles
+        assert built.desired_ancilla == fresh.desired_ancilla
+    assert (own.layout, own.placement) == (fresh.layout, fresh.placement)
+    assert cell.layout == fresh.layout
+
+
+def _shared_builds(cells) -> dict:
+    """Each shape's build, as run_cells makes it: from its first cell."""
+    shared = {}
+    for cell in cells:
+        if cell.shape not in shared:
+            shared[cell.shape] = cell.build()
+    return shared
 
 
 def test_every_cell_holds_what_a_fresh_builder_call_returns(graph, default_cal, monkeypatch):
-    """Cells of one shape share one circuit object, yet every cell of the
-    full survey, the chain sweep and qft-perfect, checked after run_cells
-    ran it, holds what a fresh builder call on its own placement returns."""
+    """Cells of one shape share one build, yet every cell of the full
+    survey, the chain sweep and qft-perfect, as its experiment emits it, builds
+    and runs what a fresh builder call on its own placement returns."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
     survey = experiments._survey_placements(graph)
     cells = _recorded_cells(monkeypatch, run_ccnot_survey, cfg)
     assert len(cells) == 156
-    assert len({id(c.built.circuit) for c in cells}) == 12
+    shared = _shared_builds(cells)
+    assert len(shared) == 12
     for cell in cells:
         variant, placement = survey[cell.seed_key[2]]
         fresh = builders.ccnot_on_geometry(placement, variant)
-        _assert_built_like(cell.built, fresh)
+        _assert_cell_builds(cell, shared[cell.shape], fresh)
         target = fresh.layout.index(placement.target)
-        assert cell.prep_x == tuple(q for q in fresh.computational_locals if q != target)
+        assert cell.prep_x == tuple(i for i, role in enumerate(fresh.roles)
+                                    if role != "ancilla" and i != target)
 
     cells = _recorded_cells(monkeypatch, run_cnot_chain_sweep, cfg)
     assert len(cells) == 228
-    assert len({id(c.built.circuit) for c in cells}) == 57
+    shared = _shared_builds(cells)
+    assert len(shared) == 57
     for cell in cells:
         _, _, orientation, strategy, n = cell.seed_key
         path = topology.chain_paths(graph, orientation)[: n + 1]
-        _assert_built_like(cell.built,
-                           builders.cnot_chain(path, builders.RESET_STRATEGIES[strategy]))
+        _assert_cell_builds(cell, shared[cell.shape],
+                            builders.cnot_chain(path, builders.RESET_STRATEGIES[strategy]))
         assert cell.prep_x == ()
 
     cells = [c for c in _recorded_cells(monkeypatch, run_qft_perfect_phases, cfg)
              if c.seed_key[1] == experiments._TAGS["qft"]]
     assert len(cells) == 8 * len(cfg.geometries) * cfg.top_k
-    assert len({id(c.built.circuit) for c in cells}) == 8 * len(cfg.geometries)
-    for cell in cells:
-        k = cell.seed_key[4]
-        _assert_built_like(cell.built,
-                           builders.qpe_on_geometry(cell.built.placement, k * math.pi / 4.0))
-        assert cell.prep_x == ()
+    monkeypatch.undo()
+    for geometry, chosen in experiments._ranked_placements(cfg, cfg.geometries,
+                                                           cfg.top_k).items():
+        ours = [c for c in cells if c.seed_key[2] == experiments.SURVEY_FAMILIES.index(geometry)]
+        shared = _shared_builds(ours)
+        assert len(shared) == 8
+        for cell in ours:
+            _, _, _, p_idx, k = cell.seed_key
+            _assert_cell_builds(cell, shared[cell.shape],
+                                builders.qpe_on_geometry(chosen[p_idx], k * math.pi / 4.0))
+            assert cell.prep_x == ()
+
+
+def test_cell_order_does_not_change_any_report(graph, default_cal, monkeypatch):
+    """Each survey and chain cell, as its experiment emits it, reports the same
+    counts when run_cells runs the cells in reverse; each shape is then
+    built from another placement, so this also checks sharing by shape."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=4)
+    for run, count in ((run_ccnot_survey, 156), (run_cnot_chain_sweep, 228)):
+        cells = _recorded_cells(monkeypatch, run, cfg)
+        monkeypatch.undo()
+        assert len(cells) == count
+        forward = run_cells(cells, default_cal, cfg.shots)
+        backward = run_cells(cells[::-1], default_cal, cfg.shots)
+        assert forward == backward[::-1]
 
 
 def test_each_cell_shape_is_built_once_per_driver_call(graph, default_cal, monkeypatch):

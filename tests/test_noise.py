@@ -1,9 +1,11 @@
 """Scheduling, idle channels, the bit-vector and exact engines, and calibration files."""
 import hashlib
+import importlib.util
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +290,7 @@ def _survey_cell(placement, variant):
     placement."""
     built = builders.ccnot_on_geometry(placement, variant)
     target = built.layout.index(placement.target)
-    prep = [GateOp("X", (q,)) for q in built.computational_locals if q != target]
+    prep = [GateOp("X", (q,)) for q in range(len(placement.computational)) if q != target]
     cal = noise.default_calibration().subset(built.layout)
     circuit = Circuit(built.circuit.n_qubits, prep + built.circuit.ops).measure_all()
     return schedule(circuit, cal.durations), cal
@@ -769,6 +771,18 @@ def test_default_calibration_loads(default_cal):
     # the deliberately weak qubit
     t1s = [p.t1 for p in default_cal.qubits]
     assert min(t1s) == t1s[7]
+
+
+def test_shipped_calibration_is_what_its_generator_writes():
+    """scripts/generate_calibration.py reproduces the shipped file byte for byte."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "generate_calibration", root / "scripts" / "generate_calibration.py")
+    generate_calibration = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate_calibration)
+    shipped = root / "src" / "nisq_lab" / "data" / "default_calibration.json"
+    assert shipped.read_bytes() == (json.dumps(generate_calibration.build(), indent=2)
+                                    + "\n").encode("utf-8")
 
 
 def test_calibration_unit_conversion():
