@@ -2,16 +2,16 @@
 
 Every builder emits a BuiltCircuit whose gates act on *local* qubit
 indices; ``layout[local]`` gives the device qubit, so the same circuit can
-be validated against a coupling graph or simulated compactly. Local order
-follows the placement's geometric order (chain order, ring order, outer
-qubits then star center), which is also the order of outcome bits, most
-significant first. ``placement_layout`` is that rule, written only here.
+be validated against a coupling graph or simulated compactly. A chain's
+layout is its path; a geometry's is ``GeometryPlacement.qubits`` (the
+computational qubits in geometric order, then the ancillas). Local order
+is also the order of outcome bits, most significant first.
 
 A local circuit depends on its placement only through the placement's
 shape (its width, and for a CCNOT the local index of its target), so the
 experiments build it once per shape and run it on every placement of that
-shape, each on its own ``placement_layout``. Nothing mutates a built
-circuit, which makes the sharing safe.
+shape, each on its own layout. Nothing mutates a built circuit, which
+makes the sharing safe.
 
 A two-qubit gate between uncoupled qubits is routed one of two ways, each
 written once:
@@ -65,7 +65,7 @@ QFT_GEOMETRIES = ("linear3", "star4", "ring6-3chain")
 
 @dataclass(frozen=True)
 class BuiltCircuit:
-    """A local-index circuit plus the placement it realizes.
+    """A local-index circuit plus the device qubit of each local.
 
     ``desired_ancilla`` is the basis string the ancilla qubits should hold
     at the end of a noiseless run (one character per ancilla local, in
@@ -74,7 +74,6 @@ class BuiltCircuit:
 
     circuit: Circuit
     layout: tuple[int, ...]
-    placement: GeometryPlacement | None
     desired_ancilla: str
 
     def __post_init__(self):
@@ -90,12 +89,6 @@ class BuiltCircuit:
     @property
     def ancilla_locals(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.circuit.roles) if r == "ancilla")
-
-
-def placement_layout(placement: GeometryPlacement) -> tuple[int, ...]:
-    """The device qubit of each local: path order for a chain; otherwise the
-    computational qubits in geometric order, then the ancillas."""
-    return placement.path if placement.kind == "chain-path" else placement.qubits
 
 
 def swap_via_cnots(a: int, b: int) -> list[GateOp]:
@@ -177,7 +170,7 @@ def _crphi(circuit: Circuit, phi: float):
 def _geometry_circuit(placement: GeometryPlacement) -> tuple[Circuit, tuple[int, ...], str]:
     """An empty circuit over the placement's computational qubits then its
     ancillas, its layout, and the all-|0> desired ancilla string."""
-    layout = placement_layout(placement)
+    layout = placement.qubits
     n, n_anc = len(layout), len(placement.ancilla)
     circuit = Circuit(n, roles=("computational",) * (n - n_anc) + ("ancilla",) * n_anc)
     return circuit, layout, "0" * n_anc
@@ -197,8 +190,8 @@ def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -
         raise BuildError(f"unknown reset strategy {strategy!r}")
     if control_in_superposition and strategy != "cnot-reset":
         raise BuildError("a superposed control requires the cnot-reset strategy")
-    placement = chain_placement(path)
-    m = len(placement.path) - 1  # number of CNOT links
+    layout = chain_placement(path)
+    m = len(layout) - 1  # number of CNOT links
     roles = ("control",) + ("ancilla",) * (m - 1) + ("target",)
     circuit = Circuit(m + 1, roles=roles)
     if not control_in_superposition:
@@ -211,7 +204,7 @@ def cnot_chain(path, strategy: str, *, control_in_superposition: bool = False) -
             if strategy == "x-reset" and 1 <= i:
                 circuit.x(i)
     desired = ("1" if strategy == "none" else "0") * (m - 1)
-    return BuiltCircuit(circuit, placement_layout(placement), placement, desired)
+    return BuiltCircuit(circuit, layout, desired)
 
 
 def _toffoli_body(circuit: Circuit, kind: str, q1: int, q2: int, q3: int, *,
@@ -255,7 +248,7 @@ def ccnot_on_geometry(placement: GeometryPlacement, variant: str) -> BuiltCircui
     q3 = layout.index(placement.target)
     q1, q2 = [q for q in (0, 1, 2) if q != q3]
     _toffoli_body(circuit, placement.kind, q1, q2, q3, x_reset=variant == "star4-x-reset")
-    return BuiltCircuit(circuit, layout, placement, desired)
+    return BuiltCircuit(circuit, layout, desired)
 
 
 def _qft_body(circuit: Circuit, kind: str) -> None:
@@ -280,7 +273,7 @@ def qft_dagger_3(placement: GeometryPlacement) -> BuiltCircuit:
     circuit, layout, desired = _geometry_circuit(placement)
     if placement.kind != "star4":
         _qft_body(circuit, placement.kind)
-        return BuiltCircuit(circuit, layout, placement, desired)
+        return BuiltCircuit(circuit, layout, desired)
     circuit.h(0)
     _via_copies(circuit, (1, 3, 0), _crphi(circuit, -math.pi / 2))
 
@@ -293,7 +286,7 @@ def qft_dagger_3(placement: GeometryPlacement) -> BuiltCircuit:
 
     _via_copies(circuit, (2, 3, 0), shared_copy)
     circuit.h(2)
-    return BuiltCircuit(circuit, layout, placement, desired)
+    return BuiltCircuit(circuit, layout, desired)
 
 
 def qpe_prep(phi: float) -> list[GateOp]:
@@ -324,4 +317,4 @@ def qpe_on_geometry(placement: GeometryPlacement, phi: float) -> BuiltCircuit:
     circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)
     circuit.extend(qpe_prep(phi))
     circuit.extend(built.circuit.ops)
-    return BuiltCircuit(circuit, built.layout, built.placement, built.desired_ancilla)
+    return BuiltCircuit(circuit, built.layout, built.desired_ancilla)

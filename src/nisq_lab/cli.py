@@ -254,7 +254,9 @@ def _run_validate(args) -> int:
     violations = topology.validate_circuit(graph, circuit)
     if violations:
         for op in violations:
-            print(f"violation: {op.kind} on qubits {op.qubits} (not an edge)")
+            where = (f"outside the device's {graph.n_qubits} qubits"
+                     if max(op.qubits) >= graph.n_qubits else "not an edge")
+            print(f"violation: {op.kind} on qubits {op.qubits} ({where})")
         return 2
     print("ok")
     return 0

@@ -231,7 +231,7 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
     def build(dt_s: float) -> BuiltCircuit:
         circuit = Circuit(1, roles=("computational",))
         body(circuit, dt_s)
-        return BuiltCircuit(circuit, (cfg.qubit,), None, "")
+        return BuiltCircuit(circuit, (cfg.qubit,), "")
 
     cells = (Cell(dt, partial(build, dt * US), (cfg.qubit,), (cfg.seed, _TAGS[tag], i), desired)
              for i, dt in enumerate(grid))
@@ -433,9 +433,9 @@ def run_ccnot_survey(cfg: ExperimentConfig,
 
     def cells():
         for idx, variant, placement in placements:
-            layout = builders.placement_layout(placement)
+            layout = placement.qubits
             target = layout.index(placement.target)
-            # placement_layout puts the computational qubits first
+            # placement.qubits lists the computational qubits first
             controls = tuple(q for q in range(len(placement.computational)) if q != target)
             yield Cell((variant, target), partial(builders.ccnot_on_geometry, placement, variant),
                        layout, (cfg.seed, _TAGS["ccnot"], idx), "111", prep_x=controls)
@@ -477,8 +477,8 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
         gid = SURVEY_FAMILIES.index(geometry)
         # the placements of one geometry share one local circuit per phase
         cells = (Cell(k, partial(builders.qpe_on_geometry, placement, k * math.pi / 4.0),
-                      builders.placement_layout(placement),
-                      (cfg.seed, _TAGS["qft"], gid, p_idx, k), builders.qpe_expected_label(k))
+                      placement.qubits, (cfg.seed, _TAGS["qft"], gid, p_idx, k),
+                      builders.qpe_expected_label(k))
                  for k in range(8) for p_idx, placement in enumerate(chosen))
         reports = run_cells(cells, cfg.calibration, cfg.shots)
         tables[geometry] = ResultTable(
@@ -515,7 +515,7 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = SURVEY_FAMILIES.index(geometry)
         cells = (Cell(phi, partial(builders.qpe_on_geometry, placement, phi),
-                      builders.placement_layout(placement), (cfg.seed, _TAGS["qpe"], gid, i),
+                      placement.qubits, (cfg.seed, _TAGS["qpe"], gid, i),
                       builders.qpe_expected_label(k))
                  for i, (phi, k) in enumerate(zip(grid, ks)))
         rows = []

@@ -98,7 +98,6 @@ PLACEMENT_KINDS = (
     "star4",
     "ring6-3chain",
     "ring6-1chains",
-    "chain-path",
 )
 
 
@@ -107,8 +106,10 @@ class GeometryPlacement:
     """A concrete assignment of computational and ancilla qubits to a shape.
 
     ``computational`` is stored in geometric order (chain order for linear
-    triples and ring arcs, sorted outer qubits for stars). ``target`` marks
-    the qubit receiving the X action in CCNOT-style circuits.
+    triples and ring arcs, sorted outer qubits for stars); ``qubits``, the
+    computational qubits then the ancillas, is the device qubit of each
+    local of a circuit built on the placement. ``target`` marks the qubit
+    receiving the X action in CCNOT-style circuits.
     """
 
     kind: str
@@ -170,28 +171,18 @@ class GeometryPlacement:
             need(a[2], c[0])
             if self.target not in c:
                 raise TopologyError("ring6-1chains target must be computational")
-        elif self.kind == "chain-path":
-            path = self.path
-            for x, y in zip(path, path[1:]):
-                need(x, y)
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        if self.kind != "chain-path":
-            raise TopologyError("path is only defined for chain-path placements")
-        return (self.computational[0],) + self.ancilla + (self.computational[1],)
 
 
-def chain_placement(path) -> GeometryPlacement:
+def chain_placement(path) -> tuple[int, ...]:
+    """A chain's placement: its path (control, ancillas, target) as ints,
+    which is also the chain circuit's layout. Raises TopologyError for fewer
+    than 2 qubits or a repeated qubit."""
     path = tuple(int(q) for q in path)
     if len(path) < 2:
         raise TopologyError("a chain needs at least control and target")
-    return GeometryPlacement(
-        kind="chain-path",
-        computational=(path[0], path[-1]),
-        ancilla=path[1:-1],
-        target=path[-1],
-    )
+    if len(set(path)) != len(path):
+        raise TopologyError(f"chain qubits not distinct: {path}")
+    return path
 
 
 def _edge_vertices(g: CouplingGraph) -> list[int]:
@@ -239,15 +230,16 @@ def star_variants(star: GeometryPlacement) -> list[GeometryPlacement]:
 
 
 def enumerate_six_rings(g: CouplingGraph) -> list[tuple[int, ...]]:
-    """All simple 6-cycles, each once up to rotation and reflection."""
-    found: set[tuple[int, ...]] = set()
+    """All simple 6-cycles, each once, as its least rotation or reflection."""
+    found: list[tuple[int, ...]] = []
 
     def extend(path: list[int]) -> None:
         head = path[-1]
         for nxt in g.neighbors(head):
             if len(path) == 6:
-                if nxt == path[0]:
-                    found.add(_canonical_cycle(path))
+                # of the ring's two directions from its start, keep the least
+                if nxt == path[0] and path[1] < path[5]:
+                    found.append(tuple(path))
                 continue
             # smallest vertex first avoids re-finding rotations
             if nxt > path[0] and nxt not in path:
@@ -258,17 +250,6 @@ def enumerate_six_rings(g: CouplingGraph) -> list[tuple[int, ...]]:
     for start in _edge_vertices(g):
         extend([start])
     return sorted(found)
-
-
-def _canonical_cycle(cycle) -> tuple[int, ...]:
-    k = len(cycle)
-    best = None
-    for seq in (list(cycle), list(reversed(cycle))):
-        for r in range(k):
-            rot = tuple(seq[(r + i) % k] for i in range(k))
-            if best is None or rot < best:
-                best = rot
-    return best
 
 
 def ring_placements(g: CouplingGraph, kind: str) -> list[GeometryPlacement]:
@@ -313,9 +294,8 @@ def chain_paths(g: CouplingGraph, orientation_id: int) -> tuple[int, ...]:
 
 
 def validate_circuit(g: CouplingGraph, circuit: Circuit) -> list[GateOp]:
-    """Return the 2-qubit ops whose operand pair is not an edge (empty = ok)."""
-    violations = []
-    for op in circuit.ops:
-        if len(op.qubits) == 2 and not g.has_edge(*op.qubits):
-            violations.append(op)
-    return violations
+    """Return the ops that act on a qubit the device does not have, or on a
+    pair of qubits that is not an edge (empty = ok)."""
+    return [op for op in circuit.ops
+            if max(op.qubits) >= g.n_qubits
+            or (len(op.qubits) == 2 and not g.has_edge(*op.qubits))]

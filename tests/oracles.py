@@ -7,9 +7,11 @@ is the noiseless reference for every builder, and ``inverse_qft_matrix``
 the closed-form target of every inverse-QFT construction.
 ``kraus_outcome_probabilities`` is the noisy reference for the engines in
 ``nisq_lab.noise``. None of them imports the package's simulation code.
+``six_cycles`` is the brute-force reference for the ring enumeration.
 """
 import math
 from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -203,3 +205,21 @@ def kraus_outcome_probabilities(scheduled, cal) -> np.ndarray:
         rho = _apply_kraus(rho, [math.sqrt(1.0 - r) * _embed({}, n),
                                  math.sqrt(r) * _embed({q: _PAULIS[1]}, n)])
     return np.real(np.diag(rho))
+
+
+def six_cycles(n: int, edges) -> list[tuple[int, ...]]:
+    """Every simple 6-cycle of the graph on vertices 0..n-1, by brute force:
+    each ordering of each 6-subset that closes into a cycle of edges. A
+    cycle is kept once, as the least of its 6 rotations and their 6
+    reflections; the list is sorted."""
+    adjacent = {frozenset(e) for e in edges}
+    found = set()
+    for subset in combinations(range(n), 6):
+        # a vertex with fewer than two neighbours in the subset is on no cycle of it
+        if any(sum(frozenset((v, w)) in adjacent for w in subset) < 2 for v in subset):
+            continue
+        for order in permutations(subset):
+            if all(frozenset((order[i], order[(i + 1) % 6])) in adjacent for i in range(6)):
+                found.add(min(seq[r:] + seq[:r] for seq in (order, order[::-1])
+                              for r in range(6)))
+    return sorted(found)

@@ -142,7 +142,7 @@ def test_criterion_1_oracle_equivalence(g):
     def star_cnot(cl, tl, x_reset):
         circuit = Circuit(4, roles=("computational",) * 3 + ("ancilla",))
         builders._via_copies(circuit, (cl, 3, tl), circuit.cnot, x_reset=x_reset)
-        return builders.BuiltCircuit(circuit, (0, 1, 2, 3), None, "0")
+        return builders.BuiltCircuit(circuit, (0, 1, 2, 3), "0")
 
     for cl, tl in ((0, 1), (1, 2)):
         checks.append((f"star-cnot {cl}->{tl}",
@@ -301,7 +301,7 @@ def test_criterion_5_noiseless_qpe(g):
     }
     for geometry, placement in placements.items():
         cells = [Cell(k, partial(qpe_on_geometry, placement, k * math.pi / 4),
-                      builders.placement_layout(placement), (SEED, 50, k), qpe_expected_label(k))
+                      placement.qubits, (SEED, 50, k), qpe_expected_label(k))
                  for k in range(8)]
         for k, rep in enumerate(run_cells(cells, ncal, 2000)):
             checks.append((f"{geometry} k={k} f1=1", rep.f1 == 1.0))

@@ -42,6 +42,18 @@ def test_every_benchmark_layer_records_calls(workload, tmp_path):
     assert seen == layers, sorted(layers - seen)
 
 
+def test_wide_dense_pass_records_calls_in_every_layer(tmp_path, graph, default_cal):
+    """wide-dense calls builders and noise through the API, not the CLI."""
+    workload = workloads.WORKLOADS["wide-dense"]
+    ctx = workloads.Context(tmp_path, graph, default_cal)
+    with spans.Tracer() as tracer:
+        result = workload.run(ctx, 1)
+    metrics, _ = spans.layer_metrics(tracer.spans)
+    assert [layer for layer in workload.layers if metrics.get(f"{layer}.calls", 0) == 0] == []
+    tables = workload.collect(ctx, result)
+    assert [len(rows) for rows, _ in tables.values()] == [5]
+
+
 def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
         monkeypatch, graph, default_cal):
     """The benchmark cuts its passes at each ``experiments.run_shots`` call

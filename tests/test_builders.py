@@ -53,7 +53,7 @@ def star_cnot(c=0, t=1, *, x_reset=False) -> BuiltCircuit:
     centre ancilla (local 3)."""
     circuit = Circuit(4, roles=("computational",) * 3 + ("ancilla",))
     builders._via_copies(circuit, (c, 3, t), circuit.cnot, x_reset=x_reset)
-    return BuiltCircuit(circuit, (0, 1, 2, 3), None, "0")
+    return BuiltCircuit(circuit, (0, 1, 2, 3), "0")
 
 
 def qft_placements(graph):

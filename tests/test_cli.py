@@ -213,6 +213,19 @@ def test_validate_violation_exit_2(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_validate_flags_qubits_the_device_lacks_exit_2(tmp_path, capsys):
+    circ = {"n_qubits": 30, "ops": [{"kind": "X", "qubits": [25]},
+                                    {"kind": "CNOT", "qubits": [0, 1]},
+                                    {"kind": "CNOT", "qubits": [0, 2]}]}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(circ))
+    assert main(["validate", "--circuit", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: X on qubits (25,) (outside the device's 20 qubits)",
+        "violation: CNOT on qubits (0, 2) (not an edge)",
+    ]
+
+
 def test_missing_calibration_file_exit_1(tmp_path):
     assert main(["t1", "--calibration", str(tmp_path / "nope.json"),
                  "--shots", "10", "--out", str(tmp_path)]) == 1

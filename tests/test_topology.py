@@ -1,6 +1,7 @@
 """Coupling graph loading, geometry enumeration, and validation."""
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from nisq_lab import topology
 from nisq_lab.simulator import Circuit
 from nisq_lab.topology import CouplingGraph, TopologyError
+
+from oracles import six_cycles
 
 
 def path_graph(n):
@@ -89,6 +92,17 @@ def test_six_rings_c6():
     assert len(topology.enumerate_six_rings(c6)) == 1
 
 
+@given(st.integers(6, 9), st.data())
+@settings(max_examples=40, deadline=None)
+def test_six_rings_match_brute_force(n, data):
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # each pair an edge with probability about 1/2: dense enough for rings
+    keep = data.draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
+    chosen = [pair for pair, kept in zip(all_pairs, keep) if kept]
+    g = CouplingGraph.from_edge_list(n, chosen)
+    assert topology.enumerate_six_rings(g) == six_cycles(n, chosen)
+
+
 def test_ring_placements_twelve_each(graph):
     for kind in ("ring6-3chain", "ring6-1chains"):
         placements = topology.ring_placements(graph, kind)
@@ -114,9 +128,17 @@ def test_chain_orientations_valid(graph):
 def test_chain_prefixes_are_valid_chains(graph):
     path = topology.chain_paths(graph, 1)
     for k in range(0, 19):
-        placement = topology.chain_placement(path[: k + 2])
-        placement.check(graph)
-        assert len(placement.ancilla) == k
+        prefix = path[: k + 2]
+        assert topology.chain_placement(prefix) == prefix
+        assert all(graph.has_edge(a, b) for a, b in zip(prefix, prefix[1:]))
+
+
+def test_chain_placement_is_its_path_of_distinct_ints():
+    path = topology.chain_placement(np.array([3, 4, 9]))
+    assert path == (3, 4, 9) and all(type(q) is int for q in path)
+    for bad in ((0,), (), (0, 1, 0)):
+        with pytest.raises(TopologyError):
+            topology.chain_placement(bad)
 
 
 def test_unknown_orientation(graph):
