@@ -15,8 +15,12 @@ shape is a variant and its target's local index, a chain shape a length
 and a strategy, a QFT shape a phase. ``run_cells`` builds and schedules
 each shape once per call, from its first cell, so the cells of a shape
 differ only in layout, seed key and calibration subset. Nothing mutates a
-built circuit. Cells come from generators, so each shape's circuit is
-built right before its first cell runs.
+built circuit. ``run_cells`` lists the cells and their calibration subsets
+first; each shape's circuit is still built right before its first cell
+runs, and the exact engine then computes the distributions of all of the
+shape's subsets in stacked passes (``keep_distributions``). Each cell
+still makes its own ``run_shots`` call, which draws from its kept
+distribution.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -49,7 +53,7 @@ from .fitting import (
     fit_exponential,
     theoretical_qpe_distribution,
 )
-from .noise import DeviceCalibration, ScheduledCircuit, run_shots, schedule
+from .noise import DeviceCalibration, ScheduledCircuit, keep_distributions, run_shots, schedule
 from .simulator import Circuit, GateOp
 from .topology import CouplingGraph, GeometryPlacement
 
@@ -169,22 +173,31 @@ class Cell:
 def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
     """Run and score each cell compactly on its own qubits, in order.
 
-    The first cell of each shape builds its circuit, and that circuit with
-    its X prep and a measurement of every qubit is scheduled once for the
-    call, which either engine plans once. Each cell still makes its own
-    ``run_shots`` call on its own calibration subset and seed key, and is
-    scored with its shape's roles and desired ancilla string."""
+    The cells are listed first, each with its calibration subset. The first
+    cell of each shape builds its circuit, and that circuit with its X prep
+    and a measurement of every qubit is scheduled once for the call, which
+    either engine plans once; the exact engine then computes the outcome
+    distributions of every subset of the shape in stacked passes
+    (``keep_distributions``). Each cell still makes its own ``run_shots``
+    call on its own calibration subset and seed key, and is scored with its
+    shape's roles and desired ancilla string."""
+    cells = [(cell, cal.subset(cell.layout)) for cell in cells]
+    subsets: dict[Hashable, list[DeviceCalibration]] = {}
+    for cell, sub in cells:
+        subsets.setdefault(cell.shape, []).append(sub)
     shapes: dict[Hashable, tuple[BuiltCircuit, ScheduledCircuit]] = {}
     reports = []
-    for cell in cells:
+    for cell, sub in cells:
         if cell.shape not in shapes:
             built = cell.build()
             n = built.circuit.n_qubits
             circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
                               + [GateOp("MEASURE", (q,)) for q in range(n)], built.roles)
-            shapes[cell.shape] = (built, schedule(circuit, cal.durations))
+            sched = schedule(circuit, cal.durations)
+            keep_distributions(sched, subsets[cell.shape])
+            shapes[cell.shape] = (built, sched)
         built, sched = shapes[cell.shape]
-        counts = run_shots(sched, cal.subset(cell.layout), shots, list(cell.seed_key))
+        counts = run_shots(sched, sub, shots, list(cell.seed_key))
         reports.append(fidelity(counts, built.roles, cell.desired, built.desired_ancilla))
     return reports
 

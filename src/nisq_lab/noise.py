@@ -32,14 +32,19 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     axis leaves it holding the qubit's two outcome probabilities. Window,
     gate and readout matrices are built once, in bounded memos. What
     depends on the schedule alone is planned once per ``ScheduledCircuit``
-    (``_exact_plan``); each run looks up its calibration's matrices and
-    applies the products.
+    (``_exact_plan``). A run takes a list of calibrations: the tensor gets
+    a leading calibration axis, each gate looks up every calibration's
+    matrices, stacks those that differ, and applies one batched product.
 
 Both plans are kept on the ``ScheduledCircuit`` (``_kept``) and hold nothing
 of a calibration, so one schedule runs on the calibration subset of every
 placement of its circuit. The bit-vector plan, built on the first run,
 also records which engine runs the circuit: it is None when an op leaves
-the computational basis.
+the computational basis. ``keep_distributions`` computes the exact
+distributions of a schedule on all its placements' calibrations in stacked
+passes and keeps them on the schedule, keyed by calibration, beside the
+plans; ``run_shots`` draws from a kept distribution when there is one, so
+each cell still makes its own ``run_shots`` call, with its own seed.
 
 The bit-vector engine samples the ensemble average that the exact engine
 computes. Both apply each qubit's idle charge (``_channel_rates``; the
@@ -282,7 +287,8 @@ class ScheduledLayer:
 class ScheduledCircuit:
     """ASAP time layers. Measure ops, if present, form one final layer:
     readout happens once at the end of the circuit. Each engine keeps its
-    plan of the circuit on the object (see ``_kept``)."""
+    plan of the circuit on the object (see ``_kept``), and
+    ``keep_distributions`` its exact distributions."""
 
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]
@@ -561,9 +567,20 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, by broadcasting: several times cheaper per
-    call at these sizes."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron of two matrices, or of stacks of them matched along their
+    leading axis, by broadcasting: several times cheaper per call at these
+    sizes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], -1))
+
+
+def _stacked(matrices: list[np.ndarray]) -> np.ndarray:
+    """One matrix per calibration of a run, as a stack along a leading
+    axis, or the matrix itself when every calibration shares it."""
+    first = matrices[0]
+    if len(matrices) == 1 or all(m is first for m in matrices):
+        return first
+    return np.array(matrices)
 
 
 # Tr(P rho) = P^T.ravel() . rho.ravel(), and rho = sum_P r_P P / 2
@@ -616,10 +633,11 @@ def _cnot_superop(p2: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that brings ``qubits``' axes to the front, and its
-    inverse."""
-    perm = qubits + tuple(a for a in range(n) if a not in qubits)
-    return perm, tuple(sorted(range(n), key=perm.__getitem__))
+    """The transpose that brings ``qubits``' axes to the front, behind the
+    leading calibration axis 0 (qubit q is axis q + 1), and its inverse."""
+    perm = (0,) + tuple(q + 1 for q in qubits) + tuple(
+        a + 1 for a in range(n) if a not in qubits)
+    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -634,15 +652,16 @@ def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
 
 
 def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]]:
-    """What ``_exact_probabilities`` does on any calibration, as
+    """What ``_exact_probabilities`` does on any calibrations, as
     ``(gates, never_gated)``. A gate is ``(gate, ins, outs, perm, inverse,
     shape)``: its PTM (None for a CNOT, whose PTM depends on the
     calibration); per operand, what its axis takes first (``_ZERO``, the
     ``(q, dt)`` window the gate closes, or ``_NO_IDLE``) and, at its last
     gate, the ``(q, dt)`` of its readout rows, each None when all are
-    ``_NO_IDLE``; the axis permutation and its inverse; and the permuted
-    shape after the gate. ``never_gated`` lists each ungated qubit with the
-    broadcast shape of its readout pair."""
+    ``_NO_IDLE``; the axis permutation and its inverse, both keeping the
+    leading calibration axis first; and the permuted shape after the gate,
+    -1 on the calibration axis. ``never_gated`` lists each ungated qubit with
+    the broadcast shape of its readout pairs."""
     n = scheduled.n_qubits
     sizes = [1] * n  # each qubit's axis size
     *steps, (readout_windows, _) = _idle_windows(scheduled)
@@ -665,14 +684,17 @@ def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]]:
             gates.append((None if op.kind == "CNOT" else _gate_superop(op.kind, op.angle),
                           ins if ins[0] is not _NO_IDLE or ins[-1] is not _NO_IDLE else None,
                           outs if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE else None,
-                          perm, inverse, [sizes[a] for a in perm]))
-    never_gated = [(q, (2,) + (1,) * (n - 1 - q)) for q in range(n) if sizes[q] == 1]
+                          perm, inverse, [sizes[a - 1] if a else -1 for a in perm]))
+    never_gated = [(q, (-1,) + (1,) * q + (2,) + (1,) * (n - 1 - q))
+                   for q in range(n) if sizes[q] == 1]
     return gates, never_gated
 
 
-def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) -> np.ndarray:
-    """Exact outcome distribution over the 2**n basis states, readout error
-    included: the ensemble average that the bit-vector engine samples.
+def _exact_probabilities(scheduled: ScheduledCircuit,
+                         cals: list[DeviceCalibration]) -> np.ndarray:
+    """Exact outcome distributions over the 2**n basis states, readout error
+    included, one row per calibration of ``cals``: the ensemble averages
+    that the bit-vector engine samples.
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
@@ -686,51 +708,104 @@ def _exact_probabilities(scheduled: ScheduledCircuit, cal: DeviceCalibration) ->
 
     That bookkeeping depends on the schedule alone: it is planned
     (``_exact_plan``) on the first exact run of a ``ScheduledCircuit`` and
-    kept on the object, so each later run, on any calibration, only looks
-    up the memoized matrices of ``cal``'s qubits and applies the products.
+    kept on the object, so each later run, on any calibrations, only looks
+    up the memoized matrices of each calibration's qubits and applies the
+    products. The tensor carries a leading axis over ``cals``, and each
+    gate is one batched product over it: a matrix that every calibration
+    shares stays one matrix and broadcasts, and the others are stacked
+    (``_stacked``). Every row is the same, bit for bit, as a run on its
+    calibration alone.
 
     A gate whose operands are all live costs one product over the whole
     tensor, and a reshape that moves its axes to the front copies the
     tensor first: all-live circuits peak at 2.00-2.01 copies of 8 B x 4**n
-    (tracemalloc, numpy 2.4, 8-12 qubits). Circuits whose qubits join late
-    and leave early peak lower: the superposed-control cnot-reset chains
-    of 8-12 qubits never hold more than 4**(n-1) x 2 coefficients, and
-    peak at 1.00-1.01 copies (8.0 MiB at 10 qubits, against 16.0 MiB with
-    every axis held at size 4).
+    per calibration (tracemalloc, numpy 2.4, 8-12 qubits, one calibration).
+    Circuits whose qubits join late and leave early peak lower: the
+    superposed-control cnot-reset chains of 8-12 qubits never hold more
+    than 4**(n-1) x 2 coefficients per calibration, and peak at 1.00-1.01
+    copies (8.0 MiB at 10 qubits, against 16.0 MiB with every axis held at
+    size 4). That peak holds per calibration of a stack, which also holds
+    each calibration's own matrices (``_stacked_need``).
     """
     gates, never_gated = _kept(scheduled, _exact_plan)
-    params = cal.qubits
-    rho = np.ones((1,) * scheduled.n_qubits)
+    params = [cal.qubits for cal in cals]
+    cnot = None  # looked up at the first CNOT
+    rho = np.ones((len(cals),) + (1,) * scheduled.n_qubits)
     # a plan entry is a constant matrix or a (q, dt) key into a memo
     for gate, ins, outs, perm, inverse, shape in gates:
-        s = _cnot_superop(cal.two_qubit_error) if gate is None else gate
+        if gate is None:
+            if cnot is None:
+                cnot = _stacked([_cnot_superop(cal.two_qubit_error) for cal in cals])
+            gate = cnot
+        s = gate
         if ins is not None:
-            s = s @ functools.reduce(_kron, [_idle_superop(params[m[0]], m[1])
+            s = s @ functools.reduce(_kron, [_stacked([_idle_superop(p[m[0]], m[1])
+                                                       for p in params])
                                              if type(m) is tuple else m for m in ins])
         if outs is not None:
-            s = functools.reduce(_kron, [_readout_rows(params[m[0]], m[1])
+            s = functools.reduce(_kron, [_stacked([_readout_rows(p[m[0]], m[1])
+                                                   for p in params])
                                          if type(m) is tuple else m for m in outs]) @ s
         # the reshape copies rho unless perm keeps its order; rebinding
         # rho frees the old state before the product allocates its own
-        rho = rho.transpose(perm).reshape(s.shape[1], -1)
+        rho = rho.transpose(perm).reshape(len(cals), s.shape[-1], -1)
         rho = (s @ rho).reshape(shape).transpose(inverse)
     for q, shape in never_gated:
-        r = params[q].readout_error
-        rho = rho * np.array([1.0 - r, r]).reshape(shape)
-    probs = np.clip(rho.reshape(-1), 0.0, None)
-    return probs / probs.sum()
+        rho = rho * np.array([[1.0 - p[q].readout_error, p[q].readout_error]
+                              for p in params]).reshape(shape)
+    # what np.clip(..., 0.0, None) computes, without its Python wrapper
+    probs = np.maximum(rho.reshape(len(cals), -1), 0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 _DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
+def _stacked_need(n: int) -> float:
+    """Estimated peak bytes per calibration of a stacked exact run on n
+    qubits: _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the
+    entries of its own folded CNOT matrices (3 x 16 x 16). tracemalloc peaks
+    per calibration (numpy 2.4, stacks of 1-200 on an all-live circuit)
+    were 7.8-8.6 KiB at 3 qubits, 9.6-9.9 KiB at 4, 2.10-2.18 copies at 6
+    and 2.01 at 8; the 4**n term alone would allow 6x too many
+    calibrations at 3 qubits."""
+    return _DENSE_PEAK_COPIES * 8 * (4.0**n + 3 * 4**4)
+
+
+def keep_distributions(scheduled: ScheduledCircuit, cals: list[DeviceCalibration]) -> None:
+    """Compute the exact outcome distributions of ``scheduled`` on every
+    distinct calibration of ``cals`` in stacked passes, and keep them on the
+    object, keyed by calibration, for ``run_shots`` to draw from. Each row
+    is the one ``run_shots`` would compute for its calibration alone.
+
+    Stacks are as large as the memory budget allows: ``_stacked_need(n)``
+    x calibrations within _MEMORY_BUDGET. Nothing is kept for a bit-vector
+    circuit, for a circuit whose one calibration would exceed the budget
+    (``run_shots`` then runs it alone, or refuses it), for a calibration that
+    does not cover the circuit, or when fewer than two distinct calibrations
+    are left: stacking one gains nothing."""
+    if len(cals) < 2:
+        return
+    n = scheduled.n_qubits
+    chunk = int(_MEMORY_BUDGET // _stacked_need(n))
+    cals = [cal for cal in dict.fromkeys(cals) if cal.n_qubits >= n]
+    if chunk < 1 or len(cals) < 2 or _kept(scheduled, _bit_plan) is not None:
+        return
+    kept = scheduled.__dict__.setdefault("distributions", {})
+    for i in range(0, len(cals), chunk):
+        part = cals[i:i + chunk]
+        kept.update(zip(part, _exact_probabilities(scheduled, part)))
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[int, int]:
     """Noisy shot counts by outcome integer, qubit 0 the most significant
-    bit; deterministic per (schedule, calibration, seed).
+    bit; deterministic per (schedule, calibration, seed). An exact circuit
+    draws from the distribution ``keep_distributions`` kept for ``cal`` on
+    the schedule, when there is one, or else computes it for ``cal`` alone;
+    the two are equal, bit for bit, and so are the counts.
 
     Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and
     before allocating when the engine's estimated peak memory exceeds
@@ -764,7 +839,10 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
                               f"for {n} qubits at {shots} shots, above the "
                               f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget")
     if engine == "exact":
-        probs = _exact_probabilities(scheduled, cal)
+        kept = scheduled.__dict__.get("distributions")
+        probs = kept.get(cal) if kept else None
+        if probs is None:
+            probs = _exact_probabilities(scheduled, [cal])[0]
         draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
         values = np.flatnonzero(draws)
         counts = draws[values]

@@ -1,11 +1,14 @@
 """Experiment drivers: closed-loop recovery, noiseless limits, trends."""
+import gc
 import math
+import weakref
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
-from nisq_lab import builders, experiments, topology
+from nisq_lab import builders, experiments, noise, topology
 from nisq_lab.experiments import (
     Cell,
     ExperimentConfig,
@@ -489,3 +492,132 @@ def test_seed_keys_are_distinct_and_one_length_per_tag(graph, default_cal, monke
     for key in keys:
         lengths.setdefault(key[1], set()).add(len(key))
     assert all(len(ls) == 1 for ls in lengths.values()), lengths
+
+
+# ---------------------------------------------------------------------------
+# Stacked exact distributions
+# ---------------------------------------------------------------------------
+
+_STACKED_RUNS = {"ccnot-survey": run_ccnot_survey, "qft-perfect": run_qft_perfect_phases,
+                 "qpe-sweep": run_qpe_phase_sweep}
+
+
+def _exact_shapes(monkeypatch, run, cfg) -> list[tuple[noise.ScheduledCircuit, list]]:
+    """(schedule, calibration subsets) of every exact shape that run_cells
+    hands to ``keep_distributions`` while ``run(cfg)`` runs."""
+    shapes = []
+    real = experiments.keep_distributions
+
+    def recording(scheduled, cals):
+        if noise._kept(scheduled, noise._bit_plan) is None:
+            shapes.append((scheduled, list(cals)))
+        real(scheduled, cals)
+
+    monkeypatch.setattr(experiments, "keep_distributions", recording)
+    run(cfg)
+    monkeypatch.undo()
+    return shapes
+
+
+def _alone(scheduled, cal):
+    """The distribution on ``cal`` alone, on a new copy of the schedule."""
+    return noise._exact_probabilities(replace(scheduled), [cal])[0]
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_RUNS))
+def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal, monkeypatch,
+                                                              name):
+    """Every exact shape of the survey, qft-perfect on its three geometries
+    and qpe-sweep, stacked over the calibration subsets of every cell of its
+    width in the run, forward and reversed, gives each subset, bit for bit,
+    the distribution it gets alone. Most qpe-sweep shapes hold one cell, so
+    stacking over the run's other subsets is what tests them in a stack."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    shapes = _exact_shapes(monkeypatch, _STACKED_RUNS[name], cfg)
+    assert cfg.geometries == builders.QFT_GEOMETRIES
+    by_width: dict[int, dict] = {}
+    for scheduled, cals in shapes:
+        by_width.setdefault(scheduled.n_qubits, {}).update(dict.fromkeys(cals))
+    for scheduled, _ in shapes:
+        cals = list(by_width[scheduled.n_qubits])
+        alone = [_alone(scheduled, cal) for cal in cals]
+        for order in (slice(None), slice(None, None, -1)):
+            stacked = noise._exact_probabilities(replace(scheduled), cals[order])
+            assert stacked.shape == (len(cals), 2**scheduled.n_qubits)
+            for row, want in zip(stacked, alone[order]):
+                assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, default_cal,
+                                                                    monkeypatch, chunk):
+    """With the memory budget cut to ``chunk`` stacked calibrations of a shape,
+    ``keep_distributions`` runs each survey shape in stacks of at most that
+    many, in order, and keeps for each distinct subset what it gets alone."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    shapes = _exact_shapes(monkeypatch, run_ccnot_survey, cfg)
+    assert len(shapes) == 12
+    sizes = []
+    real = noise._exact_probabilities
+    monkeypatch.setattr(noise, "_exact_probabilities",
+                        lambda scheduled, cals: sizes.append(len(cals)) or real(scheduled, cals))
+    for scheduled, cals in shapes:
+        budget = noise._stacked_need(scheduled.n_qubits) * chunk
+        monkeypatch.setattr(noise, "_MEMORY_BUDGET", budget)
+        fresh = replace(scheduled)
+        sizes.clear()
+        noise.keep_distributions(fresh, cals)
+        distinct = list(dict.fromkeys(cals))
+        assert len(distinct) > chunk
+        assert sizes == [len(distinct[i:i + chunk]) for i in range(0, len(distinct), chunk)]
+        kept = fresh.__dict__["distributions"]
+        assert list(kept) == distinct
+        for cal in distinct:
+            assert np.array_equal(kept[cal], real(replace(scheduled), [cal])[0])
+
+
+def test_run_shots_counts_are_the_same_with_or_without_a_kept_distribution(
+        graph, default_cal, monkeypatch):
+    """A stacked schedule draws every survey cell's counts from its kept row,
+    without computing it again, and they equal those of a schedule that
+    computes each calibration alone."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=2)
+    shapes = _exact_shapes(monkeypatch, run_ccnot_survey, cfg)
+    for scheduled, cals in shapes:
+        stacked, alone = replace(scheduled), replace(scheduled)
+        noise.keep_distributions(stacked, cals)
+        want = [run_shots(alone, cal, SUBSET_SHOTS, [2, i]) for i, cal in enumerate(cals)]
+        with monkeypatch.context() as m:
+            m.setattr(noise, "_exact_probabilities", None)  # any call would fail
+            got = [run_shots(stacked, cal, SUBSET_SHOTS, [2, i]) for i, cal in enumerate(cals)]
+        assert got == want
+        assert "distributions" not in alone.__dict__
+
+
+def test_an_exact_shape_over_the_budget_is_refused_before_any_allocation(
+        graph, default_cal, monkeypatch):
+    """With room for no 3-qubit cell, run_cells stacks nothing and the
+    first cell's run_shots raises the pre-flight's SimulationError."""
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._DENSE_PEAK_COPIES * 8 * 4**3 - 1)
+    monkeypatch.setattr(noise, "_exact_probabilities", None)  # any call would fail
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    with pytest.raises(noise.SimulationError, match="exact engine would need about"):
+        run_ccnot_survey(cfg, families=("linear3",))
+
+
+def test_nothing_is_kept_once_run_cells_returns(graph, default_cal, monkeypatch):
+    """Kept distributions live on the call's schedules, which die with it."""
+    refs = []
+    real = experiments.keep_distributions
+
+    def recording(scheduled, cals):
+        real(scheduled, cals)
+        if "distributions" in scheduled.__dict__:
+            refs.append(weakref.ref(scheduled))
+
+    monkeypatch.setattr(experiments, "keep_distributions", recording)
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    run_ccnot_survey(cfg)
+    assert len(refs) == 12
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 12

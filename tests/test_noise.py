@@ -344,8 +344,8 @@ def _live_axis_cell(circuit):
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
     sched = replace(sched)  # a new object: its plan is built on the first call
-    cold = _exact_probabilities(sched, cal)
-    warm = _exact_probabilities(sched, cal)
+    [cold] = _exact_probabilities(sched, [cal])
+    [warm] = _exact_probabilities(sched, [cal])
     oracle = kraus_outcome_probabilities(sched, cal)
     assert np.max(np.abs(cold - oracle)) <= 1e-12
     assert np.array_equal(warm, cold)
@@ -359,12 +359,12 @@ def test_one_schedule_runs_on_every_placement_like_fresh_schedules():
     cells = [_survey_cell(topology.star_variants(star)[0], "star4-cnot-reset") for star in stars]
     (sched, cal_a), (sched_b, cal_b) = cells
     assert sched == sched_b and cal_a != cal_b  # one local circuit, two calibrations
-    fresh = [_exact_probabilities(*cell) for cell in cells]  # each on its own schedule
+    fresh = [_exact_probabilities(s, [c])[0] for s, c in cells]  # each on its own schedule
     assert not np.array_equal(*fresh)
     for order in ((0, 1), (1, 0)):
         shared = replace(sched)
         for i in order:
-            assert np.array_equal(_exact_probabilities(shared, cells[i][1]), fresh[i])
+            assert np.array_equal(_exact_probabilities(shared, [cells[i][1]])[0], fresh[i])
 
 
 def test_exact_engine_memos_are_read_only():
@@ -403,15 +403,51 @@ def test_exact_engine_peak_memory_on_a_wide_chain():
     coefficients that a full tensor would take, whether the run reuses the
     schedule's plan or builds it first (on a new object)."""
     sched, cal = _wide_chain_cell(10)
-    _exact_probabilities(sched, cal)  # fill the memos and the plan first
+    _exact_probabilities(sched, [cal])  # fill the memos and the plan first
     for run in (sched, replace(sched)):
         tracemalloc.start()
         try:
-            _exact_probabilities(run, cal)
+            _exact_probabilities(run, [cal])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * 4**10, run is sched
+
+
+def _all_live_cell(n):
+    """H on every qubit, a CNOT ladder down and back with T between, H."""
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    for q in range(n - 1):
+        c.cnot(q, q + 1)
+    for q in range(n):
+        c.t(q)
+    for q in range(n - 1, 0, -1):
+        c.cnot(q - 1, q)
+    for q in range(n):
+        c.h(q)
+    return schedule(c.measure_all(), DurationModel())
+
+
+@pytest.mark.parametrize("n, stack", [(3, 1), (3, 200), (4, 200), (6, 50), (8, 4)])
+def test_stacked_exact_peak_memory_within_estimate(n, stack):
+    """A stack of distinct calibrations peaks within ``_stacked_need(n)``
+    per calibration: at 3-4 qubits the calibrations' own CNOT matrices
+    outweigh their coefficients, which the 4**n term alone would miss."""
+    sched = _all_live_cell(n)
+    cals = [flat_cal(n, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6, readout=0.01,
+                     p2=0.01 + i * 1e-5) for i in range(stack)]
+    _exact_probabilities(sched, cals)  # fill the memos and the plan first
+    tracemalloc.start()
+    try:
+        _exact_probabilities(sched, cals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= noise._stacked_need(n) * stack
+    if n <= 4:  # the coefficients' term alone would not cover it
+        assert peak > noise._DENSE_PEAK_COPIES * 8 * 4**n * stack
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
@@ -437,7 +473,7 @@ def _within_5_sigma(count: int, shots: int, p: float) -> bool:
 def test_classical_histograms_match_exact_distribution(cell):
     sched, cal = cell
     shots = 4000
-    probs = _exact_probabilities(sched, cal)
+    [probs] = _exact_probabilities(sched, [cal])
     outcomes = _run_classical(sched, cal, shots, np.random.default_rng(0))
     counts = np.bincount(outcomes, minlength=len(probs))
     for k, (count, p) in enumerate(zip(counts, probs)):
@@ -565,7 +601,7 @@ def test_bit_vector_law_at_scale_on_a_chain_cell(monkeypatch, group_budget):
         monkeypatch.setattr(noise, "_GROUP_BUDGET", group_budget)
     sched, cal = _chain_cell(7, "cnot-reset", 1)
     shots = 200_000
-    probs = _exact_probabilities(sched, cal)
+    [probs] = _exact_probabilities(sched, [cal])
     counts = np.bincount(_run_classical(sched, cal, shots, np.random.default_rng(5)),
                          minlength=len(probs))
     for k, (count, p) in enumerate(zip(counts, probs)):
@@ -617,7 +653,7 @@ def test_exact_engine_runs_at_any_shot_count():
     on stream 3 of the seed, whether or not 2**n <= shots."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
-    probs = _exact_probabilities(sched, cal)
+    [probs] = _exact_probabilities(sched, [cal])
     for shots in (3, 4):
         draws = np.random.default_rng([5, 3]).multinomial(shots, probs)
         exact = {k: int(c) for k, c in enumerate(draws) if c}
