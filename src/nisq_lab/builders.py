@@ -289,6 +289,11 @@ def qft_dagger_3(placement: GeometryPlacement) -> BuiltCircuit:
     return BuiltCircuit(circuit, layout, desired)
 
 
+def qpe_prep_angles(phi: float) -> tuple[float, float, float]:
+    """The prep's Rphi angles on qubits 0, 1, 2, in op order."""
+    return 4.0 * phi, 2.0 * phi, phi
+
+
 def qpe_prep(phi: float) -> list[GateOp]:
     """Phase-ladder prep: H on all three qubits, then Rphi(4phi), Rphi(2phi),
     Rphi(phi) on qubits 0, 1, 2. Mimics controlled-U powers with plain
@@ -297,9 +302,8 @@ def qpe_prep(phi: float) -> list[GateOp]:
     c.h(0)
     c.h(1)
     c.h(2)
-    c.rphi(4.0 * phi, 0)
-    c.rphi(2.0 * phi, 1)
-    c.rphi(phi, 2)
+    for q, angle in enumerate(qpe_prep_angles(phi)):
+        c.rphi(angle, q)
     return list(c.ops)
 
 

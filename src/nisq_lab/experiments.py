@@ -10,17 +10,20 @@ with ``fidelity``. The experiments below differ only in the cells they
 yield and in how they fold the reports into tables; ``_metadata`` builds
 every table's metadata.
 
-A local circuit depends on its placement only through its shape: a survey
-shape is a variant and its target's local index, a chain shape a length
-and a strategy, a QFT shape a phase. ``run_cells`` builds and schedules
-each shape once per call, from its first cell, so the cells of a shape
-differ only in layout, seed key and calibration subset. Nothing mutates a
+A cell's shape is the structure of its local circuit: its ops, with DELAY
+durations and RPHI angles left out, which depend on the placement only
+through its geometry. A survey shape is a variant and its target's local
+index, a chain shape a length and a strategy, a coherence shape whether
+its delay is zero, and a QFT or QPE shape its geometry. A cell carries its
+own delays and angles (``values``). ``run_cells`` builds and schedules each
+shape once per call, from its first cell, and each cell binds its values
+onto that schedule (``noise.bind``), so the cells of a shape differ only in
+layout, seed key, calibration subset and bound values. Nothing mutates a
 built circuit. ``run_cells`` lists the cells and their calibration subsets
-first; each shape's circuit is still built right before its first cell
-runs, and the exact engine then computes the distributions of all of the
-shape's subsets in stacked passes (``keep_distributions``). Each cell
-still makes its own ``run_shots`` call, which draws from its kept
-distribution.
+first; then, shape by shape and before any cell runs, it builds, schedules
+and binds, and the exact engine computes the distributions of all of the
+shape's cells in stacked passes (``keep_distributions``). Each cell still
+makes its own ``run_shots`` call, which draws from its kept distribution.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -53,7 +56,7 @@ from .fitting import (
     fit_exponential,
     theoretical_qpe_distribution,
 )
-from .noise import DeviceCalibration, ScheduledCircuit, keep_distributions, run_shots, schedule
+from .noise import DeviceCalibration, bind, keep_distributions, run_shots, schedule
 from .simulator import Circuit, GateOp
 from .topology import CouplingGraph, GeometryPlacement
 
@@ -159,8 +162,12 @@ class ResultTable:
 @dataclass(frozen=True)
 class Cell:
     """One circuit run: ``build()`` returns the local circuit of ``shape``,
-    which every cell of that shape must build, with the same ``prep_x``;
-    ``layout[local]`` is the device qubit each local runs on."""
+    its structure. Every cell of a shape builds the same ops, up to DELAY
+    durations and RPHI angles, with the same ``prep_x``; ``values`` are the
+    cell's own DELAY durations and RPHI angles, in op order, which it binds
+    onto its shape's schedule, or None when it builds just what the first
+    cell of its shape builds. ``layout[local]`` is the device qubit each
+    local runs on."""
 
     shape: Hashable
     build: Callable[[], BuiltCircuit]
@@ -168,36 +175,43 @@ class Cell:
     seed_key: tuple[int, ...]
     desired: str
     prep_x: tuple[int, ...] = ()
+    values: tuple[float, ...] | None = None
 
 
 def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
     """Run and score each cell compactly on its own qubits, in order.
 
-    The cells are listed first, each with its calibration subset. The first
-    cell of each shape builds its circuit, and that circuit with its X prep
-    and a measurement of every qubit is scheduled once for the call, which
-    either engine plans once; the exact engine then computes the outcome
-    distributions of every subset of the shape in stacked passes
-    (``keep_distributions``). Each cell still makes its own ``run_shots``
-    call on its own calibration subset and seed key, and is scored with its
-    shape's roles and desired ancilla string."""
+    The cells are listed first, each with its calibration subset. Then,
+    shape by shape, the first cell of the shape builds its circuit, and
+    that circuit with its X prep and a measurement of every qubit is
+    scheduled once for the call, which either engine plans once; each cell
+    that has values binds them onto that schedule (``bind``), and the exact
+    engine computes the outcome distributions of every cell of the shape in
+    stacked passes (``keep_distributions``). Each cell still makes its own
+    ``run_shots`` call on its bound schedule, calibration subset and seed
+    key, and is scored with its shape's roles and desired ancilla string."""
     cells = [(cell, cal.subset(cell.layout)) for cell in cells]
-    subsets: dict[Hashable, list[DeviceCalibration]] = {}
-    for cell, sub in cells:
-        subsets.setdefault(cell.shape, []).append(sub)
-    shapes: dict[Hashable, tuple[BuiltCircuit, ScheduledCircuit]] = {}
+    shapes: dict[Hashable, list[int]] = {}
+    for i, (cell, _) in enumerate(cells):
+        shapes.setdefault(cell.shape, []).append(i)
+    runs: list = [None] * len(cells)  # each cell's (shape's build, bound schedule)
+    for members in shapes.values():
+        first = cells[members[0]][0]
+        built = first.build()
+        n = built.circuit.n_qubits
+        circuit = Circuit(n, [GateOp("X", (q,)) for q in first.prep_x] + built.circuit.ops
+                          + [GateOp("MEASURE", (q,)) for q in range(n)], built.roles)
+        sched = schedule(circuit, cal.durations)
+        rows = []
+        for i in members:
+            cell, sub = cells[i]
+            rows.append((sched if cell.values is None else bind(sched, cell.values), sub))
+        keep_distributions(rows)
+        for i, (bound, _) in zip(members, rows):
+            runs[i] = (built, bound)
     reports = []
-    for cell, sub in cells:
-        if cell.shape not in shapes:
-            built = cell.build()
-            n = built.circuit.n_qubits
-            circuit = Circuit(n, [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops
-                              + [GateOp("MEASURE", (q,)) for q in range(n)], built.roles)
-            sched = schedule(circuit, cal.durations)
-            keep_distributions(sched, subsets[cell.shape])
-            shapes[cell.shape] = (built, sched)
-        built, sched = shapes[cell.shape]
-        counts = run_shots(sched, sub, shots, list(cell.seed_key))
+    for (cell, sub), (built, bound) in zip(cells, runs):
+        counts = run_shots(bound, sub, shots, list(cell.seed_key))
         reports.append(fidelity(counts, built.roles, cell.desired, built.desired_ancilla))
     return reports
 
@@ -237,31 +251,41 @@ def _default_dt_grid(cfg: ExperimentConfig, scale_us: float, points: int) -> tup
     return tuple(np.linspace(0.0, 2.0 * scale_us, points))
 
 
+_IDLE = "idle"
+
+
 def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
-                    body) -> list[ResultRow]:
-    """One single-qubit cell per delay on cfg.qubit; ``body(circuit, dt_s)``
-    adds its gates and delays."""
+                    sequence: tuple[str, ...]) -> list[ResultRow]:
+    """One single-qubit cell per delay on cfg.qubit: the gates of
+    ``sequence`` in order, with the delay split evenly over its ``_IDLE``
+    entries. A zero delay leaves the idles out, so a table has at most two
+    shapes, and each cell binds its own delays."""
+    parts = sequence.count(_IDLE)
+
     def build(dt_s: float) -> BuiltCircuit:
         circuit = Circuit(1, roles=("computational",))
-        body(circuit, dt_s)
+        for kind in sequence:
+            if kind != _IDLE:
+                circuit.add(GateOp(kind, (0,)))
+            elif dt_s > 0:
+                circuit.delay(dt_s / parts, 0)
         return BuiltCircuit(circuit, (cfg.qubit,), "")
 
-    cells = (Cell(dt, partial(build, dt * US), (cfg.qubit,), (cfg.seed, _TAGS[tag], i), desired)
-             for i, dt in enumerate(grid))
+    cells = []
+    for i, dt in enumerate(grid):
+        dt_s = dt * US
+        cells.append(Cell(dt_s > 0, partial(build, dt_s), (cfg.qubit,),
+                          (cfg.seed, _TAGS[tag], i), desired,
+                          values=(dt_s / parts,) * parts if dt_s > 0 else ()))
     reports = run_cells(cells, cfg.calibration, cfg.shots)
     return [_row(float(dt), rep) for dt, rep in zip(grid, reports)]
 
 
 def run_t1(cfg: ExperimentConfig) -> ResultTable:
     """Excite, idle for dt, measure; fit the survival curve exponentially."""
-    def body(c: Circuit, dt_s: float) -> None:
-        c.x(0)
-        if dt_s > 0:
-            c.delay(dt_s, 0)
-
     t1_us = cfg.calibration.params_for(cfg.qubit).t1 / US
     grid = _default_dt_grid(cfg, t1_us, 8)
-    rows = _coherence_rows(cfg, "t1", grid, "1", body)
+    rows = _coherence_rows(cfg, "t1", grid, "1", ("X", _IDLE))
     fit = fit_exponential([r.x for r in rows], [r.f1 for r in rows], cfg.shots)
     meta = _metadata(cfg, "t1", "dt_us", "P(|1>)", qubit=cfg.qubit, configured_t1_us=t1_us)
     if math.isfinite(t1_us) and max(grid) < 2.0 * t1_us * 0.999:
@@ -271,14 +295,9 @@ def run_t1(cfg: ExperimentConfig) -> ResultTable:
 
 def run_t2_ramsey(cfg: ExperimentConfig) -> ResultTable:
     """H, idle, H; fit P(|0>) with the damped cosine model."""
-    def body(c: Circuit, dt_s: float) -> None:
-        c.h(0)
-        if dt_s > 0:
-            c.delay(dt_s, 0)
-        c.h(0)
-
     params = cfg.calibration.params_for(cfg.qubit)
-    rows = _coherence_rows(cfg, "ramsey", _default_dt_grid(cfg, params.t2 / US, 40), "0", body)
+    rows = _coherence_rows(cfg, "ramsey", _default_dt_grid(cfg, params.t2 / US, 40), "0",
+                           ("H", _IDLE, "H"))
     fit = fit_damped_cosine([r.x for r in rows], [r.f1 for r in rows], cfg.shots)
     meta = _metadata(cfg, "t2-ramsey", "dt_us", "P(|0>)", qubit=cfg.qubit,
                      configured_t2_us=params.t2 / US, configured_tphi_us=params.tphi / US,
@@ -288,17 +307,9 @@ def run_t2_ramsey(cfg: ExperimentConfig) -> ResultTable:
 
 def run_t2_echo(cfg: ExperimentConfig) -> ResultTable:
     """H, idle dt/2, X, idle dt/2, H; exponential fit of 2 P(|0>) - 1."""
-    def body(c: Circuit, dt_s: float) -> None:
-        c.h(0)
-        if dt_s > 0:
-            c.delay(dt_s / 2.0, 0)
-        c.x(0)
-        if dt_s > 0:
-            c.delay(dt_s / 2.0, 0)
-        c.h(0)
-
     params = cfg.calibration.params_for(cfg.qubit)
-    rows = _coherence_rows(cfg, "echo", _default_dt_grid(cfg, params.t2 / US, 8), "0", body)
+    rows = _coherence_rows(cfg, "echo", _default_dt_grid(cfg, params.t2 / US, 8), "0",
+                           ("H", _IDLE, "X", _IDLE, "H"))
     coherence = np.clip(2.0 * np.array([r.f1 for r in rows]) - 1.0, 0.0, 1.0)
     fit = fit_exponential([r.x for r in rows], coherence, cfg.shots)
     meta = _metadata(cfg, "t2-echo", "dt_us", "P(|0>)", qubit=cfg.qubit,
@@ -477,6 +488,15 @@ def _ranked_placements(cfg: ExperimentConfig, geometries,
     return picks
 
 
+def _qpe_angles(qft: BuiltCircuit) -> Callable[[float], tuple[float, ...]]:
+    """The RPHI angles of ``builders.qpe_on_geometry`` on ``qft``'s geometry,
+    in op order, by phase: the prep's three, then the inverse QFT's, which
+    no phase changes. Every placement of a geometry builds one local
+    circuit, so its cells are one shape, and each binds these."""
+    fixed = tuple(op.angle for op in qft.circuit.ops if op.kind == "RPHI")
+    return lambda phi: builders.qpe_prep_angles(phi) + fixed
+
+
 def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     """All eight perfect phases k*pi/4 per geometry, averaged over the top-k
     placements of the CCNOT survey. Ancillas always reset by CNOT: the
@@ -488,10 +508,11 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     tables: dict[str, ResultTable] = {}
     for geometry, chosen in _ranked_placements(cfg, cfg.geometries, cfg.top_k).items():
         gid = SURVEY_FAMILIES.index(geometry)
-        # the placements of one geometry share one local circuit per phase
-        cells = (Cell(k, partial(builders.qpe_on_geometry, placement, k * math.pi / 4.0),
+        qft = builders.qft_dagger_3(chosen[0])
+        angles = _qpe_angles(qft)
+        cells = (Cell(geometry, partial(builders.qpe_on_geometry, placement, k * math.pi / 4.0),
                       placement.qubits, (cfg.seed, _TAGS["qft"], gid, p_idx, k),
-                      builders.qpe_expected_label(k))
+                      builders.qpe_expected_label(k), values=angles(k * math.pi / 4.0))
                  for k in range(8) for p_idx, placement in enumerate(chosen))
         reports = run_cells(cells, cfg.calibration, cfg.shots)
         tables[geometry] = ResultTable(
@@ -499,7 +520,7 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
              for k in range(8)],
             metadata=_metadata(cfg, "qft-perfect", "phase_index", "fidelity", geometry=geometry,
                                placements=[list(p.qubits) for p in chosen],
-                               cnot_count=builders.qft_dagger_3(chosen[0]).circuit.cnot_count()),
+                               cnot_count=qft.circuit.cnot_count()),
         )
     return tables
 
@@ -527,9 +548,10 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = SURVEY_FAMILIES.index(geometry)
-        cells = (Cell(phi, partial(builders.qpe_on_geometry, placement, phi),
+        angles = _qpe_angles(builders.qft_dagger_3(placement))
+        cells = (Cell(geometry, partial(builders.qpe_on_geometry, placement, phi),
                       placement.qubits, (cfg.seed, _TAGS["qpe"], gid, i),
-                      builders.qpe_expected_label(k))
+                      builders.qpe_expected_label(k), values=angles(phi))
                  for i, (phi, k) in enumerate(zip(grid, ks)))
         rows = []
         for phi, k, rep in zip(grid, ks, run_cells(cells, cfg.calibration, cfg.shots)):

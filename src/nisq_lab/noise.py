@@ -17,8 +17,8 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
   * circuits built purely from X/CNOT/Delay stay computational-basis states
     and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
     each of an int64). Their gates and idle windows are listed in time
-    order once per ``ScheduledCircuit`` (``_bit_plan``); each run prices the
-    windows' damping on its calibration, draws the events and applies them;
+    order once per layering (``_bit_plan``); each run prices the windows'
+    damping on its calibration, draws the events and applies them;
   * every other circuit runs on the exact engine, which holds the density
     matrix as its real Pauli coefficients, computes the outcome
     distribution once and draws a multinomial from it. Each single-qubit
@@ -31,18 +31,27 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     the window still open at readout, then the readout flips), so that the
     axis leaves it holding the qubit's two outcome probabilities. Window,
     gate and readout matrices are built once, in bounded memos. What
-    depends on the schedule alone is planned once per ``ScheduledCircuit``
-    (``_exact_plan``). A run takes a list of calibrations: the tensor gets
-    a leading calibration axis, each gate looks up every calibration's
-    matrices, stacks those that differ, and applies one batched product.
+    depends on the layering alone is planned once (``_exact_plan``). A run
+    takes a list of rows, each a schedule of that layering and a
+    calibration: the tensor gets a leading row axis, each gate looks up
+    every row's matrices, stacks those that differ, and applies one batched
+    product.
 
-Both plans are kept on the ``ScheduledCircuit`` (``_kept``) and hold nothing
-of a calibration, so one schedule runs on the calibration subset of every
+A schedule's structure is its layering: which ops, by kind and qubits, run
+in which layer. Its values are each layer's end time (``ends``, the running
+sum of layer durations, DELAY durations included) and each RPHI's angle
+(``angles``). Both plans hold the structure alone: an idle window is a span
+of layers ``(i, j)``, which lasts ``ends[i] - ends[j]``, and an RPHI gate is
+a reference to its angle. So one plan serves every circuit of one
+structure: ``bind`` gives a schedule another circuit's DELAY durations and
+RPHI angles without re-layering or re-planning, and every schedule bound
+from it shares its plans (``_kept``). Nothing of a calibration is in a plan
+either, so one schedule also runs on the calibration subset of every
 placement of its circuit. The bit-vector plan, built on the first run,
 also records which engine runs the circuit: it is None when an op leaves
 the computational basis. ``keep_distributions`` computes the exact
-distributions of a schedule on all its placements' calibrations in stacked
-passes and keeps them on the schedule, keyed by calibration, beside the
+distributions of a structure's (schedule, calibration) rows in stacked
+passes and keeps each on its schedule, keyed by calibration, beside the
 plans; ``run_shots`` draws from a kept distribution when there is one, so
 each cell still makes its own ``run_shots`` call, with its own seed.
 
@@ -77,6 +86,7 @@ from .simulator import (
     gate_matrix,
     is_json_number,
     load_package_data,
+    normalize_angle,
 )
 
 
@@ -156,6 +166,12 @@ class DeviceCalibration:
     def __post_init__(self):
         if not (0.0 <= self.two_qubit_error < 1.0):
             raise CalibrationError(f"two_qubit_error must be in [0, 1), got {self.two_qubit_error}")
+        # a stacked cell's subset is a dict key in keep_distributions and
+        # run_shots: hash the compared fields once, as the generated __hash__ would
+        object.__setattr__(self, "_hash", hash((self.qubits, self.durations, self.two_qubit_error)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_qubits(self) -> int:
@@ -286,12 +302,26 @@ class ScheduledLayer:
 @dataclass(frozen=True)
 class ScheduledCircuit:
     """ASAP time layers. Measure ops, if present, form one final layer:
-    readout happens once at the end of the circuit. Each engine keeps its
-    plan of the circuit on the object (see ``_kept``), and
-    ``keep_distributions`` its exact distributions."""
+    readout happens once at the end of the circuit. The engines read the
+    structure from ``layers``' op kinds and qubits, and the values from
+    ``ends``, each layer's end time, and ``angles``, each RPHI angle in
+    layer order. ``slots`` say where ``bind`` puts each DELAY duration and
+    RPHI angle of the circuit, in op order; a bound schedule shares its
+    source's ``layers``, whose durations and op values stay the source's."""
 
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]
+    ends: tuple[float, ...]
+    angles: tuple[float, ...]
+    slots: tuple[tuple, ...]
+
+
+_BOUND_KINDS = ("DELAY", "RPHI")
+
+
+def _ends(durations) -> tuple[float, ...]:
+    """Each layer's end time: its duration added to the previous end, from 0.0."""
+    return tuple(itertools.accumulate(durations, initial=0.0))[1:]
 
 
 def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
@@ -299,6 +329,7 @@ def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
     frontier = [0] * circuit.n_qubits
     layer_ops: list[list[GateOp]] = []
     measures: list[GateOp] = []
+    placed = []  # (layer, position) of each DELAY and RPHI, in op order
     for op in circuit.ops:
         if op.kind == "MEASURE":
             measures.append(op)
@@ -308,6 +339,8 @@ def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
         idx = max(frontier[q] for q in op.qubits)
         if idx == len(layer_ops):
             layer_ops.append([])
+        if op.kind in _BOUND_KINDS:
+            placed.append((idx, len(layer_ops[idx])))
         layer_ops[idx].append(op)
         for q in op.qubits:
             frontier[q] = idx + 1
@@ -322,7 +355,55 @@ def schedule(circuit: Circuit, durations: DurationModel) -> ScheduledCircuit:
                 raise ValueError(f"duplicate measurement on qubit {op.qubits[0]}")
             seen.add(op.qubits[0])
         layers.append(ScheduledLayer(tuple(measures), durations.measurement))
-    return ScheduledCircuit(circuit.n_qubits, tuple(layers))
+    angles, slots = [], []
+    if placed:
+        rphi = {}  # (layer, position) of each RPHI -> its index in layer order
+        for i, ops in enumerate(layer_ops):
+            for p, op in enumerate(ops):
+                if op.kind == "RPHI":
+                    rphi[i, p] = len(angles)
+                    angles.append(op.angle)
+        for i, p in placed:
+            if (i, p) in rphi:
+                slots.append(("RPHI", rphi[i, p]))
+            else:  # a bound delay lasts its layer at least as long as its gates do
+                gates = [durations.op_duration(op) for op in layer_ops[i] if op.kind != "DELAY"]
+                slots.append(("DELAY", i, max(gates, default=0.0)))
+    return ScheduledCircuit(circuit.n_qubits, tuple(layers),
+                            _ends(layer.duration for layer in layers), tuple(angles), tuple(slots))
+
+
+def bind(scheduled: ScheduledCircuit, values) -> ScheduledCircuit:
+    """``scheduled`` with its circuit's DELAY durations and RPHI angles, in
+    op order, replaced by ``values``: a schedule that shares its layers and
+    its plans, with its own ``ends`` and ``angles``. A layer that holds a
+    bound delay lasts the longest of its delays and gates, as ``schedule``
+    times it, and angles are normalized as ``GateOp`` normalizes them, so
+    the new schedule runs, bit for bit, as a fresh schedule of the circuit
+    built with ``values`` would. Nothing is rebuilt, re-layered or
+    re-planned. A circuit with nothing to bind returns ``scheduled`` itself.
+    Raises ValueError for the wrong number of values, or a delay that
+    ``GateOp`` would refuse."""
+    slots = scheduled.slots
+    if len(values) != len(slots):
+        raise ValueError(f"the circuit binds {len(slots)} DELAY durations and RPHI angles, "
+                         f"got {len(values)} values")
+    if not slots:
+        return scheduled
+    angles = list(scheduled.angles)
+    delays: dict[int, float] = {}  # layer -> its bound duration
+    for slot, value in zip(slots, values):
+        if slot[0] == "RPHI":
+            angles[slot[1]] = normalize_angle(value)
+        elif 0 <= value < math.inf:
+            delays[slot[1]] = max(delays.get(slot[1], slot[2]), float(value))
+        else:
+            raise ValueError("DELAY requires a finite non-negative duration in seconds")
+    ends = scheduled.ends if not delays else _ends(
+        delays.get(i, layer.duration) for i, layer in enumerate(scheduled.layers))
+    bound = ScheduledCircuit(scheduled.n_qubits, scheduled.layers, ends, tuple(angles), slots)
+    bound.__dict__["plans"] = scheduled.__dict__.setdefault("plans", {})
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +426,39 @@ def _channel_rates(params: QubitNoiseParams, dt: float) -> tuple[float, float, f
 
 
 def _idle_windows(
-        scheduled: ScheduledCircuit) -> list[tuple[list[tuple[int, float]], tuple[GateOp, ...]]]:
-    """The circuit as steps ``(windows, ops)``: close each ``(qubit, dt)``
+        scheduled: ScheduledCircuit) -> list[tuple[list[tuple[int, int, int]], tuple[GateOp, ...]]]:
+    """The circuit as steps ``(windows, ops)``: close each ``(qubit, i, j)``
     idle window, then apply the ops. There is one step per layer plus a last
     step with no ops, whose windows are those still open at readout.
 
     A window closes when a gate (not MEASURE or DELAY) touches its qubit and
     spans every layer since the qubit's previous gate, the gate's own layer
-    included, because a layer's idle charge comes before its ops. Time up to
-    and including a qubit's first gate layer is dropped: the qubit is still
-    in |0>, which all three channels fix. Merging is exact: a qubit's idle
-    channels commute with every op and channel not acting on it, damping
-    survivals and phase-flip contrasts multiply, and drift angles add.
+    included, because a layer's idle charge comes before its ops: it closes
+    at layer i and opened at the end of layer j, so it lasts ``ends[i] -
+    ends[j]``. Every gated qubit has a window open at readout, closing at
+    the last layer, which may last 0. Time up to and including a qubit's
+    first gate layer is dropped: the qubit is still in |0>, which all three
+    channels fix. Merging is exact: a qubit's idle channels commute with
+    every op and channel not acting on it, damping survivals and phase-flip
+    contrasts multiply, and drift angles add.
+
+    The windows depend on the layering alone, so every schedule bound onto
+    it (``bind``) has the same windows; each computes their durations from
+    its own ``ends``, by the subtraction of the same two running sums.
     """
     steps = []
-    last_gate: dict[int, float] = {}  # qubit -> end time of its last gate layer
-    now = 0.0
-    for layer in scheduled.layers:
-        now += layer.duration
+    last_gate: dict[int, int] = {}  # qubit -> index of its last gate layer
+    for i, layer in enumerate(scheduled.layers):
         windows = []
         gated = [q for op in layer.ops if op.kind not in ("MEASURE", "DELAY") for q in op.qubits]
         gated.sort()  # no set needed: a layer's ops act on distinct qubits
         for q in gated:
-            if now > last_gate.get(q, now):
-                windows.append((q, now - last_gate[q]))
-            last_gate[q] = now
+            if q in last_gate:
+                windows.append((q, i, last_gate[q]))
+            last_gate[q] = i
         steps.append((windows, layer.ops))
-    steps.append(([(q, now - t) for q, t in sorted(last_gate.items()) if now > t], ()))
+    end = len(scheduled.layers) - 1
+    steps.append(([(q, end, j) for q, j in sorted(last_gate.items())], ()))
     return steps
 
 
@@ -461,28 +548,31 @@ def _event_hits(rng: np.random.Generator, shots: int, events: list):
 
 
 def _kept(scheduled: ScheduledCircuit, plan):
-    """``plan(scheduled)``, computed on first use and kept on the object: a
-    plan depends on the schedule alone, never on a calibration."""
-    key = plan.__name__
-    if key not in scheduled.__dict__:
-        scheduled.__dict__[key] = plan(scheduled)
-    return scheduled.__dict__[key]
+    """``plan(scheduled)``, computed on first use and kept in the object's
+    plans, which every schedule bound from it shares (``bind``): a plan
+    depends on the layering alone, never on the bound values or a
+    calibration."""
+    plans = scheduled.__dict__.setdefault("plans", {})
+    if plan not in plans:
+        plans[plan] = plan(scheduled)
+    return plans[plan]
 
 
 def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]] | None:
-    """What ``_run_classical`` does on any calibration, as ``(steps,
-    readouts)``, or None when an op leaves the computational basis (the
-    exact engine then runs the circuit). A step is ``("decay", q, dt,
-    bits)`` for an idle window, ``("X", mask)``, or ``("CNOT", shift,
-    target mask, bits)``, in time order; ``readouts`` pairs each qubit with
-    its bit. ``bits`` are what a noise event on the step flips."""
+    """What ``_run_classical`` does on any values and calibration, as
+    ``(steps, readouts)``, or None when an op leaves the computational basis
+    (the exact engine then runs the circuit). A step is ``("decay", q, i, j,
+    bits)`` for an idle window of ``ends[i] - ends[j]``, ``("X", mask)``, or
+    ``("CNOT", shift, target mask, bits)``, in time order; ``readouts`` pairs
+    each qubit with its bit. ``bits`` are what a noise event on the step
+    flips."""
     if any(op.kind not in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops):
         return None
     n = scheduled.n_qubits
     bit = [(n - 1 - q,) for q in range(n)]  # shared by every event on qubit q
     steps = []
     for windows, ops in _idle_windows(scheduled):
-        steps += [("decay", q, dt, bit[q]) for q, dt in windows]
+        steps += [("decay", q, i, j, bit[q]) for q, i, j in windows]
         for op in ops:
             if op.kind == "X":
                 steps.append(("X", 1 << (n - 1 - op.qubits[0])))
@@ -500,18 +590,19 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 
     The gates and the places of noise events are planned once per
     ``ScheduledCircuit`` (``_bit_plan``). Each run prices the events on
-    ``cal`` in time order, keeping those with p > 0, then draws their rows
-    in batches (``_event_hits``) and applies gates and events in turn."""
+    the schedule's windows and ``cal`` in time order, keeping those with
+    p > 0, then draws their rows in batches (``_event_hits``) and applies
+    gates and events in turn."""
     plan_steps, readouts = _kept(scheduled, _bit_plan)
-    params, p2 = cal.qubits, cal.two_qubit_error
+    params, p2, ends = cal.qubits, cal.two_qubit_error, scheduled.ends
     steps, events = [], []  # the gates, and _DECAY or _FLIP where an event applies
     for step in plan_steps:
         if step[0] == "decay":
-            gamma = _damping(params[step[1]], step[2])
+            gamma = _damping(params[step[1]], ends[step[2]] - ends[step[3]])
             if gamma > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
                 steps.append(_DECAY)
-                events.append((gamma, step[3]))
+                events.append((gamma, step[4]))
         else:
             steps.append(step)
             if step[0] == "CNOT" and p2 > 0.0:
@@ -602,7 +693,10 @@ def _pauli_transfer(s: np.ndarray) -> np.ndarray:
 def _idle_superop(params: QubitNoiseParams, dt: float) -> np.ndarray:
     """The PTM of a (qubit, dt) idle window, written directly: damping moves
     gamma of r_Z into r_I and keeps 1 - gamma of it, and the coherences
-    (r_X, r_Y) shrink by a and turn by the drift angle."""
+    (r_X, r_Y) shrink by a and turn by the drift angle. A window of dt = 0
+    is the exact identity, as if it were not there."""
+    if dt == 0.0:
+        return _NO_IDLE
     gamma, pz, phase = _channel_rates(params, dt)
     a = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
     cos, sin = a * math.cos(phase), a * math.sin(phase)
@@ -651,50 +745,64 @@ def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
     return _read_only(confusion @ _TO_POPULATIONS @ _idle_superop(params, dt)[[0, 3]])
 
 
-def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]]:
-    """What ``_exact_probabilities`` does on any calibrations, as
-    ``(gates, never_gated)``. A gate is ``(gate, ins, outs, perm, inverse,
-    shape)``: its PTM (None for a CNOT, whose PTM depends on the
-    calibration); per operand, what its axis takes first (``_ZERO``, the
-    ``(q, dt)`` window the gate closes, or ``_NO_IDLE``) and, at its last
-    gate, the ``(q, dt)`` of its readout rows, each None when all are
-    ``_NO_IDLE``; the axis permutation and its inverse, both keeping the
-    leading calibration axis first; and the permuted shape after the gate,
-    -1 on the calibration axis. ``never_gated`` lists each ungated qubit with
-    the broadcast shape of its readout pairs."""
+def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """What ``_exact_probabilities`` does on any values and calibrations, as
+    ``(gates, never_gated, spans)``. ``spans`` lists each idle window's
+    ``(i, j)``, which lasts ``ends[i] - ends[j]``, and the plan refers to a
+    window as ``(q, w)``: qubit q's ``spans[w]``. A gate is ``(gate, ins,
+    outs, perm, inverse, shape)``: its PTM, None for a CNOT (whose PTM
+    depends on the calibration) or, for an RPHI, the index of its angle in
+    ``angles``; per operand, what its axis takes first (``_ZERO``, or the
+    window the gate closes) and, at its last gate, the window of its
+    readout rows, None when no operand has its last gate here
+    (``_NO_IDLE`` stands for an operand that has not); the axis permutation
+    and its inverse, both keeping the leading row axis first; and the
+    permuted shape after the gate, -1 on the row axis. ``never_gated`` lists
+    each ungated qubit with the broadcast shape of its readout pairs."""
     n = scheduled.n_qubits
     sizes = [1] * n  # each qubit's axis size
     *steps, (readout_windows, _) = _idle_windows(scheduled)
-    open_at_readout = {w[0]: w for w in readout_windows}
+    spans = []
+
+    def window(q, i, j):
+        spans.append((i, j))
+        return q, len(spans) - 1
+
+    open_at_readout = {q: window(q, i, j) for q, i, j in readout_windows}
     gated = [op for _, ops in steps for op in ops if op.kind not in ("MEASURE", "DELAY")]
     last = {q: i for i, op in enumerate(gated) for q in op.qubits}  # each qubit's last gate
     gates = []
+    angle = 0  # the index of the next RPHI's angle
     for windows, ops in steps:
-        idle = {w[0]: w for w in windows}
+        idle = {w[0]: window(*w) for w in windows}
         for op in ops:
             if op.kind in ("MEASURE", "DELAY"):
                 continue
-            ins = [idle.get(q, _NO_IDLE) if sizes[q] == 4 else _ZERO for q in op.qubits]
+            ins = [idle[q] if sizes[q] == 4 else _ZERO for q in op.qubits]
             for q in op.qubits:
                 sizes[q] = 2 if last[q] == len(gates) else 4
-            outs = [open_at_readout.get(q, (q, 0.0)) if sizes[q] == 2 else _NO_IDLE
-                    for q in op.qubits]
+            outs = [open_at_readout[q] if sizes[q] == 2 else _NO_IDLE for q in op.qubits]
             perm, inverse = _superop_axes(op.qubits, n)
-            # ins[0] and ins[-1] cover one qubit or both of a CNOT's
-            gates.append((None if op.kind == "CNOT" else _gate_superop(op.kind, op.angle),
-                          ins if ins[0] is not _NO_IDLE or ins[-1] is not _NO_IDLE else None,
+            if op.kind == "CNOT":
+                gate = None
+            elif op.kind == "RPHI":
+                gate, angle = angle, angle + 1
+            else:
+                gate = _gate_superop(op.kind, op.angle)
+            # outs[0] and outs[-1] cover one qubit or both of a CNOT's
+            gates.append((gate, ins,
                           outs if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE else None,
                           perm, inverse, [sizes[a - 1] if a else -1 for a in perm]))
     never_gated = [(q, (-1,) + (1,) * q + (2,) + (1,) * (n - 1 - q))
                    for q in range(n) if sizes[q] == 1]
-    return gates, never_gated
+    return gates, never_gated, spans
 
 
-def _exact_probabilities(scheduled: ScheduledCircuit,
-                         cals: list[DeviceCalibration]) -> np.ndarray:
+def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> np.ndarray:
     """Exact outcome distributions over the 2**n basis states, readout error
-    included, one row per calibration of ``cals``: the ensemble averages
-    that the bit-vector engine samples.
+    included, one per row ``(scheduled, cal)``: the ensemble averages that
+    the bit-vector engine samples. The rows' schedules share one layering:
+    they are one schedule or schedules bound from it (``bind``).
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
@@ -706,55 +814,63 @@ def _exact_probabilities(scheduled: ScheduledCircuit,
     axis holds q's two outcome probabilities. A qubit no gate touches reads
     [1 - r, r]. The final tensor is the outcome distribution in qubit order.
 
-    That bookkeeping depends on the schedule alone: it is planned
+    That bookkeeping depends on the layering alone: it is planned
     (``_exact_plan``) on the first exact run of a ``ScheduledCircuit`` and
-    kept on the object, so each later run, on any calibrations, only looks
-    up the memoized matrices of each calibration's qubits and applies the
-    products. The tensor carries a leading axis over ``cals``, and each
-    gate is one batched product over it: a matrix that every calibration
-    shares stays one matrix and broadcasts, and the others are stacked
-    (``_stacked``). Every row is the same, bit for bit, as a run on its
-    calibration alone.
+    shared by every schedule bound from it, so each later run, on any
+    values and calibrations, only computes each row's window durations from
+    its ``ends``, looks up the memoized matrices of each row's windows,
+    angles and qubits, and applies the products. The tensor carries a
+    leading axis over the rows, and each gate is one batched product over
+    it: a matrix that every row shares stays one matrix and broadcasts, and
+    the others are stacked (``_stacked``). Every row is the same, bit for
+    bit, as a run of its schedule and calibration alone.
 
     A gate whose operands are all live costs one product over the whole
     tensor, and a reshape that moves its axes to the front copies the
     tensor first: all-live circuits peak at 2.00-2.01 copies of 8 B x 4**n
-    per calibration (tracemalloc, numpy 2.4, 8-12 qubits, one calibration).
-    Circuits whose qubits join late and leave early peak lower: the
-    superposed-control cnot-reset chains of 8-12 qubits never hold more
-    than 4**(n-1) x 2 coefficients per calibration, and peak at 1.00-1.01
-    copies (8.0 MiB at 10 qubits, against 16.0 MiB with every axis held at
-    size 4). That peak holds per calibration of a stack, which also holds
-    each calibration's own matrices (``_stacked_need``).
+    per row (tracemalloc, numpy 2.4, 8-12 qubits, one row). Circuits whose
+    qubits join late and leave early peak lower: the superposed-control
+    cnot-reset chains of 8-12 qubits never hold more than 4**(n-1) x 2
+    coefficients per row, and peak at 1.00-1.01 copies (8.0 MiB at 10
+    qubits, against 16.0 MiB with every axis held at size 4). That peak
+    holds per row of a stack, which also holds each row's own matrices
+    (``_stacked_need``).
     """
-    gates, never_gated = _kept(scheduled, _exact_plan)
-    params = [cal.qubits for cal in cals]
+    gates, never_gated, spans = _kept(rows[0][0], _exact_plan)
+    params = [cal.qubits for _, cal in rows]
+    angles = [scheduled.angles for scheduled, _ in rows]
+    durations = {}  # each distinct ends' window durations, in spans order
+    for scheduled, _ in rows:
+        ends = scheduled.ends
+        if id(ends) not in durations:
+            durations[id(ends)] = [ends[i] - ends[j] for i, j in spans]
+    windows = [(cal.qubits, durations[id(scheduled.ends)]) for scheduled, cal in rows]
     cnot = None  # looked up at the first CNOT
-    rho = np.ones((len(cals),) + (1,) * scheduled.n_qubits)
-    # a plan entry is a constant matrix or a (q, dt) key into a memo
+    rho = np.ones((len(rows),) + (1,) * rows[0][0].n_qubits)
+    # a plan entry is a constant matrix or a (q, w) window
     for gate, ins, outs, perm, inverse, shape in gates:
         if gate is None:
             if cnot is None:
-                cnot = _stacked([_cnot_superop(cal.two_qubit_error) for cal in cals])
+                cnot = _stacked([_cnot_superop(cal.two_qubit_error) for _, cal in rows])
             gate = cnot
-        s = gate
-        if ins is not None:
-            s = s @ functools.reduce(_kron, [_stacked([_idle_superop(p[m[0]], m[1])
-                                                       for p in params])
-                                             if type(m) is tuple else m for m in ins])
+        elif type(gate) is int:
+            gate = _stacked([_gate_superop("RPHI", a[gate]) for a in angles])
+        s = gate @ functools.reduce(_kron, [_stacked([_idle_superop(p[m[0]], dt[m[1]])
+                                                      for p, dt in windows])
+                                            if type(m) is tuple else m for m in ins])
         if outs is not None:
-            s = functools.reduce(_kron, [_stacked([_readout_rows(p[m[0]], m[1])
-                                                   for p in params])
+            s = functools.reduce(_kron, [_stacked([_readout_rows(p[m[0]], dt[m[1]])
+                                                   for p, dt in windows])
                                          if type(m) is tuple else m for m in outs]) @ s
         # the reshape copies rho unless perm keeps its order; rebinding
         # rho frees the old state before the product allocates its own
-        rho = rho.transpose(perm).reshape(len(cals), s.shape[-1], -1)
+        rho = rho.transpose(perm).reshape(len(rows), s.shape[-1], -1)
         rho = (s @ rho).reshape(shape).transpose(inverse)
     for q, shape in never_gated:
         rho = rho * np.array([[1.0 - p[q].readout_error, p[q].readout_error]
                               for p in params]).reshape(shape)
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
-    probs = np.maximum(rho.reshape(len(cals), -1), 0.0)
+    probs = np.maximum(rho.reshape(len(rows), -1), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
@@ -764,39 +880,41 @@ _DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 def _stacked_need(n: int) -> float:
-    """Estimated peak bytes per calibration of a stacked exact run on n
-    qubits: _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the
-    entries of its own folded CNOT matrices (3 x 16 x 16). tracemalloc peaks
-    per calibration (numpy 2.4, stacks of 1-200 on an all-live circuit)
-    were 7.8-8.6 KiB at 3 qubits, 9.6-9.9 KiB at 4, 2.10-2.18 copies at 6
-    and 2.01 at 8; the 4**n term alone would allow 6x too many
-    calibrations at 3 qubits."""
+    """Estimated peak bytes per row of a stacked exact run on n qubits:
+    _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the entries of its
+    own folded CNOT matrices (3 x 16 x 16). tracemalloc peaks per row
+    (numpy 2.4, stacks of 1-200 calibrations on an all-live circuit) were
+    7.8-8.6 KiB at 3 qubits, 9.6-9.9 KiB at 4, 2.10-2.18 copies at 6 and
+    2.01 at 8; the 4**n term alone would allow 6x too many rows at 3
+    qubits."""
     return _DENSE_PEAK_COPIES * 8 * (4.0**n + 3 * 4**4)
 
 
-def keep_distributions(scheduled: ScheduledCircuit, cals: list[DeviceCalibration]) -> None:
-    """Compute the exact outcome distributions of ``scheduled`` on every
-    distinct calibration of ``cals`` in stacked passes, and keep them on the
-    object, keyed by calibration, for ``run_shots`` to draw from. Each row
-    is the one ``run_shots`` would compute for its calibration alone.
+def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
+    """Compute the exact outcome distribution of every distinct row
+    ``(scheduled, cal)`` in stacked passes, and keep each on its schedule,
+    keyed by calibration, for ``run_shots`` to draw from. The schedules are
+    one schedule or schedules bound from it (``bind``). Each row is the one
+    ``run_shots`` would compute for its schedule and calibration alone.
 
     Stacks are as large as the memory budget allows: ``_stacked_need(n)``
-    x calibrations within _MEMORY_BUDGET. Nothing is kept for a bit-vector
-    circuit, for a circuit whose one calibration would exceed the budget
+    x rows within _MEMORY_BUDGET. Nothing is kept for a bit-vector
+    circuit, for a circuit whose one row would exceed the budget
     (``run_shots`` then runs it alone, or refuses it), for a calibration that
-    does not cover the circuit, or when fewer than two distinct calibrations
-    are left: stacking one gains nothing."""
-    if len(cals) < 2:
+    does not cover the circuit, or when fewer than two distinct rows are
+    left: stacking one gains nothing."""
+    if len(rows) < 2:
         return
-    n = scheduled.n_qubits
+    n = rows[0][0].n_qubits
     chunk = int(_MEMORY_BUDGET // _stacked_need(n))
-    cals = [cal for cal in dict.fromkeys(cals) if cal.n_qubits >= n]
-    if chunk < 1 or len(cals) < 2 or _kept(scheduled, _bit_plan) is not None:
+    rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows
+                 if cal.n_qubits >= n}.values())
+    if chunk < 1 or len(rows) < 2 or _kept(rows[0][0], _bit_plan) is not None:
         return
-    kept = scheduled.__dict__.setdefault("distributions", {})
-    for i in range(0, len(cals), chunk):
-        part = cals[i:i + chunk]
-        kept.update(zip(part, _exact_probabilities(scheduled, part)))
+    for i in range(0, len(rows), chunk):
+        part = rows[i:i + chunk]
+        for (scheduled, cal), probs in zip(part, _exact_probabilities(part)):
+            scheduled.__dict__.setdefault("distributions", {})[cal] = probs
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
@@ -805,7 +923,8 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     bit; deterministic per (schedule, calibration, seed). An exact circuit
     draws from the distribution ``keep_distributions`` kept for ``cal`` on
     the schedule, when there is one, or else computes it for ``cal`` alone;
-    the two are equal, bit for bit, and so are the counts.
+    the two are equal, bit for bit, and so are the counts. A schedule bound
+    from another (``bind``) runs as a fresh schedule of its circuit would.
 
     Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and
     before allocating when the engine's estimated peak memory exceeds
@@ -842,7 +961,7 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
         kept = scheduled.__dict__.get("distributions")
         probs = kept.get(cal) if kept else None
         if probs is None:
-            probs = _exact_probabilities(scheduled, [cal])[0]
+            probs = _exact_probabilities([(scheduled, cal)])[0]
         draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
         values = np.flatnonzero(draws)
         counts = draws[values]

@@ -74,3 +74,30 @@ def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
     calls.clear()
     experiments.run_cnot_chain_sweep(cfg)
     assert calls == {"run_shots": 228, "schedule": 57}
+
+
+def test_coherence_and_qpe_cells_bind_onto_one_schedule_per_structure(
+        monkeypatch, graph, default_cal):
+    """Cells that differ only in a delay or in phase angles bind them onto
+    their shape's one schedule, and each still calls run_shots: a 40-point
+    t2-ramsey schedules at most twice (the zero delay omits its DELAY), and
+    qpe-sweep schedules once per geometry beyond its ranking survey."""
+    calls = collections.Counter()
+    for name in ("run_shots", "schedule"):
+        def counting(*args, _real=getattr(experiments, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(experiments, name, counting)
+    cfg = experiments.ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
+    for run, points in ((experiments.run_t1, 8), (experiments.run_t2_ramsey, 40),
+                        (experiments.run_t2_echo, 8)):
+        calls.clear()
+        assert len(run(cfg).rows) == points
+        assert calls == {"run_shots": points, "schedule": 2}
+    calls.clear()
+    experiments.run_ccnot_survey(cfg, families=experiments.QPE_GEOMETRIES)
+    survey = dict(calls)
+    calls.clear()
+    experiments.run_qpe_phase_sweep(cfg)
+    assert calls == {"run_shots": survey["run_shots"] + 2 * 33,
+                     "schedule": survey["schedule"] + 2}

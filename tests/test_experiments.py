@@ -368,6 +368,30 @@ def _assert_cell_builds(cell, shared, fresh):
     assert cell.layout == fresh.layout
 
 
+def _measured_schedule(cell, built, durations):
+    """The schedule run_cells makes of ``built`` for ``cell``: its X prep,
+    the circuit and a measurement of every qubit."""
+    circuit = Circuit(built.circuit.n_qubits,
+                      [GateOp("X", (q,)) for q in cell.prep_x] + built.circuit.ops,
+                      built.circuit.roles).measure_all()
+    return schedule(circuit, durations)
+
+
+def _assert_cell_binds(cell, shared, fresh, durations):
+    """The cell's own build holds what a fresh builder call on its placement
+    returns, and its values bound onto the schedule of its shape's shared
+    build (from the first cell of the shape) give the fresh build's layers,
+    timing and angles."""
+    _assert_cell_builds(cell, cell.build(), fresh)
+    assert [(op.kind, op.qubits) for op in shared.circuit.ops] == [
+        (op.kind, op.qubits) for op in fresh.circuit.ops]
+    want = _measured_schedule(cell, fresh, durations)
+    bound = noise.bind(_measured_schedule(cell, shared, durations), cell.values)
+    assert [[(op.kind, op.qubits) for op in layer.ops] for layer in bound.layers] == [
+        [(op.kind, op.qubits) for op in layer.ops] for layer in want.layers]
+    assert (bound.ends, bound.angles) == (want.ends, want.angles)
+
+
 def _shared_builds(cells) -> dict:
     """Each shape's build, as run_cells makes it: from its first cell."""
     shared = {}
@@ -414,11 +438,12 @@ def test_every_cell_holds_what_a_fresh_builder_call_returns(graph, default_cal, 
                                                            cfg.top_k).items():
         ours = [c for c in cells if c.seed_key[2] == experiments.SURVEY_FAMILIES.index(geometry)]
         shared = _shared_builds(ours)
-        assert len(shared) == 8
+        assert len(shared) == 1
         for cell in ours:
             _, _, _, p_idx, k = cell.seed_key
-            _assert_cell_builds(cell, shared[cell.shape],
-                                builders.qpe_on_geometry(chosen[p_idx], k * math.pi / 4.0))
+            _assert_cell_binds(cell, shared[cell.shape],
+                               builders.qpe_on_geometry(chosen[p_idx], k * math.pi / 4.0),
+                               default_cal.durations)
             assert cell.prep_x == ()
 
 
@@ -438,7 +463,8 @@ def test_cell_order_does_not_change_any_report(graph, default_cal, monkeypatch):
 
 def test_each_cell_shape_is_built_once_per_driver_call(graph, default_cal, monkeypatch):
     """12 survey shapes (variant, target local), 57 chain shapes (length,
-    strategy), and one QFT circuit per geometry and phase."""
+    strategy), and one QFT circuit per geometry, whose phases its cells
+    bind."""
     calls = dict.fromkeys(("ccnot_on_geometry", "cnot_chain", "qpe_on_geometry"), 0)
     for name in calls:
         def counting(*args, _real=getattr(builders, name), _name=name, **kwargs):
@@ -452,7 +478,7 @@ def test_each_cell_shape_is_built_once_per_driver_call(graph, default_cal, monke
     run_qft_perfect_phases(cfg)
     # its ranking survey has 2 linear3, 6 star4 and 1 ring6-3chain shapes
     assert calls["ccnot_on_geometry"] == 12 + 9
-    assert calls["qpe_on_geometry"] == 8 * len(cfg.geometries)
+    assert calls["qpe_on_geometry"] == len(cfg.geometries)
 
 
 def test_a_second_survey_in_one_process_reports_what_the_first_did(graph, default_cal):
@@ -502,16 +528,16 @@ _STACKED_RUNS = {"ccnot-survey": run_ccnot_survey, "qft-perfect": run_qft_perfec
                  "qpe-sweep": run_qpe_phase_sweep}
 
 
-def _exact_shapes(monkeypatch, run, cfg) -> list[tuple[noise.ScheduledCircuit, list]]:
-    """(schedule, calibration subsets) of every exact shape that run_cells
-    hands to ``keep_distributions`` while ``run(cfg)`` runs."""
+def _exact_shapes(monkeypatch, run, cfg) -> list[list[tuple]]:
+    """The (schedule, calibration subset) rows of every exact shape that
+    run_cells hands to ``keep_distributions`` while ``run(cfg)`` runs."""
     shapes = []
     real = experiments.keep_distributions
 
-    def recording(scheduled, cals):
-        if noise._kept(scheduled, noise._bit_plan) is None:
-            shapes.append((scheduled, list(cals)))
-        real(scheduled, cals)
+    def recording(rows):
+        if noise._kept(rows[0][0], noise._bit_plan) is None:
+            shapes.append(list(rows))
+        real(rows)
 
     monkeypatch.setattr(experiments, "keep_distributions", recording)
     run(cfg)
@@ -520,30 +546,33 @@ def _exact_shapes(monkeypatch, run, cfg) -> list[tuple[noise.ScheduledCircuit, l
 
 
 def _alone(scheduled, cal):
-    """The distribution on ``cal`` alone, on a new copy of the schedule."""
-    return noise._exact_probabilities(replace(scheduled), [cal])[0]
+    """The distribution of ``scheduled`` on ``cal`` alone, on a new copy of
+    the schedule, which plans afresh."""
+    return noise._exact_probabilities([(replace(scheduled), cal)])[0]
 
 
 @pytest.mark.parametrize("name", sorted(_STACKED_RUNS))
 def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal, monkeypatch,
                                                               name):
     """Every exact shape of the survey, qft-perfect on its three geometries
-    and qpe-sweep, stacked over the calibration subsets of every cell of its
-    width in the run, forward and reversed, gives each subset, bit for bit,
-    the distribution it gets alone. Most qpe-sweep shapes hold one cell, so
-    stacking over the run's other subsets is what tests them in a stack."""
+    and qpe-sweep, its own rows stacked with its first schedule on the
+    calibration subsets of every cell of its width in the run, forward and
+    reversed, gives each row, bit for bit, the distribution it gets alone.
+    A QFT or QPE shape's rows are schedules bound with their phases'
+    angles, and the other subsets stack each shape over calibrations too."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
     shapes = _exact_shapes(monkeypatch, _STACKED_RUNS[name], cfg)
     assert cfg.geometries == builders.QFT_GEOMETRIES
     by_width: dict[int, dict] = {}
-    for scheduled, cals in shapes:
-        by_width.setdefault(scheduled.n_qubits, {}).update(dict.fromkeys(cals))
-    for scheduled, _ in shapes:
-        cals = list(by_width[scheduled.n_qubits])
-        alone = [_alone(scheduled, cal) for cal in cals]
+    for rows in shapes:
+        by_width.setdefault(rows[0][0].n_qubits, {}).update(dict.fromkeys(c for _, c in rows))
+    for rows in shapes:
+        scheduled = rows[0][0]
+        rows = rows + [(scheduled, cal) for cal in by_width[scheduled.n_qubits]]
+        alone = [_alone(s, cal) for s, cal in rows]
         for order in (slice(None), slice(None, None, -1)):
-            stacked = noise._exact_probabilities(replace(scheduled), cals[order])
-            assert stacked.shape == (len(cals), 2**scheduled.n_qubits)
+            stacked = noise._exact_probabilities([(replace(s), c) for s, c in rows[order]])
+            assert stacked.shape == (len(rows), 2**scheduled.n_qubits)
             for row, want in zip(stacked, alone[order]):
                 assert np.array_equal(row, want)
 
@@ -551,7 +580,7 @@ def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal,
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, default_cal,
                                                                     monkeypatch, chunk):
-    """With the memory budget cut to ``chunk`` stacked calibrations of a shape,
+    """With the memory budget cut to ``chunk`` stacked rows of a shape,
     ``keep_distributions`` runs each survey shape in stacks of at most that
     many, in order, and keeps for each distinct subset what it gets alone."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
@@ -560,20 +589,21 @@ def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, defau
     sizes = []
     real = noise._exact_probabilities
     monkeypatch.setattr(noise, "_exact_probabilities",
-                        lambda scheduled, cals: sizes.append(len(cals)) or real(scheduled, cals))
-    for scheduled, cals in shapes:
+                        lambda rows: sizes.append(len(rows)) or real(rows))
+    for rows in shapes:
+        scheduled, cals = rows[0][0], [cal for _, cal in rows]
         budget = noise._stacked_need(scheduled.n_qubits) * chunk
         monkeypatch.setattr(noise, "_MEMORY_BUDGET", budget)
         fresh = replace(scheduled)
         sizes.clear()
-        noise.keep_distributions(fresh, cals)
+        noise.keep_distributions([(fresh, cal) for cal in cals])
         distinct = list(dict.fromkeys(cals))
         assert len(distinct) > chunk
         assert sizes == [len(distinct[i:i + chunk]) for i in range(0, len(distinct), chunk)]
         kept = fresh.__dict__["distributions"]
         assert list(kept) == distinct
         for cal in distinct:
-            assert np.array_equal(kept[cal], real(replace(scheduled), [cal])[0])
+            assert np.array_equal(kept[cal], real([(replace(scheduled), cal)])[0])
 
 
 def test_run_shots_counts_are_the_same_with_or_without_a_kept_distribution(
@@ -583,9 +613,10 @@ def test_run_shots_counts_are_the_same_with_or_without_a_kept_distribution(
     computes each calibration alone."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=SUBSET_SHOTS, seed=2)
     shapes = _exact_shapes(monkeypatch, run_ccnot_survey, cfg)
-    for scheduled, cals in shapes:
+    for rows in shapes:
+        scheduled, cals = rows[0][0], [cal for _, cal in rows]
         stacked, alone = replace(scheduled), replace(scheduled)
-        noise.keep_distributions(stacked, cals)
+        noise.keep_distributions([(stacked, cal) for cal in cals])
         want = [run_shots(alone, cal, SUBSET_SHOTS, [2, i]) for i, cal in enumerate(cals)]
         with monkeypatch.context() as m:
             m.setattr(noise, "_exact_probabilities", None)  # any call would fail
@@ -610,10 +641,10 @@ def test_nothing_is_kept_once_run_cells_returns(graph, default_cal, monkeypatch)
     refs = []
     real = experiments.keep_distributions
 
-    def recording(scheduled, cals):
-        real(scheduled, cals)
-        if "distributions" in scheduled.__dict__:
-            refs.append(weakref.ref(scheduled))
+    def recording(rows):
+        real(rows)
+        if "distributions" in rows[0][0].__dict__:
+            refs.append(weakref.ref(rows[0][0]))
 
     monkeypatch.setattr(experiments, "keep_distributions", recording)
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
@@ -621,3 +652,117 @@ def test_nothing_is_kept_once_run_cells_returns(graph, default_cal, monkeypatch)
     assert len(refs) == 12
     gc.collect()
     assert [ref() for ref in refs] == [None] * 12
+
+
+# ---------------------------------------------------------------------------
+# Cells that bind their delays and angles
+# ---------------------------------------------------------------------------
+
+def _bound_runs(monkeypatch, run, cfg) -> list[tuple]:
+    """(cell, schedule, calibration subset) of every run_shots call that
+    ``run(cfg)`` makes, in cell order, after run_cells ran them: each
+    schedule is the cell's own, bound from its shape's, with what
+    ``keep_distributions`` kept on it."""
+    calls = []
+    real = experiments.run_shots
+
+    def recording(scheduled, cal, shots, seed):
+        calls.append((scheduled, cal))
+        return real(scheduled, cal, shots, seed)
+
+    monkeypatch.setattr(experiments, "run_shots", recording)
+    cells = _recorded_cells(monkeypatch, run, cfg)
+    monkeypatch.undo()
+    assert len(cells) == len(calls)
+    return [(cell, scheduled, sub) for cell, (scheduled, sub) in zip(cells, calls)]
+
+
+def _assert_bound_runs_equal_fresh_runs(runs, cal, seeds=(1,)) -> int:
+    """Each cell's kept distribution equals, bit for bit, that of a fresh
+    schedule of its own build run alone, and its run_shots counts equal the
+    fresh schedule's at each seed. Returns how many distributions were
+    kept, that is, stacked."""
+    kept = 0
+    for cell, bound, sub in runs:
+        fresh = _measured_schedule(cell, cell.build(), cal.durations)
+        if noise._kept(fresh, noise._bit_plan) is None:
+            want = noise._exact_probabilities([(fresh, sub)])[0]
+            got = bound.__dict__.get("distributions", {}).get(sub)
+            if got is not None:
+                kept += 1
+                assert np.array_equal(got, want), cell.seed_key
+            assert np.array_equal(_alone(bound, sub), want), cell.seed_key
+        for seed in seeds:
+            key = [seed, *cell.seed_key]
+            assert run_shots(bound, sub, 64, key) == run_shots(fresh, sub, 64, key), cell.seed_key
+    return kept
+
+
+def _shapes_of(runs) -> int:
+    """How many layerings, so schedule calls, the runs share."""
+    return len({id(bound.layers) for _, bound, _ in runs})
+
+
+@pytest.mark.parametrize("run, bit_vector", [(run_t1, True), (run_t2_ramsey, False),
+                                             (run_t2_echo, False)])
+def test_bound_coherence_cells_run_as_fresh_schedules_on_every_qubit(default_cal, monkeypatch,
+                                                                      run, bit_vector):
+    """On each of the 20 qubits, with its default grid, a coherence table has
+    two shapes (the zero delay omits its DELAY), and every cell of the
+    delayed shape is stacked with the others on the exact engine; t1 runs
+    on the bit-vector engine, compared at several seeds."""
+    for qubit in range(20):
+        cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=1, qubit=qubit)
+        runs = _bound_runs(monkeypatch, run, cfg)
+        assert _shapes_of(runs) == 2
+        kept = _assert_bound_runs_equal_fresh_runs(runs, default_cal,
+                                                   seeds=(1, 2, 3, 5, 8) if bit_vector else (1,))
+        assert kept == (0 if bit_vector else len(runs) - 1)
+
+
+@pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo])
+def test_bound_cells_with_repeated_and_zero_delays_run_as_fresh_schedules(default_cal,
+                                                                          monkeypatch, run):
+    """Repeated delays bind equal values and zero delays share the shape
+    without a DELAY; both still run as fresh schedules of their circuits."""
+    cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=3, qubit=7,
+                           dt_grid_us=(0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0))
+    runs = _bound_runs(monkeypatch, run, cfg)
+    assert _shapes_of(runs) == 2
+    _assert_bound_runs_equal_fresh_runs(runs, default_cal, seeds=(1, 2))
+
+
+@pytest.mark.parametrize("run, cells, shapes", [(run_qpe_phase_sweep, 2 * 33, 2),
+                                                (run_qft_perfect_phases, 3 * 8 * 3, 3)])
+def test_bound_qft_and_qpe_cells_run_as_fresh_schedules(graph, default_cal, monkeypatch, run,
+                                                        cells, shapes):
+    """qpe-sweep's 2 x 33 phases and qft-perfect's 8 phases on the 3 top
+    placements of each of its 3 geometries bind their angles onto one
+    shape per geometry and are stacked, and the ranking survey's cells run
+    as before."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=4)
+    runs = _bound_runs(monkeypatch, run, cfg)
+    ours = [r for r in runs if r[0].seed_key[1] in (experiments._TAGS["qft"],
+                                                     experiments._TAGS["qpe"])]
+    assert len(ours) == cells
+    assert _shapes_of(ours) == shapes
+    assert _assert_bound_runs_equal_fresh_runs(ours, default_cal) == cells
+    _assert_bound_runs_equal_fresh_runs(runs[:len(runs) - cells], default_cal)
+
+
+@pytest.mark.parametrize("run", [run_t2_ramsey, run_t2_echo, run_qpe_phase_sweep])
+def test_zero_length_windows_run_as_fresh_schedules(graph, default_cal, monkeypatch, run):
+    """With 0 ns single-qubit gates, consecutive single-qubit gates close
+    idle windows of zero length, which a fresh schedule's plan shares with
+    every bound one; each applies the exact identity, and the bound cells
+    still run as fresh schedules."""
+    cal = replace(default_cal, durations=DurationModel(single_qubit=0.0))
+    cfg = ExperimentConfig(calibration=cal, graph=graph, shots=8, seed=6)
+    runs = _bound_runs(monkeypatch, run, cfg)
+    zero = 0
+    for _, bound, _ in runs:
+        _, _, spans = noise._kept(bound, noise._exact_plan)
+        zero += sum(bound.ends[i] == bound.ends[j] for i, j in spans)
+    assert zero > 0
+    assert noise._idle_superop(cal.qubits[0], 0.0) is noise._NO_IDLE
+    _assert_bound_runs_equal_fresh_runs(runs, cal)

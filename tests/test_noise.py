@@ -344,8 +344,8 @@ def _live_axis_cell(circuit):
 def test_exact_engine_matches_kraus_oracle(cell):
     sched, cal = cell
     sched = replace(sched)  # a new object: its plan is built on the first call
-    [cold] = _exact_probabilities(sched, [cal])
-    [warm] = _exact_probabilities(sched, [cal])
+    [cold] = _exact_probabilities([(sched, cal)])
+    [warm] = _exact_probabilities([(sched, cal)])
     oracle = kraus_outcome_probabilities(sched, cal)
     assert np.max(np.abs(cold - oracle)) <= 1e-12
     assert np.array_equal(warm, cold)
@@ -359,12 +359,78 @@ def test_one_schedule_runs_on_every_placement_like_fresh_schedules():
     cells = [_survey_cell(topology.star_variants(star)[0], "star4-cnot-reset") for star in stars]
     (sched, cal_a), (sched_b, cal_b) = cells
     assert sched == sched_b and cal_a != cal_b  # one local circuit, two calibrations
-    fresh = [_exact_probabilities(s, [c])[0] for s, c in cells]  # each on its own schedule
+    fresh = [_exact_probabilities([(s, c)])[0] for s, c in cells]  # each on its own schedule
     assert not np.array_equal(*fresh)
     for order in ((0, 1), (1, 0)):
         shared = replace(sched)
         for i in order:
-            assert np.array_equal(_exact_probabilities(shared, [cells[i][1]])[0], fresh[i])
+            assert np.array_equal(_exact_probabilities([(shared, cells[i][1])])[0], fresh[i])
+
+
+def _bound_kraus_circuit(angle0, delay, angle2):
+    """Three qubits with an RPHI on q0, a delay on q1 that shares its layer
+    with two H gates, and an RPHI on q2."""
+    return Circuit(3).h(0).rphi(angle0, 0).delay(delay, 1).x(1).cnot(0, 1).h(2).rphi(
+        angle2, 2).cnot(2, 1).h(0).measure_all()
+
+
+def test_bound_schedule_matches_kraus_oracle_of_its_circuit():
+    """A schedule bound with new delays and angles gives, within 1e-12, the
+    Kraus oracle's distribution of a fresh schedule of the circuit built
+    with those values, and bit for bit what that fresh schedule gives; a
+    stack of the source and its bound schedules gives each row its own. A
+    delay shorter than its layer's gates keeps the gates' duration, and no
+    bound schedule plans again."""
+    cal = _LIVE_AXIS_CAL
+    sched = schedule(_bound_kraus_circuit(0.3, 2e-6, -1.0), cal.durations)
+    assert [kind for kind, *_ in sched.slots] == ["RPHI", "DELAY", "RPHI"]
+    rows = [(sched, cal)]
+    for values in ((2.5, 7e-6, 4.0), (-0.3, 0.0, 7.0), (0.3, 50e-9, -1.0)):
+        bound = noise.bind(sched, values)
+        assert bound.layers is sched.layers
+        fresh = schedule(_bound_kraus_circuit(*values), cal.durations)
+        assert (bound.ends, bound.angles) == (fresh.ends, fresh.angles)
+        [got] = _exact_probabilities([(bound, cal)])
+        assert np.max(np.abs(got - kraus_outcome_probabilities(fresh, cal))) <= 1e-12
+        assert np.array_equal(got, _exact_probabilities([(fresh, cal)])[0])
+        assert noise._kept(bound, noise._exact_plan) is noise._kept(sched, noise._exact_plan)
+        rows.append((bound, cal))
+    stacked = _exact_probabilities(rows)
+    for row, (scheduled, _) in zip(stacked, rows):
+        assert np.array_equal(row, _exact_probabilities([(replace(scheduled), cal)])[0])
+
+
+def test_binding_the_wrong_number_of_values_raises():
+    """bind takes one value per DELAY and RPHI of the circuit, in op order,
+    and refuses a delay that GateOp would refuse; a circuit with nothing to
+    bind binds to itself."""
+    sched = schedule(Circuit(1).h(0).delay(1e-6, 0).rphi(0.5, 0).measure_all(), DurationModel())
+    for values in ((), (1e-6,), (1e-6, 0.5, 0.1)):
+        with pytest.raises(ValueError, match="binds 2 DELAY durations and RPHI angles, got"):
+            noise.bind(sched, values)
+    for delay in (-1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite non-negative duration"):
+            noise.bind(sched, (delay, 0.5))
+    with pytest.raises(ValueError, match="must be finite"):
+        noise.bind(sched, (1e-6, math.nan))
+    plain = schedule(Circuit(1).h(0).measure_all(), DurationModel())
+    assert noise.bind(plain, ()) is plain
+
+
+def test_calibration_subsets_hash_once_and_key_dicts():
+    """Equal subsets, taken apart or built from equal parts, hash equal, as
+    the dataclass's own hash of the compared fields would, and find each
+    other as dict keys; another layout's subset does not."""
+    cal = noise.default_calibration()
+    a, b = cal.subset([3, 7, 8]), cal.subset([3, 7, 8])
+    apart = DeviceCalibration(tuple(replace(p) for p in a.qubits), replace(cal.durations),
+                              cal.two_qubit_error)
+    assert a is not b
+    for other in (b, apart):
+        assert other == a and hash(other) == hash(a)
+        assert {a: 1}[other] == 1
+    assert hash(a) == hash((a.qubits, a.durations, a.two_qubit_error))
+    assert cal.subset([7, 3, 8]) not in {a: 1}
 
 
 def test_exact_engine_memos_are_read_only():
@@ -403,11 +469,11 @@ def test_exact_engine_peak_memory_on_a_wide_chain():
     coefficients that a full tensor would take, whether the run reuses the
     schedule's plan or builds it first (on a new object)."""
     sched, cal = _wide_chain_cell(10)
-    _exact_probabilities(sched, [cal])  # fill the memos and the plan first
+    _exact_probabilities([(sched, cal)])  # fill the memos and the plan first
     for run in (sched, replace(sched)):
         tracemalloc.start()
         try:
-            _exact_probabilities(run, [cal])
+            _exact_probabilities([(run, cal)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,10 +504,11 @@ def test_stacked_exact_peak_memory_within_estimate(n, stack):
     sched = _all_live_cell(n)
     cals = [flat_cal(n, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6, readout=0.01,
                      p2=0.01 + i * 1e-5) for i in range(stack)]
-    _exact_probabilities(sched, cals)  # fill the memos and the plan first
+    rows = [(sched, cal) for cal in cals]
+    _exact_probabilities(rows)  # fill the memos and the plan first
     tracemalloc.start()
     try:
-        _exact_probabilities(sched, cals)
+        _exact_probabilities(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,7 +540,7 @@ def _within_5_sigma(count: int, shots: int, p: float) -> bool:
 def test_classical_histograms_match_exact_distribution(cell):
     sched, cal = cell
     shots = 4000
-    [probs] = _exact_probabilities(sched, [cal])
+    [probs] = _exact_probabilities([(sched, cal)])
     outcomes = _run_classical(sched, cal, shots, np.random.default_rng(0))
     counts = np.bincount(outcomes, minlength=len(probs))
     for k, (count, p) in enumerate(zip(counts, probs)):
@@ -601,7 +668,7 @@ def test_bit_vector_law_at_scale_on_a_chain_cell(monkeypatch, group_budget):
         monkeypatch.setattr(noise, "_GROUP_BUDGET", group_budget)
     sched, cal = _chain_cell(7, "cnot-reset", 1)
     shots = 200_000
-    [probs] = _exact_probabilities(sched, [cal])
+    [probs] = _exact_probabilities([(sched, cal)])
     counts = np.bincount(_run_classical(sched, cal, shots, np.random.default_rng(5)),
                          minlength=len(probs))
     for k, (count, p) in enumerate(zip(counts, probs)):
@@ -616,8 +683,9 @@ def test_idle_windows_close_before_gates_and_at_readout():
     expected = [[], [(0, 100e-9)], [(0, 300e-9)], [], [(0, 1e-6), (1, 1e-6)]]
     assert len(steps) == len(expected)
     for (windows, _), want in zip(steps, expected):
-        assert [q for q, _ in windows] == [q for q, _ in want]
-        assert [dt for _, dt in windows] == pytest.approx([dt for _, dt in want])
+        assert [q for q, _, _ in windows] == [q for q, _ in want]
+        assert [sched.ends[i] - sched.ends[j] for _, i, j in windows] == pytest.approx(
+            [dt for _, dt in want])
 
 
 @given(noisy_cells(max_qubits=4, kinds=("H", "X", "DELAY"), max_ops=16))
@@ -629,7 +697,8 @@ def test_idle_windows_charge_all_time_after_first_gate(cell):
     sched, _ = cell
     charged = {}
     for windows, _ in _idle_windows(sched):
-        for q, dt in windows:
+        for q, i, j in windows:
+            dt = sched.ends[i] - sched.ends[j]
             assert dt > 0
             charged[q] = charged.get(q, 0.0) + dt
     first_gate_end = {}
@@ -653,7 +722,7 @@ def test_exact_engine_runs_at_any_shot_count():
     on stream 3 of the seed, whether or not 2**n <= shots."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
-    [probs] = _exact_probabilities(sched, [cal])
+    [probs] = _exact_probabilities([(sched, cal)])
     for shots in (3, 4):
         draws = np.random.default_rng([5, 3]).multinomial(shots, probs)
         exact = {k: int(c) for k, c in enumerate(draws) if c}
