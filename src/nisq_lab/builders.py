@@ -289,7 +289,7 @@ def qft_dagger_3(placement: GeometryPlacement) -> BuiltCircuit:
     return BuiltCircuit(circuit, layout, desired)
 
 
-def qpe_prep_angles(phi: float) -> tuple[float, float, float]:
+def _qpe_prep_angles(phi: float) -> tuple[float, float, float]:
     """The prep's Rphi angles on qubits 0, 1, 2, in op order."""
     return 4.0 * phi, 2.0 * phi, phi
 
@@ -302,7 +302,7 @@ def qpe_prep(phi: float) -> list[GateOp]:
     c.h(0)
     c.h(1)
     c.h(2)
-    for q, angle in enumerate(qpe_prep_angles(phi)):
+    for q, angle in enumerate(_qpe_prep_angles(phi)):
         c.rphi(angle, q)
     return list(c.ops)
 
@@ -316,9 +316,18 @@ def qpe_expected_label(k: int) -> str:
 
 
 def qpe_on_geometry(placement: GeometryPlacement, phi: float) -> BuiltCircuit:
-    """Phase-ladder prep followed by the geometry's inverse QFT."""
+    """Phase-ladder prep followed by the geometry's inverse QFT. Its Rphi
+    angles, in op order, are ``qpe_angles(qft_dagger_3(placement), phi)``."""
     built = qft_dagger_3(placement)
     circuit = Circuit(built.circuit.n_qubits, roles=built.circuit.roles)
     circuit.extend(qpe_prep(phi))
     circuit.extend(built.circuit.ops)
     return BuiltCircuit(circuit, built.layout, built.desired_ancilla)
+
+
+def qpe_angles(qft: BuiltCircuit, phi: float) -> tuple[float, ...]:
+    """The Rphi angles of ``qpe_on_geometry(placement, phi)``, in op order,
+    where ``qft`` is ``qft_dagger_3(placement)``: the prep's, then the
+    inverse QFT's, which no phase changes. A sweep builds ``qft`` once and
+    takes each phase's angles from it without building its circuit."""
+    return _qpe_prep_angles(phi) + tuple(op.angle for op in qft.circuit.ops if op.kind == "RPHI")

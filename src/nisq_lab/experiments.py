@@ -259,7 +259,8 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
     """One single-qubit cell per delay on cfg.qubit: the gates of
     ``sequence`` in order, with the delay split evenly over its ``_IDLE``
     entries. A zero delay leaves the idles out, so a table has at most two
-    shapes, and each cell binds its own delays."""
+    shapes; each cell of a nonzero delay binds its own delays, and the
+    zero-delay cells run their shape's build as it is."""
     parts = sequence.count(_IDLE)
 
     def build(dt_s: float) -> BuiltCircuit:
@@ -276,7 +277,7 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
         dt_s = dt * US
         cells.append(Cell(dt_s > 0, partial(build, dt_s), (cfg.qubit,),
                           (cfg.seed, _TAGS[tag], i), desired,
-                          values=(dt_s / parts,) * parts if dt_s > 0 else ()))
+                          values=(dt_s / parts,) * parts if dt_s > 0 else None))
     reports = run_cells(cells, cfg.calibration, cfg.shots)
     return [_row(float(dt), rep) for dt, rep in zip(grid, reports)]
 
@@ -488,15 +489,6 @@ def _ranked_placements(cfg: ExperimentConfig, geometries,
     return picks
 
 
-def _qpe_angles(qft: BuiltCircuit) -> Callable[[float], tuple[float, ...]]:
-    """The RPHI angles of ``builders.qpe_on_geometry`` on ``qft``'s geometry,
-    in op order, by phase: the prep's three, then the inverse QFT's, which
-    no phase changes. Every placement of a geometry builds one local
-    circuit, so its cells are one shape, and each binds these."""
-    fixed = tuple(op.angle for op in qft.circuit.ops if op.kind == "RPHI")
-    return lambda phi: builders.qpe_prep_angles(phi) + fixed
-
-
 def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     """All eight perfect phases k*pi/4 per geometry, averaged over the top-k
     placements of the CCNOT survey. Ancillas always reset by CNOT: the
@@ -509,10 +501,10 @@ def run_qft_perfect_phases(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     for geometry, chosen in _ranked_placements(cfg, cfg.geometries, cfg.top_k).items():
         gid = SURVEY_FAMILIES.index(geometry)
         qft = builders.qft_dagger_3(chosen[0])
-        angles = _qpe_angles(qft)
         cells = (Cell(geometry, partial(builders.qpe_on_geometry, placement, k * math.pi / 4.0),
                       placement.qubits, (cfg.seed, _TAGS["qft"], gid, p_idx, k),
-                      builders.qpe_expected_label(k), values=angles(k * math.pi / 4.0))
+                      builders.qpe_expected_label(k),
+                      values=builders.qpe_angles(qft, k * math.pi / 4.0))
                  for k in range(8) for p_idx, placement in enumerate(chosen))
         reports = run_cells(cells, cfg.calibration, cfg.shots)
         tables[geometry] = ResultTable(
@@ -548,10 +540,10 @@ def run_qpe_phase_sweep(cfg: ExperimentConfig) -> dict[str, ResultTable]:
     tables: dict[str, ResultTable] = {}
     for geometry, (placement,) in _ranked_placements(cfg, geometries, 1).items():
         gid = SURVEY_FAMILIES.index(geometry)
-        angles = _qpe_angles(builders.qft_dagger_3(placement))
+        qft = builders.qft_dagger_3(placement)
         cells = (Cell(geometry, partial(builders.qpe_on_geometry, placement, phi),
                       placement.qubits, (cfg.seed, _TAGS["qpe"], gid, i),
-                      builders.qpe_expected_label(k), values=angles(phi))
+                      builders.qpe_expected_label(k), values=builders.qpe_angles(qft, phi))
                  for i, (phi, k) in enumerate(zip(grid, ks)))
         rows = []
         for phi, k, rep in zip(grid, ks, run_cells(cells, cfg.calibration, cfg.shots)):

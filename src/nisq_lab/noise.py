@@ -307,7 +307,8 @@ class ScheduledCircuit:
     ``ends``, each layer's end time, and ``angles``, each RPHI angle in
     layer order. ``slots`` say where ``bind`` puts each DELAY duration and
     RPHI angle of the circuit, in op order; a bound schedule shares its
-    source's ``layers``, whose durations and op values stay the source's."""
+    source's ``layers``, whose durations and op values stay the source's, so
+    a schedule's values are read from ``ends`` and ``angles`` alone."""
 
     n_qubits: int
     layers: tuple[ScheduledLayer, ...]

@@ -167,15 +167,19 @@ def kraus_outcome_probabilities(scheduled, cal) -> np.ndarray:
     full-space Kraus operators, one channel at a time, in the order the
     noise model states: per layer, each qubit's amplitude damping, phase
     flip and drift rotation, then the gates with a two-qubit depolarizing
-    channel after every CNOT; finally readout bit flips."""
+    channel after every CNOT; finally readout bit flips. Layer durations
+    and RPHI angles come from the schedule's ``ends`` and ``angles``, so a
+    bound schedule runs its own values."""
     n = scheduled.n_qubits
     assert n <= 7, "oracle limited to 7 qubits"
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     p2 = cal.two_qubit_error
-    for layer in scheduled.layers:
-        dt = layer.duration
+    angles = iter(scheduled.angles)  # each RPHI's angle, in layer order
+    start = 0.0
+    for layer, end in zip(scheduled.layers, scheduled.ends):
+        dt, start = end - start, end
         for q in range(n):
             params = cal.qubits[q]
             gamma = 0.0 if math.isinf(params.t1) else 1.0 - math.exp(-dt / params.t1)
@@ -199,7 +203,8 @@ def kraus_outcome_probabilities(scheduled, cal) -> np.ndarray:
                 ]
                 rho = _apply_kraus(rho, depolarizing)
             else:
-                rho = _apply_kraus(rho, [_embed({op.qubits[0]: _gate(op.kind, op.angle)}, n)])
+                angle = next(angles) if op.kind == "RPHI" else op.angle
+                rho = _apply_kraus(rho, [_embed({op.qubits[0]: _gate(op.kind, angle)}, n)])
     for q in range(n):
         r = cal.qubits[q].readout_error
         rho = _apply_kraus(rho, [math.sqrt(1.0 - r) * _embed({}, n),

@@ -377,7 +377,8 @@ def _bound_kraus_circuit(angle0, delay, angle2):
 def test_bound_schedule_matches_kraus_oracle_of_its_circuit():
     """A schedule bound with new delays and angles gives, within 1e-12, the
     Kraus oracle's distribution of a fresh schedule of the circuit built
-    with those values, and bit for bit what that fresh schedule gives; a
+    with those values, as the oracle of the bound schedule does, and bit
+    for bit what that fresh schedule gives; a
     stack of the source and its bound schedules gives each row its own. A
     delay shorter than its layer's gates keeps the gates' duration, and no
     bound schedule plans again."""
@@ -391,7 +392,9 @@ def test_bound_schedule_matches_kraus_oracle_of_its_circuit():
         fresh = schedule(_bound_kraus_circuit(*values), cal.durations)
         assert (bound.ends, bound.angles) == (fresh.ends, fresh.angles)
         [got] = _exact_probabilities([(bound, cal)])
-        assert np.max(np.abs(got - kraus_outcome_probabilities(fresh, cal))) <= 1e-12
+        oracle = kraus_outcome_probabilities(fresh, cal)
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+        assert np.max(np.abs(kraus_outcome_probabilities(bound, cal) - oracle)) <= 1e-12
         assert np.array_equal(got, _exact_probabilities([(fresh, cal)])[0])
         assert noise._kept(bound, noise._exact_plan) is noise._kept(sched, noise._exact_plan)
         rows.append((bound, cal))
