@@ -131,9 +131,10 @@ def fit_exponential(t, p, shots) -> FitResult:
         return FitResult.failed("exponential", "fractions must lie in [0, 1]")
     if np.ptp(p) < 1e-12:
         return FitResult.failed("exponential", "degenerate data: constant fractions")
-    # crude trend check: survival data must decrease overall
-    slope = np.polyfit(t, p, 1)[0]
-    if slope >= 0:
+    # crude trend check: survival data must decrease overall. The sign of the
+    # least-squares slope is written out, since np.polyfit's column scaling
+    # divides by zero (and LAPACK then fails) when the times' squares underflow
+    if np.dot(t - t.mean(), p - p.mean()) >= 0:
         return FitResult.failed("exponential", "degenerate data: fractions do not decay")
 
     mask = p > 1e-9
@@ -179,9 +180,10 @@ def _spectral_omega(t: np.ndarray, y: np.ndarray) -> float:
     """Peak angular frequency of mean-removed data on a coarse grid scan
     (robust to mildly non-uniform sampling)."""
     span = float(t.max() - t.min())
-    if span <= 0:
-        return 0.0
     n = len(t)
+    # no scan over a grid without time, or one so short that pi n / span overflows
+    if span <= 0 or math.pi * n / span == math.inf:
+        return 0.0
     omegas = np.linspace(math.pi / span, math.pi * n / span, 4 * n)
     phases = np.exp(-1j * np.outer(omegas, t))
     power = np.abs(phases @ y) ** 2

@@ -28,14 +28,13 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     it. A qubit's axis is live (4 coefficients) only from its first gate
     to its last: the first gate's matrix takes the qubit's |0> column, and
     the last one's ends in the qubit's readout rows (the (r_I, r_Z) rows of
-    the window still open at readout, then the readout flips), so that the
-    axis leaves it holding the qubit's two outcome probabilities. Window,
-    gate and readout matrices are built once, in bounded memos. What
+    the window still open at readout, after the readout flips), so that
+    the axis leaves it holding the qubit's two outcome probabilities. What
     depends on the layering alone is planned once (``_exact_plan``). A run
     takes a list of rows, each a schedule of that layering and a
-    calibration: the tensor gets a leading row axis, each gate looks up
-    every row's matrices, stacks those that differ, and applies one batched
-    product.
+    calibration, builds every row's window, readout, RPHI and CNOT matrices
+    as arrays, and gives the tensor a leading row axis: each gate indexes
+    those arrays and applies one batched product.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -56,14 +55,15 @@ plans; ``run_shots`` draws from a kept distribution when there is one, so
 each cell still makes its own ``run_shots`` call, with its own seed.
 
 The bit-vector engine samples the ensemble average that the exact engine
-computes. Both apply each qubit's idle charge (``_channel_rates``; the
-bit-vector engine needs only its damping, ``_damping``) once per idle
-window (from one gate on the qubit to its next gate, or to readout) for the
-window's summed duration, which is the same channel as charging it layer
-by layer (see ``_idle_windows``). The bit-vector engine draws the shots that
-each damping window, depolarizing channel and readout flip hits, many events
-at once, as running sums of Geometric(p) gaps (``_event_hits``: the same law
-as per-shot trials), and touches only those rows.
+computes. Both apply each qubit's idle charge once per idle window (from
+one gate on the qubit to its next gate, or to readout) for the window's
+summed duration, which is the same channel as charging it layer by layer
+(see ``_idle_windows``), and both price all of a run's windows in one
+array call of ``_channel_rates`` (the bit-vector engine keeps only the
+damping). The bit-vector engine draws the shots that each damping window,
+depolarizing channel and readout flip hits, many events at once, as
+running sums of Geometric(p) gaps (``_event_hits``: the same law as
+per-shot trials), and touches only those rows.
 """
 from __future__ import annotations
 
@@ -127,12 +127,6 @@ class QubitNoiseParams:
         object.__setattr__(self, "tphi", derive_tphi(self.t1, self.t2))
         if not (0.0 <= self.readout_error < 0.5):
             raise CalibrationError(f"readout_error must be in [0, 0.5), got {self.readout_error}")
-        # the exact engine's memos hash params once per idle window: hash the
-        # compared fields once, as the generated __hash__ would
-        object.__setattr__(self, "_hash", hash((self.t1, self.t2, self.omega, self.readout_error)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -411,19 +405,41 @@ def bind(scheduled: ScheduledCircuit, values) -> ScheduledCircuit:
 # Idle noise channels
 # ---------------------------------------------------------------------------
 
-def _damping(params: QubitNoiseParams, dt: float) -> float:
-    """The jump probability 1 - exp(-dt/t1) of amplitude damping over dt."""
-    if dt < 0:
-        raise ValueError(f"negative interval dt={dt}")
-    return 0.0 if not math.isfinite(params.t1) else 1.0 - math.exp(-dt / params.t1)
+def _channel_rates(t1: np.ndarray, tphi: np.ndarray, omega: np.ndarray,
+                   dt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(jump probability, phase-flip probability, drift angle) of idle
+    intervals dt, elementwise over arrays of the qubits' t1, tphi and omega:
+    1 - exp(-dt/t1), (1 - exp(-dt/tphi)) / 2 and omega dt. An infinite t1
+    or tphi gives a zero rate, and dt = 0 gives three zeros."""
+    if dt.min(initial=0.0) < 0.0:
+        raise ValueError(f"negative interval dt={dt.min()}")
+    gamma, flip = 1.0 - np.exp(-dt / np.array([t1, tphi]))
+    return gamma, 0.5 * flip, omega * dt
 
 
-def _channel_rates(params: QubitNoiseParams, dt: float) -> tuple[float, float, float]:
-    """(jump probability scale, phase-flip probability, drift angle) for dt."""
-    gamma = _damping(params, dt)
-    tphi = params.tphi
-    pz = 0.0 if not math.isfinite(tphi) else 0.5 * (1.0 - math.exp(-dt / tphi))
-    return gamma, pz, params.omega * dt
+# A run's values are one row per (schedule, calibration): the calibration's
+# qubits 0..n-1 as (t1, tphi, omega, readout error), then the schedule's
+# layer ends. A plan picks each idle window's values by index.
+def _window_index(windows: list[tuple[int, int, int]], n: int) -> np.ndarray:
+    """For idle windows ``(q, i, j)`` on n qubits, lasting ``ends[i] -
+    ends[j]``, the (6, windows) index of their t1, tphi, omega, readout
+    error, end and start in a row of values."""
+    return np.array([(4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3, 4 * n + i, 4 * n + j)
+                     for q, i, j in windows], dtype=np.intp).reshape(-1, 6).T
+
+
+def _priced_windows(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
+                    index: np.ndarray) -> tuple:
+    """``(values, readout, rates)`` for rows ``(scheduled, cal)`` of one
+    layering and its ``_window_index``: each row's values, each window's
+    qubit's readout error, and every window's ``_channel_rates`` from one
+    call, each over (window, row)."""
+    n = rows[0][0].n_qubits
+    values = np.array([[x for p in cal.qubits[:n] for x in (p.t1, p.tphi, p.omega,
+                                                             p.readout_error)] + list(s.ends)
+                       for s, cal in rows])
+    t1, tphi, omega, readout, end, start = values[:, index].transpose(1, 2, 0)
+    return values, readout, _channel_rates(t1, tphi, omega, end - start)
 
 
 def _idle_windows(
@@ -559,28 +575,29 @@ def _kept(scheduled: ScheduledCircuit, plan):
     return plans[plan]
 
 
-def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple]] | None:
+def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], tuple] | None:
     """What ``_run_classical`` does on any values and calibration, as
-    ``(steps, readouts)``, or None when an op leaves the computational basis
-    (the exact engine then runs the circuit). A step is ``("decay", q, i, j,
-    bits)`` for an idle window of ``ends[i] - ends[j]``, ``("X", mask)``, or
-    ``("CNOT", shift, target mask, bits)``, in time order; ``readouts`` pairs
-    each qubit with its bit. ``bits`` are what a noise event on the step
-    flips."""
+    ``(steps, readouts, index)``, or None when an op leaves the
+    computational basis (the exact engine then runs the circuit). A step is
+    ``("decay", w, bits)`` for idle window w, ``("X", mask)``, or
+    ``("CNOT", shift, target mask, bits)``, in time order; ``readouts``
+    pairs each qubit with its bit, and ``index`` is the windows'
+    ``_window_index``. ``bits`` are what a noise event on the step flips."""
     if any(op.kind not in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops):
         return None
     n = scheduled.n_qubits
     bit = [(n - 1 - q,) for q in range(n)]  # shared by every event on qubit q
-    steps = []
-    for windows, ops in _idle_windows(scheduled):
-        steps += [("decay", q, i, j, bit[q]) for q, i, j in windows]
+    steps, windows = [], []
+    for closed, ops in _idle_windows(scheduled):
+        steps += [("decay", len(windows) + k, bit[q]) for k, (q, _, _) in enumerate(closed)]
+        windows += closed
         for op in ops:
             if op.kind == "X":
                 steps.append(("X", 1 << (n - 1 - op.qubits[0])))
             elif op.kind == "CNOT":
                 c, t = n - 1 - op.qubits[0], n - 1 - op.qubits[1]
                 steps.append(("CNOT", c - t, 1 << t, (c, t)))
-    return steps, list(enumerate(bit))
+    return steps, list(enumerate(bit)), _window_index(windows, n)
 
 
 def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
@@ -590,20 +607,22 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     flip, and depolarizing reduces to its X/Y bit-flip components.
 
     The gates and the places of noise events are planned once per
-    ``ScheduledCircuit`` (``_bit_plan``). Each run prices the events on
-    the schedule's windows and ``cal`` in time order, keeping those with
-    p > 0, then draws their rows in batches (``_event_hits``) and applies
-    gates and events in turn."""
-    plan_steps, readouts = _kept(scheduled, _bit_plan)
-    params, p2, ends = cal.qubits, cal.two_qubit_error, scheduled.ends
+    ``ScheduledCircuit`` (``_bit_plan``). Each run prices the damping of
+    all the schedule's windows on ``cal`` in one ``_channel_rates`` call,
+    lists the events in time order, keeping those with p > 0, then draws
+    their rows in batches (``_event_hits``) and applies gates and events in
+    turn."""
+    plan_steps, readouts, index = _kept(scheduled, _bit_plan)
+    params, p2 = cal.qubits, cal.two_qubit_error
+    _, _, (gamma, _, _) = _priced_windows([(scheduled, cal)], index)
+    gammas = gamma.ravel().tolist()
     steps, events = [], []  # the gates, and _DECAY or _FLIP where an event applies
     for step in plan_steps:
         if step[0] == "decay":
-            gamma = _damping(params[step[1]], ends[step[2]] - ends[step[3]])
-            if gamma > 0.0:
+            if (gamma := gammas[step[1]]) > 0.0:
                 # a hit excited bit decays to 0; a hit ground bit stays 0
                 steps.append(_DECAY)
-                events.append((gamma, step[4]))
+                events.append((gamma, step[2]))
         else:
             steps.append(step)
             if step[0] == "CNOT" and p2 > 0.0:
@@ -638,19 +657,10 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 # different qubits compose by kron. Every channel of the model has a real
 # PTM (Chow et al., PRL 109, 060501, 2012).
 #
-# Each memo below builds its matrix once and returns it read-only. An idle
-# window's PTM is written directly from the channel rates, and a qubit's
-# readout rows are two of its window's PTM rows, mapped to outcomes. A gate,
-# or a CNOT with its depolarizing channel, is written as a superoperator S
-# on a qubit's (row bit, column bit) index of rho, where U rho U^dagger is
-# kron(U, U*), and mapped to the PTM T S T^-1 (``_pauli_transfer``). The
-# 156 survey cells close 6,648 windows at gates, with 550 distinct
-# (params, dt) keys, and 576 at readout, with 187, of which 158 are new to
-# the window memo (708 keys in all); they apply 4 distinct gates and read
-# out 624 qubits. Full, the memos hold about 1.7 MiB: 1024 windows at
-# 0.4-0.5 KiB, 1024 readout row pairs at 0.3 KiB, 256 gates at 0.4 KiB,
-# 16 CNOTs at 2.3 KiB and 1024 axis permutations at up to 0.8 KiB each
-# (13 qubits; tracemalloc, numpy 2.4).
+# A fixed gate's PTM is mapped from its superoperator S on a qubit's (row
+# bit, column bit) index of rho, where U rho U^dagger is kron(U, U*), as
+# T S T^-1 (``_pauli_transfer``), once per gate kind. Every other matrix is
+# built per run from the channel rates, for all windows and rows at once.
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -666,22 +676,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], -1))
 
 
-def _stacked(matrices: list[np.ndarray]) -> np.ndarray:
-    """One matrix per calibration of a run, as a stack along a leading
-    axis, or the matrix itself when every calibration shares it."""
-    first = matrices[0]
-    if len(matrices) == 1 or all(m is first for m in matrices):
-        return first
-    return np.array(matrices)
-
-
 # Tr(P rho) = P^T.ravel() . rho.ravel(), and rho = sum_P r_P P / 2
 _T = np.array([p.T.ravel() for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)])
 _T_INV = _T.conj().T / 2.0  # column P is P.ravel() / 2
-_CX = np.eye(4)[[0, 1, 3, 2]]  # CNOT on (control, target); real, so CX* = CX
-_NO_IDLE = _read_only(np.eye(4))
-_ZERO = _read_only(np.array([[1.0], [0.0], [0.0], [1.0]]))  # |0><0| = (I + Z) / 2
-_TO_POPULATIONS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (r_I, r_Z) -> (P(0), P(1))
 
 
 def _pauli_transfer(s: np.ndarray) -> np.ndarray:
@@ -690,113 +687,109 @@ def _pauli_transfer(s: np.ndarray) -> np.ndarray:
     return _read_only((t @ s @ t_inv).real.copy())
 
 
-@functools.lru_cache(maxsize=1024)
-def _idle_superop(params: QubitNoiseParams, dt: float) -> np.ndarray:
-    """The PTM of a (qubit, dt) idle window, written directly: damping moves
-    gamma of r_Z into r_I and keeps 1 - gamma of it, and the coherences
-    (r_X, r_Y) shrink by a and turn by the drift angle. A window of dt = 0
-    is the exact identity, as if it were not there."""
-    if dt == 0.0:
-        return _NO_IDLE
-    gamma, pz, phase = _channel_rates(params, dt)
-    a = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * pz)
-    cos, sin = a * math.cos(phase), a * math.sin(phase)
-    return _read_only(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, cos, -sin, 0.0],
-                                [0.0, sin, cos, 0.0], [gamma, 0.0, 0.0, 1.0 - gamma]]))
-
-
-@functools.lru_cache(maxsize=256)
-def _gate_superop(kind: str, angle: float) -> np.ndarray:
-    """The PTM of a single-qubit gate, from kron(U, U*)."""
-    u = gate_matrix(GateOp(kind, (0,), angle))
+@functools.cache
+def _gate_ptm(kind: str) -> np.ndarray:
+    """The PTM of a fixed single-qubit gate, from kron(U, U*)."""
+    u = gate_matrix(GateOp(kind, (0,)))
     return _pauli_transfer(_kron(u, u.conj()))
 
 
-@functools.lru_cache(maxsize=16)
-def _cnot_superop(p2: float) -> np.ndarray:
-    """The PTM of a CNOT and then its two-qubit depolarizing channel, on the
-    index (control Pauli, target Pauli)."""
-    # (1 - lam) rho + lam Tr_ct(rho) (x) I/4, with lam = 16p/15, is the
-    # average over the 15 non-identity Pauli pairs
-    lam = 16.0 * p2 / 15.0
-    vec_i = np.eye(4).reshape(16)
-    s = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ _kron(_CX, _CX)
-    # from (row c, row t, column c, column t) to the qubit-by-qubit index
-    s = s.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-    return _pauli_transfer(s)
+# CNOT on (control, target), real so CX* = CX; its superoperator moved from
+# (row c, row t, column c, column t) to the qubit-by-qubit index
+_CX = np.eye(4)[[0, 1, 3, 2]]
+_CX_PTM = _pauli_transfer(
+    _kron(_CX, _CX).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16))
+_IDENTITY = _read_only(np.eye(4))
+_ZERO = _read_only(np.array([[1.0], [0.0], [0.0], [1.0]]))  # |0><0| = (I + Z) / 2
+# what a gate's operands take, by which of them are fresh (none is, absent):
+# the |0> column on a fresh axis, and the identity on a live one
+_FRESH = {(True,): _ZERO, (True, True): _read_only(_kron(_ZERO, _ZERO)),
+          (True, False): _read_only(_kron(_ZERO, _IDENTITY)),
+          (False, True): _read_only(_kron(_IDENTITY, _ZERO))}
+_TO_POPULATIONS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (r_I, r_Z) -> (P(0), P(1))
 
 
-@functools.lru_cache(maxsize=1024)
-def _superop_axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that brings ``qubits``' axes to the front, behind the
-    leading calibration axis 0 (qubit q is axis q + 1), and its inverse."""
-    perm = (0,) + tuple(q + 1 for q in qubits) + tuple(
-        a + 1 for a in range(n) if a not in qubits)
-    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
+def _idle_ptms(gamma, pz, phase) -> np.ndarray:
+    """The PTMs of idle windows from their ``_channel_rates``, as an array
+    of 4 x 4 matrices of phase's shape: damping moves gamma of r_Z into r_I
+    and keeps 1 - gamma of it, and the coherences (r_X, r_Y) shrink by a
+    and turn by the drift angle. With gamma = pz = 0 it is the RPHI gate of
+    that angle, and all-zero rates give the exact identity."""
+    keep = 1.0 - gamma
+    a = np.sqrt(keep) * (1.0 - 2.0 * pz)
+    cos, sin = a * np.cos(phase), a * np.sin(phase)
+    m = np.zeros(np.shape(phase) + (4, 4))
+    m[..., 0, 0] = 1.0
+    m[..., 1, 1] = m[..., 2, 2] = cos
+    m[..., 2, 1] = sin
+    m[..., 1, 2] = -sin
+    m[..., 3, 0] = gamma
+    m[..., 3, 3] = keep
+    return m
 
 
-@functools.lru_cache(maxsize=1024)
-def _readout_rows(params: QubitNoiseParams, dt: float) -> np.ndarray:
-    """The 2 x 4 map from a qubit's Pauli coefficients after its last gate
-    to its two readout outcomes: the (r_I, r_Z) rows of the idle window of
-    dt still open at readout, which phase and drift leave alone, turned
-    into populations, then the readout confusion."""
-    r = params.readout_error
-    confusion = np.array([[1.0 - r, r], [r, 1.0 - r]])
-    return _read_only(confusion @ _TO_POPULATIONS @ _idle_superop(params, dt)[[0, 3]])
+def _cnot_ptms(p2: np.ndarray) -> np.ndarray:
+    """The PTMs of a CNOT and then its two-qubit depolarizing channel, one
+    per entry of p2, on the index (control Pauli, target Pauli). The
+    channel applies one of the 15 non-identity Pauli pairs with total
+    probability p2: it is (1 - lam) rho + lam Tr(rho) I/4 with lam =
+    16 p2 / 15, which keeps 1 - lam of every non-identity Pauli."""
+    keep = np.ones(p2.shape + (16, 1))
+    keep[..., 1:, :] = (1.0 - 16.0 * p2 / 15.0)[..., None, None]
+    return keep * _CX_PTM
 
 
-def _exact_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], list[tuple]]:
+def _exact_plan(scheduled: ScheduledCircuit) -> tuple:
     """What ``_exact_probabilities`` does on any values and calibrations, as
-    ``(gates, never_gated, spans)``. ``spans`` lists each idle window's
-    ``(i, j)``, which lasts ``ends[i] - ends[j]``, and the plan refers to a
-    window as ``(q, w)``: qubit q's ``spans[w]``. A gate is ``(gate, ins,
-    outs, perm, inverse, shape)``: its PTM, None for a CNOT (whose PTM
-    depends on the calibration) or, for an RPHI, the index of its angle in
-    ``angles``; per operand, what its axis takes first (``_ZERO``, or the
-    window the gate closes) and, at its last gate, the window of its
-    readout rows, None when no operand has its last gate here
-    (``_NO_IDLE`` stands for an operand that has not); the axis permutation
-    and its inverse, both keeping the leading row axis first; and the
-    permuted shape after the gate, -1 on the row axis. ``never_gated`` lists
-    each ungated qubit with the broadcast shape of its readout pairs."""
+    ``(gates, never_gated, index, read, angles)``. ``index`` is the
+    ``_window_index`` of every idle window, the first ``read`` of them those
+    open at readout, whose readout rows are numbered alike; ``angles``
+    counts the RPHI angles. A gate is ``(gate, fresh, ins, outs, perm,
+    inverse, shape)``: its PTM, None for a CNOT (whose PTM depends on the
+    calibration) or, for an RPHI, the index of its angle; the |0> columns
+    its fresh operands take (``_FRESH``), or None; the windows it closes
+    on its live operands; per operand, the index of its readout rows at
+    its last gate, or ``_IDENTITY``, or None when no operand has its last
+    gate here; the axis permutation that brings the operands' axes to the
+    front, behind the leading row axis 0 (qubit q is axis q + 1), and its
+    inverse; and the permuted shape after the gate, -1 on the row axis.
+    ``never_gated`` lists each ungated qubit with the broadcast shape of its
+    readout pairs."""
     n = scheduled.n_qubits
     sizes = [1] * n  # each qubit's axis size
-    *steps, (readout_windows, _) = _idle_windows(scheduled)
-    spans = []
-
-    def window(q, i, j):
-        spans.append((i, j))
-        return q, len(spans) - 1
-
-    open_at_readout = {q: window(q, i, j) for q, i, j in readout_windows}
-    gated = [op for _, ops in steps for op in ops if op.kind not in ("MEASURE", "DELAY")]
-    last = {q: i for i, op in enumerate(gated) for q in op.qubits}  # each qubit's last gate
+    *steps, (windows, _) = _idle_windows(scheduled)
+    # each gated qubit's window open at readout, which opens at its last gate
+    read = {q: (k, j) for k, (q, _, j) in enumerate(windows)}
+    axes = {}  # each operand tuple's axis permutation and its inverse
     gates = []
     angle = 0  # the index of the next RPHI's angle
-    for windows, ops in steps:
-        idle = {w[0]: window(*w) for w in windows}
+    for i, (closed, ops) in enumerate(steps):
+        idle = {q: len(windows) + k for k, (q, _, _) in enumerate(closed)}
+        windows += closed
         for op in ops:
             if op.kind in ("MEASURE", "DELAY"):
                 continue
-            ins = [idle[q] if sizes[q] == 4 else _ZERO for q in op.qubits]
+            fresh = _FRESH.get(tuple([sizes[q] == 1 for q in op.qubits]))
+            ins = [idle[q] for q in op.qubits if sizes[q] == 4]
             for q in op.qubits:
-                sizes[q] = 2 if last[q] == len(gates) else 4
-            outs = [open_at_readout[q] if sizes[q] == 2 else _NO_IDLE for q in op.qubits]
-            perm, inverse = _superop_axes(op.qubits, n)
+                sizes[q] = 2 if read[q][1] == i else 4
+            outs = [read[q][0] if sizes[q] == 2 else _IDENTITY for q in op.qubits]
+            if op.qubits not in axes:
+                perm = [0, *[q + 1 for q in op.qubits],
+                        *[a for a in range(1, n + 1) if a - 1 not in op.qubits]]
+                axes[op.qubits] = perm, sorted(range(n + 1), key=perm.__getitem__)
+            perm, inverse = axes[op.qubits]
             if op.kind == "CNOT":
                 gate = None
             elif op.kind == "RPHI":
                 gate, angle = angle, angle + 1
             else:
-                gate = _gate_superop(op.kind, op.angle)
-            # outs[0] and outs[-1] cover one qubit or both of a CNOT's
-            gates.append((gate, ins,
-                          outs if outs[0] is not _NO_IDLE or outs[-1] is not _NO_IDLE else None,
-                          perm, inverse, [sizes[a - 1] if a else -1 for a in perm]))
+                gate = _gate_ptm(op.kind)
+            gates.append((gate, fresh, ins, outs if 2 in [sizes[q] for q in op.qubits] else None,
+                          perm, inverse, [-1] + [sizes[a - 1] for a in perm[1:]]))
     never_gated = [(q, (-1,) + (1,) * q + (2,) + (1,) * (n - 1 - q))
                    for q in range(n) if sizes[q] == 1]
-    return gates, never_gated, spans
+    return gates, never_gated, _window_index(windows, n), len(read), angle
 
 
 def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> np.ndarray:
@@ -809,22 +802,19 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     shows is exact, and each window is applied in one product with the gate
     that closes it. Qubit q's axis of the coefficient tensor holds only
     what is still needed of it: size 1 before its first gate, where it is
-    |0> and no idle time is charged, so that gate takes the |0> column
-    (``_ZERO``); size 4 while it is live; and size 2 after its last gate,
-    whose matrix ends in q's readout rows (``_readout_rows``), so that the
-    axis holds q's two outcome probabilities. A qubit no gate touches reads
-    [1 - r, r]. The final tensor is the outcome distribution in qubit order.
+    |0> and no idle time is charged, so that gate takes the |0> column;
+    size 4 while it is live; and size 2 after its last gate, whose matrix
+    ends in q's readout rows, so that the axis holds q's two outcome
+    probabilities. A qubit no gate touches reads [1 - r, r]. The final
+    tensor is the outcome distribution in qubit order.
 
-    That bookkeeping depends on the layering alone: it is planned
-    (``_exact_plan``) on the first exact run of a ``ScheduledCircuit`` and
-    shared by every schedule bound from it, so each later run, on any
-    values and calibrations, only computes each row's window durations from
-    its ``ends``, looks up the memoized matrices of each row's windows,
-    angles and qubits, and applies the products. The tensor carries a
-    leading axis over the rows, and each gate is one batched product over
-    it: a matrix that every row shares stays one matrix and broadcasts, and
-    the others are stacked (``_stacked``). Every row is the same, bit for
-    bit, as a run of its schedule and calibration alone.
+    That bookkeeping is planned once per layering (``_exact_plan``). A run
+    prices its rows' windows in one ``_channel_rates`` call, builds every
+    window's PTM, readout rows and RPHI's PTM over (window or angle, row)
+    and the CNOT's over rows, and gives the tensor a leading row axis: each
+    gate indexes those arrays, folds its matrix and applies one batched
+    product. Every row is the same, bit for bit, as a run of its schedule
+    and calibration alone.
 
     A gate whose operands are all live costs one product over the whole
     tensor, and a reshape that moves its axes to the front copies the
@@ -833,45 +823,43 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     qubits join late and leave early peak lower: the superposed-control
     cnot-reset chains of 8-12 qubits never hold more than 4**(n-1) x 2
     coefficients per row, and peak at 1.00-1.01 copies (8.0 MiB at 10
-    qubits, against 16.0 MiB with every axis held at size 4). That peak
-    holds per row of a stack, which also holds each row's own matrices
-    (``_stacked_need``).
+    qubits, against 16.0 MiB with every axis held at size 4). A stack also
+    holds each row's own matrices (``_stacked_need``).
     """
-    gates, never_gated, spans = _kept(rows[0][0], _exact_plan)
-    params = [cal.qubits for _, cal in rows]
-    angles = [scheduled.angles for scheduled, _ in rows]
-    durations = {}  # each distinct ends' window durations, in spans order
-    for scheduled, _ in rows:
-        ends = scheduled.ends
-        if id(ends) not in durations:
-            durations[id(ends)] = [ends[i] - ends[j] for i, j in spans]
-    windows = [(cal.qubits, durations[id(scheduled.ends)]) for scheduled, cal in rows]
-    cnot = None  # looked up at the first CNOT
-    rho = np.ones((len(rows),) + (1,) * rows[0][0].n_qubits)
-    # a plan entry is a constant matrix or a (q, w) window
-    for gate, ins, outs, perm, inverse, shape in gates:
+    scheduled = rows[0][0]
+    gates, never_gated, index, read, angles = _kept(scheduled, _exact_plan)
+    n, stack = scheduled.n_qubits, len(rows)
+    values, readout, rates = _priced_windows(rows, index)
+    windows = _idle_ptms(*rates)  # over (window, row)
+    # a window open at readout ends in its qubit's readout flips, which keep
+    # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
+    windows[:read, :, 3] *= (1.0 - 2.0 * readout[:read])[..., None]
+    readouts = _TO_POPULATIONS @ windows[:read, :, ::3]
+    if angles:
+        rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T)
+    cnot = None  # built at the first CNOT
+    rho = np.ones((stack,) + (1,) * n)
+    for gate, fresh, ins, outs, perm, inverse, shape in gates:
         if gate is None:
             if cnot is None:
-                cnot = _stacked([_cnot_superop(cal.two_qubit_error) for _, cal in rows])
+                cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]))
             gate = cnot
         elif type(gate) is int:
-            gate = _stacked([_gate_superop("RPHI", a[gate]) for a in angles])
-        s = gate @ functools.reduce(_kron, [_stacked([_idle_superop(p[m[0]], dt[m[1]])
-                                                      for p, dt in windows])
-                                            if type(m) is tuple else m for m in ins])
+            gate = rphi[gate]
+        s = gate if fresh is None else gate @ fresh
+        if ins:
+            s = s @ functools.reduce(_kron, [windows[w] for w in ins])
         if outs is not None:
-            s = functools.reduce(_kron, [_stacked([_readout_rows(p[m[0]], dt[m[1]])
-                                                   for p, dt in windows])
-                                         if type(m) is tuple else m for m in outs]) @ s
+            s = functools.reduce(_kron, [readouts[m] if type(m) is int else m for m in outs]) @ s
         # the reshape copies rho unless perm keeps its order; rebinding
         # rho frees the old state before the product allocates its own
-        rho = rho.transpose(perm).reshape(len(rows), s.shape[-1], -1)
+        rho = rho.transpose(perm).reshape(stack, s.shape[-1], -1)
         rho = (s @ rho).reshape(shape).transpose(inverse)
-    for q, shape in never_gated:
-        rho = rho * np.array([[1.0 - p[q].readout_error, p[q].readout_error]
-                              for p in params]).reshape(shape)
+    for qubit, shape in never_gated:
+        r = values[:, 4 * qubit + 3]
+        rho = rho * np.stack([1.0 - r, r], axis=-1).reshape(shape)
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
-    probs = np.maximum(rho.reshape(len(rows), -1), 0.0)
+    probs = np.maximum(rho.reshape(stack, -1), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
@@ -880,15 +868,23 @@ _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 _DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
-def _stacked_need(n: int) -> float:
-    """Estimated peak bytes per row of a stacked exact run on n qubits:
-    _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the entries of its
-    own folded CNOT matrices (3 x 16 x 16). tracemalloc peaks per row
-    (numpy 2.4, stacks of 1-200 calibrations on an all-live circuit) were
-    7.8-8.6 KiB at 3 qubits, 9.6-9.9 KiB at 4, 2.10-2.18 copies at 6 and
-    2.01 at 8; the 4**n term alone would allow 6x too many rows at 3
-    qubits."""
-    return _DENSE_PEAK_COPIES * 8 * (4.0**n + 3 * 4**4)
+_PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix and rates
+
+
+def _stacked_need(scheduled: ScheduledCircuit) -> float:
+    """Estimated peak bytes per row of a stacked exact run of ``scheduled``'s
+    layering: _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the
+    entries of its own folded CNOT matrices (3 x 16 x 16), and
+    _PRICED_BYTES for each idle window and RPHI angle, whose PTM (16
+    entries) and rates a run builds per row. tracemalloc peaks per row
+    (numpy 2.4, stacks of 1-200 calibrations) on all-live circuits were
+    10.3-15.6 KiB at 3 qubits (17 windows and angles), 13.3-18.6 KiB at 4
+    (24), 2.39-2.46 copies at 6 and 2.03 at 8, and 72.7-78.1 KiB on 3
+    qubits with 343 windows and angles; the 4**n term alone would allow
+    12x too many rows at 3 qubits."""
+    _, _, index, _, angles = _kept(scheduled, _exact_plan)
+    return (_DENSE_PEAK_COPIES * 8 * (4.0**scheduled.n_qubits + 3 * 4**4)
+            + _PRICED_BYTES * (index.shape[1] + angles))
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
@@ -898,8 +894,8 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
     one schedule or schedules bound from it (``bind``). Each row is the one
     ``run_shots`` would compute for its schedule and calibration alone.
 
-    Stacks are as large as the memory budget allows: ``_stacked_need(n)``
-    x rows within _MEMORY_BUDGET. Nothing is kept for a bit-vector
+    Stacks are as large as the memory budget allows: ``_stacked_need`` x
+    rows within _MEMORY_BUDGET. Nothing is kept for a bit-vector
     circuit, for a circuit whose one row would exceed the budget
     (``run_shots`` then runs it alone, or refuses it), for a calibration that
     does not cover the circuit, or when fewer than two distinct rows are
@@ -907,10 +903,12 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
     if len(rows) < 2:
         return
     n = rows[0][0].n_qubits
-    chunk = int(_MEMORY_BUDGET // _stacked_need(n))
     rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows
                  if cal.n_qubits >= n}.values())
-    if chunk < 1 or len(rows) < 2 or _kept(rows[0][0], _bit_plan) is not None:
+    if len(rows) < 2 or _kept(rows[0][0], _bit_plan) is not None:
+        return
+    chunk = int(_MEMORY_BUDGET // _stacked_need(rows[0][0]))
+    if chunk < 1:
         return
     for i in range(0, len(rows), chunk):
         part = rows[i:i + chunk]

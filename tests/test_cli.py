@@ -397,6 +397,26 @@ def test_negative_or_non_finite_delay_grid_exit_1(tmp_path, noiseless_cal_file, 
     assert not (out / "t1.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand, grid", [("t1", "0,1e-300,2e-300"),
+                                             ("t2-ramsey", ",".join(f"{k}e-300"
+                                                                    for k in range(1, 7)))])
+def test_fit_on_a_vanishing_delay_grid_fails_without_a_traceback(tmp_path, capfd, subcommand,
+                                                                 grid):
+    """A valid grid of delays so short that the fit's normal equations
+    underflow writes its tables and a failed fit, and exits 0; nothing from
+    LAPACK reaches stderr."""
+    out = tmp_path / "out"
+    code = main([subcommand, "--shots", "100", "--seed", "7", "--out", str(out),
+                 f"--grid-us={grid}"])
+    captured = capfd.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert "fit failed" in captured.out
+    stem = subcommand.replace("-", "_")
+    assert (out / f"{stem}.csv").exists() and (out / "manifest.json").exists()
+    assert json.loads((out / f"{stem}_fit.json").read_text())["ok"] is False
+
+
 @pytest.mark.parametrize("subcommand", ["qft-perfect", "qpe-sweep"])
 def test_geometry_without_placements_exit_2(tmp_path, noiseless_cal_file, capsys, subcommand):
     """A path graph has no star; the run used to die with an IndexError."""

@@ -598,7 +598,7 @@ def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, defau
                         lambda rows: sizes.append(len(rows)) or real(rows))
     for rows in shapes:
         scheduled, cals = rows[0][0], [cal for _, cal in rows]
-        budget = noise._stacked_need(scheduled.n_qubits) * chunk
+        budget = noise._stacked_need(scheduled) * chunk
         monkeypatch.setattr(noise, "_MEMORY_BUDGET", budget)
         fresh = replace(scheduled)
         sizes.clear()
@@ -767,8 +767,13 @@ def test_zero_length_windows_run_as_fresh_schedules(graph, default_cal, monkeypa
     runs = _bound_runs(monkeypatch, run, cfg)
     zero = 0
     for _, bound, _ in runs:
-        _, _, spans = noise._kept(bound, noise._exact_plan)
-        zero += sum(bound.ends[i] == bound.ends[j] for i, j in spans)
+        _, _, index, _, _ = noise._kept(bound, noise._exact_plan)
+        ends = np.array(bound.ends)
+        end, start = index[4:] - 4 * bound.n_qubits
+        zero += int(np.count_nonzero(ends[end] == ends[start]))
     assert zero > 0
-    assert noise._idle_superop(cal.qubits[0], 0.0) is noise._NO_IDLE
+    params = cal.qubits[0]
+    rates = noise._channel_rates(np.array([params.t1]), np.array([params.tphi]),
+                                 np.array([params.omega]), np.zeros(1))
+    assert np.array_equal(noise._idle_ptms(*rates), np.eye(4)[None])
     _assert_bound_runs_equal_fresh_runs(runs, cal)

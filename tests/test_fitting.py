@@ -1,5 +1,6 @@
 """Fidelity scoring, regression recovery, and the QPE outcome oracle."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_exponential_increasing_data_flagged():
 def test_exponential_needs_three_distinct_points():
     fit = fit_exponential([0.0, 0.0, 5.0], [1.0, 1.0, 0.5], 100)
     assert not fit.ok
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-310, 5e-324])
+def test_fits_on_a_vanishing_time_grid_fail_cleanly(scale):
+    """Decaying data on a valid grid whose times' squares underflow to 0
+    gives a failed fit, as other degenerate grids do, and no numpy warning:
+    neither an SVD error from the trend check nor an overflowing frequency
+    scan, on the exponential fit or the damped cosine's fallback to it."""
+    t = np.arange(6) * scale
+    p = [1.0, 0.8, 0.6, 0.5, 0.4, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [fit_exponential(t, p, 100), fit_damped_cosine(t, p, 100)]
+    assert [fit.ok for fit in fits] == [False, False]
+    assert fits[1].fallback
 
 
 # ---------------------------------------------------------------------------

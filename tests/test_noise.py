@@ -129,14 +129,67 @@ def test_flattened_schedule_preserves_per_qubit_order(c):
 # Idle channel
 # ---------------------------------------------------------------------------
 
+def _rates(params: QubitNoiseParams, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_channel_rates`` of one qubit over an array of intervals."""
+    dt = np.asarray(dt, dtype=float)
+    return _channel_rates(*(np.full(dt.shape, v) for v in (params.t1, params.tphi,
+                                                           params.omega)), dt)
+
+
 def test_idle_zero_interval_is_identity():
-    assert _channel_rates(QubitNoiseParams(30e-6, 40e-6, omega=1e6), 0.0) == (0.0, 0.0, 0.0)
+    rates = _rates(QubitNoiseParams(30e-6, 40e-6, omega=1e6), [0.0])
+    assert [r.tolist() for r in rates] == [[0.0], [0.0], [0.0]]
+    assert np.array_equal(noise._idle_ptms(*rates), np.eye(4)[None])
 
 
 def test_idle_negative_interval_rejected():
-    for rates in (_channel_rates, noise._damping):  # the bit-vector engine calls _damping
-        with pytest.raises(ValueError, match="negative interval"):
-            rates(QubitNoiseParams(30e-6, 40e-6), -1.0)
+    # both engines price their windows through _channel_rates
+    with pytest.raises(ValueError, match="negative interval"):
+        _rates(QubitNoiseParams(30e-6, 40e-6), [1e-6, -1.0])
+
+
+def _superoperator_ptm(gamma: float, pz: float, phase: float) -> np.ndarray:
+    """An idle window's PTM by the superoperator route: amplitude damping's
+    Kraus pair, the phase flip and the drift rotation, each as a
+    superoperator on a qubit's (row bit, column bit) index of rho."""
+    def superop(k):
+        return np.kron(k, k.conj())
+    damping = (superop(np.diag([1.0, math.sqrt(1.0 - gamma)]))
+               + superop(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])))
+    flip = (1.0 - pz) * np.eye(4) + pz * superop(np.diag([1.0, -1.0]))
+    drift = superop(np.diag([1.0, np.exp(1j * phase)]))
+    return noise._pauli_transfer(drift @ flip @ damping)
+
+
+def test_array_built_matrices_equal_the_superoperator_route():
+    """The windows', RPHI gates' and CNOTs' PTMs that the exact engine
+    builds as arrays equal the PTMs of their superoperators within 1e-15:
+    random rates and angles give the window and RPHI matrices, and random
+    p the CNOT followed by (1 - lam) rho + lam Tr(rho) I/4, lam = 16p/15.
+    Null t1 and t2 price zero damping and dephasing, and dt = 0 is the exact
+    identity."""
+    rng = np.random.default_rng(5)
+    gamma, pz = rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 0.5, 40)
+    phase = rng.uniform(-math.pi, math.pi, 40)
+    for k, m in enumerate(noise._idle_ptms(gamma, pz, phase)):
+        assert np.abs(m - _superoperator_ptm(gamma[k], pz[k], phase[k])).max() <= 1e-15
+    for angle, m in zip(phase, noise._idle_ptms(0.0, 0.0, phase)):
+        u = np.diag([1.0, np.exp(1j * angle)])
+        assert np.abs(m - noise._pauli_transfer(np.kron(u, u.conj()))).max() <= 1e-15
+    cx = np.eye(4)[[0, 1, 3, 2]]
+    p2 = rng.uniform(0.0, 1.0, 20)
+    for p, m in zip(p2, noise._cnot_ptms(p2)):
+        lam = 16.0 * p / 15.0
+        vec_i = np.eye(4).reshape(16)
+        s = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ np.kron(cx, cx)
+        s = s.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+        assert np.abs(m - noise._pauli_transfer(s)).max() <= 1e-15
+    null = QubitNoiseParams(INF, INF, omega=2e6)
+    gamma, pz, phase = _rates(null, [0.0, 1e-6, 1.0])
+    assert gamma.tolist() == pz.tolist() == [0.0, 0.0, 0.0]
+    assert phase.tolist() == [0.0, 2.0, 2e6]
+    for params in (null, QubitNoiseParams(30e-6, 40e-6, omega=-1e6)):
+        assert np.array_equal(noise._idle_ptms(*_rates(params, [0.0])), np.eye(4)[None])
 
 
 def test_drift_rotation_exact():
@@ -437,32 +490,21 @@ def test_calibration_subsets_hash_once_and_key_dicts():
 
 
 def test_exact_engine_memos_are_read_only():
-    """Every call shares the memoized matrices, so none may be written."""
-    params = QubitNoiseParams(30e-6, 40e-6, omega=1e6)
-    for m in (noise._idle_superop(params, 1e-6), noise._gate_superop("H", 0.0),
-              noise._cnot_superop(0.01), noise._readout_rows(params, 1e-6)):
+    """Every run shares the fixed gates' memoized matrices and the CNOT's,
+    so none may be written."""
+    for m in (noise._gate_ptm("H"), noise._CX_PTM):
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 0.0
 
 
-def test_qubit_params_hash_once_and_share_memo_entries():
+def test_equal_qubit_params_hash_equal():
     """Equal params hash equal, drift -0.0 and 0.0 included, as the
-    dataclass's own hash of the compared fields would; the idle-window memo
-    therefore hits for the same qubit reached through any subset of a
-    calibration, and for equal params built apart."""
+    dataclass's hash of the compared fields does: a ``DeviceCalibration``,
+    a dict key of kept distributions, hashes its qubits' params."""
     a = QubitNoiseParams(30e-6, 40e-6, omega=-0.0, readout_error=0.01)
     b = QubitNoiseParams(30e-6, 40e-6, omega=0.0, readout_error=0.01)
     assert a == b and hash(a) == hash(b) == hash((30e-6, 40e-6, 0.0, 0.01))
     assert hash(a) != hash(QubitNoiseParams(30e-6, 40e-6, omega=1.0, readout_error=0.01))
-    cal = noise.default_calibration()
-    dt = 1.234567e-6  # a key no other test uses
-    first = noise._idle_superop(cal.subset([7, 8]).qubits[0], dt)
-    hits = noise._idle_superop.cache_info().hits
-    assert noise._idle_superop(cal.subset([3, 7]).qubits[1], dt) is first
-    assert noise._idle_superop(QubitNoiseParams(
-        cal.qubits[7].t1, cal.qubits[7].t2, cal.qubits[7].omega,
-        cal.qubits[7].readout_error), dt) is first
-    assert noise._idle_superop.cache_info().hits == hits + 2
 
 
 def test_exact_engine_peak_memory_on_a_wide_chain():
@@ -472,7 +514,7 @@ def test_exact_engine_peak_memory_on_a_wide_chain():
     coefficients that a full tensor would take, whether the run reuses the
     schedule's plan or builds it first (on a new object)."""
     sched, cal = _wide_chain_cell(10)
-    _exact_probabilities([(sched, cal)])  # fill the memos and the plan first
+    _exact_probabilities([(sched, cal)])  # build the plan first
     for run in (sched, replace(sched)):
         tracemalloc.start()
         try:
@@ -501,23 +543,48 @@ def _all_live_cell(n):
 
 @pytest.mark.parametrize("n, stack", [(3, 1), (3, 200), (4, 200), (6, 50), (8, 4)])
 def test_stacked_exact_peak_memory_within_estimate(n, stack):
-    """A stack of distinct calibrations peaks within ``_stacked_need(n)``
-    per calibration: at 3-4 qubits the calibrations' own CNOT matrices
-    outweigh their coefficients, which the 4**n term alone would miss."""
-    sched = _all_live_cell(n)
+    """A stack of distinct calibrations peaks within ``_stacked_need`` per
+    calibration: at 3-4 qubits the calibrations' own matrices outweigh
+    their coefficients, which the 4**n term alone would miss."""
+    _assert_stacked_peak_within_estimate(_all_live_cell(n), n, stack)
+
+
+@pytest.mark.parametrize("stack", [1, 50])
+def test_stacked_exact_peak_memory_within_estimate_on_a_long_circuit(stack):
+    """Twenty rounds of CNOTs, T and RPHI gates on 3 qubits close 343 idle
+    windows and RPHI angles, whose priced matrices and rates each row
+    holds: the estimate counts them, where its terms for the qubits alone
+    would fall short three times over."""
+    c = Circuit(3)
+    for q in range(3):
+        c.h(q)
+    for _ in range(20):
+        for q in range(2):
+            c.cnot(q, q + 1)
+        for q in range(3):
+            c.t(q).rphi(0.3, q)
+        for q in range(2, 0, -1):
+            c.cnot(q - 1, q)
+    peak = _assert_stacked_peak_within_estimate(schedule(c.measure_all(), DurationModel()), 3,
+                                                stack)
+    assert peak > 3 * noise._DENSE_PEAK_COPIES * 8 * (4**3 + 3 * 4**4) * stack
+
+
+def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
     cals = [flat_cal(n, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6, readout=0.01,
                      p2=0.01 + i * 1e-5) for i in range(stack)]
     rows = [(sched, cal) for cal in cals]
-    _exact_probabilities(rows)  # fill the memos and the plan first
+    _exact_probabilities(rows)  # build the plan first
     tracemalloc.start()
     try:
         _exact_probabilities(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= noise._stacked_need(n) * stack
+    assert peak <= noise._stacked_need(sched) * stack
     if n <= 4:  # the coefficients' term alone would not cover it
         assert peak > noise._DENSE_PEAK_COPIES * 8 * 4**n * stack
+    return peak
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
