@@ -27,14 +27,13 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     compose by kron, and the idle windows the gate closes are folded into
     it. A qubit's axis is live (4 coefficients) only from its first gate
     to its last: the first gate's matrix takes the qubit's |0> column, and
-    the last one's ends in the qubit's readout rows (the (r_I, r_Z) rows of
-    the window still open at readout, after the readout flips), so that
-    the axis leaves it holding the qubit's two outcome probabilities. What
-    depends on the layering alone is planned once (``_exact_plan``). A run
-    takes a list of rows, each a schedule of that layering and a
-    calibration, builds every row's window, readout, RPHI and CNOT matrices
-    as arrays, and gives the tensor a leading row axis: each gate indexes
-    those arrays and applies one batched product.
+    the last one's ends in the qubit's readout rows, so that the axis
+    leaves it holding the qubit's two outcome probabilities. What depends
+    on the layering alone is planned once (``_exact_plan``). A run takes
+    rows, each a schedule of that layering and a calibration, builds every
+    row's window, readout, RPHI and CNOT matrices as arrays, and gives the
+    tensor a leading row axis: each gate indexes those arrays and applies
+    one batched product.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -49,10 +48,11 @@ either, so one schedule also runs on the calibration subset of every
 placement of its circuit. The bit-vector plan, built on the first run,
 also records which engine runs the circuit: it is None when an op leaves
 the computational basis. ``keep_distributions`` computes the exact
-distributions of a structure's (schedule, calibration) rows in stacked
-passes and keeps each on its schedule, keyed by calibration, beside the
-plans; ``run_shots`` draws from a kept distribution when there is one, so
-each cell still makes its own ``run_shots`` call, with its own seed.
+distributions, or the bit-vector damping probabilities, of a structure's
+(schedule, calibration) rows in stacked passes and keeps each on its
+schedule, keyed by calibration, beside the plans; ``run_shots`` uses what
+is kept when there is one, so each cell still makes its own ``run_shots``
+call, with its own seed.
 
 The bit-vector engine samples the ensemble average that the exact engine
 computes. Both apply each qubit's idle charge once per idle window (from
@@ -417,13 +417,12 @@ def _channel_rates(t1: np.ndarray, tphi: np.ndarray, omega: np.ndarray,
     return gamma, 0.5 * flip, omega * dt
 
 
-# A run's values are one row per (schedule, calibration): the calibration's
-# qubits 0..n-1 as (t1, tphi, omega, readout error), then the schedule's
-# layer ends. A plan picks each idle window's values by index.
 def _window_index(windows: list[tuple[int, int, int]], n: int) -> np.ndarray:
     """For idle windows ``(q, i, j)`` on n qubits, lasting ``ends[i] -
     ends[j]``, the (6, windows) index of their t1, tphi, omega, readout
-    error, end and start in a row of values."""
+    error, end and start in a run's row of values: one (schedule,
+    calibration)'s qubits 0..n-1 as (t1, tphi, omega, readout error), then
+    its layer ends."""
     return np.array([(4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3, 4 * n + i, 4 * n + j)
                      for q, i, j in windows], dtype=np.intp).reshape(-1, 6).T
 
@@ -431,9 +430,8 @@ def _window_index(windows: list[tuple[int, int, int]], n: int) -> np.ndarray:
 def _priced_windows(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
                     index: np.ndarray) -> tuple:
     """``(values, readout, rates)`` for rows ``(scheduled, cal)`` of one
-    layering and its ``_window_index``: each row's values, each window's
-    qubit's readout error, and every window's ``_channel_rates`` from one
-    call, each over (window, row)."""
+    layering and its ``_window_index``: the rows' values, and each window's
+    readout error and ``_channel_rates`` from one call, over (window, row)."""
     n = rows[0][0].n_qubits
     values = np.array([[x for p in cal.qubits[:n] for x in (p.t1, p.tphi, p.omega,
                                                              p.readout_error)] + list(s.ends)
@@ -607,15 +605,17 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
     flip, and depolarizing reduces to its X/Y bit-flip components.
 
     The gates and the places of noise events are planned once per
-    ``ScheduledCircuit`` (``_bit_plan``). Each run prices the damping of
-    all the schedule's windows on ``cal`` in one ``_channel_rates`` call,
-    lists the events in time order, keeping those with p > 0, then draws
-    their rows in batches (``_event_hits``) and applies gates and events in
-    turn."""
+    ``ScheduledCircuit`` (``_bit_plan``). Each run takes the damping of
+    all the schedule's windows on ``cal`` as ``keep_distributions`` kept it,
+    or prices it in one ``_channel_rates`` call, lists the events in time
+    order, keeping those with p > 0, then draws their rows in batches
+    (``_event_hits``) and applies gates and events in turn."""
     plan_steps, readouts, index = _kept(scheduled, _bit_plan)
     params, p2 = cal.qubits, cal.two_qubit_error
-    _, _, (gamma, _, _) = _priced_windows([(scheduled, cal)], index)
-    gammas = gamma.ravel().tolist()
+    gammas = scheduled.__dict__.get("dampings", {}).get(cal)
+    if gammas is None:
+        _, _, (gamma, _, _) = _priced_windows([(scheduled, cal)], index)
+        gammas = gamma[:, 0].tolist()
     steps, events = [], []  # the gates, and _DECAY or _FLIP where an event applies
     for step in plan_steps:
         if step[0] == "decay":
@@ -659,8 +659,7 @@ def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: i
 #
 # A fixed gate's PTM is mapped from its superoperator S on a qubit's (row
 # bit, column bit) index of rho, where U rho U^dagger is kron(U, U*), as
-# T S T^-1 (``_pauli_transfer``), once per gate kind. Every other matrix is
-# built per run from the channel rates, for all windows and rows at once.
+# T S T^-1 (``_pauli_transfer``), once per gate kind.
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -721,8 +720,7 @@ def _idle_ptms(gamma, pz, phase) -> np.ndarray:
     m = np.zeros(np.shape(phase) + (4, 4))
     m[..., 0, 0] = 1.0
     m[..., 1, 1] = m[..., 2, 2] = cos
-    m[..., 2, 1] = sin
-    m[..., 1, 2] = -sin
+    m[..., 2, 1], m[..., 1, 2] = sin, -sin
     m[..., 3, 0] = gamma
     m[..., 3, 3] = keep
     return m
@@ -730,10 +728,9 @@ def _idle_ptms(gamma, pz, phase) -> np.ndarray:
 
 def _cnot_ptms(p2: np.ndarray) -> np.ndarray:
     """The PTMs of a CNOT and then its two-qubit depolarizing channel, one
-    per entry of p2, on the index (control Pauli, target Pauli). The
-    channel applies one of the 15 non-identity Pauli pairs with total
-    probability p2: it is (1 - lam) rho + lam Tr(rho) I/4 with lam =
-    16 p2 / 15, which keeps 1 - lam of every non-identity Pauli."""
+    per entry of p2, on the index (control Pauli, target Pauli): the
+    average over the 15 non-identity Pauli pairs, (1 - lam) rho + lam
+    Tr(rho) I/4 with lam = 16 p2 / 15, keeps 1 - lam of each of them."""
     keep = np.ones(p2.shape + (16, 1))
     keep[..., 1:, :] = (1.0 - 16.0 * p2 / 15.0)[..., None, None]
     return keep * _CX_PTM
@@ -817,14 +814,10 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     and calibration alone.
 
     A gate whose operands are all live costs one product over the whole
-    tensor, and a reshape that moves its axes to the front copies the
-    tensor first: all-live circuits peak at 2.00-2.01 copies of 8 B x 4**n
-    per row (tracemalloc, numpy 2.4, 8-12 qubits, one row). Circuits whose
-    qubits join late and leave early peak lower: the superposed-control
-    cnot-reset chains of 8-12 qubits never hold more than 4**(n-1) x 2
-    coefficients per row, and peak at 1.00-1.01 copies (8.0 MiB at 10
-    qubits, against 16.0 MiB with every axis held at size 4). A stack also
-    holds each row's own matrices (``_stacked_need``).
+    tensor, after a reshape that copies it, so all-live circuits peak at
+    about two copies of 8 B x 4**n per row, and circuits whose qubits join
+    late and leave early lower (``run_shots`` and ``_stacked_need`` give the
+    measured peaks).
     """
     scheduled = rows[0][0]
     gates, never_gated, index, read, angles = _kept(scheduled, _exact_plan)
@@ -888,24 +881,31 @@ def _stacked_need(scheduled: ScheduledCircuit) -> float:
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
-    """Compute the exact outcome distribution of every distinct row
-    ``(scheduled, cal)`` in stacked passes, and keep each on its schedule,
-    keyed by calibration, for ``run_shots`` to draw from. The schedules are
-    one schedule or schedules bound from it (``bind``). Each row is the one
-    ``run_shots`` would compute for its schedule and calibration alone.
+    """Compute what ``run_shots`` needs of every distinct row ``(scheduled,
+    cal)`` in stacked passes, and keep each on its schedule, keyed by
+    calibration: an exact circuit's outcome distribution, or a bit-vector
+    circuit's windows' damping probabilities, all priced in one call. The
+    schedules are one schedule or schedules bound from it (``bind``). Each
+    row is, bit for bit, what ``run_shots`` would compute for its schedule
+    and calibration alone.
 
-    Stacks are as large as the memory budget allows: ``_stacked_need`` x
-    rows within _MEMORY_BUDGET. Nothing is kept for a bit-vector
-    circuit, for a circuit whose one row would exceed the budget
-    (``run_shots`` then runs it alone, or refuses it), for a calibration that
-    does not cover the circuit, or when fewer than two distinct rows are
-    left: stacking one gains nothing."""
+    Exact stacks are as large as the memory budget allows: ``_stacked_need``
+    x rows within _MEMORY_BUDGET. Nothing is kept for an exact circuit
+    whose one row would exceed the budget (``run_shots`` then runs it
+    alone, or refuses it), for a calibration that does not cover the
+    circuit, or when fewer than two distinct rows are left: stacking one
+    gains nothing."""
     if len(rows) < 2:
         return
     n = rows[0][0].n_qubits
     rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows
                  if cal.n_qubits >= n}.values())
-    if len(rows) < 2 or _kept(rows[0][0], _bit_plan) is not None:
+    if len(rows) < 2:
+        return
+    if (plan := _kept(rows[0][0], _bit_plan)) is not None:
+        _, _, (gamma, _, _) = _priced_windows(rows, plan[2])
+        for (scheduled, cal), damping in zip(rows, gamma.T.tolist()):
+            scheduled.__dict__.setdefault("dampings", {})[cal] = damping
         return
     chunk = int(_MEMORY_BUDGET // _stacked_need(rows[0][0]))
     if chunk < 1:
@@ -921,8 +921,9 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     """Noisy shot counts by outcome integer, qubit 0 the most significant
     bit; deterministic per (schedule, calibration, seed). An exact circuit
     draws from the distribution ``keep_distributions`` kept for ``cal`` on
-    the schedule, when there is one, or else computes it for ``cal`` alone;
-    the two are equal, bit for bit, and so are the counts. A schedule bound
+    the schedule, and a bit-vector circuit uses the damping kept there,
+    when there is one, or else computes it for ``cal`` alone; the two are
+    equal, bit for bit, and so are the counts. A schedule bound
     from another (``bind``) runs as a fresh schedule of its circuit would.
 
     Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and

@@ -583,6 +583,39 @@ def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal,
                 assert np.array_equal(row, want)
 
 
+@pytest.mark.parametrize("run", [run_cnot_chain_sweep, run_t1])
+def test_kept_dampings_equal_single_calibration_pricing(graph, default_cal, monkeypatch, run):
+    """Every bit-vector shape of the chain sweep and of t1 keeps each of its
+    rows' damping probabilities, priced in one stacked call; each is, bit
+    for bit, what its row prices alone on a fresh copy of its schedule, and
+    ``run_shots`` draws the same counts from it."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1, qubit=7)
+    shapes = []
+    real = experiments.keep_distributions
+
+    def recording(rows):
+        if noise._kept(rows[0][0], noise._bit_plan) is not None:
+            shapes.append(list(rows))
+        real(rows)
+
+    monkeypatch.setattr(experiments, "keep_distributions", recording)
+    run(cfg)
+    monkeypatch.undo()
+    kept = 0
+    for rows in shapes:
+        for scheduled, cal in rows:
+            damping = scheduled.__dict__.get("dampings", {}).get(cal)
+            if damping is None:  # a shape of one distinct row is not stacked
+                continue
+            fresh = replace(scheduled)
+            _, _, index = noise._kept(fresh, noise._bit_plan)
+            _, _, (gamma, _, _) = noise._priced_windows([(fresh, cal)], index)
+            assert damping == gamma[:, 0].tolist()
+            assert run_shots(scheduled, cal, 300, [5]) == run_shots(fresh, cal, 300, [5])
+            kept += 1
+    assert kept >= len(shapes)
+
+
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, default_cal,
                                                                     monkeypatch, chunk):
