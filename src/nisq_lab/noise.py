@@ -32,8 +32,11 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     on the layering alone is planned once (``_exact_plan``). A run takes
     rows, each a schedule of that layering and a calibration, builds every
     row's window, readout, RPHI and CNOT matrices as arrays, and gives the
-    tensor a leading row axis: each gate indexes those arrays and applies
-    one batched product.
+    tensor a leading row axis: each gate indexes those arrays and folds its
+    matrix. The folded gates apply one batched product each in time order,
+    or, where time order would hold more than _GREEDY_CROSSOVER
+    coefficients per row at once, are contracted pairwise in a greedy
+    order planned once per layering (``_greedy_plan``).
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -68,6 +71,7 @@ per-shot trials), and touches only those rows.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
 import math
@@ -738,20 +742,21 @@ def _cnot_ptms(p2: np.ndarray) -> np.ndarray:
 
 def _exact_plan(scheduled: ScheduledCircuit) -> tuple:
     """What ``_exact_probabilities`` does on any values and calibrations, as
-    ``(gates, never_gated, index, read, angles)``. ``index`` is the
+    ``(gates, never_gated, index, read, angles, peak)``. ``index`` is the
     ``_window_index`` of every idle window, the first ``read`` of them those
     open at readout, whose readout rows are numbered alike; ``angles``
-    counts the RPHI angles. A gate is ``(gate, fresh, ins, outs, perm,
-    inverse, shape)``: its PTM, None for a CNOT (whose PTM depends on the
-    calibration) or, for an RPHI, the index of its angle; the |0> columns
-    its fresh operands take (``_FRESH``), or None; the windows it closes
-    on its live operands; per operand, the index of its readout rows at
-    its last gate, or ``_IDENTITY``, or None when no operand has its last
-    gate here; the axis permutation that brings the operands' axes to the
-    front, behind the leading row axis 0 (qubit q is axis q + 1), and its
-    inverse; and the permuted shape after the gate, -1 on the row axis.
-    ``never_gated`` lists each ungated qubit with the broadcast shape of its
-    readout pairs."""
+    counts the RPHI angles. A gate is ``(gate, fresh, ins, outs, qubits,
+    perm, inverse, shape)``: its PTM, None for a CNOT (whose PTM depends on
+    the calibration) or, for an RPHI, the index of its angle; the |0>
+    columns its fresh operands take (``_FRESH``), or None; the windows it
+    closes on its live operands; per operand, the index of its readout rows
+    at its last gate, or ``_IDENTITY``, or None when no operand has its
+    last gate here; its operands; the axis permutation that brings the
+    operands' axes to the front, behind the leading row axis 0 (qubit q is
+    axis q + 1), and its inverse; and the permuted shape after the gate, -1
+    on the row axis. ``never_gated`` lists each ungated qubit with the
+    broadcast shape of its readout pairs, and ``peak`` is the time order's
+    largest live tensor, in coefficients per row."""
     n = scheduled.n_qubits
     sizes = [1] * n  # each qubit's axis size
     *steps, (windows, _) = _idle_windows(scheduled)
@@ -760,6 +765,7 @@ def _exact_plan(scheduled: ScheduledCircuit) -> tuple:
     axes = {}  # each operand tuple's axis permutation and its inverse
     gates = []
     angle = 0  # the index of the next RPHI's angle
+    peak = 1
     for i, (closed, ops) in enumerate(steps):
         idle = {q: len(windows) + k for k, (q, _, _) in enumerate(closed)}
         windows += closed
@@ -782,11 +788,132 @@ def _exact_plan(scheduled: ScheduledCircuit) -> tuple:
                 gate, angle = angle, angle + 1
             else:
                 gate = _gate_ptm(op.kind)
+            shape = [-1] + [sizes[a - 1] for a in perm[1:]]
+            if fresh is not None:  # only a fresh operand grows the tensor
+                peak = max(peak, math.prod(shape[1:]))
             gates.append((gate, fresh, ins, outs if 2 in [sizes[q] for q in op.qubits] else None,
-                          perm, inverse, [-1] + [sizes[a - 1] for a in perm[1:]]))
+                          op.qubits, perm, inverse, shape))
     never_gated = [(q, (-1,) + (1,) * q + (2,) + (1,) * (n - 1 - q))
                    for q in range(n) if sizes[q] == 1]
-    return gates, never_gated, _window_index(windows, n), len(read), angle
+    return gates, never_gated, _window_index(windows, n), len(read), angle, peak
+
+
+def _greedy_plan(scheduled: ScheduledCircuit) -> tuple:
+    """The pairwise contraction that ``_exact_probabilities`` runs in place
+    of time order, planned on the layering's ``_exact_plan``, as ``(shapes,
+    steps, final, peak)``.
+
+    The tensors are the folded gates in time order, then each ungated
+    qubit's readout pair, each with the leading row axis. A leg is a qubit's
+    axis from one gate to its next (size 4), or after its last gate or in
+    its readout pair (size 2, an outcome). ``shapes`` gives each tensor's
+    shape: the row axis, the gate's outgoing legs per operand, then the legs
+    it takes in (none for a fresh operand). Each step ``(i, j, perm_i,
+    shape_i, perm_j, shape_j, shape)`` contracts tensors i and j into one
+    appended to the list, as one batched matrix product: i's free legs by
+    the legs it shares with j, times those shared legs by j's free legs,
+    reshaped to the result's legs (i's free, then j's). ``final`` brings the
+    last tensor's outcomes to qubit order, and ``peak`` bounds the
+    coefficients per row held at once: every tensor still live, a copy of
+    each operand and the product, or three copies of the 2**n outcomes.
+
+    The order is greedy, as in opt_einsum's greedy path (Markov & Shi, SIAM
+    J. Comput. 38, 2008, on contraction orders): of the pairs of live
+    tensors that share a leg, contract the one whose product is smallest
+    net of its operands' sizes (ties to the earlier pair); tensors that
+    share no leg are then multiplied out two at a time, smallest first."""
+    gates, never_gated, *_ = _kept(scheduled, _exact_plan)
+    n = scheduled.n_qubits
+    sizes = []  # each leg's size
+    legs = []  # each tensor's legs, in its axis order behind the row axis
+    last = [None] * n  # each qubit's latest leg, and the tensor it leaves
+    pairs = set()  # the tensors that share a leg
+    for *_, qubits, _, _, shape in gates:
+        ins = [last[q] for q in qubits if last[q] is not None]
+        pairs.update((k, len(legs)) for _, k in ins)
+        outs = list(range(len(sizes), len(sizes) + len(qubits)))
+        sizes += shape[1:1 + len(qubits)]  # the operands' axes lead the permuted shape
+        for q, leg in zip(qubits, outs):
+            last[q] = leg, len(legs)
+        legs.append(outs + [leg for leg, _ in ins])
+    for q, _ in never_gated:
+        last[q] = len(sizes), len(legs)
+        legs.append([len(sizes)])
+        sizes.append(2)
+    shapes = [[-1] + [sizes[leg] for leg in t] for t in legs]
+    # a tensor's legs as the bits of a mask: two tensors' product keeps the
+    # legs of their XOR, and its size is 2 ** (its legs plus its bonds)
+    bonds = sum(1 << leg for leg, size in enumerate(sizes) if size == 4)
+    masks = [sum(1 << leg for leg in t) for t in legs]
+
+    def size(mask):
+        return 1 << (mask.bit_count() + (mask & bonds).bit_count())
+
+    volume = [size(m) for m in masks]
+    live, steps = set(range(len(legs))), []
+    held = peak = sum(volume)
+
+    def candidate(i, j):
+        return size(masks[i] ^ masks[j]) - volume[i] - volume[j], i, j
+
+    def contract(i, j):
+        nonlocal held, peak
+        shared = [leg for leg in legs[i] if leg in legs[j]]
+        left = [leg for leg in legs[i] if leg not in shared]
+        right = [leg for leg in legs[j] if leg not in shared]
+        k = len(legs)
+        legs.append(left + right)
+        masks.append(masks[i] ^ masks[j])
+        volume.append(size(masks[k]))
+        peak = max(peak, held + volume[i] + volume[j] + volume[k])
+        held += volume[k] - volume[i] - volume[j]
+        inner = math.prod(sizes[leg] for leg in shared)
+        steps.append((i, j, [0] + [1 + legs[i].index(leg) for leg in left + shared],
+                      (-1, volume[i] // inner, inner),
+                      [0] + [1 + legs[j].index(leg) for leg in shared + right],
+                      (-1, inner, volume[j] // inner), [-1] + [sizes[leg] for leg in left + right]))
+        live.difference_update((i, j))
+        live.add(k)
+        return k
+
+    heap = [candidate(i, j) for i, j in pairs]
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i in live and j in live:
+            k = contract(i, j)
+            for m in live:
+                if m != k and masks[m] & masks[k]:
+                    heapq.heappush(heap, candidate(m, k))
+    rest = [(volume[i], i) for i in live]
+    heapq.heapify(rest)
+    while len(rest) > 1:
+        (_, i), (_, j) = heapq.heappop(rest), heapq.heappop(rest)
+        k = contract(i, j)
+        heapq.heappush(rest, (volume[k], k))
+    [(_, k)] = rest
+    final = [0] + [1 + legs[k].index(last[q][0]) for q in range(n)]
+    return shapes, steps, final, max(peak, 3 * 2**n)
+
+
+def _folded(rows, gates, windows, readouts, rphi):
+    """Each gate's matrix over the rows, in time order: its PTM (or the
+    rows' CNOT or RPHI PTMs) on the |0> columns of its fresh operands,
+    after the windows it closes and before its readout rows."""
+    cnot = None  # built at the first CNOT
+    for gate, fresh, ins, outs, _, _, _, _ in gates:
+        if gate is None:
+            if cnot is None:
+                cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]))
+            gate = cnot
+        elif type(gate) is int:
+            gate = rphi[gate]
+        s = gate if fresh is None else gate @ fresh
+        if ins:
+            s = s @ functools.reduce(_kron, [windows[w] for w in ins])
+        if outs is not None:
+            s = functools.reduce(_kron, [readouts[m] if type(m) is int else m for m in outs]) @ s
+        yield s
 
 
 def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> np.ndarray:
@@ -808,19 +935,31 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     That bookkeeping is planned once per layering (``_exact_plan``). A run
     prices its rows' windows in one ``_channel_rates`` call, builds every
     window's PTM, readout rows and RPHI's PTM over (window or angle, row)
-    and the CNOT's over rows, and gives the tensor a leading row axis: each
-    gate indexes those arrays, folds its matrix and applies one batched
-    product. Every row is the same, bit for bit, as a run of its schedule
-    and calibration alone.
+    and the CNOT's over rows, and gives every tensor a leading row axis:
+    each gate indexes those arrays and folds its matrix (``_folded``).
+    Every row is the same, bit for bit, as a run of its schedule and
+    calibration alone.
 
-    A gate whose operands are all live costs one product over the whole
-    tensor, after a reshape that copies it, so all-live circuits peak at
-    about two copies of 8 B x 4**n per row, and circuits whose qubits join
-    late and leave early lower (``run_shots`` and ``_stacked_need`` give the
-    measured peaks).
-    """
+    The folded gates are contracted in one of two orders, chosen by the
+    time order's largest live tensor per row (``_exact_plan``'s ``peak``).
+    Up to _GREEDY_CROSSOVER coefficients they run in time order: each gate
+    applies one batched product to the state, and a gate whose operands
+    are all live costs a product over the whole tensor, after a reshape
+    that copies it, so all-live circuits peak at about two copies of 8 B x
+    4**n per row and circuits whose qubits join late and leave early lower.
+    Above it they are contracted pairwise in the greedy order of
+    ``_greedy_plan``, kept per layering beside the time order's plan: every
+    folded gate is held at once, but no two qubits need be live together.
+    A superposed-control cnot-reset chain has every ancilla live at its
+    turn in time order, 2 x 4**(n - 1) coefficients per row (4 MiB at 10
+    qubits); contracted greedily, its largest tensor is its 2**n outcomes.
+    ``run_shots`` and ``_stacked_need`` give each order's measured peaks.
+    Each order is planned when it first runs, and a schedule of a fresh
+    layering plans again, so circuits scheduled afresh for each call, as
+    the wide chains run through the API are, pay their plans on every call
+    in either order."""
     scheduled = rows[0][0]
-    gates, never_gated, index, read, angles = _kept(scheduled, _exact_plan)
+    gates, never_gated, index, read, angles, peak = _kept(scheduled, _exact_plan)
     n, stack = scheduled.n_qubits, len(rows)
     values, readout, rates = _priced_windows(rows, index)
     windows = _idle_ptms(*rates)  # over (window, row)
@@ -828,29 +967,27 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
     windows[:read, :, 3] *= (1.0 - 2.0 * readout[:read])[..., None]
     readouts = _TO_POPULATIONS @ windows[:read, :, ::3]
-    if angles:
-        rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T)
-    cnot = None  # built at the first CNOT
-    rho = np.ones((stack,) + (1,) * n)
-    for gate, fresh, ins, outs, perm, inverse, shape in gates:
-        if gate is None:
-            if cnot is None:
-                cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]))
-            gate = cnot
-        elif type(gate) is int:
-            gate = rphi[gate]
-        s = gate if fresh is None else gate @ fresh
-        if ins:
-            s = s @ functools.reduce(_kron, [windows[w] for w in ins])
-        if outs is not None:
-            s = functools.reduce(_kron, [readouts[m] if type(m) is int else m for m in outs]) @ s
-        # the reshape copies rho unless perm keeps its order; rebinding
-        # rho frees the old state before the product allocates its own
-        rho = rho.transpose(perm).reshape(stack, s.shape[-1], -1)
-        rho = (s @ rho).reshape(shape).transpose(inverse)
-    for qubit, shape in never_gated:
-        r = values[:, 4 * qubit + 3]
-        rho = rho * np.stack([1.0 - r, r], axis=-1).reshape(shape)
+    rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if angles else None
+    folded = _folded(rows, gates, windows, readouts, rphi)
+    pairs = [np.stack([1.0 - r, r], axis=-1)
+             for r in (values[:, 4 * q + 3] for q, _ in never_gated)]
+    if peak > _GREEDY_CROSSOVER:
+        shapes, steps, final, _ = _kept(scheduled, _greedy_plan)
+        tensors = [t.reshape(shape) for t, shape in zip([*folded, *pairs], shapes)]
+        for i, j, perm_i, shape_i, perm_j, shape_j, shape in steps:
+            tensors.append((tensors[i].transpose(perm_i).reshape(shape_i)
+                            @ tensors[j].transpose(perm_j).reshape(shape_j)).reshape(shape))
+            tensors[i] = tensors[j] = None
+        rho = tensors[-1].transpose(final)
+    else:
+        rho = np.ones((stack,) + (1,) * n)
+        for s, (_, _, _, _, _, perm, inverse, shape) in zip(folded, gates):
+            # the reshape copies rho unless perm keeps its order; rebinding
+            # rho frees the old state before the product allocates its own
+            rho = rho.transpose(perm).reshape(stack, s.shape[-1], -1)
+            rho = (s @ rho).reshape(shape).transpose(inverse)
+        for pair, (_, shape) in zip(pairs, never_gated):
+            rho = rho * pair.reshape(shape)
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
     probs = np.maximum(rho.reshape(stack, -1), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -858,6 +995,17 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
 
 
 _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
+# The time order's largest live tensor, in coefficients per row, above
+# which the exact engine contracts greedily. Measured in one warm process
+# (numpy 2.4, one BLAS thread, median of 21 runs, both plans built in each
+# run as the API's fresh schedules build them): superposed-control
+# cnot-reset chains ran in time order / greedily in 0.72 / 0.93 ms at
+# 8,192 (7 qubits), 1.08 / 1.13 at 32,768 (8), 4.01 / 1.19 at 131,072 (9)
+# and 11.3 / 1.32 at 524,288 (10). Every structure the CLI subcommands
+# build peaks at 4,096 or less; their 38 largest stacked calls took 38.3
+# ms in time order and 55.8 ms greedily, plans built (31.7 and 33.1 ms on
+# kept plans).
+_GREEDY_CROSSOVER = 65536
 _DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
@@ -866,18 +1014,29 @@ _PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix an
 
 def _stacked_need(scheduled: ScheduledCircuit) -> float:
     """Estimated peak bytes per row of a stacked exact run of ``scheduled``'s
-    layering: _DENSE_PEAK_COPIES x 8 B x its 4**n coefficients and the
-    entries of its own folded CNOT matrices (3 x 16 x 16), and
-    _PRICED_BYTES for each idle window and RPHI angle, whose PTM (16
-    entries) and rates a run builds per row. tracemalloc peaks per row
-    (numpy 2.4, stacks of 1-200 calibrations) on all-live circuits were
-    10.3-15.6 KiB at 3 qubits (17 windows and angles), 13.3-18.6 KiB at 4
-    (24), 2.39-2.46 copies at 6 and 2.03 at 8, and 72.7-78.1 KiB on 3
-    qubits with 343 windows and angles; the 4**n term alone would allow
-    12x too many rows at 3 qubits."""
-    _, _, index, _, angles = _kept(scheduled, _exact_plan)
-    return (_DENSE_PEAK_COPIES * 8 * (4.0**scheduled.n_qubits + 3 * 4**4)
-            + _PRICED_BYTES * (index.shape[1] + angles))
+    layering, in the order that runs it: its coefficients, 8 B x
+    _DENSE_PEAK_COPIES x the entries of its own folded CNOT matrices (3 x
+    16 x 16), and _PRICED_BYTES for each idle window and RPHI angle, whose
+    PTM (16 entries) and rates a run builds per row.
+
+    In time order the coefficients count _DENSE_PEAK_COPIES x 8 B x 4**n.
+    tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) on
+    all-live circuits were 10.3-15.6 KiB at 3 qubits (17 windows and
+    angles), 13.3-18.6 KiB at 4 (24), 2.39-2.46 copies at 6 and 2.03 at 8,
+    and 72.7-78.1 KiB on 3 qubits with 343 windows and angles; the 4**n
+    term alone would allow 12x too many rows at 3 qubits. In the greedy
+    order they count 8 B x ``_greedy_plan``'s ``peak``, which includes
+    every folded gate, all held from the first step on: tracemalloc peaks
+    per row of superposed-control cnot-reset chains (stacks of 20 and 1)
+    were 38.5-42.5 KiB at 9 qubits against an estimate of 53.3 KiB,
+    42.5-47.2 at 10 (57.2), 57.3-61.0 at 11 (72.1), 106.2-110.0 at 12
+    (121.1) and 203.2-207.0 at 13 (218.0)."""
+    _, _, index, _, angles, peak = _kept(scheduled, _exact_plan)
+    if peak > _GREEDY_CROSSOVER:
+        held = _kept(scheduled, _greedy_plan)[3]
+    else:
+        held = _DENSE_PEAK_COPIES * 4.0**scheduled.n_qubits
+    return 8 * (held + _DENSE_PEAK_COPIES * 3 * 4**4) + _PRICED_BYTES * (index.shape[1] + angles)
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
@@ -890,11 +1049,11 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
     and calibration alone.
 
     Exact stacks are as large as the memory budget allows: ``_stacked_need``
-    x rows within _MEMORY_BUDGET. Nothing is kept for an exact circuit
-    whose one row would exceed the budget (``run_shots`` then runs it
-    alone, or refuses it), for a calibration that does not cover the
-    circuit, or when fewer than two distinct rows are left: stacking one
-    gains nothing."""
+    x rows within _MEMORY_BUDGET. Nothing is kept for an exact circuit that
+    ``run_shots`` refuses or whose one row would exceed the budget
+    (``run_shots`` then refuses it or runs it alone), for a calibration that
+    does not cover the circuit, or when fewer than two distinct rows are
+    left: stacking one gains nothing."""
     if len(rows) < 2:
         return
     n = rows[0][0].n_qubits
@@ -908,7 +1067,7 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
             scheduled.__dict__.setdefault("dampings", {})[cal] = damping
         return
     chunk = int(_MEMORY_BUDGET // _stacked_need(rows[0][0]))
-    if chunk < 1:
+    if chunk < 1 or _DENSE_PEAK_COPIES * 8 * 4.0**n > _MEMORY_BUDGET:
         return
     for i in range(0, len(rows), chunk):
         part = rows[i:i + chunk]
@@ -926,16 +1085,22 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     equal, bit for bit, and so are the counts. A schedule bound
     from another (``bind``) runs as a fresh schedule of its circuit would.
 
-    Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and
-    before allocating when the engine's estimated peak memory exceeds
-    _MEMORY_BUDGET: _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients
-    on the exact engine (so it runs up to 13 qubits, at any shot count), or
-    _CLASSICAL_PEAK_COPIES x 8 B x shots on the bit-vector engine.
-    tracemalloc peaks (numpy 2.4) on the exact engine were 2.00-2.01 copies
-    of the 4**n coefficients for circuits that gate every qubit before any
-    qubit's last gate (8-12 qubits), and 1.00-1.01 for superposed-control
+    Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and,
+    before pricing anything or allocating, when the engine's estimated peak
+    memory exceeds _MEMORY_BUDGET: on the exact engine, unless it draws from
+    a kept distribution (which ``keep_distributions`` computed within the
+    budget), one row's ``_stacked_need``, in the order that runs, and never
+    less than _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients (so it
+    runs up to 13 qubits in either order, at any shot count); on the
+    bit-vector engine _CLASSICAL_PEAK_COPIES x 8 B x shots. tracemalloc peaks (numpy 2.4) on
+    the exact engine in time order were 2.00-2.01 copies of the 4**n
+    coefficients for circuits that gate every qubit before any qubit's
+    last gate (8-12 qubits), and 1.00-1.01 for superposed-control
     cnot-reset chains of 8-12 qubits (8.0 MiB at 10), whose qubits are live
-    only from their first gate to their last; on the bit-vector engine
+    only from their first gate to their last; those chains run greedily
+    from 9 qubits on, where one row peaked at 42.5 KiB (9 qubits), 47.2
+    (10) and 207.0 (13), and in time order up to 8, at 1.02-1.31 copies
+    (42.0 KiB at 6, 524.2 at 8). On the bit-vector engine
     they were 6.9-10.7 copies for 20-qubit chain cells (none and cnot-reset
     along orientation 1) at 10**3-10**6 shots, up to 19.2 when every shot
     reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4, 2*10**5
@@ -952,14 +1117,16 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     if _kept(scheduled, _bit_plan) is not None:
         engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
     else:
-        engine, need = "exact", _DENSE_PEAK_COPIES * 8 * 4.0**n
+        engine, kept = "exact", scheduled.__dict__.get("distributions")
+        probs = kept.get(cal) if kept else None
+        # drawing from a kept distribution computes nothing
+        need = 0.0 if probs is not None else max(_DENSE_PEAK_COPIES * 8 * 4.0**n,
+                                                 _stacked_need(scheduled))
     if need > _MEMORY_BUDGET:
         raise SimulationError(f"the {engine} engine would need about {need / 2**20:.0f} MiB "
                               f"for {n} qubits at {shots} shots, above the "
                               f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget")
     if engine == "exact":
-        kept = scheduled.__dict__.get("distributions")
-        probs = kept.get(cal) if kept else None
         if probs is None:
             probs = _exact_probabilities([(scheduled, cal)])[0]
         draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)

@@ -800,7 +800,7 @@ def test_zero_length_windows_run_as_fresh_schedules(graph, default_cal, monkeypa
     runs = _bound_runs(monkeypatch, run, cfg)
     zero = 0
     for _, bound, _ in runs:
-        _, _, index, _, _ = noise._kept(bound, noise._exact_plan)
+        index = noise._kept(bound, noise._exact_plan)[2]
         ends = np.array(bound.ends)
         end, start = index[4:] - 4 * bound.n_qubits
         zero += int(np.count_nonzero(ends[end] == ends[start]))

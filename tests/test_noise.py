@@ -507,12 +507,14 @@ def test_equal_qubit_params_hash_equal():
     assert hash(a) != hash(QubitNoiseParams(30e-6, 40e-6, omega=1.0, readout_error=0.01))
 
 
-def test_exact_engine_peak_memory_on_a_wide_chain():
-    """The superposed-control cnot-reset chain on 10 qubits never holds all
-    ten axes live: each qubit is size 1 until its first CNOT and size 2
-    after its last, so the peak stays below 1.5 copies of the 4**10
-    coefficients that a full tensor would take, whether the run reuses the
-    schedule's plan or builds it first (on a new object)."""
+def test_exact_engine_peak_memory_on_a_wide_chain(monkeypatch):
+    """In time order, the superposed-control cnot-reset chain on 10 qubits
+    never holds all ten axes live: each qubit is size 1 until its first
+    CNOT and size 2 after its last, so the peak stays below 1.5 copies of
+    the 4**10 coefficients that a full tensor would take, whether the run
+    reuses the schedule's plan or builds it first (on a new object). The
+    engine runs this chain greedily; the time order is forced here."""
+    monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", math.inf)
     sched, cal = _wide_chain_cell(10)
     _exact_probabilities([(sched, cal)])  # build the plan first
     for run in (sched, replace(sched)):
@@ -549,12 +551,9 @@ def test_stacked_exact_peak_memory_within_estimate(n, stack):
     _assert_stacked_peak_within_estimate(_all_live_cell(n), n, stack)
 
 
-@pytest.mark.parametrize("stack", [1, 50])
-def test_stacked_exact_peak_memory_within_estimate_on_a_long_circuit(stack):
-    """Twenty rounds of CNOTs, T and RPHI gates on 3 qubits close 343 idle
-    windows and RPHI angles, whose priced matrices and rates each row
-    holds: the estimate counts them, where its terms for the qubits alone
-    would fall short three times over."""
+def _long_circuit():
+    """Twenty rounds of CNOTs, T and RPHI gates on 3 qubits, which close 343
+    idle windows and RPHI angles."""
     c = Circuit(3)
     for q in range(3):
         c.h(q)
@@ -565,7 +564,15 @@ def test_stacked_exact_peak_memory_within_estimate_on_a_long_circuit(stack):
             c.t(q).rphi(0.3, q)
         for q in range(2, 0, -1):
             c.cnot(q - 1, q)
-    peak = _assert_stacked_peak_within_estimate(schedule(c.measure_all(), DurationModel()), 3,
+    return c.measure_all()
+
+
+@pytest.mark.parametrize("stack", [1, 50])
+def test_stacked_exact_peak_memory_within_estimate_on_a_long_circuit(stack):
+    """The long circuit's idle windows and RPHI angles each hold priced
+    matrices and rates per row: the estimate counts them, where its terms
+    for the qubits alone would fall short three times over."""
+    peak = _assert_stacked_peak_within_estimate(schedule(_long_circuit(), DurationModel()), 3,
                                                 stack)
     assert peak > 3 * noise._DENSE_PEAK_COPIES * 8 * (4**3 + 3 * 4**4) * stack
 
@@ -585,6 +592,145 @@ def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
     if n <= 4:  # the coefficients' term alone would not cover it
         assert peak > noise._DENSE_PEAK_COPIES * 8 * 4**n * stack
     return peak
+
+
+# ---------------------------------------------------------------------------
+# The greedy contraction order
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def greedy(monkeypatch):
+    """Every exact run contracts in the greedy order."""
+    monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", 0)
+
+
+def _qpe_cell(placement, phi):
+    """A QPE cell as qpe-sweep runs it: its phase's RPHI angles bound onto
+    the schedule of phase 0, on the shipped calibration of its placement."""
+    built = builders.qpe_on_geometry(placement, 0.0)
+    cal = noise.default_calibration().subset(built.layout)
+    sched = schedule(Circuit(built.circuit.n_qubits, built.circuit.ops).measure_all(),
+                     cal.durations)
+    return noise.bind(sched, builders.qpe_angles(builders.qft_dagger_3(placement), phi)), cal
+
+
+_LINEAR3 = topology.enumerate_linear_triples(topology.shipped_poughkeepsie())[0]
+_ZERO_LENGTH_CAL = replace(_LIVE_AXIS_CAL, durations=DurationModel(single_qubit=0.0,
+                                                                   measurement=0.0))
+_GREEDY_CELLS = {
+    "star4": _survey_cell(_STAR4, "star4-cnot-reset"),
+    "ring6": _survey_cell(_RING6, "ring6-3chain"),
+    "qpe-linear3": _qpe_cell(_LINEAR3, 3 * math.pi / 4),
+    "qpe-star4": _qpe_cell(_STAR4, 1.3),
+    "never-gated": _live_axis_cell(Circuit(3).h(0).cnot(0, 2).t(2)),
+    "gated-once": _live_axis_cell(Circuit(3).h(1).h(0).delay(3e-6, 0).h(0).x(2)),
+    # single-qubit gates and readout of 0 ns: the windows they alone span are empty
+    "zero-length": (schedule(Circuit(3).h(0).t(0).h(0).cnot(0, 1).h(2).delay(2e-6, 2).h(2)
+                             .cnot(1, 2).measure_all(), _ZERO_LENGTH_CAL.durations),
+                    _ZERO_LENGTH_CAL),
+    "wide-chain-7": _wide_chain_cell(7),
+}
+
+
+@pytest.mark.parametrize("name", _GREEDY_CELLS)
+def test_greedy_order_matches_kraus_oracle(greedy, name):
+    """Contracted greedily, every kind of cell the time order is checked on
+    gives the independent oracle's distribution within 1e-12."""
+    sched, cal = _GREEDY_CELLS[name]
+    fresh = replace(sched)
+    [got] = _exact_probabilities([(fresh, cal)])
+    assert noise._greedy_plan in fresh.__dict__["plans"]
+    assert np.max(np.abs(got - kraus_outcome_probabilities(sched, cal))) <= 1e-12
+
+
+@pytest.mark.parametrize("width", range(6, 11))
+def test_greedy_order_matches_time_order_on_wide_chains(monkeypatch, width):
+    """Both orders give the wide chains' distributions within 1e-15."""
+    sched, cal = _wide_chain_cell(width)
+    got = {}
+    for crossover in (0, math.inf):
+        monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", crossover)
+        [got[crossover]] = _exact_probabilities([(replace(sched), cal)])
+    assert np.max(np.abs(got[0] - got[math.inf])) <= 1e-15
+
+
+def test_greedy_stacked_rows_equal_lone_rows(greedy):
+    """A greedy stack gives each row, bit for bit, what its schedule and
+    calibration give alone: distinct calibrations on one wide chain, and
+    QPE phases bound onto one schedule on two calibrations."""
+    sched, cal = _wide_chain_cell(9)
+    stacks = [[(sched, cal)] + [(sched, flat_cal(9, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6,
+                                                 readout=0.01 * i, p2=0.01 + i * 1e-3))
+                                for i in range(5)]]
+    source, cal = _qpe_cell(_STAR4, 0.0)
+    qft = builders.qft_dagger_3(_STAR4)
+    stacks.append([(noise.bind(source, builders.qpe_angles(qft, k * math.pi / 4)), c)
+                   for k in range(8) for c in (cal, flat_cal(4, t1=50e-6, t2=60e-6, p2=0.02))])
+    for rows in stacks:
+        stacked = _exact_probabilities(rows)
+        assert noise._greedy_plan in rows[0][0].__dict__["plans"]
+        for row, (scheduled, c) in zip(stacked, rows):
+            assert np.array_equal(row, _exact_probabilities([(replace(scheduled), c)])[0])
+
+
+@pytest.mark.parametrize("width", range(9, 14))
+@pytest.mark.parametrize("stack", [1, 20])
+def test_greedy_peak_memory_within_estimate(width, stack):
+    """Wide chains run greedily and peak per row within ``_stacked_need``,
+    which counts every folded gate, all held at once, and at least half of
+    it: the estimate is not the time order's 4**n term."""
+    sched, _ = _wide_chain_cell(width)
+    peak = _assert_stacked_peak_within_estimate(sched, width, stack)
+    assert noise._greedy_plan in sched.__dict__["plans"]
+    assert peak > noise._stacked_need(sched) * stack / 2
+
+
+def test_a_greedy_chain_of_14_qubits_is_refused_and_never_kept(monkeypatch):
+    """The greedy order would hold little of a 14-qubit chain, but the
+    exact engine still refuses 14 qubits in either order: run_shots raises
+    before computing anything, and keep_distributions keeps nothing."""
+    sched, cal = _wide_chain_cell(14)
+    assert noise._stacked_need(sched) < noise._MEMORY_BUDGET
+    monkeypatch.setattr(noise, "_exact_probabilities", None)  # any call would fail
+    noise.keep_distributions([(sched, cal), (sched, replace(cal, two_qubit_error=0.01))])
+    assert "distributions" not in sched.__dict__
+    with pytest.raises(SimulationError, match="exact engine would need about"):
+        run_shots(sched, cal, 10, 0)
+
+
+_SUBCOMMANDS = ("t1", "t2-ramsey", "t2-echo", "cnot-chain", "ccnot-survey", "qft-perfect",
+                "qpe-sweep")
+
+
+def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, monkeypatch):
+    """Every exact structure the seven subcommands build at default
+    settings peaks at 4,096 coefficients per row in time order and runs in
+    it, t1 and chain cells never reach the exact engine, and the wide chains go
+    greedy above _GREEDY_CROSSOVER (9 and 10 qubits) and not below."""
+    from nisq_lab.cli import main
+
+    peaks = {}
+    real = noise._exact_probabilities
+
+    def recording(rows):
+        probs = real(rows)
+        plans = rows[0][0].__dict__["plans"]
+        peaks.setdefault(command, []).append((plans[noise._exact_plan][5],
+                                              noise._greedy_plan in plans))
+        return probs
+
+    monkeypatch.setattr(noise, "_exact_probabilities", recording)
+    for command in _SUBCOMMANDS:
+        assert main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
+    assert sorted(peaks) == ["ccnot-survey", "qft-perfect", "qpe-sweep", "t2-echo", "t2-ramsey"]
+    runs = [run for command in peaks for run in peaks[command]]
+    assert max(peak for peak, _ in runs) == 4096 and not any(went for _, went in runs)
+    for width in range(6, 11):
+        sched, cal = _wide_chain_cell(width)
+        real([(sched, cal)])
+        peak = noise._kept(sched, noise._exact_plan)[5]
+        assert (peak > noise._GREEDY_CROSSOVER) == (width >= 9)
+        assert (noise._greedy_plan in sched.__dict__["plans"]) == (width >= 9)
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
@@ -867,12 +1013,12 @@ def test_bit_vector_width_limit(n):
 
 
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
-    """The pre-flight estimate is _DENSE_PEAK_COPIES * 8 B per Pauli
-    coefficient (4**n of them, at any shot count) on the exact engine, and
-    _CLASSICAL_PEAK_COPIES * 8 B per shot on the bit-vector engine."""
+    """The pre-flight estimate is one row's ``_stacked_need`` on the exact
+    engine (at any shot count), and _CLASSICAL_PEAK_COPIES * 8 B per shot
+    on the bit-vector engine."""
     cal = flat_cal(2, t1=30e-6, t2=40e-6)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
-    exact_need = noise._DENSE_PEAK_COPIES * 8 * 4**2
+    exact_need = noise._stacked_need(sched)
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", exact_need)
     run_shots(sched, cal, 10, 0)
     run_shots(sched, cal, 3, 0)
@@ -887,6 +1033,25 @@ def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need - 1)
     with pytest.raises(SimulationError, match="bit-vector engine"):
         run_shots(classical, cal, 10, 0)
+
+
+def test_lone_exact_run_is_refused_on_its_stacked_estimate(monkeypatch):
+    """A lone exact run is refused on the estimate that stacks use, which
+    counts each idle window's and RPHI angle's priced matrix and rates:
+    the long circuit, which peaks at about 78 KiB, is refused with a budget
+    well above its 4**n term (1.25 KiB), before anything is priced, and
+    runs on a budget of its estimate."""
+    cal = flat_cal(3, t1=30e-6, t2=40e-6, readout=0.01, p2=0.01)
+    sched = schedule(_long_circuit(), cal.durations)
+    coefficients, need = noise._DENSE_PEAK_COPIES * 8 * 4**3, noise._stacked_need(sched)
+    assert need > 50 * coefficients
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", (coefficients + need) / 2)
+    with monkeypatch.context() as m:
+        m.setattr(noise, "_priced_windows", None)  # any pricing would fail
+        with pytest.raises(SimulationError, match="exact engine"):
+            run_shots(sched, cal, 10, 0)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", need)
+    assert sum(run_shots(sched, cal, 10, 0).values()) == 10
 
 
 def test_bit_vector_peak_memory_within_estimate():
