@@ -29,14 +29,13 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     to its last: the first gate's matrix takes the qubit's |0> column, and
     the last one's ends in the qubit's readout rows, so that the axis
     leaves it holding the qubit's two outcome probabilities. What depends
-    on the layering alone is planned once (``_exact_plan``). A run takes
-    rows, each a schedule of that layering and a calibration, builds every
-    row's window, readout, RPHI and CNOT matrices as arrays, and gives the
-    tensor a leading row axis: each gate indexes those arrays and folds its
-    matrix. The folded gates apply one batched product each in time order,
-    or, where time order would hold more than _GREEDY_CROSSOVER
-    coefficients per row at once, are contracted pairwise in a greedy
-    order planned once per layering (``_greedy_plan``).
+    on the layering alone is planned once (``_exact_plan``), with the
+    steps that contract the folded gates: in time order, or in a greedy
+    pairwise order where time order would hold more than _GREEDY_CROSSOVER
+    coefficients per row at once. A run takes rows, each a schedule of
+    that layering and a calibration, builds every row's window, readout,
+    RPHI and CNOT matrices as arrays, folds each gate's matrix over the
+    rows and runs the steps, one batched product each.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -76,6 +75,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -740,107 +741,135 @@ def _cnot_ptms(p2: np.ndarray) -> np.ndarray:
     return keep * _CX_PTM
 
 
-def _exact_plan(scheduled: ScheduledCircuit) -> tuple:
-    """What ``_exact_probabilities`` does on any values and calibrations, as
-    ``(gates, never_gated, index, read, angles, peak)``. ``index`` is the
-    ``_window_index`` of every idle window, the first ``read`` of them those
-    open at readout, whose readout rows are numbered alike; ``angles``
-    counts the RPHI angles. A gate is ``(gate, fresh, ins, outs, qubits,
-    perm, inverse, shape)``: its PTM, None for a CNOT (whose PTM depends on
-    the calibration) or, for an RPHI, the index of its angle; the |0>
-    columns its fresh operands take (``_FRESH``), or None; the windows it
-    closes on its live operands; per operand, the index of its readout rows
-    at its last gate, or ``_IDENTITY``, or None when no operand has its
-    last gate here; its operands; the axis permutation that brings the
-    operands' axes to the front, behind the leading row axis 0 (qubit q is
-    axis q + 1), and its inverse; and the permuted shape after the gate, -1
-    on the row axis. ``never_gated`` lists each ungated qubit with the
-    broadcast shape of its readout pairs, and ``peak`` is the time order's
-    largest live tensor, in coefficients per row."""
+class _ExactPlan(NamedTuple):
+    """What ``_exact_probabilities`` does on any values and calibrations of
+    one layering (``_exact_plan``). A gate is its PTM (None for a CNOT, an
+    angle's index for an RPHI), the |0> columns of its fresh operands
+    (``_FRESH``) or None, the windows it closes, and per operand its
+    readout rows' index or ``_IDENTITY`` (None if no operand ends here).
+    The tensors are the folded gates, then each never-gated qubit's
+    ``[1 - r, r]`` as a 2 x 1 column. A step contracts tensors i and j into
+    one appended to them, as one batched product: i (transposed by perm_i
+    and reshaped to shape_i, unless perm_i is None) times j transposed by
+    perm_j and reshaped to shape_j, reshaped to ``shape``."""
+
+    gates: list  # per gate in time order: (gate, fresh, ins, outs, qubits)
+    never_gated: list  # the qubits no gate touches
+    index: np.ndarray  # the _window_index of every idle window
+    read: int  # the first read windows, and readout rows, are those open at readout
+    angles: int  # how many RPHI angles there are
+    peak: int  # time order's largest tensor, in coefficients per row
+    order: str  # "time" or "greedy"
+    shapes: list  # each tensor's shape, or None to take it as it comes
+    steps: list  # (i, j, perm_i, shape_i, perm_j, shape_j, shape) per step
+    final: tuple  # the last tensor's axes in qubit order
+    held: float  # what the order holds at once, in coefficients per row
+
+
+def _exact_plan(scheduled: ScheduledCircuit) -> _ExactPlan:
+    """The ``_ExactPlan`` of ``scheduled``'s layering. One walk of its
+    ``_idle_windows`` lists each gate's folding data and tracks time
+    order's product, which has one axis per qubit: size 1 before the
+    qubit's first gate, 4 while it is live and 2 after its last gate. The
+    steps are time order's (``_left_fold``) unless that product would grow
+    above _GREEDY_CROSSOVER coefficients per row; then they are greedy's
+    (``_greedy_order``), and time order plans nothing."""
     n = scheduled.n_qubits
-    sizes = [1] * n  # each qubit's axis size
-    *steps, (windows, _) = _idle_windows(scheduled)
+    *layers, (windows, _) = _idle_windows(scheduled)
     # each gated qubit's window open at readout, which opens at its last gate
     read = {q: (k, j) for k, (q, _, j) in enumerate(windows)}
-    axes = {}  # each operand tuple's axis permutation and its inverse
-    gates = []
-    angle = 0  # the index of the next RPHI's angle
-    peak = 1
-    for i, (closed, ops) in enumerate(steps):
+    sizes = [1] * n  # each qubit's axis size in time order's product
+    gates, angle = [], 0  # the gates, and the index of the next RPHI's angle
+    volume = peak = 1  # time order's product, in coefficients per row, and its largest
+    for i, (closed, ops) in enumerate(layers):
         idle = {q: len(windows) + k for k, (q, _, _) in enumerate(closed)}
         windows += closed
         for op in ops:
             if op.kind in ("MEASURE", "DELAY"):
                 continue
-            fresh = _FRESH.get(tuple([sizes[q] == 1 for q in op.qubits]))
-            ins = [idle[q] for q in op.qubits if sizes[q] == 4]
-            for q in op.qubits:
-                sizes[q] = 2 if read[q][1] == i else 4
-            outs = [read[q][0] if sizes[q] == 2 else _IDENTITY for q in op.qubits]
-            if op.qubits not in axes:
-                perm = [0, *[q + 1 for q in op.qubits],
-                        *[a for a in range(1, n + 1) if a - 1 not in op.qubits]]
-                axes[op.qubits] = perm, sorted(range(n + 1), key=perm.__getitem__)
-            perm, inverse = axes[op.qubits]
             if op.kind == "CNOT":
                 gate = None
             elif op.kind == "RPHI":
                 gate, angle = angle, angle + 1
             else:
                 gate = _gate_ptm(op.kind)
-            shape = [-1] + [sizes[a - 1] for a in perm[1:]]
-            if fresh is not None:  # only a fresh operand grows the tensor
-                peak = max(peak, math.prod(shape[1:]))
-            gates.append((gate, fresh, ins, outs if 2 in [sizes[q] for q in op.qubits] else None,
-                          op.qubits, perm, inverse, shape))
-    never_gated = [(q, (-1,) + (1,) * q + (2,) + (1,) * (n - 1 - q))
-                   for q in range(n) if sizes[q] == 1]
-    return gates, never_gated, _window_index(windows, n), len(read), angle, peak
+            fresh = _FRESH.get(tuple([sizes[q] == 1 for q in op.qubits]))
+            ins = [idle[q] for q in op.qubits if sizes[q] == 4]
+            out = 1
+            for q in op.qubits:
+                sizes[q] = 2 if read[q][1] == i else 4
+                out *= sizes[q]
+            # an operand ends here (size 2) only if their sizes multiply to less
+            outs = ([read[q][0] if sizes[q] == 2 else _IDENTITY for q in op.qubits]
+                    if out < 4**len(op.qubits) else None)
+            gates.append((gate, fresh, ins, outs, op.qubits))
+            volume = volume // 4**len(ins) * out
+            peak = max(peak, volume)
+    never_gated = [q for q in range(n) if sizes[q] == 1]
+    peak = max(peak, volume << len(never_gated))
+    order = "greedy" if peak > _GREEDY_CROSSOVER else "time"
+    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n)
+    return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, peak,
+                      order, *steps)
 
 
-def _greedy_plan(scheduled: ScheduledCircuit) -> tuple:
-    """The pairwise contraction that ``_exact_probabilities`` runs in place
-    of time order, planned on the layering's ``_exact_plan``, as ``(shapes,
-    steps, final, peak)``.
+def _left_fold(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
+    """Time order as ``(shapes, steps, final, held)`` of an ``_ExactPlan``:
+    a left fold, each tensor in turn, as it comes, times the product of all
+    before it. The tensor's operands' axes, in operand order, are the inner
+    dimension and the rest follow in qubit order; a readout pair is a gate
+    that ends a fresh qubit. That transpose copies the product, so ``held``
+    is _DENSE_PEAK_COPIES x 4**n."""
+    sizes, steps, last, volume = [-1] + [1] * n, [], None, 1  # -1, then each qubit's size
+    axes = {}  # per operand tuple: a getter of the axes (0, operands, the rest), its inverse
+    total = len(gates) + len(never_gated)  # step k's product is tensor total + k
+    for _, _, ins, outs, qubits in gates + [(None, None, (), [0], (q,)) for q in never_gated]:
+        inner, out = 4**len(ins), 1
+        for q, m in zip(qubits, outs or qubits):
+            sizes[q + 1] = 4 if outs is None or m is _IDENTITY else 2
+            out *= sizes[q + 1]
+        if qubits not in axes:
+            perm = (0, *[q + 1 for q in qubits], *[q + 1 for q in range(n) if q not in qubits])
+            axes[qubits] = itemgetter(*perm), tuple(sorted(range(n + 1), key=perm.__getitem__))
+        axis, inverse = axes[qubits]
+        shape = axis(sizes)  # the product's shape, and below the transpose to it
+        if last is None:
+            first = shape
+        else:
+            steps.append((len(steps) + 1, total + len(steps) - 1 if steps else 0, None, None,
+                          axis(last), (-1, inner, volume // inner), shape))
+        last = inverse
+        volume = volume // inner * out
+    return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * 4.0**n
 
-    The tensors are the folded gates in time order, then each ungated
-    qubit's readout pair, each with the leading row axis. A leg is a qubit's
-    axis from one gate to its next (size 4), or after its last gate or in
-    its readout pair (size 2, an outcome). ``shapes`` gives each tensor's
-    shape: the row axis, the gate's outgoing legs per operand, then the legs
-    it takes in (none for a fresh operand). Each step ``(i, j, perm_i,
-    shape_i, perm_j, shape_j, shape)`` contracts tensors i and j into one
-    appended to the list, as one batched matrix product: i's free legs by
-    the legs it shares with j, times those shared legs by j's free legs,
-    reshaped to the result's legs (i's free, then j's). ``final`` brings the
-    last tensor's outcomes to qubit order, and ``peak`` bounds the
-    coefficients per row held at once: every tensor still live, a copy of
-    each operand and the product, or three copies of the 2**n outcomes.
 
-    The order is greedy, as in opt_einsum's greedy path (Markov & Shi, SIAM
-    J. Comput. 38, 2008, on contraction orders): of the pairs of live
-    tensors that share a leg, contract the one whose product is smallest
-    net of its operands' sizes (ties to the earlier pair); tensors that
-    share no leg are then multiplied out two at a time, smallest first."""
-    gates, never_gated, *_ = _kept(scheduled, _exact_plan)
-    n = scheduled.n_qubits
-    sizes = []  # each leg's size
-    legs = []  # each tensor's legs, in its axis order behind the row axis
+def _greedy_order(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
+    """A greedy pairwise order as ``(shapes, steps, final, held)`` of an
+    ``_ExactPlan`` (opt_einsum's greedy path; Markov & Shi, SIAM J. Comput.
+    38, 2008). A tensor's axes are its legs: a qubit's axis from one gate
+    to its next (size 4), or its outcome (size 2); a gate puts out one leg
+    per operand, then takes in those of its live operands. Of the pairs of
+    live tensors that share a leg, contract the one whose product is
+    smallest net of its operands (ties to the earlier pair), then multiply
+    out what shares no leg, smallest first. Every folded gate is held from
+    the first step on: ``held`` bounds every live tensor, a copy of each
+    operand and the product, or three copies of the 2**n outcomes."""
+    sizes, legs = [], []  # each leg's size; each tensor's legs behind the row axis
     last = [None] * n  # each qubit's latest leg, and the tensor it leaves
     pairs = set()  # the tensors that share a leg
-    for *_, qubits, _, _, shape in gates:
+    for *_, outs, qubits in gates:
         ins = [last[q] for q in qubits if last[q] is not None]
         pairs.update((k, len(legs)) for _, k in ins)
-        outs = list(range(len(sizes), len(sizes) + len(qubits)))
-        sizes += shape[1:1 + len(qubits)]  # the operands' axes lead the permuted shape
-        for q, leg in zip(qubits, outs):
+        new = list(range(len(sizes), len(sizes) + len(qubits)))
+        sizes += [4 if outs is None or m is _IDENTITY else 2 for m in outs or qubits]
+        for q, leg in zip(qubits, new):
             last[q] = leg, len(legs)
-        legs.append(outs + [leg for leg, _ in ins])
-    for q, _ in never_gated:
+        legs.append(new + [leg for leg, _ in ins])
+    for q in never_gated:
         last[q] = len(sizes), len(legs)
         legs.append([len(sizes)])
         sizes.append(2)
-    shapes = [[-1] + [sizes[leg] for leg in t] for t in legs]
+    shapes = [(-1, *[sizes[leg] for leg in t]) for t in legs]
     # a tensor's legs as the bits of a mask: two tensors' product keeps the
     # legs of their XOR, and its size is 2 ** (its legs plus its bonds)
     bonds = sum(1 << leg for leg, size in enumerate(sizes) if size == 4)
@@ -868,10 +897,11 @@ def _greedy_plan(scheduled: ScheduledCircuit) -> tuple:
         peak = max(peak, held + volume[i] + volume[j] + volume[k])
         held += volume[k] - volume[i] - volume[j]
         inner = math.prod(sizes[leg] for leg in shared)
-        steps.append((i, j, [0] + [1 + legs[i].index(leg) for leg in left + shared],
+        steps.append((i, j, (0, *[1 + legs[i].index(leg) for leg in left + shared]),
                       (-1, volume[i] // inner, inner),
-                      [0] + [1 + legs[j].index(leg) for leg in shared + right],
-                      (-1, inner, volume[j] // inner), [-1] + [sizes[leg] for leg in left + right]))
+                      (0, *[1 + legs[j].index(leg) for leg in shared + right]),
+                      (-1, inner, volume[j] // inner),
+                      (-1, *[sizes[leg] for leg in left + right])))
         live.difference_update((i, j))
         live.add(k)
         return k
@@ -892,7 +922,7 @@ def _greedy_plan(scheduled: ScheduledCircuit) -> tuple:
         k = contract(i, j)
         heapq.heappush(rest, (volume[k], k))
     [(_, k)] = rest
-    final = [0] + [1 + legs[k].index(last[q][0]) for q in range(n)]
+    final = (0, *[1 + legs[k].index(last[q][0]) for q in range(n)])
     return shapes, steps, final, max(peak, 3 * 2**n)
 
 
@@ -901,7 +931,7 @@ def _folded(rows, gates, windows, readouts, rphi):
     rows' CNOT or RPHI PTMs) on the |0> columns of its fresh operands,
     after the windows it closes and before its readout rows."""
     cnot = None  # built at the first CNOT
-    for gate, fresh, ins, outs, _, _, _, _ in gates:
+    for gate, fresh, ins, outs, _ in gates:
         if gate is None:
             if cnot is None:
                 cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]))
@@ -924,72 +954,50 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
-    that closes it. Qubit q's axis of the coefficient tensor holds only
-    what is still needed of it: size 1 before its first gate, where it is
-    |0> and no idle time is charged, so that gate takes the |0> column;
-    size 4 while it is live; and size 2 after its last gate, whose matrix
-    ends in q's readout rows, so that the axis holds q's two outcome
-    probabilities. A qubit no gate touches reads [1 - r, r]. The final
-    tensor is the outcome distribution in qubit order.
+    that closes it. A run prices its rows' windows in one ``_channel_rates``
+    call, builds every window's PTM, readout rows and RPHI's PTM over
+    (window or angle, row) and the CNOT's over rows, and gives every tensor
+    a leading row axis: each gate indexes those arrays and folds its matrix
+    (``_folded``) when a step first takes it, so that time order holds one
+    folded gate at a time. One loop runs the steps of the layering's plan
+    (``_exact_plan``), in either order, and the last tensor is the outcome
+    distribution. Every row is the same, bit for bit, as a run of its
+    schedule and calibration alone.
 
-    That bookkeeping is planned once per layering (``_exact_plan``). A run
-    prices its rows' windows in one ``_channel_rates`` call, builds every
-    window's PTM, readout rows and RPHI's PTM over (window or angle, row)
-    and the CNOT's over rows, and gives every tensor a leading row axis:
-    each gate indexes those arrays and folds its matrix (``_folded``).
-    Every row is the same, bit for bit, as a run of its schedule and
-    calibration alone.
-
-    The folded gates are contracted in one of two orders, chosen by the
-    time order's largest live tensor per row (``_exact_plan``'s ``peak``).
-    Up to _GREEDY_CROSSOVER coefficients they run in time order: each gate
-    applies one batched product to the state, and a gate whose operands
-    are all live costs a product over the whole tensor, after a reshape
-    that copies it, so all-live circuits peak at about two copies of 8 B x
-    4**n per row and circuits whose qubits join late and leave early lower.
-    Above it they are contracted pairwise in the greedy order of
-    ``_greedy_plan``, kept per layering beside the time order's plan: every
-    folded gate is held at once, but no two qubits need be live together.
-    A superposed-control cnot-reset chain has every ancilla live at its
-    turn in time order, 2 x 4**(n - 1) coefficients per row (4 MiB at 10
-    qubits); contracted greedily, its largest tensor is its 2**n outcomes.
-    ``run_shots`` and ``_stacked_need`` give each order's measured peaks.
-    Each order is planned when it first runs, and a schedule of a fresh
-    layering plans again, so circuits scheduled afresh for each call, as
-    the wide chains run through the API are, pay their plans on every call
-    in either order."""
+    In time order a superposed-control cnot-reset chain has every ancilla
+    live at its turn, 2 x 4**(n - 1) coefficients per row (4 MiB at 10
+    qubits); greedily, every folded gate is held at once, but the largest
+    tensor is the 2**n outcomes (``_stacked_need`` gives measured peaks).
+    A schedule of a fresh layering plans again, so circuits scheduled
+    afresh for each call, as the wide chains run through the API are, pay
+    their plan on every call."""
     scheduled = rows[0][0]
-    gates, never_gated, index, read, angles, peak = _kept(scheduled, _exact_plan)
-    n, stack = scheduled.n_qubits, len(rows)
-    values, readout, rates = _priced_windows(rows, index)
+    plan = _kept(scheduled, _exact_plan)
+    values, readout, rates = _priced_windows(rows, plan.index)
     windows = _idle_ptms(*rates)  # over (window, row)
     # a window open at readout ends in its qubit's readout flips, which keep
     # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
-    windows[:read, :, 3] *= (1.0 - 2.0 * readout[:read])[..., None]
-    readouts = _TO_POPULATIONS @ windows[:read, :, ::3]
-    rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if angles else None
-    folded = _folded(rows, gates, windows, readouts, rphi)
-    pairs = [np.stack([1.0 - r, r], axis=-1)
-             for r in (values[:, 4 * q + 3] for q, _ in never_gated)]
-    if peak > _GREEDY_CROSSOVER:
-        shapes, steps, final, _ = _kept(scheduled, _greedy_plan)
-        tensors = [t.reshape(shape) for t, shape in zip([*folded, *pairs], shapes)]
-        for i, j, perm_i, shape_i, perm_j, shape_j, shape in steps:
-            tensors.append((tensors[i].transpose(perm_i).reshape(shape_i)
-                            @ tensors[j].transpose(perm_j).reshape(shape_j)).reshape(shape))
-            tensors[i] = tensors[j] = None
-        rho = tensors[-1].transpose(final)
-    else:
-        rho = np.ones((stack,) + (1,) * n)
-        for s, (_, _, _, _, _, perm, inverse, shape) in zip(folded, gates):
-            # the reshape copies rho unless perm keeps its order; rebinding
-            # rho frees the old state before the product allocates its own
-            rho = rho.transpose(perm).reshape(stack, s.shape[-1], -1)
-            rho = (s @ rho).reshape(shape).transpose(inverse)
-        for pair, (_, shape) in zip(pairs, never_gated):
-            rho = rho * pair.reshape(shape)
+    windows[:plan.read, :, 3] *= (1.0 - 2.0 * readout[:plan.read])[..., None]
+    readouts = _TO_POPULATIONS @ windows[:plan.read, :, ::3]
+    rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if plan.angles else None
+    pairs = (np.stack([1.0 - values[:, 4 * q + 3], values[:, 4 * q + 3]], axis=1)[..., None]
+             for q in plan.never_gated)  # 2 x 1 columns
+    inputs = zip(itertools.count(), plan.shapes,
+                 itertools.chain(_folded(rows, plan.gates, windows, readouts, rphi), pairs))
+    tensors = {}
+    for k, (i, j, perm_i, shape_i, perm_j, shape_j, shape) in enumerate(plan.steps,
+                                                                        len(plan.shapes)):
+        while i not in tensors or j not in tensors:  # fold the gates up to both operands
+            m, s, t = next(inputs)
+            tensors[m] = t if s is None else t.reshape(s)
+        # no name holds an operand: one that its reshape copies is freed
+        # before the product allocates, and the copies after it
+        tensors[k] = ((tensors.pop(i) if perm_i is None
+                       else tensors.pop(i).transpose(perm_i).reshape(shape_i))
+                      @ tensors.pop(j).transpose(perm_j).reshape(shape_j)).reshape(shape)
+    [rho] = tensors.values() if plan.steps else [t.reshape(s) for _, s, t in inputs]
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
-    probs = np.maximum(rho.reshape(stack, -1), 0.0)
+    probs = np.maximum(rho.transpose(plan.final).reshape(len(rows), -1), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
@@ -997,8 +1005,8 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
 _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 # The time order's largest live tensor, in coefficients per row, above
 # which the exact engine contracts greedily. Measured in one warm process
-# (numpy 2.4, one BLAS thread, median of 21 runs, both plans built in each
-# run as the API's fresh schedules build them): superposed-control
+# (numpy 2.4, one BLAS thread, median of 21 runs, both orders planned in
+# each run, as the API's fresh schedules planned them): superposed-control
 # cnot-reset chains ran in time order / greedily in 0.72 / 0.93 ms at
 # 8,192 (7 qubits), 1.08 / 1.13 at 32,768 (8), 4.01 / 1.19 at 131,072 (9)
 # and 11.3 / 1.32 at 524,288 (10). Every structure the CLI subcommands
@@ -1014,29 +1022,26 @@ _PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix an
 
 def _stacked_need(scheduled: ScheduledCircuit) -> float:
     """Estimated peak bytes per row of a stacked exact run of ``scheduled``'s
-    layering, in the order that runs it: its coefficients, 8 B x
-    _DENSE_PEAK_COPIES x the entries of its own folded CNOT matrices (3 x
-    16 x 16), and _PRICED_BYTES for each idle window and RPHI angle, whose
-    PTM (16 entries) and rates a run builds per row.
+    layering, in the order its plan records: 8 B x the plan's ``held``
+    coefficients, 8 B x _DENSE_PEAK_COPIES x the entries of its own folded
+    CNOT matrices (3 x 16 x 16), and _PRICED_BYTES for each idle window and
+    RPHI angle, whose PTM (16 entries) and rates a run builds per row.
 
-    In time order the coefficients count _DENSE_PEAK_COPIES x 8 B x 4**n.
-    tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) on
-    all-live circuits were 10.3-15.6 KiB at 3 qubits (17 windows and
-    angles), 13.3-18.6 KiB at 4 (24), 2.39-2.46 copies at 6 and 2.03 at 8,
-    and 72.7-78.1 KiB on 3 qubits with 343 windows and angles; the 4**n
-    term alone would allow 12x too many rows at 3 qubits. In the greedy
-    order they count 8 B x ``_greedy_plan``'s ``peak``, which includes
-    every folded gate, all held from the first step on: tracemalloc peaks
-    per row of superposed-control cnot-reset chains (stacks of 20 and 1)
-    were 38.5-42.5 KiB at 9 qubits against an estimate of 53.3 KiB,
-    42.5-47.2 at 10 (57.2), 57.3-61.0 at 11 (72.1), 106.2-110.0 at 12
-    (121.1) and 203.2-207.0 at 13 (218.0)."""
-    _, _, index, _, angles, peak = _kept(scheduled, _exact_plan)
-    if peak > _GREEDY_CROSSOVER:
-        held = _kept(scheduled, _greedy_plan)[3]
-    else:
-        held = _DENSE_PEAK_COPIES * 4.0**scheduled.n_qubits
-    return 8 * (held + _DENSE_PEAK_COPIES * 3 * 4**4) + _PRICED_BYTES * (index.shape[1] + angles)
+    tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) in
+    time order: all-live circuits took 12.3-19.1 KiB at 3 qubits (17
+    windows and angles; the 4**n term alone would allow 12x too many rows),
+    15.3-22.2 KiB at 4 (24), 2.39-2.50 copies of 8 B x 4**n at 6 and
+    2.03-2.04 at 8, and 75.4-81.7 KiB on 3 qubits with 343 windows and
+    angles; superposed-control cnot-reset chains, whose qubits are live
+    only from their first gate to their last, 1.03-1.34 copies at 6-8
+    qubits (42.8 KiB at 6) and, forced into time order, 1.00 at 10 and 12
+    (8.0 MiB at 10). Greedily, those chains (stacks of 1 and 20) took
+    31.0-36.1 KiB at 9 qubits against an estimate of 53.3, 35.0-40.6 at 10
+    (57.2), 59.9-65.0 at 11 (72.1), 108.8-113.2 at 12 (121.1) and
+    205.7-210.4 at 13 (218.0)."""
+    plan = _kept(scheduled, _exact_plan)
+    return (8 * (plan.held + _DENSE_PEAK_COPIES * 3 * 4**4)
+            + _PRICED_BYTES * (plan.index.shape[1] + plan.angles))
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
@@ -1092,16 +1097,9 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     budget), one row's ``_stacked_need``, in the order that runs, and never
     less than _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients (so it
     runs up to 13 qubits in either order, at any shot count); on the
-    bit-vector engine _CLASSICAL_PEAK_COPIES x 8 B x shots. tracemalloc peaks (numpy 2.4) on
-    the exact engine in time order were 2.00-2.01 copies of the 4**n
-    coefficients for circuits that gate every qubit before any qubit's
-    last gate (8-12 qubits), and 1.00-1.01 for superposed-control
-    cnot-reset chains of 8-12 qubits (8.0 MiB at 10), whose qubits are live
-    only from their first gate to their last; those chains run greedily
-    from 9 qubits on, where one row peaked at 42.5 KiB (9 qubits), 47.2
-    (10) and 207.0 (13), and in time order up to 8, at 1.02-1.31 copies
-    (42.0 KiB at 6, 524.2 at 8). On the bit-vector engine
-    they were 6.9-10.7 copies for 20-qubit chain cells (none and cnot-reset
+    bit-vector engine _CLASSICAL_PEAK_COPIES x 8 B x shots. ``_stacked_need``
+    gives the exact engine's tracemalloc peaks (numpy 2.4); the bit-vector
+    engine's were 6.9-10.7 copies for 20-qubit chain cells (none and cnot-reset
     along orientation 1) at 10**3-10**6 shots, up to 19.2 when every shot
     reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4, 2*10**5
     and 10**6 shots: 14.9, 19.2, 17.2) and the returned dict dominates."""

@@ -598,10 +598,23 @@ def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
 # The greedy contraction order
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def greedy(monkeypatch):
-    """Every exact run contracts in the greedy order."""
-    monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", 0)
+def _in_each_order(monkeypatch):
+    """Yield each contraction order, with _GREEDY_CROSSOVER set so that
+    every exact plan built meanwhile records it."""
+    for order, crossover in (("greedy", 0), ("time", math.inf)):
+        monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", crossover)
+        yield order
+
+
+def _planned_order(sched):
+    """The order that the schedule's kept exact plan records, checked
+    against its steps: time order takes each tensor in turn, on the left,
+    into the product of all before it, and the greedy order does not."""
+    plan = sched.__dict__["plans"][noise._exact_plan]
+    total = len(plan.shapes)
+    fold = [(t, total + t - 2 if t > 1 else 0) for t in range(1, total)]
+    assert ([step[:2] for step in plan.steps] == fold) == (plan.order == "time")
+    return plan.order
 
 
 def _qpe_cell(placement, phi):
@@ -633,14 +646,16 @@ _GREEDY_CELLS = {
 
 
 @pytest.mark.parametrize("name", _GREEDY_CELLS)
-def test_greedy_order_matches_kraus_oracle(greedy, name):
-    """Contracted greedily, every kind of cell the time order is checked on
-    gives the independent oracle's distribution within 1e-12."""
+def test_greedy_order_matches_kraus_oracle(monkeypatch, name):
+    """Contracted in either order, greedily or in time order, every kind
+    of cell gives the independent oracle's distribution within 1e-12."""
     sched, cal = _GREEDY_CELLS[name]
-    fresh = replace(sched)
-    [got] = _exact_probabilities([(fresh, cal)])
-    assert noise._greedy_plan in fresh.__dict__["plans"]
-    assert np.max(np.abs(got - kraus_outcome_probabilities(sched, cal))) <= 1e-12
+    oracle = kraus_outcome_probabilities(sched, cal)
+    for order in _in_each_order(monkeypatch):
+        fresh = replace(sched)
+        [got] = _exact_probabilities([(fresh, cal)])
+        assert _planned_order(fresh) == order
+        assert np.max(np.abs(got - oracle)) <= 1e-12
 
 
 @pytest.mark.parametrize("width", range(6, 11))
@@ -654,10 +669,11 @@ def test_greedy_order_matches_time_order_on_wide_chains(monkeypatch, width):
     assert np.max(np.abs(got[0] - got[math.inf])) <= 1e-15
 
 
-def test_greedy_stacked_rows_equal_lone_rows(greedy):
-    """A greedy stack gives each row, bit for bit, what its schedule and
-    calibration give alone: distinct calibrations on one wide chain, and
-    QPE phases bound onto one schedule on two calibrations."""
+def test_greedy_stacked_rows_equal_lone_rows(monkeypatch):
+    """A stack gives each row, bit for bit, what its schedule and
+    calibration give alone, in either order: distinct calibrations on one
+    wide chain, and QPE phases bound onto one schedule on two
+    calibrations."""
     sched, cal = _wide_chain_cell(9)
     stacks = [[(sched, cal)] + [(sched, flat_cal(9, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6,
                                                  readout=0.01 * i, p2=0.01 + i * 1e-3))
@@ -666,11 +682,13 @@ def test_greedy_stacked_rows_equal_lone_rows(greedy):
     qft = builders.qft_dagger_3(_STAR4)
     stacks.append([(noise.bind(source, builders.qpe_angles(qft, k * math.pi / 4)), c)
                    for k in range(8) for c in (cal, flat_cal(4, t1=50e-6, t2=60e-6, p2=0.02))])
-    for rows in stacks:
-        stacked = _exact_probabilities(rows)
-        assert noise._greedy_plan in rows[0][0].__dict__["plans"]
-        for row, (scheduled, c) in zip(stacked, rows):
-            assert np.array_equal(row, _exact_probabilities([(replace(scheduled), c)])[0])
+    for order in _in_each_order(monkeypatch):
+        for rows in stacks:
+            fresh = replace(rows[0][0])  # whose plan the stack runs
+            stacked = _exact_probabilities([(fresh, rows[0][1]), *rows[1:]])
+            assert _planned_order(fresh) == order
+            for row, (scheduled, c) in zip(stacked, rows):
+                assert np.array_equal(row, _exact_probabilities([(replace(scheduled), c)])[0])
 
 
 @pytest.mark.parametrize("width", range(9, 14))
@@ -681,7 +699,7 @@ def test_greedy_peak_memory_within_estimate(width, stack):
     it: the estimate is not the time order's 4**n term."""
     sched, _ = _wide_chain_cell(width)
     peak = _assert_stacked_peak_within_estimate(sched, width, stack)
-    assert noise._greedy_plan in sched.__dict__["plans"]
+    assert _planned_order(sched) == "greedy"
     assert peak > noise._stacked_need(sched) * stack / 2
 
 
@@ -714,9 +732,8 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
 
     def recording(rows):
         probs = real(rows)
-        plans = rows[0][0].__dict__["plans"]
-        peaks.setdefault(command, []).append((plans[noise._exact_plan][5],
-                                              noise._greedy_plan in plans))
+        peaks.setdefault(command, []).append(
+            (rows[0][0].__dict__["plans"][noise._exact_plan].peak, _planned_order(rows[0][0])))
         return probs
 
     monkeypatch.setattr(noise, "_exact_probabilities", recording)
@@ -724,13 +741,15 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
         assert main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
     assert sorted(peaks) == ["ccnot-survey", "qft-perfect", "qpe-sweep", "t2-echo", "t2-ramsey"]
     runs = [run for command in peaks for run in peaks[command]]
-    assert max(peak for peak, _ in runs) == 4096 and not any(went for _, went in runs)
+    assert max(peak for peak, _ in runs) == 4096 and all(order == "time" for _, order in runs)
     for width in range(6, 11):
         sched, cal = _wide_chain_cell(width)
         real([(sched, cal)])
-        peak = noise._kept(sched, noise._exact_plan)[5]
+        peak = noise._kept(sched, noise._exact_plan).peak
         assert (peak > noise._GREEDY_CROSSOVER) == (width >= 9)
-        assert (noise._greedy_plan in sched.__dict__["plans"]) == (width >= 9)
+        assert (_planned_order(sched) == "greedy") == (width >= 9)
+        # one kept plan in either order; a greedy one has no time-order steps
+        assert list(sched.__dict__["plans"]) == [noise._exact_plan]
 
 
 def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
