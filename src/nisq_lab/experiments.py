@@ -20,10 +20,16 @@ shape once per call, from its first cell, and each cell binds its values
 onto that schedule (``noise.bind``), so the cells of a shape differ only in
 layout, seed key, calibration subset and bound values. Nothing mutates a
 built circuit. ``run_cells`` lists the cells and their calibration subsets
-first; then, shape by shape and before any cell runs, it builds, schedules
-and binds, and the exact engine computes the distributions of all of the
-shape's cells in stacked passes (``keep_distributions``). Each cell still
-makes its own ``run_shots`` call, which draws from its kept distribution.
+first; then, shape by shape, it builds, schedules and binds, the exact
+engine computes the distributions of all of the shape's cells in stacked
+passes (``keep_distributions``), and the shape's cells run. Each cell still
+makes its own ``run_shots`` call, which draws from its kept distribution,
+and the kept distributions go with their shape, so that at most one
+shape's are held at a time. ``run_shots`` picks the engine: every circuit
+of up to 12 qubits runs exact, t1 and the chains of up to 11 links
+included, so a chain shape's 4 orientations are one stacked pass; the
+longer chains, of 13 to 20 qubits, run as bit-vector trajectories, whose
+exact law would cost more per cell.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -179,7 +185,8 @@ class Cell:
 
 
 def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list[FidelityReport]:
-    """Run and score each cell compactly on its own qubits, in order.
+    """Run and score each cell compactly on its own qubits; the reports
+    come back in cell order.
 
     The cells are listed first, each with its calibration subset. Then,
     shape by shape, the first cell of the shape builds its circuit, and
@@ -187,14 +194,20 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
     scheduled once for the call, which either engine plans once; each cell
     that has values binds them onto that schedule (``bind``), and the exact
     engine computes the outcome distributions of every cell of the shape in
-    stacked passes (``keep_distributions``). Each cell still makes its own
-    ``run_shots`` call on its bound schedule, calibration subset and seed
-    key, and is scored with its shape's roles and desired ancilla string."""
+    stacked passes (``keep_distributions``). Each cell of the shape then
+    makes its own ``run_shots`` call on its bound schedule, calibration
+    subset and seed key, and is scored with its shape's roles and desired
+    ancilla string into its place in the reports, before the next shape is
+    built: what was kept for one shape is freed before the next computes
+    its own. Each cell's seed key fixes its counts, so the order in which
+    cells run changes no report. Which engine runs a cell is ``run_shots``'
+    choice: exact up to 12 qubits, and bit-vector trajectories for wider
+    X/CNOT/DELAY circuits."""
     cells = [(cell, cal.subset(cell.layout)) for cell in cells]
     shapes: dict[Hashable, list[int]] = {}
     for i, (cell, _) in enumerate(cells):
         shapes.setdefault(cell.shape, []).append(i)
-    runs: list = [None] * len(cells)  # each cell's (shape's build, bound schedule)
+    reports: list = [None] * len(cells)
     for members in shapes.values():
         first = cells[members[0]][0]
         built = first.build()
@@ -207,12 +220,10 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
             cell, sub = cells[i]
             rows.append((sched if cell.values is None else bind(sched, cell.values), sub))
         keep_distributions(rows)
-        for i, (bound, _) in zip(members, rows):
-            runs[i] = (built, bound)
-    reports = []
-    for (cell, sub), (built, bound) in zip(cells, runs):
-        counts = run_shots(bound, sub, shots, list(cell.seed_key))
-        reports.append(fidelity(counts, built.roles, cell.desired, built.desired_ancilla))
+        for i, (bound, sub) in zip(members, rows):
+            cell = cells[i][0]
+            counts = run_shots(bound, sub, shots, list(cell.seed_key))
+            reports[i] = fidelity(counts, built.roles, cell.desired, built.desired_ancilla)
     return reports
 
 

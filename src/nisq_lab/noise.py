@@ -14,11 +14,15 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
 
 ``run_shots`` sends each circuit to one of two engines:
 
-  * circuits built purely from X/CNOT/Delay stay computational-basis states
-    and run as vectorized bit-vector trajectories (up to 63 qubits, one bit
-    each of an int64). Their gates and idle windows are listed in time
-    order once per layering (``_bit_plan``); each run prices the windows'
-    damping on its calibration, draws the events and applies them;
+  * circuits of more than _EXACT_CLASSICAL_QUBITS (12) qubits built purely
+    from X/CNOT/Delay stay computational-basis states and run as vectorized
+    bit-vector trajectories (up to 63 qubits, one bit each of an int64).
+    Their gates and idle windows are listed in time order once per
+    layering (``_bit_plan``); each run prices the windows' damping on its
+    calibration, draws the events and applies them. The exact engine would
+    hold their 2**n outcomes, which costs more per cell than the
+    trajectories at 13 qubits on some chains, and it refuses any circuit
+    from 14 on;
   * every other circuit runs on the exact engine, which holds the density
     matrix as its real Pauli coefficients, computes the outcome
     distribution once and draws a multinomial from it. Each single-qubit
@@ -35,7 +39,11 @@ measurement. Outcomes are deterministic per (schedule, calibration, seed).
     coefficients per row at once. A run takes rows, each a schedule of
     that layering and a calibration, builds every row's window, readout,
     RPHI and CNOT matrices as arrays, folds each gate's matrix over the
-    rows and runs the steps, one batched product each.
+    rows and runs the steps, one batched product each. An X/CNOT/DELAY
+    circuit of up to 12 qubits runs here too, on legs of 2 coefficients:
+    its state keeps only each qubit's (r_I, r_Z), so its matrices are the
+    I/Z blocks of the full ones, and its exact law costs less per cell
+    than its trajectories.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -47,9 +55,10 @@ structure: ``bind`` gives a schedule another circuit's DELAY durations and
 RPHI angles without re-layering or re-planning, and every schedule bound
 from it shares its plans (``_kept``). Nothing of a calibration is in a plan
 either, so one schedule also runs on the calibration subset of every
-placement of its circuit. The bit-vector plan, built on the first run,
-also records which engine runs the circuit: it is None when an op leaves
-the computational basis. ``keep_distributions`` computes the exact
+placement of its circuit. A circuit of more than 12 qubits builds its
+bit-vector plan on the first run, and the plan also records which engine
+runs it: it is None when an op leaves the computational basis; a narrower
+circuit runs exact and builds none. ``keep_distributions`` computes the exact
 distributions, or the bit-vector damping probabilities, of a structure's
 (schedule, calibration) rows in stacked passes and keeps each on its
 schedule, keyed by calibration, beside the plans; ``run_shots`` uses what
@@ -578,6 +587,12 @@ def _kept(scheduled: ScheduledCircuit, plan):
     return plans[plan]
 
 
+def _classical(scheduled: ScheduledCircuit) -> bool:
+    """Whether every op is X, CNOT, DELAY or MEASURE, so that the circuit
+    stays in the computational basis."""
+    return all(op.kind in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops)
+
+
 def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], tuple] | None:
     """What ``_run_classical`` does on any values and calibration, as
     ``(steps, readouts, index)``, or None when an op leaves the
@@ -586,7 +601,7 @@ def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], tu
     ``("CNOT", shift, target mask, bits)``, in time order; ``readouts``
     pairs each qubit with its bit, and ``index`` is the windows'
     ``_window_index``. ``bits`` are what a noise event on the step flips."""
-    if any(op.kind not in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops):
+    if not _classical(scheduled):
         return None
     n = scheduled.n_qubits
     bit = [(n - 1 - q,) for q in range(n)]  # shared by every event on qubit q
@@ -705,12 +720,25 @@ _CX_PTM = _pauli_transfer(
     _kron(_CX, _CX).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16))
 _IDENTITY = _read_only(np.eye(4))
 _ZERO = _read_only(np.array([[1.0], [0.0], [0.0], [1.0]]))  # |0><0| = (I + Z) / 2
-# what a gate's operands take, by which of them are fresh (none is, absent):
-# the |0> column on a fresh axis, and the identity on a live one
-_FRESH = {(True,): _ZERO, (True, True): _read_only(_kron(_ZERO, _ZERO)),
-          (True, False): _read_only(_kron(_ZERO, _IDENTITY)),
-          (False, True): _read_only(_kron(_IDENTITY, _ZERO))}
 _TO_POPULATIONS = np.array([[0.5, 0.5], [0.5, -0.5]])  # (r_I, r_Z) -> (P(0), P(1))
+# A live qubit's leg, by its size: all 4 Pauli coefficients, or the (r_I, r_Z)
+# block of them. An X/CNOT/DELAY circuit starts in |0...0>, whose r_X and r_Y
+# are 0, and X, CNOT, depolarizing, damping, phase flips and drift never move
+# r_I or r_Z into r_X or r_Y, so its state and gates are their I/Z blocks.
+_BLOCKS = {4: slice(None), 2: slice(None, None, 3)}
+
+
+def _fresh_columns(zero: np.ndarray, identity: np.ndarray) -> dict:
+    """What a gate's operands take, by which of them are fresh (none is,
+    absent): the |0> column on a fresh axis, and the identity on a live one."""
+    return {(True,): zero, (True, True): _read_only(_kron(zero, zero)),
+            (True, False): _read_only(_kron(zero, identity)),
+            (False, True): _read_only(_kron(identity, zero))}
+
+
+_FRESH = {leg: _fresh_columns(_ZERO[b], _IDENTITY[b, b]) for leg, b in _BLOCKS.items()}
+_CX_PTMS = {leg: _read_only(_CX_PTM.reshape(4, 4, 4, 4)[b, b][:, :, b, b].reshape(leg**2, -1))
+            for leg, b in _BLOCKS.items()}
 
 
 def _idle_ptms(gamma, pz, phase) -> np.ndarray:
@@ -731,14 +759,15 @@ def _idle_ptms(gamma, pz, phase) -> np.ndarray:
     return m
 
 
-def _cnot_ptms(p2: np.ndarray) -> np.ndarray:
+def _cnot_ptms(p2: np.ndarray, leg: int) -> np.ndarray:
     """The PTMs of a CNOT and then its two-qubit depolarizing channel, one
-    per entry of p2, on the index (control Pauli, target Pauli): the
-    average over the 15 non-identity Pauli pairs, (1 - lam) rho + lam
-    Tr(rho) I/4 with lam = 16 p2 / 15, keeps 1 - lam of each of them."""
-    keep = np.ones(p2.shape + (16, 1))
+    per entry of p2, on the index (control Pauli, target Pauli), or their
+    I/Z blocks on legs of size 2: the average over the 15 non-identity
+    Pauli pairs, (1 - lam) rho + lam Tr(rho) I/4 with lam = 16 p2 / 15,
+    keeps 1 - lam of each of them."""
+    keep = np.ones(p2.shape + (leg**2, 1))
     keep[..., 1:, :] = (1.0 - 16.0 * p2 / 15.0)[..., None, None]
-    return keep * _CX_PTM
+    return keep * _CX_PTMS[leg]
 
 
 class _ExactPlan(NamedTuple):
@@ -746,18 +775,21 @@ class _ExactPlan(NamedTuple):
     one layering (``_exact_plan``). A gate is its PTM (None for a CNOT, an
     angle's index for an RPHI), the |0> columns of its fresh operands
     (``_FRESH``) or None, the windows it closes, and per operand its
-    readout rows' index or ``_IDENTITY`` (None if no operand ends here).
+    readout rows' index or the identity (None if no operand ends here).
     The tensors are the folded gates, then each never-gated qubit's
     ``[1 - r, r]`` as a 2 x 1 column. A step contracts tensors i and j into
     one appended to them, as one batched product: i (transposed by perm_i
     and reshaped to shape_i, unless perm_i is None) times j transposed by
-    perm_j and reshaped to shape_j, reshaped to ``shape``."""
+    perm_j and reshaped to shape_j, reshaped to ``shape``. Every matrix is
+    on legs of size ``leg``: 4 Pauli coefficients per live qubit, or their
+    (r_I, r_Z) block (``_BLOCKS``) in an X/CNOT/DELAY circuit."""
 
     gates: list  # per gate in time order: (gate, fresh, ins, outs, qubits)
     never_gated: list  # the qubits no gate touches
     index: np.ndarray  # the _window_index of every idle window
     read: int  # the first read windows, and readout rows, are those open at readout
     angles: int  # how many RPHI angles there are
+    leg: int  # a live qubit's leg size: 2 in an X/CNOT/DELAY circuit, else 4
     peak: int  # time order's largest tensor, in coefficients per row
     order: str  # "time" or "greedy"
     shapes: list  # each tensor's shape, or None to take it as it comes
@@ -767,14 +799,23 @@ class _ExactPlan(NamedTuple):
 
 
 def _exact_plan(scheduled: ScheduledCircuit) -> _ExactPlan:
-    """The ``_ExactPlan`` of ``scheduled``'s layering. One walk of its
-    ``_idle_windows`` lists each gate's folding data and tracks time
-    order's product, which has one axis per qubit: size 1 before the
-    qubit's first gate, 4 while it is live and 2 after its last gate. The
-    steps are time order's (``_left_fold``) unless that product would grow
-    above _GREEDY_CROSSOVER coefficients per row; then they are greedy's
+    """The ``_ExactPlan`` of ``scheduled``'s layering, for a circuit that
+    the exact engine runs: any circuit of up to 12 qubits, and a wider one
+    that leaves the computational basis. A layering of X, CNOT, DELAY and
+    MEASURE alone is classical: its live legs are the (r_I, r_Z) block, of
+    size 2, and its gates and fresh columns the I/Z blocks of the full
+    ones, which is what makes its exact law cheaper than its trajectories
+    up to 12 qubits. One walk of its ``_idle_windows`` lists each gate's
+    folding data and tracks time order's product, which has one axis per
+    qubit: size 1 before the qubit's first gate, the leg size while it is
+    live and 2 (its outcomes) after its last gate. The steps are time
+    order's (``_left_fold``) unless that product would grow above
+    _GREEDY_CROSSOVER coefficients per row; then they are greedy's
     (``_greedy_order``), and time order plans nothing."""
     n = scheduled.n_qubits
+    leg = 2 if _classical(scheduled) else 4
+    block, fresh_columns = _BLOCKS[leg], _FRESH[leg]
+    identity = _IDENTITY[block, block]
     *layers, (windows, _) = _idle_windows(scheduled)
     # each gated qubit's window open at readout, which opens at its last gate
     read = {q: (k, j) for k, (q, _, j) in enumerate(windows)}
@@ -792,41 +833,43 @@ def _exact_plan(scheduled: ScheduledCircuit) -> _ExactPlan:
             elif op.kind == "RPHI":
                 gate, angle = angle, angle + 1
             else:
-                gate = _gate_ptm(op.kind)
-            fresh = _FRESH.get(tuple([sizes[q] == 1 for q in op.qubits]))
-            ins = [idle[q] for q in op.qubits if sizes[q] == 4]
-            out = 1
-            for q in op.qubits:
-                sizes[q] = 2 if read[q][1] == i else 4
+                gate = _gate_ptm(op.kind)[block, block]
+            fresh = fresh_columns.get(tuple([sizes[q] == 1 for q in op.qubits]))
+            ins = [idle[q] for q in op.qubits if sizes[q] != 1]
+            out, outs = 1, None  # per operand its readout rows' index or the identity
+            for k, q in enumerate(op.qubits):
+                if read[q][1] == i:  # the qubit's last gate: its outcomes leave it
+                    outs = outs or [identity] * len(op.qubits)
+                    outs[k], sizes[q] = read[q][0], 2
+                else:
+                    sizes[q] = leg
                 out *= sizes[q]
-            # an operand ends here (size 2) only if their sizes multiply to less
-            outs = ([read[q][0] if sizes[q] == 2 else _IDENTITY for q in op.qubits]
-                    if out < 4**len(op.qubits) else None)
             gates.append((gate, fresh, ins, outs, op.qubits))
-            volume = volume // 4**len(ins) * out
+            volume = volume // leg**len(ins) * out
             peak = max(peak, volume)
     never_gated = [q for q in range(n) if sizes[q] == 1]
     peak = max(peak, volume << len(never_gated))
     order = "greedy" if peak > _GREEDY_CROSSOVER else "time"
-    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n)
-    return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, peak,
-                      order, *steps)
+    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n, leg)
+    return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, leg,
+                      peak, order, *steps)
 
 
-def _left_fold(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
-    """Time order as ``(shapes, steps, final, held)`` of an ``_ExactPlan``:
-    a left fold, each tensor in turn, as it comes, times the product of all
-    before it. The tensor's operands' axes, in operand order, are the inner
-    dimension and the rest follow in qubit order; a readout pair is a gate
-    that ends a fresh qubit. That transpose copies the product, so ``held``
-    is _DENSE_PEAK_COPIES x 4**n."""
+def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int) -> tuple:
+    """Time order as ``(shapes, steps, final, held)`` of an ``_ExactPlan``
+    on live legs of size ``leg``: a left fold, each tensor in turn, as it
+    comes, times the product of all before it. The tensor's operands'
+    axes, in operand order, are the inner dimension and the rest follow in
+    qubit order; a readout pair is a gate that ends a fresh qubit. That
+    transpose copies the product, so ``held`` is _DENSE_PEAK_COPIES x
+    leg**n."""
     sizes, steps, last, volume = [-1] + [1] * n, [], None, 1  # -1, then each qubit's size
     axes = {}  # per operand tuple: a getter of the axes (0, operands, the rest), its inverse
     total = len(gates) + len(never_gated)  # step k's product is tensor total + k
     for _, _, ins, outs, qubits in gates + [(None, None, (), [0], (q,)) for q in never_gated]:
-        inner, out = 4**len(ins), 1
+        inner, out = leg**len(ins), 1
         for q, m in zip(qubits, outs or qubits):
-            sizes[q + 1] = 4 if outs is None or m is _IDENTITY else 2
+            sizes[q + 1] = 2 if outs is not None and type(m) is int else leg
             out *= sizes[q + 1]
         if qubits not in axes:
             perm = (0, *[q + 1 for q in qubits], *[q + 1 for q in range(n) if q not in qubits])
@@ -840,14 +883,14 @@ def _left_fold(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
                           axis(last), (-1, inner, volume // inner), shape))
         last = inverse
         volume = volume // inner * out
-    return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * 4.0**n
+    return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * float(leg)**n
 
 
-def _greedy_order(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
+def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int) -> tuple:
     """A greedy pairwise order as ``(shapes, steps, final, held)`` of an
     ``_ExactPlan`` (opt_einsum's greedy path; Markov & Shi, SIAM J. Comput.
     38, 2008). A tensor's axes are its legs: a qubit's axis from one gate
-    to its next (size 4), or its outcome (size 2); a gate puts out one leg
+    to its next (size ``live``), or its outcome (size 2); a gate puts out one leg
     per operand, then takes in those of its live operands. Of the pairs of
     live tensors that share a leg, contract the one whose product is
     smallest net of its operands (ties to the earlier pair), then multiply
@@ -861,7 +904,7 @@ def _greedy_order(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
         ins = [last[q] for q in qubits if last[q] is not None]
         pairs.update((k, len(legs)) for _, k in ins)
         new = list(range(len(sizes), len(sizes) + len(qubits)))
-        sizes += [4 if outs is None or m is _IDENTITY else 2 for m in outs or qubits]
+        sizes += [2 if outs is not None and type(m) is int else live for m in outs or qubits]
         for q, leg in zip(qubits, new):
             last[q] = leg, len(legs)
         legs.append(new + [leg for leg, _ in ins])
@@ -926,15 +969,15 @@ def _greedy_order(gates: list[tuple], never_gated: list[int], n: int) -> tuple:
     return shapes, steps, final, max(peak, 3 * 2**n)
 
 
-def _folded(rows, gates, windows, readouts, rphi):
+def _folded(rows, plan: _ExactPlan, windows, readouts, rphi):
     """Each gate's matrix over the rows, in time order: its PTM (or the
     rows' CNOT or RPHI PTMs) on the |0> columns of its fresh operands,
     after the windows it closes and before its readout rows."""
     cnot = None  # built at the first CNOT
-    for gate, fresh, ins, outs, _ in gates:
+    for gate, fresh, ins, outs, _ in plan.gates:
         if gate is None:
             if cnot is None:
-                cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]))
+                cnot = _cnot_ptms(np.array([cal.two_qubit_error for _, cal in rows]), plan.leg)
             gate = cnot
         elif type(gate) is int:
             gate = rphi[gate]
@@ -979,11 +1022,13 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
     windows[:plan.read, :, 3] *= (1.0 - 2.0 * readout[:plan.read])[..., None]
     readouts = _TO_POPULATIONS @ windows[:plan.read, :, ::3]
+    block = _BLOCKS[plan.leg]
+    windows, readouts = windows[..., block, block], readouts[..., block]
     rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if plan.angles else None
     pairs = (np.stack([1.0 - values[:, 4 * q + 3], values[:, 4 * q + 3]], axis=1)[..., None]
              for q in plan.never_gated)  # 2 x 1 columns
     inputs = zip(itertools.count(), plan.shapes,
-                 itertools.chain(_folded(rows, plan.gates, windows, readouts, rphi), pairs))
+                 itertools.chain(_folded(rows, plan, windows, readouts, rphi), pairs))
     tensors = {}
     for k, (i, j, perm_i, shape_i, perm_j, shape_j, shape) in enumerate(plan.steps,
                                                                         len(plan.shapes)):
@@ -996,8 +1041,11 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
                        else tensors.pop(i).transpose(perm_i).reshape(shape_i))
                       @ tensors.pop(j).transpose(perm_j).reshape(shape_j)).reshape(shape)
     [rho] = tensors.values() if plan.steps else [t.reshape(s) for _, s, t in inputs]
+    tensors.clear()
+    probs = rho.transpose(plan.final).reshape(len(rows), -1)
+    del rho  # freed if the reshape copied it, so that the product is held once
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
-    probs = np.maximum(rho.transpose(plan.final).reshape(len(rows), -1), 0.0)
+    np.maximum(probs, 0.0, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
@@ -1014,18 +1062,38 @@ _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 # ms in time order and 55.8 ms greedily, plans built (31.7 and 33.1 ms on
 # kept plans).
 _GREEDY_CROSSOVER = 65536
+# The widest X/CNOT/DELAY circuit that the exact engine runs; wider ones run
+# as bit-vector trajectories. Measured per chain cell in one warm process
+# (numpy 2.4, one BLAS thread, median of 15 alternating runs, each a chain
+# shape's 4 orientations scheduled, planned, kept and drawn as run_cells
+# runs them; the table is in BENCH_29.json): the exact engine was faster on
+# all three strategies at 2-12 qubits and 1000, 4000 and 8000 shots, by
+# 5-49% at 12 qubits, and at 13 qubits it was slower on none and x-reset at
+# 1000 shots (488 and 608 us against 391 and 510) and on x-reset at 4000.
+_EXACT_CLASSICAL_QUBITS = 12
 _DENSE_PEAK_COPIES = 2.5
 _CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 _PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix and rates
 
 
+def _bit_vector_plan(scheduled: ScheduledCircuit) -> tuple | None:
+    """The kept ``_bit_plan`` of a circuit that the bit-vector engine runs,
+    or None when the exact engine runs it: every circuit of at most
+    _EXACT_CLASSICAL_QUBITS qubits, and every wider one that leaves the
+    computational basis. A narrower circuit builds no bit-vector plan."""
+    if scheduled.n_qubits <= _EXACT_CLASSICAL_QUBITS:
+        return None
+    return _kept(scheduled, _bit_plan)
+
+
 def _stacked_need(scheduled: ScheduledCircuit) -> float:
     """Estimated peak bytes per row of a stacked exact run of ``scheduled``'s
     layering, in the order its plan records: 8 B x the plan's ``held``
     coefficients, 8 B x _DENSE_PEAK_COPIES x the entries of its own folded
-    CNOT matrices (3 x 16 x 16), and _PRICED_BYTES for each idle window and
-    RPHI angle, whose PTM (16 entries) and rates a run builds per row.
+    CNOT matrices (3 x leg**4), and _PRICED_BYTES for each idle window and
+    RPHI angle, whose PTM (16 entries, of which a classical structure reads
+    its I/Z block) and rates a run builds per row.
 
     tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) in
     time order: all-live circuits took 12.3-19.1 KiB at 3 qubits (17
@@ -1038,9 +1106,11 @@ def _stacked_need(scheduled: ScheduledCircuit) -> float:
     (8.0 MiB at 10). Greedily, those chains (stacks of 1 and 20) took
     31.0-36.1 KiB at 9 qubits against an estimate of 53.3, 35.0-40.6 at 10
     (57.2), 59.9-65.0 at 11 (72.1), 108.8-113.2 at 12 (121.1) and
-    205.7-210.4 at 13 (218.0)."""
+    205.7-210.4 at 13 (218.0). On (r_I, r_Z) legs, in time order, 12-qubit
+    chains (none, x-reset and cnot-reset, stacks of 1 and 4) took 71.1-78.4
+    KiB against estimates of 86.3-91.0."""
     plan = _kept(scheduled, _exact_plan)
-    return (8 * (plan.held + _DENSE_PEAK_COPIES * 3 * 4**4)
+    return (8 * (plan.held + _DENSE_PEAK_COPIES * 3 * plan.leg**4)
             + _PRICED_BYTES * (plan.index.shape[1] + plan.angles))
 
 
@@ -1049,9 +1119,12 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
     cal)`` in stacked passes, and keep each on its schedule, keyed by
     calibration: an exact circuit's outcome distribution, or a bit-vector
     circuit's windows' damping probabilities, all priced in one call. The
-    schedules are one schedule or schedules bound from it (``bind``). Each
-    row is, bit for bit, what ``run_shots`` would compute for its schedule
-    and calibration alone.
+    engine is the one ``run_shots`` picks (``_bit_vector_plan``): every
+    circuit of up to 12 qubits is exact, so a chain shape's orientations,
+    which a bit-vector pass would only price, form one stacked exact pass
+    on (r_I, r_Z) legs. The schedules are one schedule or schedules bound
+    from it (``bind``). Each row is, bit for bit, what ``run_shots`` would
+    compute for its schedule and calibration alone.
 
     Exact stacks are as large as the memory budget allows: ``_stacked_need``
     x rows within _MEMORY_BUDGET. Nothing is kept for an exact circuit that
@@ -1066,7 +1139,7 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
                  if cal.n_qubits >= n}.values())
     if len(rows) < 2:
         return
-    if (plan := _kept(rows[0][0], _bit_plan)) is not None:
+    if (plan := _bit_vector_plan(rows[0][0])) is not None:
         _, _, (gamma, _, _) = _priced_windows(rows, plan[2])
         for (scheduled, cal), damping in zip(rows, gamma.T.tolist()):
             scheduled.__dict__.setdefault("dampings", {})[cal] = damping
@@ -1083,7 +1156,11 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[int, int]:
     """Noisy shot counts by outcome integer, qubit 0 the most significant
-    bit; deterministic per (schedule, calibration, seed). An exact circuit
+    bit; deterministic per (schedule, calibration, seed). The bit-vector
+    engine runs X/CNOT/DELAY circuits of more than _EXACT_CLASSICAL_QUBITS
+    qubits, and the exact engine every other circuit: at up to 12 qubits an
+    X/CNOT/DELAY circuit's exact law, on (r_I, r_Z) legs, costs less per
+    cell than its trajectories (``_bit_vector_plan``). An exact circuit
     draws from the distribution ``keep_distributions`` kept for ``cal`` on
     the schedule, and a bit-vector circuit uses the damping kept there,
     when there is one, or else computes it for ``cal`` alone; the two are
@@ -1112,7 +1189,7 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
         raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
     if n > _QUBIT_LIMIT:
         raise SimulationError(f"circuits above {_QUBIT_LIMIT} qubits are not supported")
-    if _kept(scheduled, _bit_plan) is not None:
+    if _bit_vector_plan(scheduled) is not None:
         engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
     else:
         engine, kept = "exact", scheduled.__dict__.get("distributions")

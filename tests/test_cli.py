@@ -463,11 +463,16 @@ def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsy
 
 def test_bit_vector_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys,
                                                   monkeypatch):
-    """The pre-flight refuses a t1 cell whose shots would not fit the budget."""
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._CLASSICAL_PEAK_COPIES * 8 * 50 - 1)
+    """The pre-flight refuses a bit-vector cell whose shots would not fit the
+    budget: the chain of 12 links (13 qubits), after the shorter chains ran
+    on the exact engine within it."""
+    shots = 2_000_000
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._CLASSICAL_PEAK_COPIES * 8 * shots - 1)
+    assert noise._DENSE_PEAK_COPIES * 8 * 4**12 < noise._MEMORY_BUDGET
     out = tmp_path / "out"
-    code = main(["t1", "--calibration", str(noiseless_cal_file), "--shots", "50",
-                 "--seed", "2", "--out", str(out), "--grid-us", "0,5"])
+    code = main(["cnot-chain", "--calibration", str(noiseless_cal_file), "--shots", str(shots),
+                 "--seed", "2", "--out", str(out), "--orientations", "1", "--strategies",
+                 "none", "--max-length", "12"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: the bit-vector engine would need about")

@@ -541,7 +541,7 @@ def _exact_shapes(monkeypatch, run, cfg) -> list[list[tuple]]:
     real = experiments.keep_distributions
 
     def recording(rows):
-        if noise._kept(rows[0][0], noise._bit_plan) is None:
+        if noise._bit_vector_plan(rows[0][0]) is None:
             shapes.append(list(rows))
         real(rows)
 
@@ -585,22 +585,30 @@ def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal,
 
 @pytest.mark.parametrize("run", [run_cnot_chain_sweep, run_t1])
 def test_kept_dampings_equal_single_calibration_pricing(graph, default_cal, monkeypatch, run):
-    """Every bit-vector shape of the chain sweep and of t1 keeps each of its
-    rows' damping probabilities, priced in one stacked call; each is, bit
-    for bit, what its row prices alone on a fresh copy of its schedule, and
-    ``run_shots`` draws the same counts from it."""
+    """Every bit-vector shape of the chain sweep, a chain of 12 links or
+    more, keeps each of its rows' damping probabilities, priced in one
+    stacked call; each is, bit for bit, what its row prices alone on a
+    fresh copy of its schedule, and ``run_shots`` draws the same counts from
+    it. t1 and the shorter chains run on the exact engine and keep their
+    distributions instead."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1, qubit=7)
-    shapes = []
+    shapes, exact = [], []
     real = experiments.keep_distributions
 
     def recording(rows):
-        if noise._kept(rows[0][0], noise._bit_plan) is not None:
-            shapes.append(list(rows))
         real(rows)
+        (shapes if noise._bit_vector_plan(rows[0][0]) is not None else exact).append(list(rows))
 
     monkeypatch.setattr(experiments, "keep_distributions", recording)
     run(cfg)
     monkeypatch.undo()
+    widths = {rows[0][0].n_qubits for rows in shapes}
+    assert widths == (set(range(13, 21)) if run is run_cnot_chain_sweep else set())
+    assert {rows[0][0].n_qubits for rows in exact} == (
+        set(range(2, 13)) if run is run_cnot_chain_sweep else {1})
+    for scheduled, cal in (rows[-1] for rows in exact if len(rows) > 1):
+        assert "dampings" not in scheduled.__dict__
+        assert cal in scheduled.__dict__["distributions"]
     kept = 0
     for rows in shapes:
         for scheduled, cal in rows:
@@ -702,18 +710,18 @@ def _bound_runs(monkeypatch, run, cfg) -> list[tuple]:
     ``run(cfg)`` makes, in cell order, after run_cells ran them: each
     schedule is the cell's own, bound from its shape's, with what
     ``keep_distributions`` kept on it."""
-    calls = []
+    calls = {}  # by seed key: run_cells runs the cells shape by shape
     real = experiments.run_shots
 
     def recording(scheduled, cal, shots, seed):
-        calls.append((scheduled, cal))
+        calls[tuple(seed)] = (scheduled, cal)
         return real(scheduled, cal, shots, seed)
 
     monkeypatch.setattr(experiments, "run_shots", recording)
     cells = _recorded_cells(monkeypatch, run, cfg)
     monkeypatch.undo()
     assert len(cells) == len(calls)
-    return [(cell, scheduled, sub) for cell, (scheduled, sub) in zip(cells, calls)]
+    return [(cell, *calls[cell.seed_key]) for cell in cells]
 
 
 def _assert_bound_runs_equal_fresh_runs(runs, cal, seeds=(1,)) -> int:
@@ -724,7 +732,7 @@ def _assert_bound_runs_equal_fresh_runs(runs, cal, seeds=(1,)) -> int:
     kept = 0
     for cell, bound, sub in runs:
         fresh = _measured_schedule(cell, cell.build(), cal.durations)
-        if noise._kept(fresh, noise._bit_plan) is None:
+        if noise._bit_vector_plan(fresh) is None:
             want = noise._exact_probabilities([(fresh, sub)])[0]
             got = bound.__dict__.get("distributions", {}).get(sub)
             if got is not None:
@@ -742,21 +750,23 @@ def _shapes_of(runs) -> int:
     return len({id(bound.layers) for _, bound, _ in runs})
 
 
-@pytest.mark.parametrize("run, bit_vector", [(run_t1, True), (run_t2_ramsey, False),
-                                             (run_t2_echo, False)])
+@pytest.mark.parametrize("run, classical", [(run_t1, True), (run_t2_ramsey, False),
+                                            (run_t2_echo, False)])
 def test_bound_coherence_cells_run_as_fresh_schedules_on_every_qubit(default_cal, monkeypatch,
-                                                                      run, bit_vector):
+                                                                      run, classical):
     """On each of the 20 qubits, with its default grid, a coherence table has
     two shapes (the zero delay omits its DELAY), and every cell of the
-    delayed shape is stacked with the others on the exact engine; t1 runs
-    on the bit-vector engine, compared at several seeds."""
+    delayed shape is stacked with the others on the exact engine; t1, whose
+    X and delay keep it on (r_I, r_Z) legs, is compared at several seeds."""
     for qubit in range(20):
         cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=1, qubit=qubit)
         runs = _bound_runs(monkeypatch, run, cfg)
         assert _shapes_of(runs) == 2
         kept = _assert_bound_runs_equal_fresh_runs(runs, default_cal,
-                                                   seeds=(1, 2, 3, 5, 8) if bit_vector else (1,))
-        assert kept == (0 if bit_vector else len(runs) - 1)
+                                                   seeds=(1, 2, 3, 5, 8) if classical else (1,))
+        assert kept == len(runs) - 1
+        legs = {noise._kept(bound, noise._exact_plan).leg for _, bound, _ in runs}
+        assert legs == ({2} if classical else {4})
 
 
 @pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo])

@@ -178,7 +178,7 @@ def test_array_built_matrices_equal_the_superoperator_route():
         assert np.abs(m - noise._pauli_transfer(np.kron(u, u.conj()))).max() <= 1e-15
     cx = np.eye(4)[[0, 1, 3, 2]]
     p2 = rng.uniform(0.0, 1.0, 20)
-    for p, m in zip(p2, noise._cnot_ptms(p2)):
+    for p, m in zip(p2, noise._cnot_ptms(p2, 4)):
         lam = 16.0 * p / 15.0
         vec_i = np.eye(4).reshape(16)
         s = ((1.0 - lam) * np.eye(16) + (lam / 4.0) * np.outer(vec_i, vec_i)) @ np.kron(cx, cx)
@@ -275,15 +275,17 @@ def test_seed_determinism():
 
 
 def test_classical_and_dense_paths_agree_in_distribution():
-    """The bit-vector fast path and the exact engine sample the same law.
+    """The bit-vector engine and the exact engine sample the same law.
 
     The phase gate makes the second circuit non-classical, so it runs on
-    the exact engine."""
+    the exact engine's full Pauli legs."""
     cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
     classical = Circuit(2).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
     sched = schedule(classical, cal.durations)
     shots = 40000
-    counts_bits = run_shots(sched, cal, shots, 11)  # classical path
+    values, counts = np.unique(_run_classical(sched, cal, shots, np.random.default_rng(11)),
+                               return_counts=True)
+    counts_bits = dict(zip(values.tolist(), counts.tolist()))
     # force the exact engine with an irrelevant phase gate (identity on |0>)
     dense_circuit = Circuit(2).rphi(0.0, 0).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
     counts_dense = run_shots(schedule(dense_circuit, cal.durations), cal, shots, 11)
@@ -642,6 +644,9 @@ _GREEDY_CELLS = {
                              .cnot(1, 2).measure_all(), _ZERO_LENGTH_CAL.durations),
                     _ZERO_LENGTH_CAL),
     "wide-chain-7": _wide_chain_cell(7),
+    # X/CNOT/DELAY alone: the plan's legs are (r_I, r_Z) pairs
+    "classical": _live_axis_cell(Circuit(3).x(0).cnot(0, 1).x(2).delay(2e-6, 1).cnot(1, 2)
+                                 .x(0)),
 }
 
 
@@ -723,8 +728,9 @@ _SUBCOMMANDS = ("t1", "t2-ramsey", "t2-echo", "cnot-chain", "ccnot-survey", "qft
 def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, monkeypatch):
     """Every exact structure the seven subcommands build at default
     settings peaks at 4,096 coefficients per row in time order and runs in
-    it, t1 and chain cells never reach the exact engine, and the wide chains go
-    greedy above _GREEDY_CROSSOVER (9 and 10 qubits) and not below."""
+    it, t1 and the chains of up to 12 qubits among them, on (r_I, r_Z) legs,
+    and the wide chains go greedy above _GREEDY_CROSSOVER (9 and 10 qubits)
+    and not below."""
     from nisq_lab.cli import main
 
     peaks = {}
@@ -739,7 +745,7 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
     monkeypatch.setattr(noise, "_exact_probabilities", recording)
     for command in _SUBCOMMANDS:
         assert main([command, "--seed", "7", "--out", str(tmp_path / command)]) == 0
-    assert sorted(peaks) == ["ccnot-survey", "qft-perfect", "qpe-sweep", "t2-echo", "t2-ramsey"]
+    assert sorted(peaks) == sorted(_SUBCOMMANDS)
     runs = [run for command in peaks for run in peaks[command]]
     assert max(peak for peak, _ in runs) == 4096 and all(order == "time" for _, order in runs)
     for width in range(6, 11):
@@ -850,6 +856,82 @@ def _chain_cell(links, strategy, orientation):
     return schedule(Circuit(len(path), built.circuit.ops).measure_all(), cal.durations), cal
 
 
+# ---------------------------------------------------------------------------
+# Classical structures on (r_I, r_Z) legs, and which engine runs them
+# ---------------------------------------------------------------------------
+
+# Derandomized: every run of the suite checks the same examples.
+@given(noisy_cells(max_qubits=7, kinds=("X", "DELAY"), max_ops=16))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_classical_legs_match_kraus_oracle(cell):
+    """An X/CNOT/DELAY circuit is planned on (r_I, r_Z) legs, and gives the
+    independent oracle's distribution within 1e-12."""
+    sched, cal = cell
+    [got] = _exact_probabilities([(sched, cal)])
+    assert noise._kept(sched, noise._exact_plan).leg == 2
+    assert np.max(np.abs(got - kraus_outcome_probabilities(sched, cal))) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", builders.RESET_STRATEGIES)
+def test_classical_legs_match_full_legs_on_chain_cells(monkeypatch, strategy):
+    """Every chain cell that the exact engine runs, of 2 to 12 qubits on
+    each orientation, gives on (r_I, r_Z) legs what the full 4-coefficient
+    legs give, within 1e-15; the full legs are forced by declaring no kind
+    classical. Each qubit gets its own readout error."""
+    for orientation in range(1, 5):
+        for links in range(1, noise._EXACT_CLASSICAL_QUBITS):
+            sched, cal = _chain_cell(links, strategy, orientation)
+            cal = replace(cal, qubits=tuple(replace(p, readout_error=0.01 * (q % 4))
+                                            for q, p in enumerate(cal.qubits)))
+            [legs_iz] = _exact_probabilities([(sched, cal)])
+            assert noise._kept(sched, noise._exact_plan).leg == 2
+            with monkeypatch.context() as m:
+                m.setattr(noise, "_CLASSICAL_KINDS", frozenset())
+                full = replace(sched)
+                [legs_full] = _exact_probabilities([(full, cal)])
+                assert noise._kept(full, noise._exact_plan).leg == 4
+            assert np.max(np.abs(legs_iz - legs_full)) <= 1e-15, (orientation, links)
+
+
+def test_chains_of_12_qubits_run_exact_and_of_13_on_bit_vectors():
+    """A 12-qubit chain cell draws its counts from its exact distribution
+    on stream 3 of the seed, and its stacked rows keep distributions; a
+    13-qubit one runs as bit-vector trajectories on stream 1, and its
+    stacked rows keep dampings. Neither builds the other engine's plan."""
+    assert noise._EXACT_CLASSICAL_QUBITS == 12
+    rows = {}
+    for links, engine in ((11, "exact"), (12, "bit-vector")):
+        sched, cal = _chain_cell(links, "cnot-reset", 2)
+        if engine == "exact":
+            [probs] = _exact_probabilities([(replace(sched), cal)])
+            draws = np.random.default_rng([5, 3]).multinomial(4000, probs)
+            want = {k: int(c) for k, c in enumerate(draws) if c}
+        else:
+            rng = np.random.default_rng([5, 1])
+            values, counts = np.unique(_run_classical(replace(sched), cal, 4000, rng),
+                                       return_counts=True)
+            want = dict(zip(values.tolist(), counts.tolist()))
+        assert run_shots(sched, cal, 4000, 5) == want
+        other = noise._bit_plan if engine == "exact" else noise._exact_plan
+        assert other not in sched.__dict__["plans"]
+        stacked = replace(sched)
+        noise.keep_distributions([(stacked, cal), (stacked, replace(cal, two_qubit_error=0.02))])
+        rows[engine] = stacked.__dict__
+    assert "distributions" in rows["exact"] and "dampings" not in rows["exact"]
+    assert "dampings" in rows["bit-vector"] and "distributions" not in rows["bit-vector"]
+
+
+@pytest.mark.parametrize("strategy", ["none", "cnot-reset"])
+@pytest.mark.parametrize("stack", [1, 4])
+def test_stacked_exact_peak_memory_within_estimate_on_classical_chains(strategy, stack):
+    """The widest chains that the exact engine runs, 12 qubits on (r_I,
+    r_Z) legs, at one calibration and at a chain shape's 4, peak within
+    ``_stacked_need`` per row."""
+    sched, _ = _chain_cell(noise._EXACT_CLASSICAL_QUBITS - 1, strategy, 1)
+    _assert_stacked_peak_within_estimate(sched, noise._EXACT_CLASSICAL_QUBITS, stack)
+    assert noise._kept(sched, noise._exact_plan).leg == 2
+
+
 def test_one_bit_vector_schedule_runs_on_every_placement_like_fresh_schedules():
     """The bit-vector plan kept on a ScheduledCircuit holds nothing of a
     calibration: one 20-qubit chain schedule run under two orientations'
@@ -877,11 +959,12 @@ def test_one_bit_vector_schedule_runs_on_every_placement_like_fresh_schedules():
 
 
 def test_bit_vector_plan_is_built_once_per_schedule(monkeypatch):
-    """Runs after the first reuse the plan kept on the ScheduledCircuit."""
+    """Runs after the first reuse the plan kept on the ScheduledCircuit (a
+    14-qubit chain, which the bit-vector engine runs)."""
     calls = []
     real = noise._idle_windows
     monkeypatch.setattr(noise, "_idle_windows", lambda s: calls.append(s) or real(s))
-    sched, cal = _chain_cell(5, "x-reset", 1)
+    sched, cal = _chain_cell(13, "x-reset", 1)
     counts = [run_shots(sched, cal, 100, seed) for seed in (1, 2, 1)]
     assert len(calls) == 1
     assert counts[0] == counts[2]
@@ -1034,7 +1117,7 @@ def test_bit_vector_width_limit(n):
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
     """The pre-flight estimate is one row's ``_stacked_need`` on the exact
     engine (at any shot count), and _CLASSICAL_PEAK_COPIES * 8 B per shot
-    on the bit-vector engine."""
+    on the bit-vector engine, which runs a 13-qubit X + CNOT ladder."""
     cal = flat_cal(2, t1=30e-6, t2=40e-6)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
     exact_need = noise._stacked_need(sched)
@@ -1045,7 +1128,10 @@ def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
     for shots in (10, 3):
         with pytest.raises(SimulationError, match="exact engine"):
             run_shots(sched, cal, shots, 0)
-    classical = schedule(Circuit(2).x(0).cnot(0, 1).measure_all(), cal.durations)
+    wide = Circuit(13).x(0)
+    for q in range(12):
+        wide.cnot(q, q + 1)
+    classical, cal = schedule(wide.measure_all(), cal.durations), flat_cal(13, t1=30e-6, t2=40e-6)
     classical_need = noise._CLASSICAL_PEAK_COPIES * 8 * 10
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need)
     run_shots(classical, cal, 10, 0)
