@@ -1,7 +1,7 @@
 """Simulated coherence, CNOT-chain, CCNOT and inverse-QFT experiments on
-connectivity-constrained qubit lattices, with T1/T2 noise (exact outcome
-distributions, or bit-flip trajectories for classical circuits), f1/f2
-fidelity scoring, and decay-curve fitting."""
+connectivity-constrained qubit lattices, with T1/T2 noise on one exact
+engine (outcome distributions, or the f1/f2 score law of cells wider than
+12 qubits), f1/f2 fidelity scoring, and decay-curve fitting."""
 
 __version__ = "0.1.0"
 

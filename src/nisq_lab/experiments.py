@@ -6,7 +6,8 @@ its seed key, the computational basis string it should read out, and the
 locals to flip to |1> before it runs. ``run_cells`` runs each cell on its
 own qubits: X on the ``prep_x`` locals, the circuit, measure all, schedule,
 ``run_shots`` on the calibration subset of the cell's layout, and score
-with ``fidelity``. The experiments below differ only in the cells they
+with ``fidelity``; a cell wider than 12 qubits draws its f1 and f2 from
+their exact law instead. The experiments below differ only in the cells they
 yield and in how they fold the reports into tables; ``_metadata`` builds
 every table's metadata.
 
@@ -20,16 +21,16 @@ shape once per call, from its first cell, and each cell binds its values
 onto that schedule (``noise.bind``), so the cells of a shape differ only in
 layout, seed key, calibration subset and bound values. Nothing mutates a
 built circuit. ``run_cells`` lists the cells and their calibration subsets
-first; then, shape by shape, it builds, schedules and binds, the exact
-engine computes the distributions of all of the shape's cells in stacked
-passes (``keep_distributions``), and the shape's cells run. Each cell still
+first; then, shape by shape, it builds, schedules and binds, and the exact
+engine runs all of the shape's cells in stacked passes. A shape of up to
+12 qubits, t1's and the chains' of up to 11 links among them, keeps the
+outcome distribution of each cell (``keep_distributions``); each cell then
 makes its own ``run_shots`` call, which draws from its kept distribution,
-and the kept distributions go with their shape, so that at most one
-shape's are held at a time. ``run_shots`` picks the engine: every circuit
-of up to 12 qubits runs exact, t1 and the chains of up to 11 links
-included, so a chain shape's 4 orientations are one stacked pass; the
-longer chains, of 13 to 20 qubits, run as bit-vector trajectories, whose
-exact law would cost more per cell.
+and is scored with ``fidelity``. A wider shape, a chain of 12 to 19 links,
+computes each cell's P(f1 and f2) and P(f1) in one pass on its score plan
+(``score_probabilities``), and each cell draws its three score classes in
+one multinomial; its 2**n outcomes are never held. What is kept for a
+shape goes with it, so that at most one shape's is held at a time.
 
 Each cell's seed key is ``[seed, experiment tag, ...cell coordinates]``,
 so reruns with the same config are bit-identical and cells could be farmed
@@ -60,13 +61,27 @@ from .fitting import (
     fidelity,
     fit_damped_cosine,
     fit_exponential,
+    score_masks,
     theoretical_qpe_distribution,
 )
-from .noise import DeviceCalibration, bind, keep_distributions, run_shots, schedule
+from .noise import (
+    DeviceCalibration,
+    bind,
+    keep_distributions,
+    run_shots,
+    schedule,
+    score_probabilities,
+)
 from .simulator import Circuit, GateOp
 from .topology import CouplingGraph, GeometryPlacement
 
 US = 1e-6
+
+# The widest cell that draws its counts from its full outcome law through
+# run_shots; a wider one draws its three score classes from their exact law.
+# Every cell of up to 12 qubits keeps its own run_shots call, which the
+# benchmark's per-cell segments and traced guard read.
+_FULL_LAW_QUBITS = 12
 
 PROVENANCE = f"nisq-lab {__version__}"
 
@@ -191,18 +206,22 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
     The cells are listed first, each with its calibration subset. Then,
     shape by shape, the first cell of the shape builds its circuit, and
     that circuit with its X prep and a measurement of every qubit is
-    scheduled once for the call, which either engine plans once; each cell
-    that has values binds them onto that schedule (``bind``), and the exact
-    engine computes the outcome distributions of every cell of the shape in
-    stacked passes (``keep_distributions``). Each cell of the shape then
-    makes its own ``run_shots`` call on its bound schedule, calibration
-    subset and seed key, and is scored with its shape's roles and desired
-    ancilla string into its place in the reports, before the next shape is
-    built: what was kept for one shape is freed before the next computes
-    its own. Each cell's seed key fixes its counts, so the order in which
-    cells run changes no report. Which engine runs a cell is ``run_shots``'
-    choice: exact up to 12 qubits, and bit-vector trajectories for wider
-    X/CNOT/DELAY circuits."""
+    scheduled once for the call and planned once; each cell that has
+    values binds them onto that schedule (``bind``). A shape of up to
+    _FULL_LAW_QUBITS qubits has the exact engine compute the outcome
+    distributions of its cells in stacked passes (``keep_distributions``),
+    and each of its cells makes its own ``run_shots`` call on its bound
+    schedule, calibration subset and seed key, and is scored with its
+    shape's roles and desired strings (``fidelity``). A wider shape has it
+    compute each cell's P(f1 and f2) and P(f1) in stacked score passes
+    (``score_probabilities``), and each cell draws (k0, k1, k2) ~
+    Multinomial(shots, p) on stream 3 of its seed key, p the three classes
+    f1 and f2, f1 and not f2, and not f1 (clipped at 0 and normalized), and
+    reports f1 = (k0 + k1) / shots and f2 = k0 / shots: the law of the f1
+    and f2 that its shots' outcomes would give. A shape's cells are done
+    before the next shape is built, so that what was kept for one is freed
+    before the next computes its own. Each cell's seed key fixes its
+    report, so the order in which cells run changes none."""
     cells = [(cell, cal.subset(cell.layout)) for cell in cells]
     shapes: dict[Hashable, list[int]] = {}
     for i, (cell, _) in enumerate(cells):
@@ -219,6 +238,15 @@ def run_cells(cells: Iterable[Cell], cal: DeviceCalibration, shots: int) -> list
         for i in members:
             cell, sub = cells[i]
             rows.append((sched if cell.values is None else bind(sched, cell.values), sub))
+        if n > _FULL_LAW_QUBITS:
+            scores = [score_masks(built.roles, cells[i][0].desired, built.desired_ancilla)
+                      for i in members]
+            for i, (f1, f12) in zip(members, score_probabilities(rows, scores)):
+                p = np.maximum([f12, f1 - f12, 1.0 - f1], 0.0)
+                rng = np.random.default_rng([list(cells[i][0].seed_key), 3])
+                k0, k1, _ = rng.multinomial(shots, p / p.sum()).tolist()
+                reports[i] = FidelityReport((k0 + k1) / shots, k0 / shots, shots)
+            continue
         keep_distributions(rows)
         for i, (bound, sub) in zip(members, rows):
             cell = cells[i][0]

@@ -34,18 +34,17 @@ def _mask_and_want(positions: list[int], bits: str, n: int) -> tuple[int, int]:
     return mask, want
 
 
-def fidelity(counts: dict[int, int], roles, desired_computational: str,
-             desired_ancilla: str = "") -> FidelityReport:
-    """Score shot counts against desired computational/ancilla outcomes.
-
-    ``counts`` maps outcome integers to shots, qubit 0 the most significant
-    of ``len(roles)`` bits. Positions tagged "ancilla" are the ancilla bits;
+def score_masks(roles, desired_computational: str,
+                desired_ancilla: str = "") -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (mask, want) pairs of f1 and f2 for outcomes of ``len(roles)``
+    bits, qubit 0 the most significant: an outcome v reads a score when
+    ``v & mask == want``. Positions tagged "ancilla" are the ancilla bits;
     every other position (control, target, computational) is a
-    computational bit. Each desired string lists its bits in ascending
-    position order and becomes a (mask, want) pair: an outcome v reads it
-    when ``v & mask == want``.
-    """
-    roles = tuple(roles)
+    computational bit. f1's pair holds the computational bits at
+    ``desired_computational``, and f2's holds the ancilla bits at
+    ``desired_ancilla`` as well; each string lists its bits in ascending
+    position order. Raises ValueError when a string's length does not
+    match its roles."""
     n = len(roles)
     comp_idx = [i for i, r in enumerate(roles) if r != "ancilla"]
     anc_idx = [i for i, r in enumerate(roles) if r == "ancilla"]
@@ -58,19 +57,34 @@ def fidelity(counts: dict[int, int], roles, desired_computational: str,
         raise ValueError(
             f"desired ancilla string has {len(desired_ancilla)} bits, roles give {len(anc_idx)}"
         )
+    comp_mask, comp_want = _mask_and_want(comp_idx, desired_computational, n)
+    anc_mask, anc_want = _mask_and_want(anc_idx, desired_ancilla, n)
+    return (comp_mask, comp_want), (comp_mask | anc_mask, comp_want | anc_want)
+
+
+def fidelity(counts: dict[int, int], roles, desired_computational: str,
+             desired_ancilla: str = "") -> FidelityReport:
+    """Score shot counts against desired computational/ancilla outcomes.
+
+    ``counts`` maps outcome integers to shots, qubit 0 the most significant
+    of ``len(roles)`` bits; an outcome counts toward f1 and f2 when it
+    reads their ``score_masks``.
+    """
+    roles = tuple(roles)
+    (f1_mask, f1_want), (f2_mask, f2_want) = score_masks(roles, desired_computational,
+                                                         desired_ancilla)
+    n = len(roles)
     top = max(counts, default=0)
     if top >> n:
         raise ValueError(f"outcome {top} has more bits than the {n} roles")
-    comp_mask, comp_want = _mask_and_want(comp_idx, desired_computational, n)
-    anc_mask, anc_want = _mask_and_want(anc_idx, desired_ancilla, n)
     total = 0
     n_f1 = 0
     n_f2 = 0
     for v, c in counts.items():
         total += c
-        if v & comp_mask == comp_want:
+        if v & f1_mask == f1_want:
             n_f1 += c
-            if v & anc_mask == anc_want:
+            if v & f2_mask == f2_want:
                 n_f2 += c
     if total == 0:
         raise ValueError("empty counts")

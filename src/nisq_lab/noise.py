@@ -1,4 +1,4 @@
-"""Noise channels on scheduled circuits, and the engines that run them.
+"""Noise channels on scheduled circuits, and the exact engine that runs them.
 
 A circuit is first layered with ASAP scheduling; every layer then charges
 each qubit (idle or not) with three channels for the layer duration:
@@ -12,38 +12,36 @@ two-qubit depolarizing channel (one of the 15 non-identity Pauli pairs with
 total probability two_qubit_error). Readout bit-flips apply at the final
 measurement. Outcomes are deterministic per (schedule, calibration, seed).
 
-``run_shots`` sends each circuit to one of two engines:
+Every circuit runs on one exact engine, which holds the density matrix as
+its real Pauli coefficients. Each single-qubit gate or CNOT (with its
+depolarizing channel) is one Pauli transfer matrix, indexed qubit by qubit
+so that channels on different qubits compose by kron, and the idle windows
+the gate closes are folded into it. A qubit's axis is live (4
+coefficients) only from its first gate to its last: the first gate's
+matrix takes the qubit's |0> column, and the last one's closes the axis in
+the qubit's readout-weighted rows. An X/CNOT/DELAY circuit keeps only each
+qubit's (r_I, r_Z), on legs of 2 coefficients, so its matrices are the I/Z
+blocks of the full ones. What depends on the layering alone is planned
+once, with the steps that contract the folded gates: in time order, or in a
+greedy pairwise order where time order would hold too much at once. A run
+takes rows, each a schedule of that layering and a calibration, builds
+every row's window, readout, RPHI and CNOT matrices as arrays, folds each
+gate's matrix over the rows and runs the steps, one batched product each.
 
-  * circuits of more than _EXACT_CLASSICAL_QUBITS (12) qubits built purely
-    from X/CNOT/Delay stay computational-basis states and run as vectorized
-    bit-vector trajectories (up to 63 qubits, one bit each of an int64).
-    Their gates and idle windows are listed in time order once per
-    layering (``_bit_plan``); each run prices the windows' damping on its
-    calibration, draws the events and applies them. The exact engine would
-    hold their 2**n outcomes, which costs more per cell than the
-    trajectories at 13 qubits on some chains, and it refuses any circuit
-    from 14 on;
-  * every other circuit runs on the exact engine, which holds the density
-    matrix as its real Pauli coefficients, computes the outcome
-    distribution once and draws a multinomial from it. Each single-qubit
-    gate or CNOT (with its depolarizing channel) is one Pauli transfer
-    matrix, indexed qubit by qubit so that channels on different qubits
-    compose by kron, and the idle windows the gate closes are folded into
-    it. A qubit's axis is live (4 coefficients) only from its first gate
-    to its last: the first gate's matrix takes the qubit's |0> column, and
-    the last one's ends in the qubit's readout rows, so that the axis
-    leaves it holding the qubit's two outcome probabilities. What depends
-    on the layering alone is planned once (``_exact_plan``), with the
-    steps that contract the folded gates: in time order, or in a greedy
-    pairwise order where time order would hold more than _GREEDY_CROSSOVER
-    coefficients per row at once. A run takes rows, each a schedule of
-    that layering and a calibration, builds every row's window, readout,
-    RPHI and CNOT matrices as arrays, folds each gate's matrix over the
-    rows and runs the steps, one batched product each. An X/CNOT/DELAY
-    circuit of up to 12 qubits runs here too, on legs of 2 coefficients:
-    its state keeps only each qubit's (r_I, r_Z), so its matrices are the
-    I/Z blocks of the full ones, and its exact law costs less per cell
-    than its trajectories.
+The engine closes each qubit in one of two ways, each with its own plan:
+
+  * in its two outcome rows (``_exact_plan``), so that the last tensor is
+    the outcome distribution over the 2**n basis states. ``run_shots``
+    draws a multinomial of counts from it, for any circuit and on any
+    calibration: up to 13 qubits, and an X/CNOT/DELAY circuit up to about
+    26, within the memory budget;
+  * in one score row (``_score_plan``): its wanted outcome's row where a
+    score's mask covers it, and the sum of both rows elsewhere, so that the
+    last tensor is the probability of reading the score, and no tensor
+    holds the 2**n outcomes. ``score_probabilities`` stacks a structure's
+    (calibration x score) rows into one pass; ``experiments.run_cells``
+    draws the three score classes of each cell wider than 12 qubits from
+    them, and every narrower cell makes its own ``run_shots`` call.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -55,26 +53,17 @@ structure: ``bind`` gives a schedule another circuit's DELAY durations and
 RPHI angles without re-layering or re-planning, and every schedule bound
 from it shares its plans (``_kept``). Nothing of a calibration is in a plan
 either, so one schedule also runs on the calibration subset of every
-placement of its circuit. A circuit of more than 12 qubits builds its
-bit-vector plan on the first run, and the plan also records which engine
-runs it: it is None when an op leaves the computational basis; a narrower
-circuit runs exact and builds none. ``keep_distributions`` computes the exact
-distributions, or the bit-vector damping probabilities, of a structure's
-(schedule, calibration) rows in stacked passes and keeps each on its
-schedule, keyed by calibration, beside the plans; ``run_shots`` uses what
-is kept when there is one, so each cell still makes its own ``run_shots``
-call, with its own seed.
+placement of its circuit. ``keep_distributions`` computes the outcome
+distributions of a structure's (schedule, calibration) rows in stacked
+passes and keeps each on its schedule, keyed by calibration, beside the
+plans; ``run_shots`` draws from what is kept when there is one, so each
+cell still makes its own ``run_shots`` call, with its own seed.
 
-The bit-vector engine samples the ensemble average that the exact engine
-computes. Both apply each qubit's idle charge once per idle window (from
-one gate on the qubit to its next gate, or to readout) for the window's
-summed duration, which is the same channel as charging it layer by layer
-(see ``_idle_windows``), and both price all of a run's windows in one
-array call of ``_channel_rates`` (the bit-vector engine keeps only the
-damping). The bit-vector engine draws the shots that each damping window,
-depolarizing channel and readout flip hits, many events at once, as
-running sums of Geometric(p) gaps (``_event_hits``: the same law as
-per-shot trials), and touches only those rows.
+Each qubit's idle charge applies once per idle window (from one gate on the
+qubit to its next gate, or to readout) for the window's summed duration,
+which is the same channel as charging it layer by layer (see
+``_idle_windows``), and all of a run's windows are priced in one array call
+of ``_channel_rates``.
 """
 from __future__ import annotations
 
@@ -492,88 +481,10 @@ def _idle_windows(
 
 
 # ---------------------------------------------------------------------------
-# Bit-vector engine
+# Plans kept per layering
 # ---------------------------------------------------------------------------
 
 _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
-
-# two-qubit depolarizing: codes 1..15 map to Pauli pairs (code>>2, code&3)
-# with 0=I, 1=X, 2=Y, 3=Z; X and Y components flip the measured bit
-_PAULI_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
-_GROUP_BUDGET = 2  # a group's first gap budgets sum to at most this many times shots + 1
-_DECAY, _FLIP = ("decay",), ("flip",)  # where _run_classical applies an event
-
-
-def _gap_budget(shots: int, p: float) -> int:
-    """Gaps an event of probability p draws at first: its mean hit count plus
-    4 sqrt(mean) + 4 (short for well under one event in 10**4), at most
-    shots + 1."""
-    mean = shots * p
-    return min(math.ceil(mean + 4.0 * math.sqrt(mean) + 4.0), shots + 1)
-
-
-def _draw_group(rng: np.random.Generator, shots: int,
-                group: list) -> list[tuple[np.ndarray, int | np.ndarray]]:
-    """``_event_hits`` for one group of ``(p, bits, budget)`` events."""
-    budget = [b for _, _, b in group]
-    # Geometric(p) gaps by inverse transform, floor(log(1 - U) / log(1 - p)) + 1,
-    # clipped to shots + 1 before the integer cast. log(1 - p) is capped at
-    # -1e-300 so that the division cannot overflow: any gap the cap changes
-    # is longer than shots either way.
-    log_q = [-math.inf if p == 1.0 else min(math.log1p(-p), -1e-300) for p, _, _ in group]
-    gaps = np.log1p(-rng.random(sum(budget)))
-    gaps /= np.repeat(log_q, budget) if len(group) > 1 else log_q[0]
-    gaps = np.minimum(gaps, shots, out=gaps).astype(np.int64)
-    gaps += 1
-    starts = list(itertools.accumulate(budget[:-1], initial=0))
-    if len(group) > 1:  # restart the running sum at each event's first gap
-        gaps[starts[1:]] -= np.add.reduceat(gaps, starts)[:-1]
-    np.cumsum(gaps, out=gaps)  # one past each row an event hits
-    hit = gaps <= shots
-    rows = gaps[hit] - 1
-    counts = np.add.reduceat(hit, starts, dtype=np.int64).tolist()
-    del gaps, hit  # the group keeps only its rows
-    bounds = list(itertools.accumulate(counts, initial=0))
-    hits = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
-    for k, (p, _, b) in enumerate(group):
-        if counts[k] == b:
-            # every gap fell in range(shots); the rows past the last hit are a
-            # Bernoulli(p) process of their own, drawn with twice the budget
-            last = int(hits[k][-1]) + 1
-            [(more, _)] = _draw_group(rng, shots - last, [(p, (0,), 2 * b)])
-            hits[k] = np.concatenate([hits[k], more + last])
-    patterns = [1 << bits[0] for _, bits, _ in group]
-    pairs = [k for k, (_, bits, _) in enumerate(group) if len(bits) == 2]
-    if pairs:
-        sizes = [hits[k].size for k in pairs]
-        codes = rng.integers(1, 16, size=sum(sizes))
-        control, target = np.array([group[k][1] for k in pairs]).T
-        flips = ((_PAULI_FLIPS[codes >> 2] << np.repeat(control, sizes))
-                 | (_PAULI_FLIPS[codes & 3] << np.repeat(target, sizes)))
-        bounds = list(itertools.accumulate(sizes, initial=0))
-        for k, a, b in zip(pairs, bounds, bounds[1:]):
-            patterns[k] = flips[a:b]
-    return list(zip(hits, patterns))
-
-
-def _event_hits(rng: np.random.Generator, shots: int, events: list):
-    """Yield, for each event ``(p, bits)`` (0 < p <= 1) in turn, the rows of
-    range(shots) it hits and what to XOR into them: ``1 << bits[0]``, or for
-    a CNOT's depolarizing on bits (control, target) each row's X/Y flips of a
-    uniform non-identity Pauli pair. The rows are a Bernoulli(p) process: the
-    running sums of Geometric(p) gaps below shots. Events are drawn in groups
-    whose first gap budgets sum to at most _GROUP_BUDGET x (shots + 1), or of
-    one event, each group's gaps and Pauli codes in one numpy pass."""
-    group, total = [], 0
-    for p, bits in events:
-        budget = _gap_budget(shots, p)
-        if group and total + budget > _GROUP_BUDGET * (shots + 1):
-            yield from _draw_group(rng, shots, group)
-            group, total = [], 0
-        group.append((p, bits, budget))
-        total += budget
-    if group:
-        yield from _draw_group(rng, shots, group)
 
 
 def _kept(scheduled: ScheduledCircuit, plan):
@@ -591,80 +502,6 @@ def _classical(scheduled: ScheduledCircuit) -> bool:
     """Whether every op is X, CNOT, DELAY or MEASURE, so that the circuit
     stays in the computational basis."""
     return all(op.kind in _CLASSICAL_KINDS for layer in scheduled.layers for op in layer.ops)
-
-
-def _bit_plan(scheduled: ScheduledCircuit) -> tuple[list[tuple], list[tuple], tuple] | None:
-    """What ``_run_classical`` does on any values and calibration, as
-    ``(steps, readouts, index)``, or None when an op leaves the
-    computational basis (the exact engine then runs the circuit). A step is
-    ``("decay", w, bits)`` for idle window w, ``("X", mask)``, or
-    ``("CNOT", shift, target mask, bits)``, in time order; ``readouts``
-    pairs each qubit with its bit, and ``index`` is the windows'
-    ``_window_index``. ``bits`` are what a noise event on the step flips."""
-    if not _classical(scheduled):
-        return None
-    n = scheduled.n_qubits
-    bit = [(n - 1 - q,) for q in range(n)]  # shared by every event on qubit q
-    steps, windows = [], []
-    for closed, ops in _idle_windows(scheduled):
-        steps += [("decay", len(windows) + k, bit[q]) for k, (q, _, _) in enumerate(closed)]
-        windows += closed
-        for op in ops:
-            if op.kind == "X":
-                steps.append(("X", 1 << (n - 1 - op.qubits[0])))
-            elif op.kind == "CNOT":
-                c, t = n - 1 - op.qubits[0], n - 1 - op.qubits[1]
-                steps.append(("CNOT", c - t, 1 << t, (c, t)))
-    return steps, list(enumerate(bit)), _window_index(windows, n)
-
-
-def _run_classical(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Bit-vector trajectories for circuits that stay in the computational
-    basis: phase channels are unobservable there, damping is a plain decay
-    flip, and depolarizing reduces to its X/Y bit-flip components.
-
-    The gates and the places of noise events are planned once per
-    ``ScheduledCircuit`` (``_bit_plan``). Each run takes the damping of
-    all the schedule's windows on ``cal`` as ``keep_distributions`` kept it,
-    or prices it in one ``_channel_rates`` call, lists the events in time
-    order, keeping those with p > 0, then draws their rows in batches
-    (``_event_hits``) and applies gates and events in turn."""
-    plan_steps, readouts, index = _kept(scheduled, _bit_plan)
-    params, p2 = cal.qubits, cal.two_qubit_error
-    gammas = scheduled.__dict__.get("dampings", {}).get(cal)
-    if gammas is None:
-        _, _, (gamma, _, _) = _priced_windows([(scheduled, cal)], index)
-        gammas = gamma[:, 0].tolist()
-    steps, events = [], []  # the gates, and _DECAY or _FLIP where an event applies
-    for step in plan_steps:
-        if step[0] == "decay":
-            if (gamma := gammas[step[1]]) > 0.0:
-                # a hit excited bit decays to 0; a hit ground bit stays 0
-                steps.append(_DECAY)
-                events.append((gamma, step[2]))
-        else:
-            steps.append(step)
-            if step[0] == "CNOT" and p2 > 0.0:
-                steps.append(_FLIP)
-                events.append((p2, step[3]))
-    for q, bits in readouts:
-        if (r := params[q].readout_error) > 0.0:
-            steps.append(_FLIP)
-            events.append((r, bits))
-    states = np.zeros(shots, dtype=np.int64)
-    hits = _event_hits(rng, shots, events)
-    for step in steps:
-        if step[0] == "X":
-            states ^= step[1]
-        elif step[0] == "CNOT":  # shift the control bit onto the target's and add it
-            moved = states >> step[1] if step[1] > 0 else states << -step[1]
-            moved &= step[2]
-            states ^= moved
-        else:
-            rows, pattern = next(hits)
-            states[rows] = states[rows] & ~pattern if step is _DECAY else states[rows] ^ pattern
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -775,19 +612,20 @@ class _ExactPlan(NamedTuple):
     one layering (``_exact_plan``). A gate is its PTM (None for a CNOT, an
     angle's index for an RPHI), the |0> columns of its fresh operands
     (``_FRESH``) or None, the windows it closes, and per operand its
-    readout rows' index or the identity (None if no operand ends here).
+    closing rows' index or the identity (None if no operand ends here).
     The tensors are the folded gates, then each never-gated qubit's
-    ``[1 - r, r]`` as a 2 x 1 column. A step contracts tensors i and j into
-    one appended to them, as one batched product: i (transposed by perm_i
-    and reshaped to shape_i, unless perm_i is None) times j transposed by
-    perm_j and reshaped to shape_j, reshaped to ``shape``. Every matrix is
-    on legs of size ``leg``: 4 Pauli coefficients per live qubit, or their
-    (r_I, r_Z) block (``_BLOCKS``) in an X/CNOT/DELAY circuit."""
+    ``[1 - r, r]`` as a 2 x 1 column, or its score's entry of it. A step
+    contracts tensors i and j into one appended to them, as one batched
+    product: i (transposed by perm_i and reshaped to shape_i, unless perm_i
+    is None) times j transposed by perm_j and reshaped to shape_j, reshaped
+    to ``shape``. Every matrix is on legs of size ``leg``: 4 Pauli
+    coefficients per live qubit, or their (r_I, r_Z) block (``_BLOCKS``) in
+    an X/CNOT/DELAY circuit."""
 
     gates: list  # per gate in time order: (gate, fresh, ins, outs, qubits)
     never_gated: list  # the qubits no gate touches
     index: np.ndarray  # the _window_index of every idle window
-    read: int  # the first read windows, and readout rows, are those open at readout
+    read: int  # the first read windows, and closing rows, are those open at readout
     angles: int  # how many RPHI angles there are
     leg: int  # a live qubit's leg size: 2 in an X/CNOT/DELAY circuit, else 4
     peak: int  # time order's largest tensor, in coefficients per row
@@ -798,20 +636,20 @@ class _ExactPlan(NamedTuple):
     held: float  # what the order holds at once, in coefficients per row
 
 
-def _exact_plan(scheduled: ScheduledCircuit) -> _ExactPlan:
-    """The ``_ExactPlan`` of ``scheduled``'s layering, for a circuit that
-    the exact engine runs: any circuit of up to 12 qubits, and a wider one
-    that leaves the computational basis. A layering of X, CNOT, DELAY and
-    MEASURE alone is classical: its live legs are the (r_I, r_Z) block, of
-    size 2, and its gates and fresh columns the I/Z blocks of the full
-    ones, which is what makes its exact law cheaper than its trajectories
-    up to 12 qubits. One walk of its ``_idle_windows`` lists each gate's
-    folding data and tracks time order's product, which has one axis per
-    qubit: size 1 before the qubit's first gate, the leg size while it is
-    live and 2 (its outcomes) after its last gate. The steps are time
-    order's (``_left_fold``) unless that product would grow above
-    _GREEDY_CROSSOVER coefficients per row; then they are greedy's
-    (``_greedy_order``), and time order plans nothing."""
+def _exact_plan(scheduled: ScheduledCircuit, close: int = 2) -> _ExactPlan:
+    """The ``_ExactPlan`` of ``scheduled``'s layering, in which each qubit
+    closes at its last gate in ``close`` rows: its two outcomes, or one
+    score row (``_score_plan``). A layering of X, CNOT, DELAY and MEASURE
+    alone is classical: its live legs are the (r_I, r_Z) block, of size 2,
+    and its gates and fresh columns the I/Z blocks of the full ones. One
+    walk of its ``_idle_windows`` lists each gate's folding data and tracks
+    time order's product, which has one axis per qubit: size 1 before the
+    qubit's first gate, the leg size while it is live and ``close`` after
+    its last gate, when no gate takes it again. The steps are time order's
+    (``_left_fold``) unless that product would grow above
+    _GREEDY_CROSSOVER coefficients per row (_SCORE_CROSSOVER on a score
+    plan); then they are greedy's (``_greedy_order``), and time order plans
+    nothing."""
     n = scheduled.n_qubits
     leg = 2 if _classical(scheduled) else 4
     block, fresh_columns = _BLOCKS[leg], _FRESH[leg]
@@ -836,40 +674,46 @@ def _exact_plan(scheduled: ScheduledCircuit) -> _ExactPlan:
                 gate = _gate_ptm(op.kind)[block, block]
             fresh = fresh_columns.get(tuple([sizes[q] == 1 for q in op.qubits]))
             ins = [idle[q] for q in op.qubits if sizes[q] != 1]
-            out, outs = 1, None  # per operand its readout rows' index or the identity
+            out, outs = 1, None  # per operand its closing rows' index or the identity
             for k, q in enumerate(op.qubits):
-                if read[q][1] == i:  # the qubit's last gate: its outcomes leave it
+                if read[q][1] == i:  # the qubit's last gate: it closes here
                     outs = outs or [identity] * len(op.qubits)
-                    outs[k], sizes[q] = read[q][0], 2
+                    outs[k], sizes[q] = read[q][0], close
                 else:
                     sizes[q] = leg
                 out *= sizes[q]
             gates.append((gate, fresh, ins, outs, op.qubits))
             volume = volume // leg**len(ins) * out
             peak = max(peak, volume)
-    never_gated = [q for q in range(n) if sizes[q] == 1]
-    peak = max(peak, volume << len(never_gated))
-    order = "greedy" if peak > _GREEDY_CROSSOVER else "time"
-    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n, leg)
+    never_gated = [q for q in range(n) if q not in read]
+    peak = max(peak, volume * close**len(never_gated))
+    order = "greedy" if peak > (_GREEDY_CROSSOVER if close == 2 else _SCORE_CROSSOVER) else "time"
+    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n, leg,
+                                                                    close)
     return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, leg,
                       peak, order, *steps)
 
 
-def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int) -> tuple:
+# the plan whose qubits each close in one score row, kept beside the outcome plan
+_score_plan = functools.partial(_exact_plan, close=1)
+
+
+def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int,
+               close: int) -> tuple:
     """Time order as ``(shapes, steps, final, held)`` of an ``_ExactPlan``
-    on live legs of size ``leg``: a left fold, each tensor in turn, as it
-    comes, times the product of all before it. The tensor's operands'
-    axes, in operand order, are the inner dimension and the rest follow in
-    qubit order; a readout pair is a gate that ends a fresh qubit. That
-    transpose copies the product, so ``held`` is _DENSE_PEAK_COPIES x
-    leg**n."""
+    on live legs of size ``leg``, closing in ``close`` rows: a left fold,
+    each tensor in turn, as it comes, times the product of all before it.
+    The tensor's operands' axes, in operand order, are the inner dimension
+    and the rest follow in qubit order; a readout pair is a gate that ends
+    a fresh qubit. That transpose copies the product, so ``held`` is
+    _DENSE_PEAK_COPIES x leg**n."""
     sizes, steps, last, volume = [-1] + [1] * n, [], None, 1  # -1, then each qubit's size
     axes = {}  # per operand tuple: a getter of the axes (0, operands, the rest), its inverse
     total = len(gates) + len(never_gated)  # step k's product is tensor total + k
     for _, _, ins, outs, qubits in gates + [(None, None, (), [0], (q,)) for q in never_gated]:
         inner, out = leg**len(ins), 1
         for q, m in zip(qubits, outs or qubits):
-            sizes[q + 1] = 2 if outs is not None and type(m) is int else leg
+            sizes[q + 1] = close if outs is not None and type(m) is int else leg
             out *= sizes[q + 1]
         if qubits not in axes:
             perm = (0, *[q + 1 for q in qubits], *[q + 1 for q in range(n) if q not in qubits])
@@ -886,17 +730,19 @@ def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int) -> 
     return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * float(leg)**n
 
 
-def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int) -> tuple:
+def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int,
+                  close: int) -> tuple:
     """A greedy pairwise order as ``(shapes, steps, final, held)`` of an
     ``_ExactPlan`` (opt_einsum's greedy path; Markov & Shi, SIAM J. Comput.
     38, 2008). A tensor's axes are its legs: a qubit's axis from one gate
-    to its next (size ``live``), or its outcome (size 2); a gate puts out one leg
-    per operand, then takes in those of its live operands. Of the pairs of
-    live tensors that share a leg, contract the one whose product is
-    smallest net of its operands (ties to the earlier pair), then multiply
-    out what shares no leg, smallest first. Every folded gate is held from
-    the first step on: ``held`` bounds every live tensor, a copy of each
-    operand and the product, or three copies of the 2**n outcomes."""
+    to its next (size ``live``), or its closing rows (size ``close``); a
+    gate puts out one leg per operand, then takes in those of its live
+    operands. Of the pairs of live tensors that share a leg, contract the
+    one whose product is smallest net of its operands (ties to the earlier
+    pair), then multiply out what shares no leg, smallest first. Every
+    folded gate is held from the first step on: ``held`` bounds every live
+    tensor, a copy of each operand and the product, or three copies of the
+    close**n closing rows."""
     sizes, legs = [], []  # each leg's size; each tensor's legs behind the row axis
     last = [None] * n  # each qubit's latest leg, and the tensor it leaves
     pairs = set()  # the tensors that share a leg
@@ -904,22 +750,24 @@ def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int)
         ins = [last[q] for q in qubits if last[q] is not None]
         pairs.update((k, len(legs)) for _, k in ins)
         new = list(range(len(sizes), len(sizes) + len(qubits)))
-        sizes += [2 if outs is not None and type(m) is int else live for m in outs or qubits]
+        sizes += [close if outs is not None and type(m) is int else live for m in outs or qubits]
         for q, leg in zip(qubits, new):
             last[q] = leg, len(legs)
         legs.append(new + [leg for leg, _ in ins])
     for q in never_gated:
         last[q] = len(sizes), len(legs)
         legs.append([len(sizes)])
-        sizes.append(2)
+        sizes.append(close)
     shapes = [(-1, *[sizes[leg] for leg in t]) for t in legs]
     # a tensor's legs as the bits of a mask: two tensors' product keeps the
-    # legs of their XOR, and its size is 2 ** (its legs plus its bonds)
+    # legs of their XOR, and its size is 2 ** (a bit per leg of size 2 or
+    # more, and another per leg of size 4): a leg of size 1 counts none
+    wide = sum(1 << leg for leg, size in enumerate(sizes) if size > 1)
     bonds = sum(1 << leg for leg, size in enumerate(sizes) if size == 4)
     masks = [sum(1 << leg for leg in t) for t in legs]
 
     def size(mask):
-        return 1 << (mask.bit_count() + (mask & bonds).bit_count())
+        return 1 << ((mask & wide).bit_count() + (mask & bonds).bit_count())
 
     volume = [size(m) for m in masks]
     live, steps = set(range(len(legs))), []
@@ -966,13 +814,13 @@ def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int)
         heapq.heappush(rest, (volume[k], k))
     [(_, k)] = rest
     final = (0, *[1 + legs[k].index(last[q][0]) for q in range(n)])
-    return shapes, steps, final, max(peak, 3 * 2**n)
+    return shapes, steps, final, max(peak, 3 * close**n)
 
 
-def _folded(rows, plan: _ExactPlan, windows, readouts, rphi):
+def _folded(rows, plan: _ExactPlan, windows, closing, rphi):
     """Each gate's matrix over the rows, in time order: its PTM (or the
     rows' CNOT or RPHI PTMs) on the |0> columns of its fresh operands,
-    after the windows it closes and before its readout rows."""
+    after the windows it closes and before its closing rows."""
     cnot = None  # built at the first CNOT
     for gate, fresh, ins, outs, _ in plan.gates:
         if gate is None:
@@ -985,15 +833,30 @@ def _folded(rows, plan: _ExactPlan, windows, readouts, rphi):
         if ins:
             s = s @ functools.reduce(_kron, [windows[w] for w in ins])
         if outs is not None:
-            s = functools.reduce(_kron, [readouts[m] if type(m) is int else m for m in outs]) @ s
+            s = functools.reduce(_kron, [closing[m] if type(m) is int else m for m in outs]) @ s
         yield s
 
 
-def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> np.ndarray:
+def _score_weights(scores, n: int) -> np.ndarray:
+    """Per qubit and row, the weights of its two outcomes in a score
+    ``(mask, want)`` (``fitting.score_masks``), as a (n, rows, 1, 2) array:
+    1 on the wanted outcome and 0 on the other where the mask covers the
+    qubit, and 1 on both (a trace) where it does not."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)  # qubit 0 the most significant bit
+    masks, wants = np.array(scores, dtype=np.int64).reshape(-1, 2).T
+    covered = (masks[:, None] >> shifts) & 1
+    one = (wants[:, None] >> shifts) & 1
+    weights = np.stack([1 - covered * one, 1 - covered * (1 - one)], axis=-1)
+    return weights.astype(float).transpose(1, 0, 2)[:, :, None, :]
+
+
+def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
+                         scores=None) -> np.ndarray:
     """Exact outcome distributions over the 2**n basis states, readout error
-    included, one per row ``(scheduled, cal)``: the ensemble averages that
-    the bit-vector engine samples. The rows' schedules share one layering:
-    they are one schedule or schedules bound from it (``bind``).
+    included, one per row ``(scheduled, cal)``; or, with ``scores``, one
+    ``(mask, want)`` per row, each row's probability of reading its score,
+    with no outcome axis held at all. The rows' schedules share one
+    layering: they are one schedule or schedules bound from it (``bind``).
 
     Idle noise is charged once per idle window, which ``_idle_windows``
     shows is exact, and each window is applied in one product with the gate
@@ -1002,10 +865,14 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     (window or angle, row) and the CNOT's over rows, and gives every tensor
     a leading row axis: each gate indexes those arrays and folds its matrix
     (``_folded``) when a step first takes it, so that time order holds one
-    folded gate at a time. One loop runs the steps of the layering's plan
-    (``_exact_plan``), in either order, and the last tensor is the outcome
-    distribution. Every row is the same, bit for bit, as a run of its
-    schedule and calibration alone.
+    folded gate at a time. A qubit's axis closes at its last gate in its two
+    readout rows, which give its outcomes (``_exact_plan``), or, for a
+    score, in one: its wanted outcome's row where the mask covers it, and
+    the sum of both rows elsewhere (``_score_plan``). One loop runs the
+    steps of the layering's plan, in either order, and the last tensor is
+    the outcome distribution or the score's probability. Every row is the
+    same, bit for bit, as a run of its schedule, calibration and score
+    alone.
 
     In time order a superposed-control cnot-reset chain has every ancilla
     live at its turn, 2 x 4**(n - 1) coefficients per row (4 MiB at 10
@@ -1015,20 +882,24 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     afresh for each call, as the wide chains run through the API are, pay
     their plan on every call."""
     scheduled = rows[0][0]
-    plan = _kept(scheduled, _exact_plan)
+    plan = _kept(scheduled, _exact_plan if scores is None else _score_plan)
     values, readout, rates = _priced_windows(rows, plan.index)
     windows = _idle_ptms(*rates)  # over (window, row)
     # a window open at readout ends in its qubit's readout flips, which keep
     # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
     windows[:plan.read, :, 3] *= (1.0 - 2.0 * readout[:plan.read])[..., None]
-    readouts = _TO_POPULATIONS @ windows[:plan.read, :, ::3]
+    closing = _TO_POPULATIONS @ windows[:plan.read, :, ::3]
     block = _BLOCKS[plan.leg]
-    windows, readouts = windows[..., block, block], readouts[..., block]
+    windows, closing = windows[..., block, block], closing[..., block]
     rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if plan.angles else None
-    pairs = (np.stack([1.0 - values[:, 4 * q + 3], values[:, 4 * q + 3]], axis=1)[..., None]
-             for q in plan.never_gated)  # 2 x 1 columns
+    pairs = [np.stack([1.0 - values[:, 4 * q + 3], values[:, 4 * q + 3]], axis=1)[..., None]
+             for q in plan.never_gated]  # 2 x 1 columns
+    if scores is not None:
+        weights = _score_weights(scores, scheduled.n_qubits)
+        closing = weights[plan.index[0, :plan.read] // 4] @ closing  # the read windows' qubits
+        pairs = [weights[q] @ pair for q, pair in zip(plan.never_gated, pairs)]
     inputs = zip(itertools.count(), plan.shapes,
-                 itertools.chain(_folded(rows, plan, windows, readouts, rphi), pairs))
+                 itertools.chain(_folded(rows, plan, windows, closing, rphi), pairs))
     tensors = {}
     for k, (i, j, perm_i, shape_i, perm_j, shape_j, shape) in enumerate(plan.steps,
                                                                         len(plan.shapes)):
@@ -1044,13 +915,14 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]])
     tensors.clear()
     probs = rho.transpose(plan.final).reshape(len(rows), -1)
     del rho  # freed if the reshape copied it, so that the product is held once
+    if scores is not None:
+        return probs[:, 0]
     # what np.clip(..., 0.0, None) computes, without its Python wrapper
     np.maximum(probs, 0.0, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
 
-_QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 # The time order's largest live tensor, in coefficients per row, above
 # which the exact engine contracts greedily. Measured in one warm process
 # (numpy 2.4, one BLAS thread, median of 21 runs, both orders planned in
@@ -1062,38 +934,42 @@ _QUBIT_LIMIT = 63  # one bit per qubit of an int64 outcome, on either engine
 # ms in time order and 55.8 ms greedily, plans built (31.7 and 33.1 ms on
 # kept plans).
 _GREEDY_CROSSOVER = 65536
-# The widest X/CNOT/DELAY circuit that the exact engine runs; wider ones run
-# as bit-vector trajectories. Measured per chain cell in one warm process
-# (numpy 2.4, one BLAS thread, median of 15 alternating runs, each a chain
-# shape's 4 orientations scheduled, planned, kept and drawn as run_cells
-# runs them; the table is in BENCH_29.json): the exact engine was faster on
-# all three strategies at 2-12 qubits and 1000, 4000 and 8000 shots, by
-# 5-49% at 12 qubits, and at 13 qubits it was slower on none and x-reset at
-# 1000 shots (488 and 608 us against 391 and 510) and on x-reset at 4000.
-_EXACT_CLASSICAL_QUBITS = 12
+# The same crossover for a score plan, whose greedy order never holds the
+# 2**n outcomes. Measured on the chain shapes of 13 to 20 qubits, each a
+# stacked pass of 4 orientations x f1 and f2 (numpy 2.4, one BLAS thread,
+# best of 9, plans kept): cnot-reset chains ran in time order / greedily in
+# 0.73 / 0.88 ms at 4,096 (13 qubits), 1.78 / 0.80 at 8,192 (14), 8.09 /
+# 1.19 at 65,536 (17) and 98.7 / 1.34 at 524,288 (20), and greedy planning
+# costs about 0.13 ms more per shape; the none and x-reset chains, which
+# peak at 2 and 4, ran within 0.05 ms of each other at 13-19 qubits.
+_SCORE_CROSSOVER = 4096
 _DENSE_PEAK_COPIES = 2.5
-_CLASSICAL_PEAK_COPIES = 27
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 _PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix and rates
+# Per run, whatever its rows: the executor's own objects, and per folded gate
+# its array's header, which a greedy order holds for every gate at once.
+# Measured as the tracemalloc peak above the rows' estimate (numpy 2.4): 0.9-4.5
+# KiB on runs of 1-4 rows in time order, and 4.5-8.9 KiB on greedy score
+# passes of 6-38 gates at one row
+_RUN_BYTES = 6 << 10
+_GATE_BYTES = 160
 
 
-def _bit_vector_plan(scheduled: ScheduledCircuit) -> tuple | None:
-    """The kept ``_bit_plan`` of a circuit that the bit-vector engine runs,
-    or None when the exact engine runs it: every circuit of at most
-    _EXACT_CLASSICAL_QUBITS qubits, and every wider one that leaves the
-    computational basis. A narrower circuit builds no bit-vector plan."""
-    if scheduled.n_qubits <= _EXACT_CLASSICAL_QUBITS:
-        return None
-    return _kept(scheduled, _bit_plan)
+def _row_bytes(plan: _ExactPlan) -> int:
+    """Estimated peak bytes per stacked row of a run of ``plan``: 8 B x the
+    plan's ``held`` coefficients, 8 B x _DENSE_PEAK_COPIES x the entries of
+    its own folded CNOT matrices (3 x leg**4), and _PRICED_BYTES for each
+    idle window and RPHI angle, whose PTM (16 entries, of which a classical
+    structure reads its I/Z block) and rates a run builds per row."""
+    return math.ceil(8 * (plan.held + _DENSE_PEAK_COPIES * 3 * plan.leg**4)
+                     + _PRICED_BYTES * (plan.index.shape[1] + plan.angles))
 
 
-def _stacked_need(scheduled: ScheduledCircuit) -> float:
-    """Estimated peak bytes per row of a stacked exact run of ``scheduled``'s
-    layering, in the order its plan records: 8 B x the plan's ``held``
-    coefficients, 8 B x _DENSE_PEAK_COPIES x the entries of its own folded
-    CNOT matrices (3 x leg**4), and _PRICED_BYTES for each idle window and
-    RPHI angle, whose PTM (16 entries, of which a classical structure reads
-    its I/Z block) and rates a run builds per row.
+def _stacked_need(scheduled: ScheduledCircuit, rows: int = 1, plan=_exact_plan) -> int:
+    """Estimated peak bytes of an exact run of ``rows`` stacked rows of
+    ``scheduled``'s layering, on its outcome plan or ``_score_plan``, in the
+    order the plan records: _RUN_BYTES and _GATE_BYTES per gate once, and
+    ``_row_bytes`` per row.
 
     tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) in
     time order: all-live circuits took 12.3-19.1 KiB at 3 qubits (17
@@ -1108,26 +984,50 @@ def _stacked_need(scheduled: ScheduledCircuit) -> float:
     (57.2), 59.9-65.0 at 11 (72.1), 108.8-113.2 at 12 (121.1) and
     205.7-210.4 at 13 (218.0). On (r_I, r_Z) legs, in time order, 12-qubit
     chains (none, x-reset and cnot-reset, stacks of 1 and 4) took 71.1-78.4
-    KiB against estimates of 86.3-91.0."""
-    plan = _kept(scheduled, _exact_plan)
-    return (8 * (plan.held + _DENSE_PEAK_COPIES * 3 * plan.leg**4)
-            + _PRICED_BYTES * (plan.index.shape[1] + plan.angles))
+    KiB against estimates of 86.3-91.0. Greedy score passes on the chains
+    of 20 qubits took 10.7-18.8 KiB per row against 11.0-21.4; in time
+    order the estimate's leg**n term is far above the score plan's
+    products (16.1 KiB at one row of the 20-qubit none chain, against 20.0
+    MiB)."""
+    plan = _kept(scheduled, plan)
+    return _RUN_BYTES + _GATE_BYTES * len(plan.gates) + rows * _row_bytes(plan)
+
+
+def _stack_limit(scheduled: ScheduledCircuit, plan) -> int:
+    """The most rows of ``scheduled``'s layering that one run of ``plan``
+    stacks within _MEMORY_BUDGET (``_stacked_need``); 0 when one row would
+    not fit."""
+    fixed = _stacked_need(scheduled, 0, plan)
+    return max(int((_MEMORY_BUDGET - fixed) // _row_bytes(_kept(scheduled, plan))), 0)
+
+
+def _outcome_floor(scheduled: ScheduledCircuit) -> float:
+    """_DENSE_PEAK_COPIES x 8 B x leg**n: the least that a run of the
+    outcome plan holds, with the leg size of ``_exact_plan`` (2 on an
+    X/CNOT/DELAY circuit, else 4), known without planning."""
+    return _DENSE_PEAK_COPIES * 8.0 * (2 if _classical(scheduled) else 4) ** scheduled.n_qubits
+
+
+def _over_budget(need: float, n: int) -> SimulationError:
+    return SimulationError(f"the exact engine would need about {need / 2**20:.0f} MiB for {n} "
+                           f"qubits, above the {_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
+def _covers(cal: DeviceCalibration, n: int) -> None:
+    if cal.n_qubits < n:
+        raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
-    """Compute what ``run_shots`` needs of every distinct row ``(scheduled,
-    cal)`` in stacked passes, and keep each on its schedule, keyed by
-    calibration: an exact circuit's outcome distribution, or a bit-vector
-    circuit's windows' damping probabilities, all priced in one call. The
-    engine is the one ``run_shots`` picks (``_bit_vector_plan``): every
-    circuit of up to 12 qubits is exact, so a chain shape's orientations,
-    which a bit-vector pass would only price, form one stacked exact pass
-    on (r_I, r_Z) legs. The schedules are one schedule or schedules bound
-    from it (``bind``). Each row is, bit for bit, what ``run_shots`` would
-    compute for its schedule and calibration alone.
+    """Compute the exact outcome distribution of every distinct row
+    ``(scheduled, cal)`` in stacked passes, and keep each on its schedule,
+    keyed by calibration, for ``run_shots`` to draw from. The schedules
+    are one schedule or schedules bound from it (``bind``). Each row is,
+    bit for bit, what ``run_shots`` would compute for its schedule and
+    calibration alone.
 
-    Exact stacks are as large as the memory budget allows: ``_stacked_need``
-    x rows within _MEMORY_BUDGET. Nothing is kept for an exact circuit that
+    Stacks are as large as the memory budget allows: ``_stacked_need`` of
+    a stack within _MEMORY_BUDGET. Nothing is kept for a circuit that
     ``run_shots`` refuses or whose one row would exceed the budget
     (``run_shots`` then refuses it or runs it alone), for a calibration that
     does not cover the circuit, or when fewer than two distinct rows are
@@ -1137,15 +1037,10 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
     n = rows[0][0].n_qubits
     rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows
                  if cal.n_qubits >= n}.values())
-    if len(rows) < 2:
+    if len(rows) < 2 or _outcome_floor(rows[0][0]) > _MEMORY_BUDGET:
         return
-    if (plan := _bit_vector_plan(rows[0][0])) is not None:
-        _, _, (gamma, _, _) = _priced_windows(rows, plan[2])
-        for (scheduled, cal), damping in zip(rows, gamma.T.tolist()):
-            scheduled.__dict__.setdefault("dampings", {})[cal] = damping
-        return
-    chunk = int(_MEMORY_BUDGET // _stacked_need(rows[0][0]))
-    if chunk < 1 or _DENSE_PEAK_COPIES * 8 * 4.0**n > _MEMORY_BUDGET:
+    chunk = _stack_limit(rows[0][0], _exact_plan)
+    if chunk < 1:
         return
     for i in range(0, len(rows), chunk):
         part = rows[i:i + chunk]
@@ -1153,61 +1048,67 @@ def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -
             scheduled.__dict__.setdefault("distributions", {})[cal] = probs
 
 
+def score_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
+                        scores) -> np.ndarray:
+    """The exact probability that each row ``(scheduled, cal)`` reads each
+    of its scores, as a (len(rows), k) array: ``scores[i]`` lists row i's k
+    ``(mask, want)`` pairs (``fitting.score_masks``), and an outcome v reads
+    one when ``v & mask == want``. The schedules share one layering, as in
+    ``keep_distributions``. Each (row, score) pair is one row of a stacked
+    pass on the layering's ``_score_plan``, which closes every qubit in one
+    readout-weighted row, so that no pass holds the 2**n outcomes; passes
+    stack as many pairs as ``_stacked_need`` allows within _MEMORY_BUDGET.
+
+    Raises CalibrationError for a calibration that does not cover the
+    circuit, and SimulationError, before pricing anything, when one pair
+    would exceed the budget."""
+    scheduled, n = rows[0][0], rows[0][0].n_qubits
+    for _, cal in rows:
+        _covers(cal, n)
+    chunk = _stack_limit(scheduled, _score_plan)
+    if chunk < 1:
+        raise _over_budget(_stacked_need(scheduled, 1, _score_plan), n)
+    stack = [(row, score) for row, own in zip(rows, scores) for score in own]
+    law = np.concatenate([_exact_probabilities([row for row, _ in stack[i:i + chunk]],
+                                               [score for _, score in stack[i:i + chunk]])
+                          for i in range(0, len(stack), chunk)])
+    return law.reshape(len(rows), -1)
+
+
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
               seed) -> dict[int, int]:
     """Noisy shot counts by outcome integer, qubit 0 the most significant
-    bit; deterministic per (schedule, calibration, seed). The bit-vector
-    engine runs X/CNOT/DELAY circuits of more than _EXACT_CLASSICAL_QUBITS
-    qubits, and the exact engine every other circuit: at up to 12 qubits an
-    X/CNOT/DELAY circuit's exact law, on (r_I, r_Z) legs, costs less per
-    cell than its trajectories (``_bit_vector_plan``). An exact circuit
-    draws from the distribution ``keep_distributions`` kept for ``cal`` on
-    the schedule, and a bit-vector circuit uses the damping kept there,
-    when there is one, or else computes it for ``cal`` alone; the two are
-    equal, bit for bit, and so are the counts. A schedule bound
-    from another (``bind``) runs as a fresh schedule of its circuit would.
+    bit; deterministic per (schedule, calibration, seed). Every circuit runs
+    on the exact engine, an X/CNOT/DELAY circuit on (r_I, r_Z) legs: the
+    counts are one multinomial draw, on stream 3 of the seed, from the
+    distribution ``keep_distributions`` kept for ``cal`` on the schedule,
+    or else from the one computed for ``cal`` alone; the two are equal, bit
+    for bit, and so are the counts. A schedule bound from another
+    (``bind``) runs as a fresh schedule of its circuit would.
 
-    Raises SimulationError for a circuit above _QUBIT_LIMIT qubits, and,
-    before pricing anything or allocating, when the engine's estimated peak
-    memory exceeds _MEMORY_BUDGET: on the exact engine, unless it draws from
-    a kept distribution (which ``keep_distributions`` computed within the
-    budget), one row's ``_stacked_need``, in the order that runs, and never
-    less than _DENSE_PEAK_COPIES x 8 B x the 4**n Pauli coefficients (so it
-    runs up to 13 qubits in either order, at any shot count); on the
-    bit-vector engine _CLASSICAL_PEAK_COPIES x 8 B x shots. ``_stacked_need``
-    gives the exact engine's tracemalloc peaks (numpy 2.4); the bit-vector
-    engine's were 6.9-10.7 copies for 20-qubit chain cells (none and cnot-reset
-    along orientation 1) at 10**3-10**6 shots, up to 19.2 when every shot
-    reads a distinct 62-bit outcome (readout error 0.45 at 2*10**4, 2*10**5
-    and 10**6 shots: 14.9, 19.2, 17.2) and the returned dict dominates."""
+    Raises SimulationError, before planning, pricing or allocating
+    anything, unless it draws from a kept distribution (which
+    ``keep_distributions`` computed within the budget), when the estimated
+    peak memory exceeds _MEMORY_BUDGET: never less than _DENSE_PEAK_COPIES
+    x 8 B x leg**n (``_outcome_floor``), and one row's ``_stacked_need`` in
+    the order that runs. So a circuit runs up to 13 qubits, and an
+    X/CNOT/DELAY circuit up to 26, at any shot count; wider ones are
+    refused. The draw itself holds the 2**n outcomes' counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed is None:
         raise ValueError("seed must be given: counts are deterministic per seed")
     n = scheduled.n_qubits
-    if cal.n_qubits < n:
-        raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
-    if n > _QUBIT_LIMIT:
-        raise SimulationError(f"circuits above {_QUBIT_LIMIT} qubits are not supported")
-    if _bit_vector_plan(scheduled) is not None:
-        engine, need = "bit-vector", _CLASSICAL_PEAK_COPIES * 8 * shots
-    else:
-        engine, kept = "exact", scheduled.__dict__.get("distributions")
-        probs = kept.get(cal) if kept else None
-        # drawing from a kept distribution computes nothing
-        need = 0.0 if probs is not None else max(_DENSE_PEAK_COPIES * 8 * 4.0**n,
-                                                 _stacked_need(scheduled))
-    if need > _MEMORY_BUDGET:
-        raise SimulationError(f"the {engine} engine would need about {need / 2**20:.0f} MiB "
-                              f"for {n} qubits at {shots} shots, above the "
-                              f"{_MEMORY_BUDGET / 2**20:.0f} MiB budget")
-    if engine == "exact":
-        if probs is None:
-            probs = _exact_probabilities([(scheduled, cal)])[0]
-        draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
-        values = np.flatnonzero(draws)
-        counts = draws[values]
-    else:
-        outcomes = _run_classical(scheduled, cal, shots, np.random.default_rng([seed, 1]))
-        values, counts = np.unique(outcomes, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    _covers(cal, n)
+    kept = scheduled.__dict__.get("distributions")
+    probs = kept.get(cal) if kept else None
+    if probs is None:
+        need = _outcome_floor(scheduled)
+        if need <= _MEMORY_BUDGET:  # plan only what the floor lets run
+            need = max(need, _stacked_need(scheduled))
+        if need > _MEMORY_BUDGET:
+            raise _over_budget(need, n)
+        probs = _exact_probabilities([(scheduled, cal)])[0]
+    draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
+    values = np.flatnonzero(draws)
+    return dict(zip(values.tolist(), draws[values].tolist()))

@@ -6,7 +6,9 @@ are checked against something other than themselves. ``circuit_unitary``
 is the noiseless reference for every builder, and ``inverse_qft_matrix``
 the closed-form target of every inverse-QFT construction.
 ``kraus_outcome_probabilities`` is the noisy reference for the engines in
-``nisq_lab.noise``. None of them imports the package's simulation code.
+``nisq_lab.noise``, and ``classical_outcome_probabilities`` its reference
+for X/CNOT/DELAY circuits too wide for the Kraus oracle. None of them
+imports the package's simulation code.
 ``six_cycles`` is the brute-force reference for the ring enumeration.
 """
 import math
@@ -210,6 +212,63 @@ def kraus_outcome_probabilities(scheduled, cal) -> np.ndarray:
         rho = _apply_kraus(rho, [math.sqrt(1.0 - r) * _embed({}, n),
                                  math.sqrt(r) * _embed({q: _PAULIS[1]}, n)])
     return np.real(np.diag(rho))
+
+
+def _flip(probs: np.ndarray, q: int) -> np.ndarray:
+    """A probability tensor with qubit q's bit flipped in every bitstring."""
+    return np.flip(probs, axis=q)
+
+
+def classical_outcome_probabilities(scheduled, cal) -> np.ndarray:
+    """Exact outcome distribution of a scheduled X/CNOT/DELAY circuit (n <=
+    20), as a probability vector over its 2**n bitstrings, one axis per
+    qubit, evolved layer by layer in the order the noise model states: per
+    layer, each qubit's amplitude damping, under which a 1 decays to 0 with
+    probability 1 - exp(-dt/t1); then the gates, X and CNOT permuting the
+    bitstrings, each CNOT followed by the bit flips of its two-qubit
+    depolarizing channel (each of the 15 non-identity Pauli pairs with
+    probability p/15, an X or Y flipping its qubit's bit); finally readout
+    bit flips. Phase flips and drift leave the bitstrings' probabilities
+    alone, so they are left out. Layer durations come from the schedule's
+    ``ends``."""
+    n = scheduled.n_qubits
+    assert n <= 20, "oracle limited to 20 qubits"
+    probs = np.zeros((2,) * n)
+    probs[(0,) * n] = 1.0
+    p2 = cal.two_qubit_error
+    flips = {}  # (control flips, target flips) -> its probability after a CNOT
+    for a in range(4):
+        for b in range(4):
+            key = (a in (1, 2), b in (1, 2))
+            flips[key] = flips.get(key, 0.0) + (1.0 - p2 if (a, b) == (0, 0) else p2 / 15.0)
+    start = 0.0
+    for layer, end in zip(scheduled.layers, scheduled.ends):
+        dt, start = end - start, end
+        for q in range(n):
+            t1 = cal.qubits[q].t1
+            gamma = 0.0 if math.isinf(t1) else 1.0 - math.exp(-dt / t1)
+            view = np.moveaxis(probs, q, 0)
+            view[0] += gamma * view[1]
+            view[1] *= 1.0 - gamma
+        for op in layer.ops:
+            if op.kind in ("MEASURE", "DELAY"):
+                continue
+            assert op.kind in ("X", "CNOT"), f"{op.kind} leaves the computational basis"
+            if op.kind == "X":
+                probs = _flip(probs, op.qubits[0]).copy()
+                continue
+            c, t = op.qubits
+            view = np.moveaxis(probs, (c, t), (0, 1))
+            view[1] = view[1, ::-1].copy()
+            total = np.zeros_like(probs)
+            for (flip_c, flip_t), p in flips.items():
+                moved = _flip(probs, c) if flip_c else probs
+                total += p * (_flip(moved, t) if flip_t else moved)
+            probs = total
+    for q in range(n):
+        r = cal.qubits[q].readout_error
+        probs = (1.0 - r) * probs + r * _flip(probs, q)
+    return probs.reshape(-1)
 
 
 def six_cycles(n: int, edges) -> list[tuple[int, ...]]:

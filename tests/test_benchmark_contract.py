@@ -57,23 +57,30 @@ def test_wide_dense_pass_records_calls_in_every_layer(tmp_path, graph, default_c
 def test_every_cell_calls_run_shots_and_each_distinct_circuit_is_scheduled_once(
         monkeypatch, graph, default_cal):
     """The benchmark cuts its passes at each ``experiments.run_shots`` call
-    and checks that ``noise.schedule`` records calls: every cell must still
-    reach run_shots on its own, while cells of one shape share one schedule
-    (12 shapes among the 156 survey cells, 57 among the 228 chain cells;
-    the three strategies at length 1 are three shapes that build the same
-    two ops)."""
+    and checks that ``noise.schedule`` records calls: every cell of up to
+    12 qubits must still reach run_shots on its own, while cells of one
+    shape share one schedule (12 shapes among the 156 survey cells, 57
+    among the 228 chain cells; the three strategies at length 1 are three
+    shapes that build the same two ops). The chain sweep's 96 cells of 13
+    to 20 qubits draw their score classes in ``run_cells`` and call
+    run_shots no more, so a chain pass makes 132 run_shots calls."""
     calls = collections.Counter()
+    widths = []
     for name in ("run_shots", "schedule"):
         def counting(*args, _real=getattr(experiments, name), _name=name):
             calls[_name] += 1
+            if _name == "run_shots":
+                widths.append(args[0].n_qubits)
             return _real(*args)
         monkeypatch.setattr(experiments, name, counting)
     cfg = experiments.ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
     experiments.run_ccnot_survey(cfg)
     assert calls == {"run_shots": 156, "schedule": 12}
     calls.clear()
+    widths.clear()
     experiments.run_cnot_chain_sweep(cfg)
-    assert calls == {"run_shots": 228, "schedule": 57}
+    assert calls == {"run_shots": 132, "schedule": 57}
+    assert collections.Counter(widths) == {n: 12 for n in range(2, 13)}
 
 
 def test_coherence_and_qpe_cells_bind_onto_one_schedule_per_structure(

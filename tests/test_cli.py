@@ -14,11 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nisq_lab import __version__, experiments, noise, topology
+from nisq_lab import __version__, builders, experiments, noise, topology
 from nisq_lab.cli import main
 from nisq_lab.experiments import ResultRow, ResultTable
 from nisq_lab.fitting import FitResult
-from nisq_lab.noise import SimulationError, calibration_from_dict, default_calibration
+from nisq_lab.noise import (
+    DurationModel,
+    SimulationError,
+    calibration_from_dict,
+    default_calibration,
+    schedule,
+)
 from nisq_lab.report import (
     CSV_HEADER,
     RunManifest,
@@ -27,7 +33,7 @@ from nisq_lab.report import (
     write_manifest,
     write_results,
 )
-from nisq_lab.simulator import is_json_number
+from nisq_lab.simulator import Circuit, is_json_number
 
 NOISELESS_CAL = {
     "qubits": [
@@ -461,21 +467,25 @@ def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsy
     assert not (out / "manifest.json").exists()
 
 
-def test_bit_vector_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys,
-                                                  monkeypatch):
-    """The pre-flight refuses a bit-vector cell whose shots would not fit the
-    budget: the chain of 12 links (13 qubits), after the shorter chains ran
-    on the exact engine within it."""
-    shots = 2_000_000
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._CLASSICAL_PEAK_COPIES * 8 * shots - 1)
-    assert noise._DENSE_PEAK_COPIES * 8 * 4**12 < noise._MEMORY_BUDGET
+def test_score_pass_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys,
+                                             monkeypatch):
+    """A wide cell's score pass is refused when one of its rows would not
+    fit the budget: the chain of 12 links (13 qubits), after the shorter
+    chains drew from their full law within it."""
+    narrow, wide = (schedule(Circuit(len(path), builders.cnot_chain(path, "none").circuit.ops)
+                             .measure_all(), DurationModel())
+                    for path in (topology.chain_paths(topology.shipped_poughkeepsie(), 1)[:k]
+                                 for k in (12, 13)))
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET",
+                        noise._stacked_need(wide, 1, noise._score_plan) - 1)
+    assert noise._stacked_need(narrow) < noise._MEMORY_BUDGET
     out = tmp_path / "out"
-    code = main(["cnot-chain", "--calibration", str(noiseless_cal_file), "--shots", str(shots),
+    code = main(["cnot-chain", "--calibration", str(noiseless_cal_file), "--shots", "4000",
                  "--seed", "2", "--out", str(out), "--orientations", "1", "--strategies",
                  "none", "--max-length", "12"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("runtime failure: the bit-vector engine would need about")
+    assert err.startswith("runtime failure: the exact engine would need about")
     assert "budget" in err
     assert not (out / "manifest.json").exists()
 

@@ -10,6 +10,7 @@ import pytest
 
 from nisq_lab import builders, experiments, noise, topology
 from nisq_lab.experiments import (
+    _FULL_LAW_QUBITS,
     Cell,
     ExperimentConfig,
     default_phi_grid,
@@ -23,7 +24,7 @@ from nisq_lab.experiments import (
     run_t2_echo,
     run_t2_ramsey,
 )
-from nisq_lab.fitting import fidelity
+from nisq_lab.fitting import fidelity, score_masks
 from nisq_lab.noise import DeviceCalibration, DurationModel, QubitNoiseParams, run_shots, schedule
 from nisq_lab.simulator import Circuit, GateOp
 
@@ -535,14 +536,13 @@ _STACKED_RUNS = {"ccnot-survey": run_ccnot_survey, "qft-perfect": run_qft_perfec
 
 
 def _exact_shapes(monkeypatch, run, cfg) -> list[list[tuple]]:
-    """The (schedule, calibration subset) rows of every exact shape that
+    """The (schedule, calibration subset) rows of every shape that
     run_cells hands to ``keep_distributions`` while ``run(cfg)`` runs."""
     shapes = []
     real = experiments.keep_distributions
 
     def recording(rows):
-        if noise._bit_vector_plan(rows[0][0]) is None:
-            shapes.append(list(rows))
+        shapes.append(list(rows))
         real(rows)
 
     monkeypatch.setattr(experiments, "keep_distributions", recording)
@@ -584,44 +584,54 @@ def test_stacked_distributions_equal_single_calibration_runs(graph, default_cal,
 
 
 @pytest.mark.parametrize("run", [run_cnot_chain_sweep, run_t1])
-def test_kept_dampings_equal_single_calibration_pricing(graph, default_cal, monkeypatch, run):
-    """Every bit-vector shape of the chain sweep, a chain of 12 links or
-    more, keeps each of its rows' damping probabilities, priced in one
-    stacked call; each is, bit for bit, what its row prices alone on a
-    fresh copy of its schedule, and ``run_shots`` draws the same counts from
-    it. t1 and the shorter chains run on the exact engine and keep their
-    distributions instead."""
-    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1, qubit=7)
-    shapes, exact = [], []
-    real = experiments.keep_distributions
+def test_wide_cells_draw_score_classes_and_narrow_cells_keep_distributions(
+        graph, default_cal, monkeypatch, run):
+    """Every shape of up to 12 qubits, t1's and the chains' of 2 to 12,
+    keeps its distributions in a stacked pass and calls run_shots once per
+    cell. Each of the chain sweep's 96 cells of 13 to 20 qubits calls
+    neither: it reports f1 = (k0 + k1) / shots and f2 = k0 / shots of one
+    multinomial draw, on stream 3 of its seed key, from its exact (P(f1 and
+    f2), P(f1 and not f2), P(not f1)), which a fresh schedule of its own
+    build gives alone."""
+    cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=300, seed=1, qubit=7)
+    kept, drawn, reports = [], [], []
+    real_keep, real_run, real_cells = (experiments.keep_distributions, experiments.run_shots,
+                                       experiments.run_cells)
 
-    def recording(rows):
-        real(rows)
-        (shapes if noise._bit_vector_plan(rows[0][0]) is not None else exact).append(list(rows))
+    def keeping(rows):
+        real_keep(rows)
+        kept.append(rows[0][0].n_qubits)
 
-    monkeypatch.setattr(experiments, "keep_distributions", recording)
+    def running(scheduled, cal, shots, seed):
+        drawn.append(scheduled.n_qubits)
+        return real_run(scheduled, cal, shots, seed)
+
+    def cells_run(cell_iter, cal, shots):
+        batch = list(cell_iter)
+        out = real_cells(batch, cal, shots)
+        reports.extend(zip(batch, out))
+        return out
+
+    monkeypatch.setattr(experiments, "keep_distributions", keeping)
+    monkeypatch.setattr(experiments, "run_shots", running)
+    monkeypatch.setattr(experiments, "run_cells", cells_run)
     run(cfg)
     monkeypatch.undo()
-    widths = {rows[0][0].n_qubits for rows in shapes}
-    assert widths == (set(range(13, 21)) if run is run_cnot_chain_sweep else set())
-    assert {rows[0][0].n_qubits for rows in exact} == (
-        set(range(2, 13)) if run is run_cnot_chain_sweep else {1})
-    for scheduled, cal in (rows[-1] for rows in exact if len(rows) > 1):
-        assert "dampings" not in scheduled.__dict__
-        assert cal in scheduled.__dict__["distributions"]
-    kept = 0
-    for rows in shapes:
-        for scheduled, cal in rows:
-            damping = scheduled.__dict__.get("dampings", {}).get(cal)
-            if damping is None:  # a shape of one distinct row is not stacked
-                continue
-            fresh = replace(scheduled)
-            _, _, index = noise._kept(fresh, noise._bit_plan)
-            _, _, (gamma, _, _) = noise._priced_windows([(fresh, cal)], index)
-            assert damping == gamma[:, 0].tolist()
-            assert run_shots(scheduled, cal, 300, [5]) == run_shots(fresh, cal, 300, [5])
-            kept += 1
-    assert kept >= len(shapes)
+    chain = run is run_cnot_chain_sweep
+    wide = [(cell, rep) for cell, rep in reports if len(cell.layout) > _FULL_LAW_QUBITS]
+    assert set(kept) == set(drawn) == (set(range(2, 13)) if chain else {1})
+    assert len(drawn) == len(reports) - len(wide)
+    assert len(wide) == (96 if chain else 0)
+    for cell, rep in wide:
+        built = cell.build()
+        fresh = _measured_schedule(cell, built, default_cal.durations)
+        scores = score_masks(built.roles, cell.desired, built.desired_ancilla)
+        [[f1, f12]] = noise.score_probabilities([(fresh, default_cal.subset(cell.layout))],
+                                                [scores])
+        p = np.maximum([f12, f1 - f12, 1.0 - f1], 0.0)
+        rng = np.random.default_rng([list(cell.seed_key), 3])
+        k0, k1, _ = rng.multinomial(300, p / p.sum()).tolist()
+        assert (rep.f1, rep.f2, rep.shots) == ((k0 + k1) / 300, k0 / 300, 300), cell.seed_key
 
 
 @pytest.mark.parametrize("chunk", [1, 2])
@@ -732,13 +742,12 @@ def _assert_bound_runs_equal_fresh_runs(runs, cal, seeds=(1,)) -> int:
     kept = 0
     for cell, bound, sub in runs:
         fresh = _measured_schedule(cell, cell.build(), cal.durations)
-        if noise._bit_vector_plan(fresh) is None:
-            want = noise._exact_probabilities([(fresh, sub)])[0]
-            got = bound.__dict__.get("distributions", {}).get(sub)
-            if got is not None:
-                kept += 1
-                assert np.array_equal(got, want), cell.seed_key
-            assert np.array_equal(_alone(bound, sub), want), cell.seed_key
+        want = noise._exact_probabilities([(fresh, sub)])[0]
+        got = bound.__dict__.get("distributions", {}).get(sub)
+        if got is not None:
+            kept += 1
+            assert np.array_equal(got, want), cell.seed_key
+        assert np.array_equal(_alone(bound, sub), want), cell.seed_key
         for seed in seeds:
             key = [seed, *cell.seed_key]
             assert run_shots(bound, sub, 64, key) == run_shots(fresh, sub, 64, key), cell.seed_key

@@ -1,4 +1,4 @@
-"""Scheduling, idle channels, the bit-vector and exact engines, and calibration files."""
+"""Scheduling, idle channels, the exact engine and its score law, and calibration files."""
 import hashlib
 import importlib.util
 import json
@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nisq_lab import builders, noise, topology
+from nisq_lab.experiments import _FULL_LAW_QUBITS
+from nisq_lab.fitting import score_masks
 from nisq_lab.noise import (
     _channel_rates,
     _exact_probabilities,
-    _event_hits,
     _idle_windows,
-    _run_classical,
     CalibrationError,
     DeviceCalibration,
     DurationModel,
@@ -33,7 +33,7 @@ from nisq_lab.noise import (
 from nisq_lab.simulator import TAU, Circuit, GateOp
 
 from calibrations import flat_cal
-from oracles import final_state, kraus_outcome_probabilities
+from oracles import classical_outcome_probabilities, final_state, kraus_outcome_probabilities
 
 INF = math.inf
 
@@ -272,28 +272,6 @@ def test_seed_determinism():
     sched = schedule(c, cal.durations)
     assert run_shots(sched, cal, 1000, 42) == run_shots(sched, cal, 1000, 42)
     assert run_shots(sched, cal, 1000, 42) != run_shots(sched, cal, 1000, 43)
-
-
-def test_classical_and_dense_paths_agree_in_distribution():
-    """The bit-vector engine and the exact engine sample the same law.
-
-    The phase gate makes the second circuit non-classical, so it runs on
-    the exact engine's full Pauli legs."""
-    cal = flat_cal(2, t1=20e-6, t2=30e-6, p2=0.05, readout=0.02)
-    classical = Circuit(2).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
-    sched = schedule(classical, cal.durations)
-    shots = 40000
-    values, counts = np.unique(_run_classical(sched, cal, shots, np.random.default_rng(11)),
-                               return_counts=True)
-    counts_bits = dict(zip(values.tolist(), counts.tolist()))
-    # force the exact engine with an irrelevant phase gate (identity on |0>)
-    dense_circuit = Circuit(2).rphi(0.0, 0).x(0).cnot(0, 1).delay(10e-6, 1).measure(0).measure(1)
-    counts_dense = run_shots(schedule(dense_circuit, cal.durations), cal, shots, 11)
-    for key in sorted(set(counts_bits) | set(counts_dense)):
-        p = counts_bits.get(key, 0) / shots
-        q = counts_dense.get(key, 0) / shots
-        sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / shots + 1e-12)
-        assert abs(p - q) <= 5 * sigma, f"{key}: {p} vs {q}"
 
 
 @st.composite
@@ -547,8 +525,8 @@ def _all_live_cell(n):
 
 @pytest.mark.parametrize("n, stack", [(3, 1), (3, 200), (4, 200), (6, 50), (8, 4)])
 def test_stacked_exact_peak_memory_within_estimate(n, stack):
-    """A stack of distinct calibrations peaks within ``_stacked_need`` per
-    calibration: at 3-4 qubits the calibrations' own matrices outweigh
+    """A stack of distinct calibrations peaks within ``_stacked_need``: at
+    3-4 qubits the calibrations' own matrices outweigh
     their coefficients, which the 4**n term alone would miss."""
     _assert_stacked_peak_within_estimate(_all_live_cell(n), n, stack)
 
@@ -590,7 +568,7 @@ def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= noise._stacked_need(sched) * stack
+    assert peak <= noise._stacked_need(sched, stack)
     if n <= 4:  # the coefficients' term alone would not cover it
         assert peak > noise._DENSE_PEAK_COPIES * 8 * 4**n * stack
     return peak
@@ -601,10 +579,12 @@ def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
 # ---------------------------------------------------------------------------
 
 def _in_each_order(monkeypatch):
-    """Yield each contraction order, with _GREEDY_CROSSOVER set so that
-    every exact plan built meanwhile records it."""
+    """Yield each contraction order, with _GREEDY_CROSSOVER and
+    _SCORE_CROSSOVER set so that every exact plan built meanwhile records
+    it."""
     for order, crossover in (("greedy", 0), ("time", math.inf)):
         monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", crossover)
+        monkeypatch.setattr(noise, "_SCORE_CROSSOVER", crossover)
         yield order
 
 
@@ -705,7 +685,7 @@ def test_greedy_peak_memory_within_estimate(width, stack):
     sched, _ = _wide_chain_cell(width)
     peak = _assert_stacked_peak_within_estimate(sched, width, stack)
     assert _planned_order(sched) == "greedy"
-    assert peak > noise._stacked_need(sched) * stack / 2
+    assert peak > noise._stacked_need(sched, stack) / 2
 
 
 def test_a_greedy_chain_of_14_qubits_is_refused_and_never_kept(monkeypatch):
@@ -726,20 +706,26 @@ _SUBCOMMANDS = ("t1", "t2-ramsey", "t2-echo", "cnot-chain", "ccnot-survey", "qft
 
 
 def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, monkeypatch):
-    """Every exact structure the seven subcommands build at default
+    """Every outcome structure the seven subcommands build at default
     settings peaks at 4,096 coefficients per row in time order and runs in
-    it, t1 and the chains of up to 12 qubits among them, on (r_I, r_Z) legs,
-    and the wide chains go greedy above _GREEDY_CROSSOVER (9 and 10 qubits)
-    and not below."""
+    it, t1 and the chains of up to 12 qubits among them, on (r_I, r_Z) legs;
+    the chains of 13 to 20 qubits run score passes alone; and the wide
+    chains go greedy above _GREEDY_CROSSOVER (9 and 10 qubits) and not
+    below."""
     from nisq_lab.cli import main
 
-    peaks = {}
+    peaks, scored = {}, []
     real = noise._exact_probabilities
 
-    def recording(rows):
-        probs = real(rows)
-        peaks.setdefault(command, []).append(
-            (rows[0][0].__dict__["plans"][noise._exact_plan].peak, _planned_order(rows[0][0])))
+    def recording(rows, scores=None):
+        probs = real(rows, scores)
+        if scores is None:
+            peaks.setdefault(command, []).append(
+                (rows[0][0].__dict__["plans"][noise._exact_plan].peak,
+                 _planned_order(rows[0][0])))
+        else:
+            plan = rows[0][0].__dict__["plans"][noise._score_plan]
+            scored.append((command, rows[0][0].n_qubits, plan.order, len(rows)))
         return probs
 
     monkeypatch.setattr(noise, "_exact_probabilities", recording)
@@ -748,6 +734,11 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
     assert sorted(peaks) == sorted(_SUBCOMMANDS)
     runs = [run for command in peaks for run in peaks[command]]
     assert max(peak for peak, _ in runs) == 4096 and all(order == "time" for _, order in runs)
+    # the 24 chain shapes of 13 to 20 qubits, each one pass of 4 orientations
+    # x f1 and f2; the cnot-reset chains of 14 qubits and more go greedy
+    assert sorted(n for _, n, _, _ in scored) == sorted(list(range(13, 21)) * 3)
+    assert {(command, rows) for command, _, _, rows in scored} == {("cnot-chain", 8)}
+    assert sorted(n for _, n, order, _ in scored if order == "greedy") == list(range(14, 21))
     for width in range(6, 11):
         sched, cal = _wide_chain_cell(width)
         real([(sched, cal)])
@@ -758,96 +749,6 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
         assert list(sched.__dict__["plans"]) == [noise._exact_plan]
 
 
-def _within_sigmas(count: int, shots: int, p: float, z: float) -> bool:
-    """A z-sigma binomial bound in Bernstein's form, which stays valid for
-    rare outcomes where the normal approximation does not: it is
-    z sqrt(shots p (1 - p)) for common outcomes, plus about z**2 / 6
-    counts, and a correct count falls outside it with probability at most
-    2 exp(-z**2 / 2)."""
-    slack = z * z / 6.0
-    return abs(count - shots * p) <= slack + math.sqrt(slack**2 + z * z * shots * p * (1 - p))
-
-
-def _within_5_sigma(count: int, shots: int, p: float) -> bool:
-    return _within_sigmas(count, shots, p, 5.0)
-
-
-# X/CNOT/DELAY circuits run on the bit-vector engine, whose idle windows
-# span many layers; up to 16 ops on n <= 4 qubits leave long idle gaps.
-# Derandomized: a sampled histogram against a bound must see the same
-# examples on every run.
-@given(noisy_cells(max_qubits=4, kinds=("X", "DELAY"), max_ops=16))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_classical_histograms_match_exact_distribution(cell):
-    sched, cal = cell
-    shots = 4000
-    [probs] = _exact_probabilities([(sched, cal)])
-    outcomes = _run_classical(sched, cal, shots, np.random.default_rng(0))
-    counts = np.bincount(outcomes, minlength=len(probs))
-    for k, (count, p) in enumerate(zip(counts, probs)):
-        label = format(k, f"0{sched.n_qubits}b")
-        assert _within_5_sigma(int(count), shots, float(p)), f"{label}: {count} vs {shots * p}"
-
-
-@pytest.mark.parametrize("shots", [1, 250, 4000])
-@pytest.mark.parametrize("p", [1e-300, 0.003, 0.05, 0.3, 0.9, 1.0])
-def test_hits_are_distinct_rows_at_rate_p(monkeypatch, shots, p):
-    """Each event's rows are distinct and in range, and every row, the first
-    and last included, is hit with probability p. Three events drawn in one
-    group are independent: two of them hit a row together with probability
-    p**2. A depolarized CNOT's patterns are the X/Y flips of a uniform
-    non-identity Pauli pair: none on 3 of the 15 pairs, and each of the
-    three others on 4. All of this holds again with a first budget of one
-    gap, where every event that hits a row draws on past it."""
-    events = [(p, (0,)), (p, (1,)), (p, (2, 3))]
-    monkeypatch.setattr(noise, "_GROUP_BUDGET", len(events))  # room for all three
-    _check_event_hits(np.random.default_rng([shots, int(p * 1000)]), shots, events)
-    with monkeypatch.context() as m:
-        m.setattr(noise, "_gap_budget", lambda shots, p: 1)
-        longest = _check_event_hits(np.random.default_rng([shots, int(p * 1000), 1]),
-                                    shots, events)
-    if shots * p > 5:
-        assert longest > 1  # rows past the first gap: the top-up ran
-
-
-def _check_event_hits(rng, shots, events) -> int:
-    """Check ``_event_hits`` over 400 draws of three events of one
-    probability (see above); return the most rows an event hit."""
-    p = events[0][0]
-    budget = sum(noise._gap_budget(shots, q) for q, _ in events)
-    assert budget <= noise._GROUP_BUDGET * (shots + 1)  # one group
-    draws = 400
-    total = first = last = together = longest = 0
-    patterns = np.zeros(16, dtype=np.int64)
-    for _ in range(draws):
-        hits = list(_event_hits(rng, shots, events))
-        assert len(hits) == len(events)
-        for rows, _ in hits:
-            assert np.all(np.diff(rows) > 0)
-            assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < shots)
-            assert _within_5_sigma(rows.size, shots, p)
-            total += rows.size
-            first += int(rows.size > 0 and rows[0] == 0)
-            last += int(rows.size > 0 and rows[-1] == shots - 1)
-            longest = max(longest, rows.size)
-        assert [pattern for _, pattern in hits[:2]] == [0b1, 0b10]
-        hit_by_first = np.zeros(shots, dtype=bool)
-        hit_by_first[hits[0][0]] = True
-        together += np.count_nonzero(hit_by_first[hits[1][0]])
-        rows, pattern = hits[2]
-        assert pattern.shape == rows.shape
-        patterns += np.bincount(pattern, minlength=16)
-    assert _within_5_sigma(total, 3 * draws * shots, p)
-    assert _within_5_sigma(first, 3 * draws, p)
-    assert _within_5_sigma(last, 3 * draws, p)
-    assert _within_5_sigma(together, draws * shots, p * p)
-    pair_hits = int(patterns.sum())
-    assert patterns[[0b0000, 0b0100, 0b1000, 0b1100]].sum() == pair_hits
-    for flips, share in ((0b0000, 3 / 15), (0b0100, 4 / 15), (0b1000, 4 / 15), (0b1100, 4 / 15)):
-        assert _within_5_sigma(int(patterns[flips]), pair_hits, share)
-    return longest
-
-
 def _chain_cell(links, strategy, orientation):
     """A chain cell as ``cnot-chain`` runs it, on the shipped calibration."""
     path = topology.chain_paths(topology.shipped_poughkeepsie(), orientation)[:links + 1]
@@ -856,8 +757,29 @@ def _chain_cell(links, strategy, orientation):
     return schedule(Circuit(len(path), built.circuit.ops).measure_all(), cal.durations), cal
 
 
+def _chain_scores(links, strategy):
+    """The (mask, want) pairs of f1 and f2 that ``cnot-chain`` scores a
+    chain of ``links`` links by."""
+    path = topology.chain_paths(topology.shipped_poughkeepsie(), 1)[:links + 1]
+    built = builders.cnot_chain(path, strategy)
+    return score_masks(built.roles, "11", built.desired_ancilla)
+
+
+def _own_readout(cal):
+    """``cal`` with its own readout error on each qubit, so that a qubit's
+    closing rows charged to another qubit show."""
+    return replace(cal, qubits=tuple(replace(p, readout_error=0.01 * (q % 4))
+                                     for q, p in enumerate(cal.qubits)))
+
+
+def _class_sums(probs, scores):
+    """Each score's probability, summed over the outcomes that read it."""
+    outcomes = np.arange(len(probs))
+    return np.array([probs[(outcomes & mask) == want].sum() for mask, want in scores])
+
+
 # ---------------------------------------------------------------------------
-# Classical structures on (r_I, r_Z) legs, and which engine runs them
+# Classical structures on (r_I, r_Z) legs
 # ---------------------------------------------------------------------------
 
 # Derandomized: every run of the suite checks the same examples.
@@ -872,17 +794,27 @@ def test_classical_legs_match_kraus_oracle(cell):
     assert np.max(np.abs(got - kraus_outcome_probabilities(sched, cal))) <= 1e-12
 
 
+@given(noisy_cells(max_qubits=6, kinds=("X", "DELAY"), max_ops=16))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_classical_oracle_matches_kraus_oracle(cell):
+    """The bitstring oracle of X/CNOT/DELAY circuits gives the Kraus
+    oracle's distribution within 1e-12, so that it can stand in for it
+    above 7 qubits."""
+    sched, cal = cell
+    want = kraus_outcome_probabilities(sched, cal)
+    assert np.max(np.abs(classical_outcome_probabilities(sched, cal) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("strategy", builders.RESET_STRATEGIES)
 def test_classical_legs_match_full_legs_on_chain_cells(monkeypatch, strategy):
-    """Every chain cell that the exact engine runs, of 2 to 12 qubits on
+    """Every chain cell that draws from its full law, of 2 to 12 qubits on
     each orientation, gives on (r_I, r_Z) legs what the full 4-coefficient
     legs give, within 1e-15; the full legs are forced by declaring no kind
     classical. Each qubit gets its own readout error."""
     for orientation in range(1, 5):
-        for links in range(1, noise._EXACT_CLASSICAL_QUBITS):
+        for links in range(1, _FULL_LAW_QUBITS):
             sched, cal = _chain_cell(links, strategy, orientation)
-            cal = replace(cal, qubits=tuple(replace(p, readout_error=0.01 * (q % 4))
-                                            for q, p in enumerate(cal.qubits)))
+            cal = _own_readout(cal)
             [legs_iz] = _exact_probabilities([(sched, cal)])
             assert noise._kept(sched, noise._exact_plan).leg == 2
             with monkeypatch.context() as m:
@@ -893,104 +825,202 @@ def test_classical_legs_match_full_legs_on_chain_cells(monkeypatch, strategy):
             assert np.max(np.abs(legs_iz - legs_full)) <= 1e-15, (orientation, links)
 
 
-def test_chains_of_12_qubits_run_exact_and_of_13_on_bit_vectors():
-    """A 12-qubit chain cell draws its counts from its exact distribution
-    on stream 3 of the seed, and its stacked rows keep distributions; a
-    13-qubit one runs as bit-vector trajectories on stream 1, and its
-    stacked rows keep dampings. Neither builds the other engine's plan."""
-    assert noise._EXACT_CLASSICAL_QUBITS == 12
-    rows = {}
-    for links, engine in ((11, "exact"), (12, "bit-vector")):
-        sched, cal = _chain_cell(links, "cnot-reset", 2)
-        if engine == "exact":
-            [probs] = _exact_probabilities([(replace(sched), cal)])
-            draws = np.random.default_rng([5, 3]).multinomial(4000, probs)
-            want = {k: int(c) for k, c in enumerate(draws) if c}
-        else:
-            rng = np.random.default_rng([5, 1])
-            values, counts = np.unique(_run_classical(replace(sched), cal, 4000, rng),
-                                       return_counts=True)
-            want = dict(zip(values.tolist(), counts.tolist()))
-        assert run_shots(sched, cal, 4000, 5) == want
-        other = noise._bit_plan if engine == "exact" else noise._exact_plan
-        assert other not in sched.__dict__["plans"]
-        stacked = replace(sched)
-        noise.keep_distributions([(stacked, cal), (stacked, replace(cal, two_qubit_error=0.02))])
-        rows[engine] = stacked.__dict__
-    assert "distributions" in rows["exact"] and "dampings" not in rows["exact"]
-    assert "dampings" in rows["bit-vector"] and "distributions" not in rows["bit-vector"]
-
-
 @pytest.mark.parametrize("strategy", ["none", "cnot-reset"])
 @pytest.mark.parametrize("stack", [1, 4])
 def test_stacked_exact_peak_memory_within_estimate_on_classical_chains(strategy, stack):
-    """The widest chains that the exact engine runs, 12 qubits on (r_I,
+    """The widest chains that draw from their full law, 12 qubits on (r_I,
     r_Z) legs, at one calibration and at a chain shape's 4, peak within
-    ``_stacked_need`` per row."""
-    sched, _ = _chain_cell(noise._EXACT_CLASSICAL_QUBITS - 1, strategy, 1)
-    _assert_stacked_peak_within_estimate(sched, noise._EXACT_CLASSICAL_QUBITS, stack)
+    ``_stacked_need``."""
+    sched, _ = _chain_cell(_FULL_LAW_QUBITS - 1, strategy, 1)
+    _assert_stacked_peak_within_estimate(sched, _FULL_LAW_QUBITS, stack)
     assert noise._kept(sched, noise._exact_plan).leg == 2
 
 
-def test_one_bit_vector_schedule_runs_on_every_placement_like_fresh_schedules():
-    """The bit-vector plan kept on a ScheduledCircuit holds nothing of a
-    calibration: one 20-qubit chain schedule run under two orientations'
-    calibrations, in either order, counts what each orientation's own fresh
-    schedule counts at the same seed key. Each qubit gets its own readout
-    error, so that readout events differ between the placements too."""
+@pytest.mark.parametrize("links", [5, 8])
+def test_one_row_classical_runs_peak_within_estimate(links):
+    """A lone run of a small classical chain peaks above its per-row
+    estimate by the executor's own objects, which the estimate's fixed
+    per-run term covers, as its leg-aware floor would not."""
+    sched, _ = _chain_cell(links, "cnot-reset", 1)
+    peak = _assert_stacked_peak_within_estimate(sched, links + 1, 1)
+    assert peak > max(noise._row_bytes(noise._kept(sched, noise._exact_plan)),
+                      noise._outcome_floor(sched))
+
+
+def test_run_shots_draws_wide_classical_circuits_from_their_exact_law():
+    """run_shots runs a 13-qubit chain on the exact engine, as it runs a
+    12-qubit one: it draws its counts from the exact distribution on stream
+    3 of the seed, keeps stacked rows' distributions, and builds no score
+    plan."""
+    for links in (11, 12):
+        sched, cal = _chain_cell(links, "cnot-reset", 2)
+        [probs] = _exact_probabilities([(replace(sched), cal)])
+        draws = np.random.default_rng([5, 3]).multinomial(4000, probs)
+        assert run_shots(sched, cal, 4000, 5) == {k: int(c) for k, c in enumerate(draws) if c}
+        assert list(sched.__dict__["plans"]) == [noise._exact_plan]
+        stacked = replace(sched)
+        noise.keep_distributions([(stacked, cal), (stacked, replace(cal, two_qubit_error=0.02))])
+        assert len(stacked.__dict__["distributions"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The score law
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", builders.RESET_STRATEGIES)
+def test_score_law_matches_classical_oracle_on_wide_chain_cells(strategy):
+    """The chain cells of 13 to 16 qubits along orientation 1, each qubit
+    with its own readout error, read f1 and f2 with the probabilities that
+    the bitstring oracle's outcomes sum to, within 1e-12."""
+    for links in range(12, 16):
+        sched, cal = _chain_cell(links, strategy, 1)
+        cal = _own_readout(cal)
+        scores = _chain_scores(links, strategy)
+        [law] = noise.score_probabilities([(sched, cal)], [scores])
+        want = _class_sums(classical_outcome_probabilities(sched, cal), scores)
+        assert np.max(np.abs(law - want)) <= 1e-12, links
+
+
+@pytest.mark.parametrize("strategy", builders.RESET_STRATEGIES)
+def test_score_law_matches_class_sums_on_chain_structures(monkeypatch, strategy):
+    """Every chain structure of 2 to 12 qubits, on each orientation's
+    calibration with its own readout errors, stacked as run_cells would
+    stack it, reads f1 and f2 with the probabilities its exact outcome
+    distribution sums to, within 1e-14, in either contraction order."""
+    for order in _in_each_order(monkeypatch):
+        for links in range(1, _FULL_LAW_QUBITS):
+            cells = [_chain_cell(links, strategy, o) for o in range(1, 5)]
+            rows = [(replace(cells[0][0]), _own_readout(cal)) for _, cal in cells]
+            scores = _chain_scores(links, strategy)
+            law = noise.score_probabilities(rows, [scores] * 4)
+            assert noise._kept(rows[0][0], noise._score_plan).order == order
+            for got, (sched, cal) in zip(law, rows):
+                [probs] = _exact_probabilities([(replace(sched), cal)])
+                assert np.max(np.abs(got - _class_sums(probs, scores))) <= 1e-14, links
+
+
+@st.composite
+def scored_cells(draw):
+    """A noisy cell of up to 7 qubits, X/CNOT/DELAY alone or not, and a
+    score on it: a random mask, and a random want within it."""
+    kinds = draw(st.sampled_from([("X", "DELAY"), ("H", "T", "S", "RPHI", "X", "DELAY")]))
+    sched, cal = draw(noisy_cells(max_qubits=7, kinds=kinds, max_ops=12))
+    mask = draw(st.integers(0, 2**sched.n_qubits - 1))
+    return sched, cal, (mask, draw(st.integers(0, 2**sched.n_qubits - 1)) & mask)
+
+
+@given(scored_cells())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_score_law_matches_kraus_oracle(cell):
+    """A score's probability on any circuit, classical or not, is what the
+    Kraus oracle's outcomes that read it sum to, within 1e-12, on a plan
+    of one closing row per qubit kept beside the outcome plan."""
+    sched, cal, score = cell
+    [[got]] = noise.score_probabilities([(sched, cal)], [[score]])
+    want = _class_sums(kraus_outcome_probabilities(sched, cal), [score])
+    assert abs(got - want[0]) <= 1e-12
+    plan = noise._kept(sched, noise._score_plan)
+    assert plan.leg == (2 if noise._classical(sched) else 4)
+    assert list(sched.__dict__["plans"]) == [noise._score_plan]
+
+
+def test_greedy_score_plan_counts_a_closed_leg_as_no_bits(monkeypatch):
+    """A greedy score plan holds no tensor of the 2**n closing rows: each
+    qubit closes in a leg of size 1, which counts for nothing in the
+    tensors' sizes, so a 20-qubit chain's plan holds a few thousand
+    coefficients per row, where counting each such leg as a bit would give
+    its final tensor 2**20."""
+    monkeypatch.setattr(noise, "_SCORE_CROSSOVER", 0)
+    for strategy in builders.RESET_STRATEGIES:
+        sched, _ = _chain_cell(19, strategy, 1)
+        plan = noise._kept(sched, noise._score_plan)
+        assert plan.order == "greedy" and plan.held < 2**12, strategy
+        assert noise._kept(sched, noise._exact_plan).held >= 3 * 2**20
+
+
+def test_one_wide_chain_schedule_scores_every_placement_like_fresh_schedules():
+    """The score plan kept on a ScheduledCircuit holds nothing of a
+    calibration: one 20-qubit chain schedule scored under two orientations'
+    calibrations, in either order, gives, bit for bit, what each
+    orientation's own fresh schedule gives. Each qubit gets its own readout
+    error, so that the closing rows differ between the placements too."""
     base = noise.default_calibration()
     cal = replace(base, qubits=tuple(replace(p, readout_error=0.002 * (q % 7))
                                      for q, p in enumerate(base.qubits)))
+    scores = [_chain_scores(19, "x-reset")]
     cells = []
     for orientation in (1, 2):
         path = topology.chain_paths(topology.shipped_poughkeepsie(), orientation)[:20]
         built = builders.cnot_chain(path, "x-reset")
         sub = cal.subset(built.layout)
-        circuit = Circuit(20, built.circuit.ops).measure_all()
-        cells.append((schedule(circuit, sub.durations), sub, [7, orientation]))
-    (sched, cal_a, _), (sched_b, cal_b, _) = cells
+        cells.append((schedule(Circuit(20, built.circuit.ops).measure_all(), sub.durations), sub))
+    (sched, cal_a), (sched_b, cal_b) = cells
     assert sched == sched_b and cal_a != cal_b  # one local circuit, two calibrations
-    fresh = [run_shots(*cell[:2], 4000, cell[2]) for cell in cells]
-    assert fresh[0] != fresh[1]
+    fresh = [noise.score_probabilities([cell], scores) for cell in cells]
+    assert not np.array_equal(*fresh)
     for order in ((0, 1), (1, 0)):
         shared = replace(sched)
         for i in order:
-            assert run_shots(shared, cells[i][1], 4000, cells[i][2]) == fresh[i]
+            got = noise.score_probabilities([(shared, cells[i][1])], scores)
+            assert np.array_equal(got, fresh[i])
 
 
-def test_bit_vector_plan_is_built_once_per_schedule(monkeypatch):
-    """Runs after the first reuse the plan kept on the ScheduledCircuit (a
-    14-qubit chain, which the bit-vector engine runs)."""
+def test_score_plan_is_built_once_per_schedule(monkeypatch):
+    """Score passes after the first reuse the score plan kept on the
+    ScheduledCircuit (a 14-qubit chain), and build no outcome plan."""
     calls = []
     real = noise._idle_windows
     monkeypatch.setattr(noise, "_idle_windows", lambda s: calls.append(s) or real(s))
     sched, cal = _chain_cell(13, "x-reset", 1)
-    counts = [run_shots(sched, cal, 100, seed) for seed in (1, 2, 1)]
+    scores = [_chain_scores(13, "x-reset")]
+    laws = [noise.score_probabilities([(sched, c)], scores)
+            for c in (cal, replace(cal, two_qubit_error=0.02), cal)]
     assert len(calls) == 1
-    assert counts[0] == counts[2]
+    assert np.array_equal(laws[0], laws[2]) and not np.array_equal(laws[0], laws[1])
+    assert list(sched.__dict__["plans"]) == [noise._score_plan]
 
 
-@pytest.mark.parametrize("group_budget", [None, 0.05])
-def test_bit_vector_law_at_scale_on_a_chain_cell(monkeypatch, group_budget):
-    """The 8-qubit cnot-reset chain along orientation 1 at 200k shots
-    matches its exact distribution in every one of the 256 bins. Its 40
-    events are 13 depolarized CNOTs and 27 damping windows, 8 of them open
-    at readout, where the weak qubit's reaches gamma = 0.21 (the shipped
-    calibration has no readout error). Drawn in one group, as by default,
-    and in groups cut so small that it takes 22 of 1-3 events each.
+@pytest.mark.parametrize("links", [12, 15, 19])
+@pytest.mark.parametrize("stack", [1, 8])
+def test_score_pass_peak_memory_within_estimate(links, stack):
+    """Score passes on the chain cells of 13, 16 and 20 qubits, at one
+    score and at a chain shape's 8 (4 orientations x f1 and f2), peak
+    within ``_stacked_need`` of the score plan, for each strategy."""
+    for strategy in builders.RESET_STRATEGIES:
+        sched, _ = _chain_cell(links, strategy, 1)
+        cals = [flat_cal(links + 1, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6, readout=0.01,
+                         p2=0.01 + i * 1e-5) for i in range(stack)]
+        rows = [(sched, cal) for cal in cals]
+        scores = [_chain_scores(links, strategy)[i % 2] for i in range(stack)]
+        _exact_probabilities(rows, scores)  # build the plan first
+        tracemalloc.start()
+        try:
+            _exact_probabilities(rows, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= noise._stacked_need(sched, stack, noise._score_plan), strategy
 
-    Each bin's bound is Bernstein's at 5.5 sigma, so a correct engine fails
-    a bin with probability at most 2 exp(-5.5**2 / 2) = 5.4e-7 and the
-    test at most 256 times that, 1.4e-4 (Bonferroni)."""
-    if group_budget is not None:
-        monkeypatch.setattr(noise, "_GROUP_BUDGET", group_budget)
-    sched, cal = _chain_cell(7, "cnot-reset", 1)
-    shots = 200_000
-    [probs] = _exact_probabilities([(sched, cal)])
-    counts = np.bincount(_run_classical(sched, cal, shots, np.random.default_rng(5)),
-                         minlength=len(probs))
-    for k, (count, p) in enumerate(zip(counts, probs)):
-        assert _within_sigmas(int(count), shots, float(p), 5.5), f"{k:08b}: {count} vs {shots * p}"
+
+def test_a_score_pass_whose_one_row_exceeds_the_budget_is_refused(monkeypatch):
+    """score_probabilities stacks as many rows as fit the budget, and
+    refuses, before pricing anything, a layering whose one score row
+    would not fit."""
+    sched, cal = _chain_cell(14, "none", 1)
+    scores = [_chain_scores(14, "none")] * 3
+    rows = [(sched, replace(cal, two_qubit_error=0.01 * i)) for i in range(3)]
+    want = noise.score_probabilities(rows, scores)
+    sizes = []
+    real = noise._exact_probabilities
+    monkeypatch.setattr(noise, "_exact_probabilities",
+                        lambda rows, scores: sizes.append(len(rows)) or real(rows, scores))
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 4, noise._score_plan))
+    assert np.array_equal(noise.score_probabilities(rows, scores), want)
+    assert sizes == [4, 2]
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 1, noise._score_plan) - 1)
+    monkeypatch.setattr(noise, "_priced_windows", None)  # any pricing would fail
+    with pytest.raises(SimulationError, match="exact engine would need about"):
+        noise.score_probabilities(rows, scores)
 
 
 def test_idle_windows_close_before_gates_and_at_readout():
@@ -1100,24 +1130,32 @@ def test_large_nonclassical_circuit_rejected():
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_bit_vector_width_limit(n):
-    """A shot is one int64, so bit-vector circuits run up to 63 qubits and
-    are refused above."""
+    """An X/CNOT/DELAY circuit of 63 or 64 qubits, which would need 2**n
+    outcomes, is refused on its floor before anything is planned, priced
+    or allocated."""
     cal = flat_cal(n)
     c = Circuit(n).x(0)
     for i in range(n - 1):
         c.cnot(i, i + 1)
     sched = schedule(c.measure_all(), cal.durations)
-    if n == 63:
-        assert run_shots(sched, cal, 10, 0) == {(1 << n) - 1: 10}
-    else:
-        with pytest.raises(SimulationError, match="above 63 qubits"):
-            run_shots(sched, cal, 10, 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(noise, "_kept", None)  # any planning would fail
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="exact engine would need about"):
+                run_shots(sched, cal, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 << 10
+    assert "plans" not in sched.__dict__
 
 
 def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
-    """The pre-flight estimate is one row's ``_stacked_need`` on the exact
-    engine (at any shot count), and _CLASSICAL_PEAK_COPIES * 8 B per shot
-    on the bit-vector engine, which runs a 13-qubit X + CNOT ladder."""
+    """The pre-flight estimate is one row's ``_stacked_need``, at any shot
+    count, and never less than the floor of _DENSE_PEAK_COPIES * 8 B *
+    leg**n, on which a 13-qubit X + CNOT ladder is refused before it is
+    planned."""
     cal = flat_cal(2, t1=30e-6, t2=40e-6)
     sched = schedule(Circuit(2).h(0).cnot(0, 1).measure_all(), cal.durations)
     exact_need = noise._stacked_need(sched)
@@ -1132,11 +1170,19 @@ def test_memory_budget_rejects_dense_runs_before_allocating(monkeypatch):
     for q in range(12):
         wide.cnot(q, q + 1)
     classical, cal = schedule(wide.measure_all(), cal.durations), flat_cal(13, t1=30e-6, t2=40e-6)
-    classical_need = noise._CLASSICAL_PEAK_COPIES * 8 * 10
+    floor = noise._outcome_floor(classical)
+    assert floor == noise._DENSE_PEAK_COPIES * 8 * 2**13
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", floor - 1)
+    with monkeypatch.context() as m:
+        m.setattr(noise, "_kept", None)  # any planning would fail
+        with pytest.raises(SimulationError, match="exact engine"):
+            run_shots(classical, cal, 10, 0)
+    classical_need = noise._stacked_need(classical)
+    assert classical_need > floor
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need)
-    run_shots(classical, cal, 10, 0)
+    assert sum(run_shots(classical, cal, 10, 0).values()) == 10
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", classical_need - 1)
-    with pytest.raises(SimulationError, match="bit-vector engine"):
+    with pytest.raises(SimulationError, match="exact engine"):
         run_shots(classical, cal, 10, 0)
 
 
@@ -1157,24 +1203,6 @@ def test_lone_exact_run_is_refused_on_its_stacked_estimate(monkeypatch):
             run_shots(sched, cal, 10, 0)
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", need)
     assert sum(run_shots(sched, cal, 10, 0).values()) == 10
-
-
-def test_bit_vector_peak_memory_within_estimate():
-    """The bit-vector estimate covers the worst case, where every shot reads
-    a distinct outcome and the returned counts dominate the peak."""
-    import tracemalloc
-
-    n, shots = 62, 200_000
-    cal = flat_cal(n, readout=0.45)
-    sched = schedule(Circuit(n).x(0).measure_all(), cal.durations)
-    tracemalloc.start()
-    try:
-        counts = run_shots(sched, cal, shots, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(counts) == shots
-    assert peak <= noise._CLASSICAL_PEAK_COPIES * 8 * shots
 
 
 def test_missing_calibration_entry():
