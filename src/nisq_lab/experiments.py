@@ -22,11 +22,13 @@ onto that schedule (``noise.bind``), so the cells of a shape differ only in
 layout, seed key, calibration subset and bound values. Nothing mutates a
 built circuit. ``run_cells`` lists the cells and their calibration subsets
 first; then, shape by shape, it builds, schedules and binds, and the exact
-engine runs all of the shape's cells in stacked passes. A shape of up to
-12 qubits, t1's and the chains' of up to 11 links among them, keeps the
-outcome distribution of each cell (``keep_distributions``); each cell then
-makes its own ``run_shots`` call, which draws from its kept distribution,
-and is scored with ``fidelity``. A wider shape, a chain of 12 to 19 links,
+engine runs all of the shape's cells in stacked passes, through its one
+pass function (``noise._exact_pass``), which refuses a shape over the
+memory budget before anything is computed. A shape of up to 12 qubits,
+t1's and the chains' of up to 11 links among them, keeps the outcome
+distribution of each cell (``keep_distributions``); each cell then makes
+its own ``run_shots`` call, which draws from its kept distribution, and is
+scored with ``fidelity``. A wider shape, a chain of 12 to 19 links,
 computes each cell's P(f1 and f2) and P(f1) in one pass on its score plan
 (``score_probabilities``), and each cell draws its three score classes in
 one multinomial; its 2**n outcomes are never held. What is kept for a
@@ -79,8 +81,12 @@ US = 1e-6
 
 # The widest cell that draws its counts from its full outcome law through
 # run_shots; a wider one draws its three score classes from their exact law.
-# Every cell of up to 12 qubits keeps its own run_shots call, which the
-# benchmark's per-cell segments and traced guard read.
+# Both laws come from noise._exact_pass, one stacked pass per shape
+# (keep_distributions or score_probabilities). Every cell of up to 12 qubits
+# keeps its own call of this module's run_shots, under that name: the
+# benchmark wraps experiments.run_shots by attribute to cut its untraced
+# passes into segments, and its traced guard counts those calls, so a cell
+# that stopped calling it, or a rename, would break every untraced pass.
 _FULL_LAW_QUBITS = 12
 
 PROVENANCE = f"nisq-lab {__version__}"
@@ -125,6 +131,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots > 2**63 - 1:  # the int64 maximum, the most that a draw takes
+            raise ValueError(f"shots must be at most {2**63 - 1}, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.max_length < 1:

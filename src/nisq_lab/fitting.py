@@ -216,13 +216,16 @@ def _cosine_normal(t: np.ndarray, rate: float, omega: float, w: np.ndarray):
             float(np.dot(w * j_rate, j_omega)), float(np.dot(w * j_omega, j_omega)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite fit is reported as failed
 def fit_damped_cosine(t, p, shots) -> FitResult:
     """Fit p(t) = (1 + exp(-t/tphi) cos(omega t)) / 2.
 
     omega is initialized from the spectral peak of the mean-removed data,
     then (decay rate, omega) are refined jointly. Data with no usable
     oscillation falls back to a pure exponential fit of 2p - 1 and sets
-    the fallback flag.
+    the fallback flag. A refinement that leaves the decay rate, omega or
+    R^2 non-finite, as a grid whose delays overflow the model's products
+    does, gives a failed fit; a fitted rate of 0 gives t_phi = inf.
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -293,10 +296,13 @@ def fit_damped_cosine(t, p, shots) -> FitResult:
     cov = None
     if det > 0:
         cov = [[s2 * a22 / det, -s2 * a12 / det], [-s2 * a12 / det, s2 * a11 / det]]
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
+    if not all(map(math.isfinite, (rate, omega, r_squared))):
+        return FitResult.failed("damped-cosine", "the refinement left a non-finite parameter")
     return FitResult(
         model="damped-cosine",
         params={"amplitude": 0.5, "offset": 0.5, "t_phi": t_phi, "omega": omega},
-        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan"),
+        r_squared=r_squared,
         covariance=cov,
         converged=converged,
         message="" if converged else "did not converge",

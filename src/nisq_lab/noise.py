@@ -28,20 +28,27 @@ takes rows, each a schedule of that layering and a calibration, builds
 every row's window, readout, RPHI and CNOT matrices as arrays, folds each
 gate's matrix over the rows and runs the steps, one batched product each.
 
-The engine closes each qubit in one of two ways, each with its own plan:
+The engine closes each qubit in one of two ways, each with its own plan
+(``_exact_plan``), kept per layering by its closing size (``_kept``):
 
-  * in its two outcome rows (``_exact_plan``), so that the last tensor is
-    the outcome distribution over the 2**n basis states. ``run_shots``
-    draws a multinomial of counts from it, for any circuit and on any
-    calibration: up to 13 qubits, and an X/CNOT/DELAY circuit up to about
-    26, within the memory budget;
-  * in one score row (``_score_plan``): its wanted outcome's row where a
-    score's mask covers it, and the sum of both rows elsewhere, so that the
-    last tensor is the probability of reading the score, and no tensor
-    holds the 2**n outcomes. ``score_probabilities`` stacks a structure's
-    (calibration x score) rows into one pass; ``experiments.run_cells``
-    draws the three score classes of each cell wider than 12 qubits from
-    them, and every narrower cell makes its own ``run_shots`` call.
+  * in its two outcome rows, so that the last tensor is the outcome
+    distribution over the 2**n basis states. ``run_shots`` draws a
+    multinomial of counts from it, for any circuit and on any calibration:
+    up to 13 qubits, and an X/CNOT/DELAY circuit up to about 26, within
+    the memory budget;
+  * in one score row: its wanted outcome's row where a score's mask covers
+    it, and the sum of both rows elsewhere, so that the last tensor is the
+    probability of reading the score, and no tensor holds the 2**n
+    outcomes. ``score_probabilities`` stacks a structure's (calibration x
+    score) rows; ``experiments.run_cells`` draws the three score classes of
+    each cell wider than 12 qubits from them, and every narrower cell makes
+    its own ``run_shots`` call.
+
+Every exact run goes through one pass, ``_exact_pass``: it checks that
+each calibration covers the circuit, refuses before planning or pricing
+what would exceed the memory budget, and runs the rows in as few stacks as
+fit it. ``keep_distributions``, ``score_probabilities`` and ``run_shots``
+on a schedule with nothing kept for its calibration each call it once.
 
 A schedule's structure is its layering: which ops, by kind and qubits, run
 in which layer. Its values are each layer's end time (``ends``, the running
@@ -487,15 +494,15 @@ def _idle_windows(
 _CLASSICAL_KINDS = frozenset({"X", "CNOT", "DELAY", "MEASURE"})
 
 
-def _kept(scheduled: ScheduledCircuit, plan):
-    """``plan(scheduled)``, computed on first use and kept in the object's
-    plans, which every schedule bound from it shares (``bind``): a plan
-    depends on the layering alone, never on the bound values or a
-    calibration."""
+def _kept(scheduled: ScheduledCircuit, close: int) -> "_ExactPlan":
+    """``_exact_plan(scheduled, close)``, computed on first use and kept in
+    the object's plans under its closing size, which every schedule bound
+    from it shares (``bind``): a plan depends on the layering alone, never
+    on the bound values or a calibration."""
     plans = scheduled.__dict__.setdefault("plans", {})
-    if plan not in plans:
-        plans[plan] = plan(scheduled)
-    return plans[plan]
+    if close not in plans:
+        plans[close] = _exact_plan(scheduled, close)
+    return plans[close]
 
 
 def _classical(scheduled: ScheduledCircuit) -> bool:
@@ -628,28 +635,24 @@ class _ExactPlan(NamedTuple):
     read: int  # the first read windows, and closing rows, are those open at readout
     angles: int  # how many RPHI angles there are
     leg: int  # a live qubit's leg size: 2 in an X/CNOT/DELAY circuit, else 4
-    peak: int  # time order's largest tensor, in coefficients per row
     order: str  # "time" or "greedy"
     shapes: list  # each tensor's shape, or None to take it as it comes
     steps: list  # (i, j, perm_i, shape_i, perm_j, shape_j, shape) per step
     final: tuple  # the last tensor's axes in qubit order
     held: float  # what the order holds at once, in coefficients per row
+    peak: int  # time order's largest product, in coefficients per row
 
 
-def _exact_plan(scheduled: ScheduledCircuit, close: int = 2) -> _ExactPlan:
+def _exact_plan(scheduled: ScheduledCircuit, close: int) -> _ExactPlan:
     """The ``_ExactPlan`` of ``scheduled``'s layering, in which each qubit
     closes at its last gate in ``close`` rows: its two outcomes, or one
-    score row (``_score_plan``). A layering of X, CNOT, DELAY and MEASURE
-    alone is classical: its live legs are the (r_I, r_Z) block, of size 2,
-    and its gates and fresh columns the I/Z blocks of the full ones. One
-    walk of its ``_idle_windows`` lists each gate's folding data and tracks
-    time order's product, which has one axis per qubit: size 1 before the
-    qubit's first gate, the leg size while it is live and ``close`` after
-    its last gate, when no gate takes it again. The steps are time order's
-    (``_left_fold``) unless that product would grow above
+    score row. A layering of X, CNOT, DELAY and MEASURE alone is classical:
+    its live legs are the (r_I, r_Z) block, of size 2, and its gates and
+    fresh columns the I/Z blocks of the full ones. One walk of its
+    ``_idle_windows`` lists each gate's folding data. The steps are time
+    order's (``_left_fold``) unless its largest product grows above
     _GREEDY_CROSSOVER coefficients per row (_SCORE_CROSSOVER on a score
-    plan); then they are greedy's (``_greedy_order``), and time order plans
-    nothing."""
+    plan); then they are greedy's (``_greedy_order``)."""
     n = scheduled.n_qubits
     leg = 2 if _classical(scheduled) else 4
     block, fresh_columns = _BLOCKS[leg], _FRESH[leg]
@@ -657,9 +660,8 @@ def _exact_plan(scheduled: ScheduledCircuit, close: int = 2) -> _ExactPlan:
     *layers, (windows, _) = _idle_windows(scheduled)
     # each gated qubit's window open at readout, which opens at its last gate
     read = {q: (k, j) for k, (q, _, j) in enumerate(windows)}
-    sizes = [1] * n  # each qubit's axis size in time order's product
+    gated = set()  # the qubits a gate has taken so far
     gates, angle = [], 0  # the gates, and the index of the next RPHI's angle
-    volume = peak = 1  # time order's product, in coefficients per row, and its largest
     for i, (closed, ops) in enumerate(layers):
         idle = {q: len(windows) + k for k, (q, _, _) in enumerate(closed)}
         windows += closed
@@ -672,42 +674,37 @@ def _exact_plan(scheduled: ScheduledCircuit, close: int = 2) -> _ExactPlan:
                 gate, angle = angle, angle + 1
             else:
                 gate = _gate_ptm(op.kind)[block, block]
-            fresh = fresh_columns.get(tuple([sizes[q] == 1 for q in op.qubits]))
-            ins = [idle[q] for q in op.qubits if sizes[q] != 1]
-            out, outs = 1, None  # per operand its closing rows' index or the identity
+            fresh = fresh_columns.get(tuple([q not in gated for q in op.qubits]))
+            ins = [idle[q] for q in op.qubits if q in gated]
+            gated.update(op.qubits)
+            outs = None  # per operand its closing rows' index or the identity
             for k, q in enumerate(op.qubits):
                 if read[q][1] == i:  # the qubit's last gate: it closes here
                     outs = outs or [identity] * len(op.qubits)
-                    outs[k], sizes[q] = read[q][0], close
-                else:
-                    sizes[q] = leg
-                out *= sizes[q]
+                    outs[k] = read[q][0]
             gates.append((gate, fresh, ins, outs, op.qubits))
-            volume = volume // leg**len(ins) * out
-            peak = max(peak, volume)
     never_gated = [q for q in range(n) if q not in read]
-    peak = max(peak, volume * close**len(never_gated))
+    *steps, peak = _left_fold(gates, never_gated, n, leg, close)
     order = "greedy" if peak > (_GREEDY_CROSSOVER if close == 2 else _SCORE_CROSSOVER) else "time"
-    steps = (_greedy_order if order == "greedy" else _left_fold)(gates, never_gated, n, leg,
-                                                                    close)
+    if order == "greedy":
+        steps = _greedy_order(gates, never_gated, n, leg, close)
     return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, leg,
-                      peak, order, *steps)
-
-
-# the plan whose qubits each close in one score row, kept beside the outcome plan
-_score_plan = functools.partial(_exact_plan, close=1)
+                      order, *steps, peak)
 
 
 def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int,
                close: int) -> tuple:
-    """Time order as ``(shapes, steps, final, held)`` of an ``_ExactPlan``
-    on live legs of size ``leg``, closing in ``close`` rows: a left fold,
-    each tensor in turn, as it comes, times the product of all before it.
-    The tensor's operands' axes, in operand order, are the inner dimension
-    and the rest follow in qubit order; a readout pair is a gate that ends
-    a fresh qubit. That transpose copies the product, so ``held`` is
-    _DENSE_PEAK_COPIES x leg**n."""
+    """Time order as ``(shapes, steps, final, held, peak)`` of an
+    ``_ExactPlan`` on live legs of size ``leg``, closing in ``close`` rows:
+    a left fold, each tensor in turn, as it comes, times the product of all
+    before it. The product has one axis per qubit: size 1 before the
+    qubit's first gate, ``leg`` while it is live and ``close`` after its
+    last gate. The tensor's operands' axes, in operand order, are the inner
+    dimension and the rest follow in qubit order; a readout pair is a gate
+    that ends a fresh qubit. That transpose copies the product, so ``held``
+    is _DENSE_PEAK_COPIES x ``peak``, the largest product."""
     sizes, steps, last, volume = [-1] + [1] * n, [], None, 1  # -1, then each qubit's size
+    peak = 1
     axes = {}  # per operand tuple: a getter of the axes (0, operands, the rest), its inverse
     total = len(gates) + len(never_gated)  # step k's product is tensor total + k
     for _, _, ins, outs, qubits in gates + [(None, None, (), [0], (q,)) for q in never_gated]:
@@ -727,7 +724,8 @@ def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int,
                           axis(last), (-1, inner, volume // inner), shape))
         last = inverse
         volume = volume // inner * out
-    return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * float(leg)**n
+        peak = max(peak, volume)
+    return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * peak, peak
 
 
 def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int,
@@ -866,9 +864,9 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
     a leading row axis: each gate indexes those arrays and folds its matrix
     (``_folded``) when a step first takes it, so that time order holds one
     folded gate at a time. A qubit's axis closes at its last gate in its two
-    readout rows, which give its outcomes (``_exact_plan``), or, for a
-    score, in one: its wanted outcome's row where the mask covers it, and
-    the sum of both rows elsewhere (``_score_plan``). One loop runs the
+    readout rows, which give its outcomes, or, for a score, in one: its
+    wanted outcome's row where the mask covers it, and the sum of both rows
+    elsewhere (``_exact_plan``, kept by closing size). One loop runs the
     steps of the layering's plan, in either order, and the last tensor is
     the outcome distribution or the score's probability. Every row is the
     same, bit for bit, as a run of its schedule, calibration and score
@@ -882,7 +880,7 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
     afresh for each call, as the wide chains run through the API are, pay
     their plan on every call."""
     scheduled = rows[0][0]
-    plan = _kept(scheduled, _exact_plan if scores is None else _score_plan)
+    plan = _kept(scheduled, 2 if scores is None else 1)
     values, readout, rates = _priced_windows(rows, plan.index)
     windows = _idle_ptms(*rates)  # over (window, row)
     # a window open at readout ends in its qubit's readout flips, which keep
@@ -923,8 +921,8 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
     return probs
 
 
-# The time order's largest live tensor, in coefficients per row, above
-# which the exact engine contracts greedily. Measured in one warm process
+# Time order's largest product (a plan's ``peak``), in coefficients per row,
+# above which the exact engine contracts greedily. Measured in one warm process
 # (numpy 2.4, one BLAS thread, median of 21 runs, both orders planned in
 # each run, as the API's fresh schedules planned them): superposed-control
 # cnot-reset chains ran in time order / greedily in 0.72 / 0.93 ms at
@@ -945,7 +943,16 @@ _GREEDY_CROSSOVER = 65536
 _SCORE_CROSSOVER = 4096
 _DENSE_PEAK_COPIES = 2.5
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
-_PRICED_BYTES = 240  # per row, idle window and RPHI angle: its priced matrix and rates
+# Per row, idle window and RPHI angle: its priced matrix and rates, and its
+# share of the row's values, closing rows and score weights. Measured as the
+# tracemalloc peak's growth per added row and window (numpy 2.4, stacks of 16
+# and 48): 262 B on time-order score passes of x-reset chains at 20-60
+# qubits, and 284 B on the none chains, whose rows hold 2 windows per qubit,
+# so that their passes peak above the estimate from 32 rows at 30 qubits
+# (by 0.2%) and from 16 at 40 (by 0.5%, and 2.4% at 64 rows). A price of 272
+# would put the whole peak of a lone 9-qubit chain's outcome run below its
+# per-row term.
+_PRICED_BYTES = 264
 # Per run, whatever its rows: the executor's own objects, and per folded gate
 # its array's header, which a greedy order holds for every gate at once.
 # Measured as the tracemalloc peak above the rows' estimate (numpy 2.4): 0.9-4.5
@@ -965,87 +972,85 @@ def _row_bytes(plan: _ExactPlan) -> int:
                      + _PRICED_BYTES * (plan.index.shape[1] + plan.angles))
 
 
-def _stacked_need(scheduled: ScheduledCircuit, rows: int = 1, plan=_exact_plan) -> int:
+def _stacked_need(scheduled: ScheduledCircuit, rows: int = 1, close: int = 2) -> int:
     """Estimated peak bytes of an exact run of ``rows`` stacked rows of
-    ``scheduled``'s layering, on its outcome plan or ``_score_plan``, in the
-    order the plan records: _RUN_BYTES and _GATE_BYTES per gate once, and
-    ``_row_bytes`` per row.
+    ``scheduled``'s layering, on its plan closing in ``close`` rows (2 for
+    outcomes, 1 for a score), in the order the plan records: _RUN_BYTES and
+    _GATE_BYTES per gate once, and ``_row_bytes`` per row.
 
     tracemalloc peaks per row (numpy 2.4, stacks of 1-200 calibrations) in
-    time order: all-live circuits took 12.3-19.1 KiB at 3 qubits (17
-    windows and angles; the 4**n term alone would allow 12x too many rows),
-    15.3-22.2 KiB at 4 (24), 2.39-2.50 copies of 8 B x 4**n at 6 and
-    2.03-2.04 at 8, and 75.4-81.7 KiB on 3 qubits with 343 windows and
-    angles; superposed-control cnot-reset chains, whose qubits are live
-    only from their first gate to their last, 1.03-1.34 copies at 6-8
-    qubits (42.8 KiB at 6) and, forced into time order, 1.00 at 10 and 12
-    (8.0 MiB at 10). Greedily, those chains (stacks of 1 and 20) took
-    31.0-36.1 KiB at 9 qubits against an estimate of 53.3, 35.0-40.6 at 10
-    (57.2), 59.9-65.0 at 11 (72.1), 108.8-113.2 at 12 (121.1) and
-    205.7-210.4 at 13 (218.0). On (r_I, r_Z) legs, in time order, 12-qubit
-    chains (none, x-reset and cnot-reset, stacks of 1 and 4) took 71.1-78.4
-    KiB against estimates of 86.3-91.0. Greedy score passes on the chains
-    of 20 qubits took 10.7-18.8 KiB per row against 11.0-21.4; in time
-    order the estimate's leg**n term is far above the score plan's
-    products (16.1 KiB at one row of the 20-qubit none chain, against 20.0
-    MiB)."""
-    plan = _kept(scheduled, plan)
+    time order, where a row holds _DENSE_PEAK_COPIES x the largest product:
+    all-live circuits took 12.3-18.9 KiB at 3 qubits (17 windows and
+    angles; the 4**n term alone would allow 12x too many rows), 15.3 KiB at
+    4 (24), 2.39 copies of 8 B x 4**n at 6 and 2.03 at 8, and 75.4-81.5 KiB
+    on 3 qubits with 343 windows and angles; superposed-control cnot-reset
+    chains, whose qubits are live only from their first gate to their last
+    and whose largest product is 2 x 4**(n - 1), 1.02-1.33 copies of 4**n
+    at 6-8 qubits (42.6 KiB at 6, against 67.5) and, forced into time
+    order, 1.00 at 10 and 12 (8.0 MiB at 10, against 10.0). Greedily, those
+    chains (stacks of 1 and 20) took 31.0-36.0 KiB at 9 qubits against
+    54.4-62.5, 35.0-40.4 at 10 (58.5-66.8), 43.8-47.8 at 11 (73.5-82.2),
+    76.8-80.9 at 12 (122.6-131.5) and 141.7-145.8 at 13 (219.6-228.9). On
+    (r_I, r_Z) legs, 12-qubit chains (none, x-reset and cnot-reset, stacks
+    of 1 and 4) took 71.0-78.0 KiB against 88.8-101.5. Score passes (stacks
+    of 1, 8 and 16) on the chains of 20 and 30 qubits took, in time order
+    (none and x-reset, whose products hold 2 and 4 coefficients), 11.1-19.3
+    and 16.7-26.8 KiB against 11.6-27.6 and 16.9-38.5, and greedily
+    (cnot-reset) 19.2-28.5 and 29.4-41.2 against 23.4-34.6 and 35.2-49.3:
+    their priced windows, not their products, set the peak."""
+    plan = _kept(scheduled, close)
     return _RUN_BYTES + _GATE_BYTES * len(plan.gates) + rows * _row_bytes(plan)
 
 
-def _stack_limit(scheduled: ScheduledCircuit, plan) -> int:
-    """The most rows of ``scheduled``'s layering that one run of ``plan``
-    stacks within _MEMORY_BUDGET (``_stacked_need``); 0 when one row would
-    not fit."""
-    fixed = _stacked_need(scheduled, 0, plan)
-    return max(int((_MEMORY_BUDGET - fixed) // _row_bytes(_kept(scheduled, plan))), 0)
-
-
 def _outcome_floor(scheduled: ScheduledCircuit) -> float:
-    """_DENSE_PEAK_COPIES x 8 B x leg**n: the least that a run of the
-    outcome plan holds, with the leg size of ``_exact_plan`` (2 on an
-    X/CNOT/DELAY circuit, else 4), known without planning."""
+    """_DENSE_PEAK_COPIES x 8 B x leg**n, with the leg size of
+    ``_exact_plan`` (2 on an X/CNOT/DELAY circuit, else 4), known without
+    planning: the width above which an outcome run is refused before it is
+    planned. On (r_I, r_Z) legs it is the least such a run holds, since the
+    last product is the 2**n outcomes."""
     return _DENSE_PEAK_COPIES * 8.0 * (2 if _classical(scheduled) else 4) ** scheduled.n_qubits
 
 
-def _over_budget(need: float, n: int) -> SimulationError:
-    return SimulationError(f"the exact engine would need about {need / 2**20:.0f} MiB for {n} "
-                           f"qubits, above the {_MEMORY_BUDGET / 2**20:.0f} MiB budget")
-
-
-def _covers(cal: DeviceCalibration, n: int) -> None:
-    if cal.n_qubits < n:
-        raise CalibrationError(f"calibration covers {cal.n_qubits} qubits, circuit needs {n}")
+def _exact_pass(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
+                scores=None) -> list[np.ndarray]:
+    """``_exact_probabilities`` of rows ``(scheduled, cal)`` of one
+    layering, or with ``scores`` of one ``(mask, want)`` per row, in stacked
+    runs within _MEMORY_BUDGET: one array per run, in row order. Every exact
+    run goes through here, which, in this order, raises CalibrationError
+    for a calibration that does not cover the circuit; for outcome rows,
+    SimulationError before planning when ``_outcome_floor`` exceeds the
+    budget; and SimulationError, before pricing anything, when one row's
+    ``_stacked_need`` would. Then each run stacks as many rows as
+    ``_stacked_need`` allows within the budget."""
+    scheduled, n = rows[0][0], rows[0][0].n_qubits
+    short = min(cal.n_qubits for _, cal in rows)
+    if short < n:
+        raise CalibrationError(f"calibration covers {short} qubits, circuit needs {n}")
+    close = 2 if scores is None else 1
+    need = _outcome_floor(scheduled) if scores is None else 0.0
+    if need <= _MEMORY_BUDGET:  # plan only what the floor lets run
+        fixed, per_row = _stacked_need(scheduled, 0, close), _row_bytes(_kept(scheduled, close))
+        need = fixed + per_row
+    if need > _MEMORY_BUDGET:
+        raise SimulationError(f"the exact engine would need about {need / 2**20:.0f} MiB for {n} "
+                              f"qubits, above the {_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    chunk = int((_MEMORY_BUDGET - fixed) // per_row)
+    return [_exact_probabilities(rows[i:i + chunk]) if scores is None
+            else _exact_probabilities(rows[i:i + chunk], scores[i:i + chunk])
+            for i in range(0, len(rows), chunk)]
 
 
 def keep_distributions(rows: list[tuple[ScheduledCircuit, DeviceCalibration]]) -> None:
     """Compute the exact outcome distribution of every distinct row
-    ``(scheduled, cal)`` in stacked passes, and keep each on its schedule,
-    keyed by calibration, for ``run_shots`` to draw from. The schedules
-    are one schedule or schedules bound from it (``bind``). Each row is,
-    bit for bit, what ``run_shots`` would compute for its schedule and
-    calibration alone.
-
-    Stacks are as large as the memory budget allows: ``_stacked_need`` of
-    a stack within _MEMORY_BUDGET. Nothing is kept for a circuit that
-    ``run_shots`` refuses or whose one row would exceed the budget
-    (``run_shots`` then refuses it or runs it alone), for a calibration that
-    does not cover the circuit, or when fewer than two distinct rows are
-    left: stacking one gains nothing."""
-    if len(rows) < 2:
-        return
-    n = rows[0][0].n_qubits
-    rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows
-                 if cal.n_qubits >= n}.values())
-    if len(rows) < 2 or _outcome_floor(rows[0][0]) > _MEMORY_BUDGET:
-        return
-    chunk = _stack_limit(rows[0][0], _exact_plan)
-    if chunk < 1:
-        return
-    for i in range(0, len(rows), chunk):
-        part = rows[i:i + chunk]
-        for (scheduled, cal), probs in zip(part, _exact_probabilities(part)):
-            scheduled.__dict__.setdefault("distributions", {})[cal] = probs
+    ``(scheduled, cal)`` in stacked passes (``_exact_pass``), and keep each
+    on its schedule, keyed by calibration, for ``run_shots`` to draw from.
+    The schedules are one schedule or schedules bound from it (``bind``).
+    Each row is, bit for bit, what ``run_shots`` would compute for its
+    schedule and calibration alone. Raises what ``_exact_pass`` raises, and
+    then keeps nothing."""
+    rows = list({(id(scheduled), cal): (scheduled, cal) for scheduled, cal in rows}.values())
+    for (scheduled, cal), probs in zip(rows, itertools.chain.from_iterable(_exact_pass(rows))):
+        scheduled.__dict__.setdefault("distributions", {})[cal] = probs
 
 
 def score_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
@@ -1054,25 +1059,13 @@ def score_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
     of its scores, as a (len(rows), k) array: ``scores[i]`` lists row i's k
     ``(mask, want)`` pairs (``fitting.score_masks``), and an outcome v reads
     one when ``v & mask == want``. The schedules share one layering, as in
-    ``keep_distributions``. Each (row, score) pair is one row of a stacked
-    pass on the layering's ``_score_plan``, which closes every qubit in one
-    readout-weighted row, so that no pass holds the 2**n outcomes; passes
-    stack as many pairs as ``_stacked_need`` allows within _MEMORY_BUDGET.
-
-    Raises CalibrationError for a calibration that does not cover the
-    circuit, and SimulationError, before pricing anything, when one pair
-    would exceed the budget."""
-    scheduled, n = rows[0][0], rows[0][0].n_qubits
-    for _, cal in rows:
-        _covers(cal, n)
-    chunk = _stack_limit(scheduled, _score_plan)
-    if chunk < 1:
-        raise _over_budget(_stacked_need(scheduled, 1, _score_plan), n)
+    ``keep_distributions``. Each (row, score) pair is one row of the
+    stacked passes of ``_exact_pass`` on the layering's score plan, which
+    closes every qubit in one readout-weighted row, so that no pass holds
+    the 2**n outcomes. Raises what ``_exact_pass`` raises."""
     stack = [(row, score) for row, own in zip(rows, scores) for score in own]
-    law = np.concatenate([_exact_probabilities([row for row, _ in stack[i:i + chunk]],
-                                               [score for _, score in stack[i:i + chunk]])
-                          for i in range(0, len(stack), chunk)])
-    return law.reshape(len(rows), -1)
+    law = _exact_pass([row for row, _ in stack], [score for _, score in stack])
+    return np.concatenate(law).reshape(len(rows), -1)
 
 
 def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
@@ -1086,29 +1079,24 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     for bit, and so are the counts. A schedule bound from another
     (``bind``) runs as a fresh schedule of its circuit would.
 
-    Raises SimulationError, before planning, pricing or allocating
-    anything, unless it draws from a kept distribution (which
-    ``keep_distributions`` computed within the budget), when the estimated
-    peak memory exceeds _MEMORY_BUDGET: never less than _DENSE_PEAK_COPIES
-    x 8 B x leg**n (``_outcome_floor``), and one row's ``_stacked_need`` in
-    the order that runs. So a circuit runs up to 13 qubits, and an
+    Raises ValueError for shots outside 1 to the int64 maximum, which the
+    draw takes, and, unless it draws from a kept distribution, what
+    ``_exact_pass`` raises for its one row, before planning, pricing or
+    allocating anything: SimulationError when the estimated peak memory
+    exceeds _MEMORY_BUDGET, never less than _DENSE_PEAK_COPIES x 8 B x
+    leg**n (``_outcome_floor``). So a circuit runs up to 13 qubits, and an
     X/CNOT/DELAY circuit up to 26, at any shot count; wider ones are
     refused. The draw itself holds the 2**n outcomes' counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > 2**63 - 1:  # the int64 maximum, the most that the draw takes
+        raise ValueError(f"shots must be at most {2**63 - 1}, got {shots}")
     if seed is None:
         raise ValueError("seed must be given: counts are deterministic per seed")
-    n = scheduled.n_qubits
-    _covers(cal, n)
     kept = scheduled.__dict__.get("distributions")
     probs = kept.get(cal) if kept else None
     if probs is None:
-        need = _outcome_floor(scheduled)
-        if need <= _MEMORY_BUDGET:  # plan only what the floor lets run
-            need = max(need, _stacked_need(scheduled))
-        if need > _MEMORY_BUDGET:
-            raise _over_budget(need, n)
-        probs = _exact_probabilities([(scheduled, cal)])[0]
+        [[probs]] = _exact_pass([(scheduled, cal)])
     draws = np.random.default_rng([seed, 3]).multinomial(shots, probs)
     values = np.flatnonzero(draws)
     return dict(zip(values.tolist(), draws[values].tolist()))

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from nisq_lab import cli, experiments  # noqa: E402
+from nisq_lab import cli, experiments, noise  # noqa: E402
 
 # which engine a run reaches depends on its circuits; every other layer of
 # its workload must show up in each run on its own
@@ -108,3 +108,27 @@ def test_coherence_and_qpe_cells_bind_onto_one_schedule_per_structure(
     experiments.run_qpe_phase_sweep(cfg)
     assert calls == {"run_shots": survey["run_shots"] + 2 * 33,
                      "schedule": survey["schedule"] + 2}
+
+
+def test_each_layering_is_planned_once_per_closing_size(monkeypatch, tmp_path):
+    """A wrapper of ``noise._exact_plan``, set by attribute as the benchmark
+    sets its wrappers, sees every plan the engine builds: a small
+    cnot-chain, whose cells of 2 to 12 qubits take outcome plans and whose
+    cells of 13 and 14 take score plans, plans each (layering, closing
+    size) exactly once."""
+    planned = []
+    real = noise._exact_plan
+
+    def counting(scheduled, close):
+        planned.append((scheduled.layers, close))  # held, so that no id is reused
+        return real(scheduled, close)
+
+    monkeypatch.setattr(noise, "_exact_plan", counting)
+    assert cli.main(["cnot-chain", "--orientations", "1", "--strategies", "none",
+                     "--max-length", "13", "--shots", "8", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    keys = collections.Counter((id(layers), close) for layers, close in planned)
+    assert set(keys.values()) == {1}
+    widths = {close: sorted(len(layers[-1].ops) for layers, c in planned if c == close)
+              for close in (1, 2)}
+    assert widths == {2: list(range(2, 13)), 1: [13, 14]}

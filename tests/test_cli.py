@@ -363,6 +363,21 @@ def test_qubit_outside_calibration_exit_1(tmp_path, noiseless_cal_file, capsys):
     assert not (out / "t1.csv").exists()
 
 
+@pytest.mark.parametrize("shots", ["9223372036854775808", "99999999999999999999"])
+def test_shots_above_the_int64_maximum_exit_1(tmp_path, noiseless_cal_file, capsys, shots):
+    """A shot count that the multinomial draw cannot take used to die with
+    an OverflowError traceback; the int64 maximum itself still runs."""
+    out = tmp_path / "t1"
+    code = main(["t1", "--calibration", str(noiseless_cal_file), "--shots", shots,
+                 "--seed", "1", "--grid-us", "0,5", "--out", str(out)])
+    assert code == 1
+    assert f"shots must be at most 9223372036854775807, got {shots}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["t1", "--calibration", str(noiseless_cal_file), "--shots",
+                 "9223372036854775807", "--seed", "1", "--grid-us", "0,5",
+                 "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv, allowed", [
     (["qft-perfect", "--geometries", "ring6-1chains"], "linear3,star4,ring6-3chain"),
     (["qft-perfect", "--geometries", "bogus"], "linear3,star4,ring6-3chain"),
@@ -405,12 +420,15 @@ def test_negative_or_non_finite_delay_grid_exit_1(tmp_path, noiseless_cal_file, 
 
 @pytest.mark.parametrize("subcommand, grid", [("t1", "0,1e-300,2e-300"),
                                              ("t2-ramsey", ",".join(f"{k}e-300"
-                                                                    for k in range(1, 7)))])
+                                                                    for k in range(1, 7))),
+                                             ("t2-ramsey", "0,1,2,3,4,1e308")])
 def test_fit_on_a_vanishing_delay_grid_fails_without_a_traceback(tmp_path, capfd, subcommand,
                                                                  grid):
     """A valid grid of delays so short that the fit's normal equations
-    underflow writes its tables and a failed fit, and exits 0; nothing from
-    LAPACK reaches stderr."""
+    underflow, or with one so long that the model's products overflow
+    (which used to write an ok fit of null omega, t_phi and R^2), writes its
+    tables and a failed fit, and exits 0; nothing from LAPACK or numpy
+    reaches stderr."""
     out = tmp_path / "out"
     code = main([subcommand, "--shots", "100", "--seed", "7", "--out", str(out),
                  f"--grid-us={grid}"])
@@ -470,19 +488,18 @@ def test_dense_run_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsy
 def test_score_pass_over_memory_budget_exit_2(tmp_path, noiseless_cal_file, capsys,
                                              monkeypatch):
     """A wide cell's score pass is refused when one of its rows would not
-    fit the budget: the chain of 12 links (13 qubits), after the shorter
-    chains drew from their full law within it."""
-    narrow, wide = (schedule(Circuit(len(path), builders.cnot_chain(path, "none").circuit.ops)
-                             .measure_all(), DurationModel())
+    fit the budget: the cnot-reset chain of 12 links (13 qubits), after the
+    shorter chains drew from their full law within it."""
+    narrow, wide = (schedule(Circuit(len(path), builders.cnot_chain(path, "cnot-reset")
+                                     .circuit.ops).measure_all(), DurationModel())
                     for path in (topology.chain_paths(topology.shipped_poughkeepsie(), 1)[:k]
                                  for k in (12, 13)))
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET",
-                        noise._stacked_need(wide, 1, noise._score_plan) - 1)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(wide, 1, 1) - 1)
     assert noise._stacked_need(narrow) < noise._MEMORY_BUDGET
     out = tmp_path / "out"
     code = main(["cnot-chain", "--calibration", str(noiseless_cal_file), "--shots", "4000",
                  "--seed", "2", "--out", str(out), "--orientations", "1", "--strategies",
-                 "none", "--max-length", "12"])
+                 "cnot-reset", "--max-length", "12"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: the exact engine would need about")

@@ -637,7 +637,8 @@ def test_wide_cells_draw_score_classes_and_narrow_cells_keep_distributions(
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, default_cal,
                                                                     monkeypatch, chunk):
-    """With the memory budget cut to ``chunk`` stacked rows of a shape,
+    """With the memory budget cut to ``chunk`` stacked rows of a shape, and
+    never below the shape's floor, which is checked before planning,
     ``keep_distributions`` runs each survey shape in stacks of at most that
     many, in order, and keeps for each distinct subset what it gets alone."""
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
@@ -649,7 +650,7 @@ def test_kept_distributions_are_stacked_in_chunks_within_the_budget(graph, defau
                         lambda rows: sizes.append(len(rows)) or real(rows))
     for rows in shapes:
         scheduled, cals = rows[0][0], [cal for _, cal in rows]
-        budget = noise._stacked_need(scheduled) * chunk
+        budget = max(noise._stacked_need(scheduled) * chunk, noise._outcome_floor(scheduled))
         monkeypatch.setattr(noise, "_MEMORY_BUDGET", budget)
         fresh = replace(scheduled)
         sizes.clear()
@@ -684,8 +685,8 @@ def test_run_shots_counts_are_the_same_with_or_without_a_kept_distribution(
 
 def test_an_exact_shape_over_the_budget_is_refused_before_any_allocation(
         graph, default_cal, monkeypatch):
-    """With room for no 3-qubit cell, run_cells stacks nothing and the
-    first cell's run_shots raises the pre-flight's SimulationError."""
+    """With room for no 3-qubit cell, the first shape's stacked pass raises
+    the pre-flight's SimulationError before computing anything."""
     monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._DENSE_PEAK_COPIES * 8 * 4**3 - 1)
     monkeypatch.setattr(noise, "_exact_probabilities", None)  # any call would fail
     cfg = ExperimentConfig(calibration=default_cal, graph=graph, shots=8, seed=1)
@@ -764,17 +765,18 @@ def _shapes_of(runs) -> int:
 def test_bound_coherence_cells_run_as_fresh_schedules_on_every_qubit(default_cal, monkeypatch,
                                                                       run, classical):
     """On each of the 20 qubits, with its default grid, a coherence table has
-    two shapes (the zero delay omits its DELAY), and every cell of the
-    delayed shape is stacked with the others on the exact engine; t1, whose
-    X and delay keep it on (r_I, r_Z) legs, is compared at several seeds."""
+    two shapes (the zero delay omits its DELAY), every cell of the delayed
+    shape is stacked with the others on the exact engine, and the lone
+    zero-delay cell is kept as well; t1, whose X and delay keep it on
+    (r_I, r_Z) legs, is compared at several seeds."""
     for qubit in range(20):
         cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=1, qubit=qubit)
         runs = _bound_runs(monkeypatch, run, cfg)
         assert _shapes_of(runs) == 2
         kept = _assert_bound_runs_equal_fresh_runs(runs, default_cal,
                                                    seeds=(1, 2, 3, 5, 8) if classical else (1,))
-        assert kept == len(runs) - 1
-        legs = {noise._kept(bound, noise._exact_plan).leg for _, bound, _ in runs}
+        assert kept == len(runs)
+        legs = {noise._kept(bound, 2).leg for _, bound, _ in runs}
         assert legs == ({2} if classical else {4})
 
 
@@ -819,7 +821,7 @@ def test_zero_length_windows_run_as_fresh_schedules(graph, default_cal, monkeypa
     runs = _bound_runs(monkeypatch, run, cfg)
     zero = 0
     for _, bound, _ in runs:
-        index = noise._kept(bound, noise._exact_plan)[2]
+        index = noise._kept(bound, 2).index
         ends = np.array(bound.ends)
         end, start = index[4:] - 4 * bound.n_qubits
         zero += int(np.count_nonzero(ends[end] == ends[start]))

@@ -429,7 +429,7 @@ def test_bound_schedule_matches_kraus_oracle_of_its_circuit():
         assert np.max(np.abs(got - oracle)) <= 1e-12
         assert np.max(np.abs(kraus_outcome_probabilities(bound, cal) - oracle)) <= 1e-12
         assert np.array_equal(got, _exact_probabilities([(fresh, cal)])[0])
-        assert noise._kept(bound, noise._exact_plan) is noise._kept(sched, noise._exact_plan)
+        assert noise._kept(bound, 2) is noise._kept(sched, 2)
         rows.append((bound, cal))
     stacked = _exact_probabilities(rows)
     for row, (scheduled, _) in zip(stacked, rows):
@@ -592,7 +592,7 @@ def _planned_order(sched):
     """The order that the schedule's kept exact plan records, checked
     against its steps: time order takes each tensor in turn, on the left,
     into the product of all before it, and the greedy order does not."""
-    plan = sched.__dict__["plans"][noise._exact_plan]
+    plan = sched.__dict__["plans"][2]
     total = len(plan.shapes)
     fold = [(t, total + t - 2 if t > 1 else 0) for t in range(1, total)]
     assert ([step[:2] for step in plan.steps] == fold) == (plan.order == "time")
@@ -690,12 +690,14 @@ def test_greedy_peak_memory_within_estimate(width, stack):
 
 def test_a_greedy_chain_of_14_qubits_is_refused_and_never_kept(monkeypatch):
     """The greedy order would hold little of a 14-qubit chain, but the
-    exact engine still refuses 14 qubits in either order: run_shots raises
-    before computing anything, and keep_distributions keeps nothing."""
+    exact engine still refuses 14 qubits in either order: keep_distributions
+    and run_shots raise the same error before computing anything, and
+    nothing is kept."""
     sched, cal = _wide_chain_cell(14)
     assert noise._stacked_need(sched) < noise._MEMORY_BUDGET
     monkeypatch.setattr(noise, "_exact_probabilities", None)  # any call would fail
-    noise.keep_distributions([(sched, cal), (sched, replace(cal, two_qubit_error=0.01))])
+    with pytest.raises(SimulationError, match="exact engine would need about"):
+        noise.keep_distributions([(sched, cal), (sched, replace(cal, two_qubit_error=0.01))])
     assert "distributions" not in sched.__dict__
     with pytest.raises(SimulationError, match="exact engine would need about"):
         run_shots(sched, cal, 10, 0)
@@ -721,10 +723,10 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
         probs = real(rows, scores)
         if scores is None:
             peaks.setdefault(command, []).append(
-                (rows[0][0].__dict__["plans"][noise._exact_plan].peak,
+                (rows[0][0].__dict__["plans"][2].peak,
                  _planned_order(rows[0][0])))
         else:
-            plan = rows[0][0].__dict__["plans"][noise._score_plan]
+            plan = rows[0][0].__dict__["plans"][1]
             scored.append((command, rows[0][0].n_qubits, plan.order, len(rows)))
         return probs
 
@@ -742,11 +744,11 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
     for width in range(6, 11):
         sched, cal = _wide_chain_cell(width)
         real([(sched, cal)])
-        peak = noise._kept(sched, noise._exact_plan).peak
+        peak = noise._kept(sched, 2).peak
         assert (peak > noise._GREEDY_CROSSOVER) == (width >= 9)
         assert (_planned_order(sched) == "greedy") == (width >= 9)
         # one kept plan in either order; a greedy one has no time-order steps
-        assert list(sched.__dict__["plans"]) == [noise._exact_plan]
+        assert list(sched.__dict__["plans"]) == [2]
 
 
 def _chain_cell(links, strategy, orientation):
@@ -790,7 +792,7 @@ def test_classical_legs_match_kraus_oracle(cell):
     independent oracle's distribution within 1e-12."""
     sched, cal = cell
     [got] = _exact_probabilities([(sched, cal)])
-    assert noise._kept(sched, noise._exact_plan).leg == 2
+    assert noise._kept(sched, 2).leg == 2
     assert np.max(np.abs(got - kraus_outcome_probabilities(sched, cal))) <= 1e-12
 
 
@@ -816,12 +818,12 @@ def test_classical_legs_match_full_legs_on_chain_cells(monkeypatch, strategy):
             sched, cal = _chain_cell(links, strategy, orientation)
             cal = _own_readout(cal)
             [legs_iz] = _exact_probabilities([(sched, cal)])
-            assert noise._kept(sched, noise._exact_plan).leg == 2
+            assert noise._kept(sched, 2).leg == 2
             with monkeypatch.context() as m:
                 m.setattr(noise, "_CLASSICAL_KINDS", frozenset())
                 full = replace(sched)
                 [legs_full] = _exact_probabilities([(full, cal)])
-                assert noise._kept(full, noise._exact_plan).leg == 4
+                assert noise._kept(full, 2).leg == 4
             assert np.max(np.abs(legs_iz - legs_full)) <= 1e-15, (orientation, links)
 
 
@@ -833,7 +835,7 @@ def test_stacked_exact_peak_memory_within_estimate_on_classical_chains(strategy,
     ``_stacked_need``."""
     sched, _ = _chain_cell(_FULL_LAW_QUBITS - 1, strategy, 1)
     _assert_stacked_peak_within_estimate(sched, _FULL_LAW_QUBITS, stack)
-    assert noise._kept(sched, noise._exact_plan).leg == 2
+    assert noise._kept(sched, 2).leg == 2
 
 
 @pytest.mark.parametrize("links", [5, 8])
@@ -843,7 +845,7 @@ def test_one_row_classical_runs_peak_within_estimate(links):
     per-run term covers, as its leg-aware floor would not."""
     sched, _ = _chain_cell(links, "cnot-reset", 1)
     peak = _assert_stacked_peak_within_estimate(sched, links + 1, 1)
-    assert peak > max(noise._row_bytes(noise._kept(sched, noise._exact_plan)),
+    assert peak > max(noise._row_bytes(noise._kept(sched, 2)),
                       noise._outcome_floor(sched))
 
 
@@ -857,7 +859,7 @@ def test_run_shots_draws_wide_classical_circuits_from_their_exact_law():
         [probs] = _exact_probabilities([(replace(sched), cal)])
         draws = np.random.default_rng([5, 3]).multinomial(4000, probs)
         assert run_shots(sched, cal, 4000, 5) == {k: int(c) for k, c in enumerate(draws) if c}
-        assert list(sched.__dict__["plans"]) == [noise._exact_plan]
+        assert list(sched.__dict__["plans"]) == [2]
         stacked = replace(sched)
         noise.keep_distributions([(stacked, cal), (stacked, replace(cal, two_qubit_error=0.02))])
         assert len(stacked.__dict__["distributions"]) == 2
@@ -893,7 +895,7 @@ def test_score_law_matches_class_sums_on_chain_structures(monkeypatch, strategy)
             rows = [(replace(cells[0][0]), _own_readout(cal)) for _, cal in cells]
             scores = _chain_scores(links, strategy)
             law = noise.score_probabilities(rows, [scores] * 4)
-            assert noise._kept(rows[0][0], noise._score_plan).order == order
+            assert noise._kept(rows[0][0], 1).order == order
             for got, (sched, cal) in zip(law, rows):
                 [probs] = _exact_probabilities([(replace(sched), cal)])
                 assert np.max(np.abs(got - _class_sums(probs, scores))) <= 1e-14, links
@@ -919,9 +921,9 @@ def test_score_law_matches_kraus_oracle(cell):
     [[got]] = noise.score_probabilities([(sched, cal)], [[score]])
     want = _class_sums(kraus_outcome_probabilities(sched, cal), [score])
     assert abs(got - want[0]) <= 1e-12
-    plan = noise._kept(sched, noise._score_plan)
+    plan = noise._kept(sched, 1)
     assert plan.leg == (2 if noise._classical(sched) else 4)
-    assert list(sched.__dict__["plans"]) == [noise._score_plan]
+    assert list(sched.__dict__["plans"]) == [1]
 
 
 def test_greedy_score_plan_counts_a_closed_leg_as_no_bits(monkeypatch):
@@ -933,9 +935,9 @@ def test_greedy_score_plan_counts_a_closed_leg_as_no_bits(monkeypatch):
     monkeypatch.setattr(noise, "_SCORE_CROSSOVER", 0)
     for strategy in builders.RESET_STRATEGIES:
         sched, _ = _chain_cell(19, strategy, 1)
-        plan = noise._kept(sched, noise._score_plan)
+        plan = noise._kept(sched, 1)
         assert plan.order == "greedy" and plan.held < 2**12, strategy
-        assert noise._kept(sched, noise._exact_plan).held >= 3 * 2**20
+        assert noise._kept(sched, 2).held >= 3 * 2**20
 
 
 def test_one_wide_chain_schedule_scores_every_placement_like_fresh_schedules():
@@ -977,7 +979,7 @@ def test_score_plan_is_built_once_per_schedule(monkeypatch):
             for c in (cal, replace(cal, two_qubit_error=0.02), cal)]
     assert len(calls) == 1
     assert np.array_equal(laws[0], laws[2]) and not np.array_equal(laws[0], laws[1])
-    assert list(sched.__dict__["plans"]) == [noise._score_plan]
+    assert list(sched.__dict__["plans"]) == [1]
 
 
 @pytest.mark.parametrize("links", [12, 15, 19])
@@ -999,7 +1001,39 @@ def test_score_pass_peak_memory_within_estimate(links, stack):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= noise._stacked_need(sched, stack, noise._score_plan), strategy
+        assert peak <= noise._stacked_need(sched, stack, 1), strategy
+
+
+@pytest.mark.parametrize("strategy", builders.RESET_STRATEGIES)
+def test_a_30_qubit_chain_score_pass_runs_within_its_estimate(strategy):
+    """A 30-qubit X/CNOT/DELAY chain's score pass runs through
+    score_probabilities: time order is priced from its own largest
+    product, a few coefficients per row on "none" and "x-reset", not from
+    2**n (about 20480 MiB). With its plan kept, the pass peaks within
+    ``_stacked_need`` at 2 and 16 stacked score rows (1 and 8 calibrations
+    x f1 and f2), and each stacked row equals, bit for bit, its
+    calibration's lone pass on a fresh schedule."""
+    built = builders.cnot_chain(list(range(30)), strategy)
+    sched = schedule(Circuit(30, built.circuit.ops).delay(2e-6, 29).measure_all(),
+                     DurationModel())
+    scores = score_masks(built.roles, "11", built.desired_ancilla)
+    cals = [flat_cal(30, t1=(30 + i) * 1e-6, t2=(40 + i) * 1e-6, readout=0.01 * (i % 3),
+                     p2=0.01 + i * 1e-4) for i in range(8)]
+    rows = [(sched, cal) for cal in cals]
+    noise.score_probabilities(rows[:1], [scores])  # build the plan first
+    assert noise._kept(sched, 1).order == ("greedy" if strategy == "cnot-reset" else "time")
+    for stack in (1, 8):
+        tracemalloc.start()
+        try:
+            law = noise.score_probabilities(rows[:stack], [scores] * stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= noise._stacked_need(sched, 2 * stack, 1), (strategy, stack)
+    assert np.all((0.0 < law[:, 1]) & (law[:, 1] < law[:, 0]) & (law[:, 0] < 1.0))
+    for got, (_, cal) in zip(law, rows):
+        [alone] = noise.score_probabilities([(replace(sched), cal)], [scores])
+        assert np.array_equal(got, alone)
 
 
 def test_a_score_pass_whose_one_row_exceeds_the_budget_is_refused(monkeypatch):
@@ -1014,10 +1048,10 @@ def test_a_score_pass_whose_one_row_exceeds_the_budget_is_refused(monkeypatch):
     real = noise._exact_probabilities
     monkeypatch.setattr(noise, "_exact_probabilities",
                         lambda rows, scores: sizes.append(len(rows)) or real(rows, scores))
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 4, noise._score_plan))
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 4, 1))
     assert np.array_equal(noise.score_probabilities(rows, scores), want)
     assert sizes == [4, 2]
-    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 1, noise._score_plan) - 1)
+    monkeypatch.setattr(noise, "_MEMORY_BUDGET", noise._stacked_need(sched, 1, 1) - 1)
     monkeypatch.setattr(noise, "_priced_windows", None)  # any pricing would fail
     with pytest.raises(SimulationError, match="exact engine would need about"):
         noise.score_probabilities(rows, scores)
@@ -1092,6 +1126,18 @@ def test_non_positive_shots_rejected():
     sched = schedule(Circuit(1).x(0).measure_all(), cal.durations)
     for shots in (0, -1):
         with pytest.raises(ValueError, match="shots must be >= 1"):
+            run_shots(sched, cal, shots, 1)
+
+
+def test_shots_above_the_int64_maximum_rejected():
+    """The multinomial draw takes at most the int64 maximum, which runs;
+    one more is refused with a ValueError, not an OverflowError."""
+    cal = flat_cal(1)
+    sched = schedule(Circuit(1).x(0).measure_all(), cal.durations)
+    top = np.iinfo(np.int64).max
+    assert run_shots(sched, cal, top, 1) == {1: top}
+    for shots in (top + 1, 10**20):
+        with pytest.raises(ValueError, match="shots must be at most"):
             run_shots(sched, cal, shots, 1)
 
 
