@@ -14,8 +14,8 @@ every table's metadata.
 A cell's shape is the structure of its local circuit: its ops, with DELAY
 durations and RPHI angles left out, which depend on the placement only
 through its geometry. A survey shape is a variant and its target's local
-index, a chain shape a length and a strategy, a coherence shape whether
-its delay is zero, and a QFT or QPE shape its geometry. A cell carries its
+index, a chain shape a length and a strategy, a coherence table one
+shape, and a QFT or QPE shape its geometry. A cell carries its
 own delays and angles (``values``). ``run_cells`` builds and schedules each
 shape once per call, from its first cell, and each cell binds its values
 onto that schedule (``noise.bind``), so the cells of a shape differ only in
@@ -305,9 +305,9 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
                     sequence: tuple[str, ...]) -> list[ResultRow]:
     """One single-qubit cell per delay on cfg.qubit: the gates of
     ``sequence`` in order, with the delay split evenly over its ``_IDLE``
-    entries. A zero delay leaves the idles out, so a table has at most two
-    shapes; each cell of a nonzero delay binds its own delays, and the
-    zero-delay cells run their shape's build as it is."""
+    entries as DELAY ops. A table is one shape: every cell binds its own
+    delays, and a zero delay is a DELAY of 0 s, whose layer adds exactly 0.0
+    to the schedule's layer ends."""
     parts = sequence.count(_IDLE)
 
     def build(dt_s: float) -> BuiltCircuit:
@@ -315,16 +315,15 @@ def _coherence_rows(cfg: ExperimentConfig, tag: str, grid, desired: str,
         for kind in sequence:
             if kind != _IDLE:
                 circuit.add(GateOp(kind, (0,)))
-            elif dt_s > 0:
+            else:
                 circuit.delay(dt_s / parts, 0)
         return BuiltCircuit(circuit, (cfg.qubit,), "")
 
     cells = []
     for i, dt in enumerate(grid):
         dt_s = dt * US
-        cells.append(Cell(dt_s > 0, partial(build, dt_s), (cfg.qubit,),
-                          (cfg.seed, _TAGS[tag], i), desired,
-                          values=(dt_s / parts,) * parts if dt_s > 0 else None))
+        cells.append(Cell(tag, partial(build, dt_s), (cfg.qubit,), (cfg.seed, _TAGS[tag], i),
+                          desired, values=(dt_s / parts,) * parts))
     reports = run_cells(cells, cfg.calibration, cfg.shots)
     return [_row(float(dt), rep) for dt, rep in zip(grid, reports)]
 

@@ -19,7 +19,9 @@ so that channels on different qubits compose by kron, and the idle windows
 the gate closes are folded into it. A qubit's axis is live (4
 coefficients) only from its first gate to its last: the first gate's
 matrix takes the qubit's |0> column, and the last one's closes the axis in
-the qubit's readout-weighted rows. An X/CNOT/DELAY circuit keeps only each
+the qubit's readout-weighted rows. A qubit that no gate touches is read by
+a readout-only gate, its |0> column closed in the same rows, so that every
+qubit reads out through one formula. An X/CNOT/DELAY circuit keeps only each
 qubit's (r_I, r_Z), on legs of 2 coefficients, so its matrices are the I/Z
 blocks of the full ones. What depends on the layering alone is planned
 once, with the steps that contract the folded gates: in time order, or in a
@@ -33,9 +35,10 @@ The engine closes each qubit in one of two ways, each with its own plan
 
   * in its two outcome rows, so that the last tensor is the outcome
     distribution over the 2**n basis states. ``run_shots`` draws a
-    multinomial of counts from it, for any circuit and on any calibration:
-    up to 13 qubits, and an X/CNOT/DELAY circuit up to about 26, within
-    the memory budget;
+    multinomial of counts from it, for any circuit and on any calibration
+    whose plan fits the memory budget: up to 26 qubits, since the last
+    product is the 2**n outcomes, and up to 13 when every qubit is live at
+    once;
   * in one score row: its wanted outcome's row where a score's mask covers
     it, and the sum of both rows elsewhere, so that the last tensor is the
     probability of reading the score, and no tensor holds the 2**n
@@ -432,40 +435,43 @@ def _window_index(windows: list[tuple[int, int, int]], n: int) -> np.ndarray:
     ends[j]``, the (6, windows) index of their t1, tphi, omega, readout
     error, end and start in a run's row of values: one (schedule,
     calibration)'s qubits 0..n-1 as (t1, tphi, omega, readout error), then
-    its layer ends."""
-    return np.array([(4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3, 4 * n + i, 4 * n + j)
+    the circuit's start, 0.0, as the end of layer -1, then its layer ends."""
+    return np.array([(4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3, 4 * n + 1 + i, 4 * n + 1 + j)
                      for q, i, j in windows], dtype=np.intp).reshape(-1, 6).T
 
 
 def _priced_windows(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
                     index: np.ndarray) -> tuple:
-    """``(values, readout, rates)`` for rows ``(scheduled, cal)`` of one
-    layering and its ``_window_index``: the rows' values, and each window's
-    readout error and ``_channel_rates`` from one call, over (window, row)."""
+    """``(readout, rates)`` for rows ``(scheduled, cal)`` of one layering
+    and its ``_window_index``: each window's readout error and
+    ``_channel_rates`` from one call, over (window, row)."""
     n = rows[0][0].n_qubits
     values = np.array([[x for p in cal.qubits[:n] for x in (p.t1, p.tphi, p.omega,
-                                                             p.readout_error)] + list(s.ends)
+                                                             p.readout_error)] + [0.0, *s.ends]
                        for s, cal in rows])
     t1, tphi, omega, readout, end, start = values[:, index].transpose(1, 2, 0)
-    return values, readout, _channel_rates(t1, tphi, omega, end - start)
+    return readout, _channel_rates(t1, tphi, omega, end - start)
 
 
 def _idle_windows(
         scheduled: ScheduledCircuit) -> list[tuple[list[tuple[int, int, int]], tuple[GateOp, ...]]]:
     """The circuit as steps ``(windows, ops)``: close each ``(qubit, i, j)``
     idle window, then apply the ops. There is one step per layer plus a last
-    step with no ops, whose windows are those still open at readout.
+    step with no ops, whose windows are the read windows, one per qubit in
+    qubit order, each still open at readout.
 
     A window closes when a gate (not MEASURE or DELAY) touches its qubit and
     spans every layer since the qubit's previous gate, the gate's own layer
     included, because a layer's idle charge comes before its ops: it closes
     at layer i and opened at the end of layer j, so it lasts ``ends[i] -
-    ends[j]``. Every gated qubit has a window open at readout, closing at
-    the last layer, which may last 0. Time up to and including a qubit's
-    first gate layer is dropped: the qubit is still in |0>, which all three
-    channels fix. Merging is exact: a qubit's idle channels commute with
-    every op and channel not acting on it, damping survivals and phase-flip
-    contrasts multiply, and drift angles add.
+    ends[j]``. Every qubit's read window closes at the last layer (layer
+    -1, the circuit's start, if there is none) and opens at its last gate,
+    so it may last 0; a qubit no gate touches opens it where it closes, so
+    it lasts exactly 0. Time up to and including a qubit's first gate layer
+    is dropped: the qubit is still in |0>, which all three channels fix.
+    Merging is exact: a qubit's idle channels commute with every op and
+    channel not acting on it, damping survivals and phase-flip contrasts
+    multiply, and drift angles add.
 
     The windows depend on the layering alone, so every schedule bound onto
     it (``bind``) has the same windows; each computes their durations from
@@ -483,7 +489,7 @@ def _idle_windows(
             last_gate[q] = i
         steps.append((windows, layer.ops))
     end = len(scheduled.layers) - 1
-    steps.append(([(q, end, j) for q, j in sorted(last_gate.items())], ()))
+    steps.append(([(q, end, last_gate.get(q, end)) for q in range(scheduled.n_qubits)], ()))
     return steps
 
 
@@ -620,8 +626,9 @@ class _ExactPlan(NamedTuple):
     angle's index for an RPHI), the |0> columns of its fresh operands
     (``_FRESH``) or None, the windows it closes, and per operand its
     closing rows' index or the identity (None if no operand ends here).
-    The tensors are the folded gates, then each never-gated qubit's
-    ``[1 - r, r]`` as a 2 x 1 column, or its score's entry of it. A step
+    A qubit that no gate touches is read by a readout-only gate, appended
+    after the others: its |0> column as the gate, closed in its read
+    window's rows. The tensors are the folded gates. A step
     contracts tensors i and j into one appended to them, as one batched
     product: i (transposed by perm_i and reshaped to shape_i, unless perm_i
     is None) times j transposed by perm_j and reshaped to shape_j, reshaped
@@ -630,9 +637,7 @@ class _ExactPlan(NamedTuple):
     an X/CNOT/DELAY circuit."""
 
     gates: list  # per gate in time order: (gate, fresh, ins, outs, qubits)
-    never_gated: list  # the qubits no gate touches
-    index: np.ndarray  # the _window_index of every idle window
-    read: int  # the first read windows, and closing rows, are those open at readout
+    index: np.ndarray  # the _window_index of every idle window, the n read windows first
     angles: int  # how many RPHI angles there are
     leg: int  # a live qubit's leg size: 2 in an X/CNOT/DELAY circuit, else 4
     order: str  # "time" or "greedy"
@@ -649,17 +654,17 @@ def _exact_plan(scheduled: ScheduledCircuit, close: int) -> _ExactPlan:
     score row. A layering of X, CNOT, DELAY and MEASURE alone is classical:
     its live legs are the (r_I, r_Z) block, of size 2, and its gates and
     fresh columns the I/Z blocks of the full ones. One walk of its
-    ``_idle_windows`` lists each gate's folding data. The steps are time
-    order's (``_left_fold``) unless its largest product grows above
-    _GREEDY_CROSSOVER coefficients per row (_SCORE_CROSSOVER on a score
-    plan); then they are greedy's (``_greedy_order``)."""
+    ``_idle_windows`` lists each gate's folding data, and a readout-only
+    gate for each qubit that no gate touches. The steps are time order's
+    (``_left_fold``) unless its largest product grows above
+    _GREEDY_CROSSOVER coefficients per row; then they are greedy's
+    (``_greedy_order``)."""
     n = scheduled.n_qubits
     leg = 2 if _classical(scheduled) else 4
     block, fresh_columns = _BLOCKS[leg], _FRESH[leg]
     identity = _IDENTITY[block, block]
     *layers, (windows, _) = _idle_windows(scheduled)
-    # each gated qubit's window open at readout, which opens at its last gate
-    read = {q: (k, j) for k, (q, _, j) in enumerate(windows)}
+    read = [j for _, _, j in windows]  # where each qubit's read window opens: its last gate
     gated = set()  # the qubits a gate has taken so far
     gates, angle = [], 0  # the gates, and the index of the next RPHI's angle
     for i, (closed, ops) in enumerate(layers):
@@ -679,35 +684,33 @@ def _exact_plan(scheduled: ScheduledCircuit, close: int) -> _ExactPlan:
             gated.update(op.qubits)
             outs = None  # per operand its closing rows' index or the identity
             for k, q in enumerate(op.qubits):
-                if read[q][1] == i:  # the qubit's last gate: it closes here
+                if read[q] == i:  # the qubit's last gate: it closes here
                     outs = outs or [identity] * len(op.qubits)
-                    outs[k] = read[q][0]
+                    outs[k] = q  # its read window's, and closing rows', index
             gates.append((gate, fresh, ins, outs, op.qubits))
-    never_gated = [q for q in range(n) if q not in read]
-    *steps, peak = _left_fold(gates, never_gated, n, leg, close)
-    order = "greedy" if peak > (_GREEDY_CROSSOVER if close == 2 else _SCORE_CROSSOVER) else "time"
+    gates += [(fresh_columns[(True,)], None, [], [q], (q,)) for q in range(n) if q not in gated]
+    *steps, peak = _left_fold(gates, n, leg, close)
+    order = "greedy" if peak > _GREEDY_CROSSOVER else "time"
     if order == "greedy":
-        steps = _greedy_order(gates, never_gated, n, leg, close)
-    return _ExactPlan(gates, never_gated, _window_index(windows, n), len(read), angle, leg,
-                      order, *steps, peak)
+        steps = _greedy_order(gates, n, leg, close)
+    return _ExactPlan(gates, _window_index(windows, n), angle, leg, order, *steps, peak)
 
 
-def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int,
-               close: int) -> tuple:
+def _left_fold(gates: list[tuple], n: int, leg: int, close: int) -> tuple:
     """Time order as ``(shapes, steps, final, held, peak)`` of an
     ``_ExactPlan`` on live legs of size ``leg``, closing in ``close`` rows:
     a left fold, each tensor in turn, as it comes, times the product of all
     before it. The product has one axis per qubit: size 1 before the
     qubit's first gate, ``leg`` while it is live and ``close`` after its
     last gate. The tensor's operands' axes, in operand order, are the inner
-    dimension and the rest follow in qubit order; a readout pair is a gate
-    that ends a fresh qubit. That transpose copies the product, so ``held``
-    is _DENSE_PEAK_COPIES x ``peak``, the largest product."""
+    dimension and the rest follow in qubit order. That transpose copies the
+    product, so ``held`` is _DENSE_PEAK_COPIES x ``peak``, the largest
+    product."""
     sizes, steps, last, volume = [-1] + [1] * n, [], None, 1  # -1, then each qubit's size
     peak = 1
     axes = {}  # per operand tuple: a getter of the axes (0, operands, the rest), its inverse
-    total = len(gates) + len(never_gated)  # step k's product is tensor total + k
-    for _, _, ins, outs, qubits in gates + [(None, None, (), [0], (q,)) for q in never_gated]:
+    total = len(gates)  # step k's product is tensor total + k
+    for _, _, ins, outs, qubits in gates:
         inner, out = leg**len(ins), 1
         for q, m in zip(qubits, outs or qubits):
             sizes[q + 1] = close if outs is not None and type(m) is int else leg
@@ -728,8 +731,7 @@ def _left_fold(gates: list[tuple], never_gated: list[int], n: int, leg: int,
     return [first] + [None] * (total - 1), steps, last, _DENSE_PEAK_COPIES * peak, peak
 
 
-def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int,
-                  close: int) -> tuple:
+def _greedy_order(gates: list[tuple], n: int, live: int, close: int) -> tuple:
     """A greedy pairwise order as ``(shapes, steps, final, held)`` of an
     ``_ExactPlan`` (opt_einsum's greedy path; Markov & Shi, SIAM J. Comput.
     38, 2008). A tensor's axes are its legs: a qubit's axis from one gate
@@ -752,10 +754,6 @@ def _greedy_order(gates: list[tuple], never_gated: list[int], n: int, live: int,
         for q, leg in zip(qubits, new):
             last[q] = leg, len(legs)
         legs.append(new + [leg for leg, _ in ins])
-    for q in never_gated:
-        last[q] = len(sizes), len(legs)
-        legs.append([len(sizes)])
-        sizes.append(close)
     shapes = [(-1, *[sizes[leg] for leg in t]) for t in legs]
     # a tensor's legs as the bits of a mask: two tensors' product keeps the
     # legs of their XOR, and its size is 2 ** (a bit per leg of size 2 or
@@ -879,25 +877,20 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
     A schedule of a fresh layering plans again, so circuits scheduled
     afresh for each call, as the wide chains run through the API are, pay
     their plan on every call."""
-    scheduled = rows[0][0]
+    scheduled, n = rows[0][0], rows[0][0].n_qubits
     plan = _kept(scheduled, 2 if scores is None else 1)
-    values, readout, rates = _priced_windows(rows, plan.index)
+    readout, rates = _priced_windows(rows, plan.index)
     windows = _idle_ptms(*rates)  # over (window, row)
-    # a window open at readout ends in its qubit's readout flips, which keep
-    # 1 - 2r of r_Z, and its (r_I, r_Z) rows then give the two outcomes
-    windows[:plan.read, :, 3] *= (1.0 - 2.0 * readout[:plan.read])[..., None]
-    closing = _TO_POPULATIONS @ windows[:plan.read, :, ::3]
+    # qubit q's read window ends in its readout flips, which keep 1 - 2r of
+    # r_Z, and its (r_I, r_Z) rows then give the two outcomes
+    windows[:n, :, 3] *= (1.0 - 2.0 * readout[:n])[..., None]
+    closing = _TO_POPULATIONS @ windows[:n, :, ::3]
     block = _BLOCKS[plan.leg]
     windows, closing = windows[..., block, block], closing[..., block]
     rphi = _idle_ptms(0.0, 0.0, np.array([s.angles for s, _ in rows]).T) if plan.angles else None
-    pairs = [np.stack([1.0 - values[:, 4 * q + 3], values[:, 4 * q + 3]], axis=1)[..., None]
-             for q in plan.never_gated]  # 2 x 1 columns
     if scores is not None:
-        weights = _score_weights(scores, scheduled.n_qubits)
-        closing = weights[plan.index[0, :plan.read] // 4] @ closing  # the read windows' qubits
-        pairs = [weights[q] @ pair for q, pair in zip(plan.never_gated, pairs)]
-    inputs = zip(itertools.count(), plan.shapes,
-                 itertools.chain(_folded(rows, plan, windows, closing, rphi), pairs))
+        closing = _score_weights(scores, n) @ closing
+    inputs = zip(itertools.count(), plan.shapes, _folded(rows, plan, windows, closing, rphi))
     tensors = {}
     for k, (i, j, perm_i, shape_i, perm_j, shape_j, shape) in enumerate(plan.steps,
                                                                         len(plan.shapes)):
@@ -922,25 +915,20 @@ def _exact_probabilities(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
 
 
 # Time order's largest product (a plan's ``peak``), in coefficients per row,
-# above which the exact engine contracts greedily. Measured in one warm process
-# (numpy 2.4, one BLAS thread, median of 21 runs, both orders planned in
-# each run, as the API's fresh schedules planned them): superposed-control
-# cnot-reset chains ran in time order / greedily in 0.72 / 0.93 ms at
-# 8,192 (7 qubits), 1.08 / 1.13 at 32,768 (8), 4.01 / 1.19 at 131,072 (9)
-# and 11.3 / 1.32 at 524,288 (10). Every structure the CLI subcommands
-# build peaks at 4,096 or less; their 38 largest stacked calls took 38.3
-# ms in time order and 55.8 ms greedily, plans built (31.7 and 33.1 ms on
-# kept plans).
-_GREEDY_CROSSOVER = 65536
-# The same crossover for a score plan, whose greedy order never holds the
-# 2**n outcomes. Measured on the chain shapes of 13 to 20 qubits, each a
-# stacked pass of 4 orientations x f1 and f2 (numpy 2.4, one BLAS thread,
-# best of 9, plans kept): cnot-reset chains ran in time order / greedily in
-# 0.73 / 0.88 ms at 4,096 (13 qubits), 1.78 / 0.80 at 8,192 (14), 8.09 /
-# 1.19 at 65,536 (17) and 98.7 / 1.34 at 524,288 (20), and greedy planning
-# costs about 0.13 ms more per shape; the none and x-reset chains, which
-# peak at 2 and 4, ran within 0.05 ms of each other at 13-19 qubits.
-_SCORE_CROSSOVER = 4096
+# above which the exact engine contracts greedily, on outcome and score plans
+# alike. Measured in one warm process (numpy 2.4, one BLAS thread, medians of
+# alternating runs): superposed-control cnot-reset chains, scheduled and
+# planned afresh on every call as the API runs them, ran in time order /
+# greedily in 0.34 / 0.48 ms at 2,048 (6 qubits), 0.42 / 0.54 at 8,192 (7),
+# 0.65 / 0.67 at 32,768 (8), 2.05 / 0.80 at 131,072 (9) and 6.77 / 0.90 at
+# 524,288 (10). The cnot-reset chains' score passes of 13 to 20 qubits (4
+# orientations x f1 and f2 stacked, plans kept) ran in 0.88 / 0.64 ms at
+# 4,096 (13), 1.28 / 0.71 at 8,192 (14), 6.22 / 0.63 at 65,536 (17) and
+# 61.2 / 0.84 at 524,288 (20); the none and x-reset chains peak at 2 and 4.
+# Every outcome structure the CLI subcommands build peaks at 4,096 or less
+# (at most 6 qubits live at once on full legs, or 12 on (r_I, r_Z) legs), so
+# each runs in time order.
+_GREEDY_CROSSOVER = 4096
 _DENSE_PEAK_COPIES = 2.5
 _MEMORY_BUDGET = 2 << 30  # a quarter of an 8 GiB machine
 # Per row, idle window and RPHI angle: its priced matrix and rates, and its
@@ -1003,12 +991,11 @@ def _stacked_need(scheduled: ScheduledCircuit, rows: int = 1, close: int = 2) ->
 
 
 def _outcome_floor(scheduled: ScheduledCircuit) -> float:
-    """_DENSE_PEAK_COPIES x 8 B x leg**n, with the leg size of
-    ``_exact_plan`` (2 on an X/CNOT/DELAY circuit, else 4), known without
-    planning: the width above which an outcome run is refused before it is
-    planned. On (r_I, r_Z) legs it is the least such a run holds, since the
-    last product is the 2**n outcomes."""
-    return _DENSE_PEAK_COPIES * 8.0 * (2 if _classical(scheduled) else 4) ** scheduled.n_qubits
+    """_DENSE_PEAK_COPIES x 8 B x 2**n, known without planning: no outcome
+    plan is estimated to hold less, in either order, since its last product
+    is the 2**n outcomes. So an outcome run above it is refused before it
+    is planned."""
+    return _DENSE_PEAK_COPIES * 8.0 * 2 ** scheduled.n_qubits
 
 
 def _exact_pass(rows: list[tuple[ScheduledCircuit, DeviceCalibration]],
@@ -1084,9 +1071,10 @@ def run_shots(scheduled: ScheduledCircuit, cal: DeviceCalibration, shots: int,
     ``_exact_pass`` raises for its one row, before planning, pricing or
     allocating anything: SimulationError when the estimated peak memory
     exceeds _MEMORY_BUDGET, never less than _DENSE_PEAK_COPIES x 8 B x
-    leg**n (``_outcome_floor``). So a circuit runs up to 13 qubits, and an
-    X/CNOT/DELAY circuit up to 26, at any shot count; wider ones are
-    refused. The draw itself holds the 2**n outcomes' counts."""
+    2**n (``_outcome_floor``). So a circuit runs, at any shot count, up to
+    26 qubits where its plan fits: up to 13 when every qubit is live at
+    once; wider ones are refused. The draw itself holds the 2**n outcomes'
+    counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots > 2**63 - 1:  # the int64 maximum, the most that the draw takes

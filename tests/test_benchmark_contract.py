@@ -87,7 +87,7 @@ def test_coherence_and_qpe_cells_bind_onto_one_schedule_per_structure(
         monkeypatch, graph, default_cal):
     """Cells that differ only in a delay or in phase angles bind them onto
     their shape's one schedule, and each still calls run_shots: a 40-point
-    t2-ramsey schedules at most twice (the zero delay omits its DELAY), and
+    t2-ramsey schedules once (its zero delay binds a DELAY of 0 s), and
     qpe-sweep schedules once per geometry beyond its ranking survey."""
     calls = collections.Counter()
     for name in ("run_shots", "schedule"):
@@ -100,7 +100,7 @@ def test_coherence_and_qpe_cells_bind_onto_one_schedule_per_structure(
                         (experiments.run_t2_echo, 8)):
         calls.clear()
         assert len(run(cfg).rows) == points
-        assert calls == {"run_shots": points, "schedule": 2}
+        assert calls == {"run_shots": points, "schedule": 1}
     calls.clear()
     experiments.run_ccnot_survey(cfg, families=experiments.QPE_GEOMETRIES)
     survey = dict(calls)

@@ -764,31 +764,43 @@ def _shapes_of(runs) -> int:
                                             (run_t2_echo, False)])
 def test_bound_coherence_cells_run_as_fresh_schedules_on_every_qubit(default_cal, monkeypatch,
                                                                       run, classical):
-    """On each of the 20 qubits, with its default grid, a coherence table has
-    two shapes (the zero delay omits its DELAY), every cell of the delayed
-    shape is stacked with the others on the exact engine, and the lone
-    zero-delay cell is kept as well; t1, whose X and delay keep it on
-    (r_I, r_Z) legs, is compared at several seeds."""
+    """On each of the 20 qubits, with its default grid, a coherence table is
+    one shape, whose cells, the zero delay's among them, are all stacked on
+    the exact engine; t1, whose X and delay keep it on (r_I, r_Z) legs, is
+    compared at several seeds. The zero-delay cell, a DELAY of 0 s, keeps,
+    bit for bit, the distribution of a fresh schedule of its circuit
+    without its DELAY ops."""
     for qubit in range(20):
         cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=1, qubit=qubit)
         runs = _bound_runs(monkeypatch, run, cfg)
-        assert _shapes_of(runs) == 2
+        assert _shapes_of(runs) == 1
         kept = _assert_bound_runs_equal_fresh_runs(runs, default_cal,
                                                    seeds=(1, 2, 3, 5, 8) if classical else (1,))
         assert kept == len(runs)
         legs = {noise._kept(bound, 2).leg for _, bound, _ in runs}
         assert legs == ({2} if classical else {4})
+        cell, bound, sub = runs[0]  # the zero delay's
+        built = cell.build()
+        delays = {op.duration for op in built.circuit.ops if op.kind == "DELAY"}
+        undelayed = replace(built, circuit=Circuit(1, [op for op in built.circuit.ops
+                                                       if op.kind != "DELAY"],
+                                                   built.circuit.roles))
+        fresh = _measured_schedule(cell, undelayed, default_cal.durations)
+        assert delays == {0.0} and sorted(set(bound.ends)) == list(fresh.ends)
+        assert np.array_equal(bound.__dict__["distributions"][sub],
+                              noise._exact_probabilities([(fresh, sub)])[0]), qubit
 
 
 @pytest.mark.parametrize("run", [run_t1, run_t2_ramsey, run_t2_echo])
 def test_bound_cells_with_repeated_and_zero_delays_run_as_fresh_schedules(default_cal,
                                                                           monkeypatch, run):
-    """Repeated delays bind equal values and zero delays share the shape
-    without a DELAY; both still run as fresh schedules of their circuits."""
+    """Repeated delays bind equal values and zero delays bind DELAYs of 0 s
+    onto the table's one shape; both still run as fresh schedules of their
+    circuits."""
     cfg = ExperimentConfig(calibration=default_cal, shots=8, seed=3, qubit=7,
                            dt_grid_us=(0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0))
     runs = _bound_runs(monkeypatch, run, cfg)
-    assert _shapes_of(runs) == 2
+    assert _shapes_of(runs) == 1
     _assert_bound_runs_equal_fresh_runs(runs, default_cal, seeds=(1, 2))
 
 
@@ -822,7 +834,7 @@ def test_zero_length_windows_run_as_fresh_schedules(graph, default_cal, monkeypa
     zero = 0
     for _, bound, _ in runs:
         index = noise._kept(bound, 2).index
-        ends = np.array(bound.ends)
+        ends = np.array([0.0, *bound.ends])  # layer -1 ends at the start
         end, start = index[4:] - 4 * bound.n_qubits
         zero += int(np.count_nonzero(ends[end] == ends[start]))
     assert zero > 0

@@ -579,12 +579,10 @@ def _assert_stacked_peak_within_estimate(sched, n, stack) -> int:
 # ---------------------------------------------------------------------------
 
 def _in_each_order(monkeypatch):
-    """Yield each contraction order, with _GREEDY_CROSSOVER and
-    _SCORE_CROSSOVER set so that every exact plan built meanwhile records
-    it."""
+    """Yield each contraction order, with _GREEDY_CROSSOVER set so that
+    every exact plan built meanwhile, outcome or score, records it."""
     for order, crossover in (("greedy", 0), ("time", math.inf)):
         monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", crossover)
-        monkeypatch.setattr(noise, "_SCORE_CROSSOVER", crossover)
         yield order
 
 
@@ -688,19 +686,21 @@ def test_greedy_peak_memory_within_estimate(width, stack):
     assert peak > noise._stacked_need(sched, stack) / 2
 
 
-def test_a_greedy_chain_of_14_qubits_is_refused_and_never_kept(monkeypatch):
-    """The greedy order would hold little of a 14-qubit chain, but the
-    exact engine still refuses 14 qubits in either order: keep_distributions
-    and run_shots raise the same error before computing anything, and
-    nothing is kept."""
-    sched, cal = _wide_chain_cell(14)
-    assert noise._stacked_need(sched) < noise._MEMORY_BUDGET
-    monkeypatch.setattr(noise, "_exact_probabilities", None)  # any call would fail
-    with pytest.raises(SimulationError, match="exact engine would need about"):
-        noise.keep_distributions([(sched, cal), (sched, replace(cal, two_qubit_error=0.01))])
-    assert "distributions" not in sched.__dict__
-    with pytest.raises(SimulationError, match="exact engine would need about"):
-        run_shots(sched, cal, 10, 0)
+def test_greedy_chains_of_14_and_16_qubits_run_within_their_estimate():
+    """The exact engine runs the 14- and 16-qubit chains greedily: their
+    floor, the 2**n outcomes, and their plans fit the budget. At 1 and 2
+    stacked rows they peak within ``_stacked_need``, and the counts drawn
+    from kept distributions equal those of lone runs."""
+    for width in (14, 16):
+        sched, cal = _wide_chain_cell(width)
+        for stack in (1, 2):
+            _assert_stacked_peak_within_estimate(sched, width, stack)
+        assert _planned_order(sched) == "greedy"
+        cals = (cal, replace(cal, two_qubit_error=0.01))
+        noise.keep_distributions([(sched, c) for c in cals])
+        assert len(sched.__dict__["distributions"]) == 2
+        for c in cals:
+            assert run_shots(sched, c, 1000, 7) == run_shots(replace(sched), c, 1000, 7)
 
 
 _SUBCOMMANDS = ("t1", "t2-ramsey", "t2-echo", "cnot-chain", "ccnot-survey", "qft-perfect",
@@ -712,7 +712,7 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
     settings peaks at 4,096 coefficients per row in time order and runs in
     it, t1 and the chains of up to 12 qubits among them, on (r_I, r_Z) legs;
     the chains of 13 to 20 qubits run score passes alone; and the wide
-    chains go greedy above _GREEDY_CROSSOVER (9 and 10 qubits) and not
+    chains go greedy above _GREEDY_CROSSOVER (7 to 10 qubits) and not
     below."""
     from nisq_lab.cli import main
 
@@ -745,8 +745,8 @@ def test_cli_structures_stay_in_time_order_and_wide_chains_go_greedy(tmp_path, m
         sched, cal = _wide_chain_cell(width)
         real([(sched, cal)])
         peak = noise._kept(sched, 2).peak
-        assert (peak > noise._GREEDY_CROSSOVER) == (width >= 9)
-        assert (_planned_order(sched) == "greedy") == (width >= 9)
+        assert (peak > noise._GREEDY_CROSSOVER) == (width >= 7)
+        assert (_planned_order(sched) == "greedy") == (width >= 7)
         # one kept plan in either order; a greedy one has no time-order steps
         assert list(sched.__dict__["plans"]) == [2]
 
@@ -840,13 +840,16 @@ def test_stacked_exact_peak_memory_within_estimate_on_classical_chains(strategy,
 
 @pytest.mark.parametrize("links", [5, 8])
 def test_one_row_classical_runs_peak_within_estimate(links):
-    """A lone run of a small classical chain peaks above its per-row
-    estimate by the executor's own objects, which the estimate's fixed
-    per-run term covers, as its leg-aware floor would not."""
+    """A lone run of a small classical chain peaks within its estimate and
+    above its floor. At 6 qubits it also peaks above its per-row estimate,
+    by the executor's own objects, which the estimate's fixed per-run term
+    covers. At 9 qubits it peaks 0.5 KiB below it: the executor holds no
+    copy of the rows' values."""
     sched, _ = _chain_cell(links, "cnot-reset", 1)
     peak = _assert_stacked_peak_within_estimate(sched, links + 1, 1)
-    assert peak > max(noise._row_bytes(noise._kept(sched, 2)),
-                      noise._outcome_floor(sched))
+    assert peak > noise._outcome_floor(sched)
+    if links == 5:
+        assert peak > noise._row_bytes(noise._kept(sched, 2))
 
 
 def test_run_shots_draws_wide_classical_circuits_from_their_exact_law():
@@ -932,7 +935,7 @@ def test_greedy_score_plan_counts_a_closed_leg_as_no_bits(monkeypatch):
     tensors' sizes, so a 20-qubit chain's plan holds a few thousand
     coefficients per row, where counting each such leg as a bit would give
     its final tensor 2**20."""
-    monkeypatch.setattr(noise, "_SCORE_CROSSOVER", 0)
+    monkeypatch.setattr(noise, "_GREEDY_CROSSOVER", 0)
     for strategy in builders.RESET_STRATEGIES:
         sched, _ = _chain_cell(19, strategy, 1)
         plan = noise._kept(sched, 1)
@@ -1058,31 +1061,30 @@ def test_a_score_pass_whose_one_row_exceeds_the_budget_is_refused(monkeypatch):
 
 
 def test_idle_windows_close_before_gates_and_at_readout():
+    """Qubit 2, which no gate touches, has one read window, of length 0."""
     c = Circuit(3).x(0).delay(5e-6, 1).x(0).cnot(0, 1).measure_all()
     sched = schedule(c, DurationModel())
     steps = _idle_windows(sched)
     assert [ops for _, ops in steps] == [layer.ops for layer in sched.layers] + [()]
-    expected = [[], [(0, 100e-9)], [(0, 300e-9)], [], [(0, 1e-6), (1, 1e-6)]]
+    expected = [[], [(0, 100e-9)], [(0, 300e-9)], [], [(0, 1e-6), (1, 1e-6), (2, 0.0)]]
     assert len(steps) == len(expected)
     for (windows, _), want in zip(steps, expected):
         assert [q for q, _, _ in windows] == [q for q, _ in want]
         assert [sched.ends[i] - sched.ends[j] for _, i, j in windows] == pytest.approx(
             [dt for _, dt in want])
+    [(_, i, j)] = [w for w in steps[-1][0] if w[0] == 2]
+    assert i == j == len(sched.layers) - 1
 
 
 @given(noisy_cells(max_qubits=4, kinds=("H", "X", "DELAY"), max_ops=16))
 @settings(max_examples=60, deadline=None)
 def test_idle_windows_charge_all_time_after_first_gate(cell):
     """Each gated qubit is charged the circuit's duration minus the time up
-    to the end of its first gate layer; a qubit no gate touches is charged
-    nothing."""
+    to the end of its first gate layer, in windows that each last more than
+    0; a qubit no gate touches has exactly one window, its read window, of
+    length 0. Every qubit's read window is in the last step, in qubit
+    order."""
     sched, _ = cell
-    charged = {}
-    for windows, _ in _idle_windows(sched):
-        for q, i, j in windows:
-            dt = sched.ends[i] - sched.ends[j]
-            assert dt > 0
-            charged[q] = charged.get(q, 0.0) + dt
     first_gate_end = {}
     elapsed = 0.0
     for layer in sched.layers:
@@ -1091,12 +1093,63 @@ def test_idle_windows_charge_all_time_after_first_gate(cell):
             if op.kind not in ("MEASURE", "DELAY"):
                 for q in op.qubits:
                     first_gate_end.setdefault(q, elapsed)
+    steps = _idle_windows(sched)
+    assert [q for q, _, _ in steps[-1][0]] == list(range(sched.n_qubits))
+    charged = {}
+    for windows, _ in steps:
+        for q, i, j in windows:
+            dt = sched.ends[i] - sched.ends[j]
+            if q in first_gate_end:
+                assert dt > 0
+            else:
+                assert q not in charged and dt == 0.0
+            charged[q] = charged.get(q, 0.0) + dt
     for q in range(sched.n_qubits):
-        if q in first_gate_end:
-            expected = elapsed - first_gate_end[q]
-            assert charged.get(q, 0.0) == pytest.approx(expected, rel=1e-9, abs=1e-15)
-        else:
-            assert q not in charged
+        expected = elapsed - first_gate_end[q] if q in first_gate_end else 0.0
+        assert charged[q] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
+def _readout_cells():
+    """Cells whose qubits 0 and 1 no gate touches, each with the score
+    that reads qubit 1 as 1 and qubit 0 as 0: no ops at all, so no layers;
+    a measurement alone; and a gate on another qubit."""
+    return {"no ops": schedule(Circuit(2), DurationModel()),
+            "measure only": schedule(Circuit(2).measure_all(), DurationModel()),
+            "beside a gate": schedule(Circuit(3).h(2).t(2).measure_all(), DurationModel())}
+
+
+@pytest.mark.parametrize("name", _readout_cells())
+def test_never_gated_qubits_read_out_through_their_readout_error(name):
+    """A qubit that no gate touches reads 1 with its readout error r alone:
+    the outcome distribution and the score's probability match the closed
+    form [1 - r, r] within 1e-15 and the Kraus oracle within 1e-12, and
+    each row of a stack equals, bit for bit, its lone run. A circuit with
+    no layers prices its read windows at exactly 0 s."""
+    sched = _readout_cells()[name]
+    n = sched.n_qubits
+    cals = [replace(_LIVE_AXIS_CAL, qubits=tuple(replace(p, readout_error=0.01 + 0.07 * q + k / 50)
+                                                 for q, p in enumerate(_LIVE_AXIS_CAL.qubits[:n])))
+            for k in range(3)]
+    score = (0b11 << (n - 2), 0b01 << (n - 2))  # qubit 0 reads 0 and qubit 1 reads 1
+    rows = [(sched, cal) for cal in cals]
+    probs = _exact_probabilities(rows)
+    law = noise.score_probabilities(rows, [[score]] * len(rows))
+    for got, [p], cal in zip(probs, law, cals):
+        want = kraus_outcome_probabilities(sched, cal)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        r0, r1 = (cal.qubits[q].readout_error for q in (0, 1))
+        pairs = _class_sums(got, [(0b10 << (n - 2), 0), (0b01 << (n - 2), 0)])
+        assert np.max(np.abs(pairs - [1 - r0, 1 - r1])) <= 1e-15
+        assert abs(p - (1 - r0) * r1) <= 1e-15
+        assert abs(p - _class_sums(want, [score])[0]) <= 1e-12
+    for row, [p], cal in zip(probs, law, cals):
+        assert np.array_equal(row, _exact_probabilities([(replace(sched), cal)])[0])
+        assert noise.score_probabilities([(replace(sched), cal)], [[score]])[0, 0] == p
+    if not sched.layers:  # each read window starts and ends at layer -1, the circuit's start
+        index = noise._kept(sched, 2).index
+        assert np.array_equal(index[4:], np.full((2, n), 4 * n))
+        _, rates = noise._priced_windows(rows, index)
+        assert all(np.array_equal(rate, np.zeros((n, len(rows)))) for rate in rates)
 
 
 def test_exact_engine_runs_at_any_shot_count():
@@ -1161,17 +1214,26 @@ def test_depolarizing_error_rate_applied():
     assert abs(frac11 - expected) < 5 * math.sqrt(expected * (1 - expected) / 20000)
 
 
-def test_large_nonclassical_circuit_rejected():
-    """The memory budget refuses the exact engine from 14 qubits on, before
-    allocating anything."""
-    for n in (14, 16):
-        cal = flat_cal(n)
-        c = Circuit(n).h(0)
-        for i in range(n - 1):
-            c.cnot(i, i + 1)
-        c.measure_all()
-        with pytest.raises(SimulationError, match="exact engine"):
-            run_shots(schedule(c, cal.durations), cal, 10, 0)
+def test_large_nonclassical_circuit_rejected(monkeypatch):
+    """The memory budget refuses a circuit that no contraction order fits,
+    H and then a CNOT on each of the 120 pairs of 16 qubits, on its plan's
+    estimate: keep_distributions and run_shots raise the same error before
+    anything is priced or computed, and nothing is kept."""
+    n = 16
+    cal = flat_cal(n)
+    c = Circuit(n).h(0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            c.cnot(a, b)
+    sched = schedule(c.measure_all(), cal.durations)
+    assert noise._outcome_floor(sched) < noise._MEMORY_BUDGET < noise._stacked_need(sched)
+    monkeypatch.setattr(noise, "_priced_windows", None)  # any pricing would fail
+    monkeypatch.setattr(noise, "_exact_probabilities", None)  # any run would fail
+    with pytest.raises(SimulationError, match="exact engine would need about"):
+        noise.keep_distributions([(sched, cal), (sched, replace(cal, two_qubit_error=0.01))])
+    assert "distributions" not in sched.__dict__
+    with pytest.raises(SimulationError, match="exact engine would need about"):
+        run_shots(sched, cal, 10, 0)
 
 
 @pytest.mark.parametrize("n", [63, 64])
